@@ -8,6 +8,10 @@ c0 + c1*p + ... + c_{k-1}*p^(k-1), so for k == 1 the encoding is the
 residue itself.  Contexts are immutable after construction and safe to
 share between threads; elements are plain ints.
 
+The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), built once per
+context: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is coords(a)
+against the first column of M, and a prime field is the case M = [[1]].
+
 Character sums psi(u) = e^(2*pi*i*tr(u)/p) are never evaluated in floating
 point inside loops.  Instead each term increments an integer slot of a
 :class:`CyclotomicSum` (slot j holds the coefficient of e^(2*pi*i*j/p)) and
@@ -29,9 +33,6 @@ from . import _gfp
 from .errors import DegreeMismatchError, NotPrimeError, ReducibleModulusError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Full trace tables are only cached for fields up to this size.
-_TRACE_TABLE_MAX = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -141,7 +142,7 @@ def _poly_str(coeffs, var="x"):
 class FieldCtx:
     """Immutable description of GF(p^k); elements are ints in [0, q)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_trace_table")
+    __slots__ = ("p", "k", "q", "modulus", "trace_form")
 
     def __init__(self, p: int, k: int = 1, modulus=None, seed: int = 0):
         if not isinstance(p, int) or not is_prime(p):
@@ -169,7 +170,14 @@ class FieldCtx:
                         f"{_poly_str(mod)} is reducible over GF({p})"
                     )
             self.modulus = tuple(mod)
-        self._trace_table = None
+        # Trace form M_ij = tr(x^(i+j)); the integer p encodes x when k > 1.
+        powers = [1]
+        for _ in range(2 * k - 2):
+            powers.append(self.mul(powers[-1], p))
+        traces = [self._trace_raw(a) for a in powers]
+        form = np.array([traces[i : i + k] for i in range(k)], dtype=np.int64)
+        form.flags.writeable = False
+        self.trace_form = form
 
     @staticmethod
     def _random_irreducible(p, k, seed):
@@ -291,16 +299,10 @@ class FieldCtx:
         return s
 
     def trace(self, a: int) -> int:
-        """Trace down to GF(p), returned as an integer residue in [0, p)."""
-        if self.k == 1:
-            return a % self.p
-        table = self._trace_table
-        if table is None and self.q <= _TRACE_TABLE_MAX:
-            table = [self._trace_raw(x) for x in range(self.q)]
-            self._trace_table = table
-        if table is not None:
-            return table[a]
-        return self._trace_raw(a)
+        """Trace down to GF(p), returned as an integer residue in [0, p):
+        tr(a) = tr(a * 1) = coords(a) . M[:, 0] mod p."""
+        column = self.trace_form[:, 0].tolist()
+        return sum(c * m for c, m in zip(self.coords(a), column)) % self.p
 
     def psi_index(self, a: int) -> int:
         """Slot index j of psi(a) = e^(2*pi*i*j/p), i.e. the trace of a."""

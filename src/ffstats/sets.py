@@ -12,7 +12,10 @@ coordinate-wise, each factor reduces affinely to an initial interval
 Dense spectra are accumulated exactly as integer root-of-unity counts per
 frequency and converted to magnitudes only at the end; sums supported on a
 single root come back exactly, which keeps the landmark values (full space,
-singletons, trace-zero subgroups) free of floating-point noise.
+singletons, trace-zero subgroups) free of floating-point noise.  Every
+spectrum takes its counts from :func:`phase_counts`, which reads the phases
+tr(a.b) off the trace form of the field: one integer matmul mod p per block
+of frequencies, for prime and extension fields alike.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from .errors import (
 from .field import FieldCtx, cyclotomic_magnitude, _unity_roots
 
 DEFAULT_BUDGET = 1 << 24
+
+# Phase entries (points x frequencies) and count slots (p x frequencies)
+# that phase_counts holds at once.
+_PHASE_BLOCK = 1 << 14
 
 
 # -- descriptors ---------------------------------------------------------------
@@ -167,28 +174,44 @@ def enumerate_points(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
 # -- spectra -------------------------------------------------------------------
 
 
-def _phase_counts(points, b, ctx, sign):
-    """Root-of-unity slot counts of sum_{a in points} psi(sign * a.b)."""
+def frequencies(ctx: FieldCtx, n: int, budget: int = DEFAULT_BUDGET):
+    """All q^n frequency tuples in lexicographic order, zero first; the
+    budget is checked before any of them is built."""
+    qn = ctx.q**n
+    if qn > budget:
+        raise BudgetExceededError(f"{qn} frequencies exceed the budget {budget}")
+    return list(itertools.product(range(ctx.q), repeat=n))
+
+
+def _coordinates(rows, ctx, n):
+    """Power-basis coordinates of n-tuples of elements: one row of n*k ints
+    per tuple, the k coordinates of each element side by side."""
+    arr = np.asarray(rows, dtype=np.int64).reshape(-1, n, 1)
+    return (arr // ctx.p ** np.arange(ctx.k, dtype=np.int64) % ctx.p).reshape(
+        len(arr), n * ctx.k
+    )
+
+
+def phase_counts(points, freqs, ctx: FieldCtx, n: int, sign: int):
+    """Yield, for each frequency b in order, the length-p slot counts of
+    sum_{a in points} psi(sign * a.b).
+
+    tr(a.b) = coords(a)^T diag(M, ..., M) coords(b) mod p with M the trace
+    form, so the frequencies are multiplied by the form once, and each block
+    of them costs one int64 matmul mod p and one offset bincount.  Products
+    stay below n*k*p^2, inside int64 for any p whose count vector fits in
+    memory.
+    """
     p = ctx.p
-    counts = [0] * p
-    if ctx.k == 1:
-        for a in points:
-            acc = 0
-            for ai, bi in zip(a, b):
-                acc += ai * bi
-            counts[(sign * acc) % p] += 1
-    else:
-        for a in points:
-            acc = 0
-            for ai, bi in zip(a, b):
-                acc = ctx.add(acc, ctx.mul(ai, bi))
-            j = ctx.trace(acc)
-            counts[(sign * j) % p] += 1
-    return counts
-
-
-def _freq_iter(ctx, n):
-    return itertools.product(range(ctx.q), repeat=n)
+    pts = _coordinates(points, ctx, n)
+    form = np.kron(np.eye(n, dtype=np.int64), ctx.trace_form)
+    w = _coordinates(freqs, ctx, n) @ form % p
+    step = max(1, _PHASE_BLOCK // max(len(pts), p))
+    for lo in range(0, len(w), step):
+        block = w[lo : lo + step]
+        slots = sign * (pts @ block.T) % p + p * np.arange(len(block))
+        counts = np.bincount(slots.ravel(), minlength=p * len(block))
+        yield from counts.reshape(len(block), p)
 
 
 @dataclass
@@ -207,23 +230,13 @@ def indicator_fourier(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Fourier
     """Full spectrum of the indicator by direct summation over frequencies."""
     n = dimension(s)
     qn = ctx.q**n
-    if qn > budget:
-        raise BudgetExceededError(f"{qn} frequencies exceed the budget {budget}")
+    freqs = frequencies(ctx, n, budget)
     pts = enumerate_points(s, ctx, budget)
-    p = ctx.p
-    cos, sin = _unity_roots(p)
+    cos, sin = _unity_roots(ctx.p)
     values = {}
-    if ctx.k == 1 and n >= 1:
-        arr = np.asarray(pts, dtype=np.int64)
-        for b in _freq_iter(ctx, n):
-            bv = np.asarray(b, dtype=np.int64)
-            idx = (-(arr @ bv)) % p
-            counts = np.bincount(idx, minlength=p).astype(float)
-            values[b] = complex(float(counts @ cos), float(counts @ sin)) / qn
-    else:
-        for b in _freq_iter(ctx, n):
-            counts = np.asarray(_phase_counts(pts, b, ctx, -1), dtype=float)
-            values[b] = complex(float(counts @ cos), float(counts @ sin)) / qn
+    for b, counts in zip(freqs, phase_counts(pts, freqs, ctx, n, -1)):
+        counts = counts.astype(float)
+        values[b] = complex(float(counts @ cos), float(counts @ sin)) / qn
     return FourierSpectrum(ctx, n, values)
 
 
@@ -266,27 +279,6 @@ def _interval_irreg(p: int, H: int) -> float:
     return p / H * l1
 
 
-def _rawmag_total(pts, ctx, n, budget):
-    """sum over all frequencies of |sum_{a in S} psi(-a.b)|, exactly where
-    the count vector allows it."""
-    p = ctx.p
-    qn = ctx.q**n
-    if qn > budget:
-        raise BudgetExceededError(f"{qn} frequencies exceed the budget {budget}")
-    total = 0.0
-    if ctx.k == 1:
-        arr = np.asarray(pts, dtype=np.int64)
-        for b in _freq_iter(ctx, n):
-            bv = np.asarray(b, dtype=np.int64)
-            idx = (-(arr @ bv)) % p
-            counts = np.bincount(idx, minlength=p)
-            total += cyclotomic_magnitude(counts, p)
-    else:
-        for b in _freq_iter(ctx, n):
-            total += cyclotomic_magnitude(_phase_counts(pts, b, ctx, -1), p)
-    return total
-
-
 def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> IrregularityReport:
     """Exact irregularity with the method recorded.
 
@@ -310,7 +302,9 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
         return IrregularityReport(irreg, method, bound, size)
     n = dimension(s)
     pts = enumerate_points(s, ctx, budget)
-    total = _rawmag_total(pts, ctx, n, budget)
+    total = 0.0
+    for counts in phase_counts(pts, frequencies(ctx, n, budget), ctx, n, -1):
+        total += cyclotomic_magnitude(counts, ctx.p)
     return IrregularityReport(total / size, "exact_dft", None, size)
 
 
@@ -335,18 +329,14 @@ def verify_plancherel_decomposition(
         if len(pt) != n:
             raise ArityMismatchError(f"point {pt} should have {n} coordinates")
     qn = ctx.q**n
-    if qn > budget:
-        raise BudgetExceededError(f"{qn} frequencies exceed the budget {budget}")
+    nonzero = frequencies(ctx, n, budget)[1:]
     spts = enumerate_points(s, ctx, budget)
     lhs = len(set(spts) & set(d_points))
     spectrum = indicator_fourier(s, ctx, budget)
     cos, sin = _unity_roots(ctx.p)
     rhs = complex(len(spts) * len(d_points) / qn)
-    zero = (0,) * n
-    for b in _freq_iter(ctx, n):
-        if b == zero:
-            continue
-        counts = np.asarray(_phase_counts(d_points, b, ctx, +1), dtype=float)
+    for b, counts in zip(nonzero, phase_counts(d_points, nonzero, ctx, n, +1)):
+        counts = counts.astype(float)
         t_d = complex(float(counts @ cos), float(counts @ sin))
         rhs += spectrum.values[b] * t_d
     return abs(lhs - rhs)

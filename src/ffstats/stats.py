@@ -15,16 +15,14 @@ roots of unity and reported with their magnitude / q^(n - 1/2) ratio.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
+    DegreeMismatchError,
     InvalidGroupError,
     PartitionMismatchError,
     ZeroFrequencyError,
@@ -372,8 +370,13 @@ def compare(
 
     Degree drops and repeated-factor points count fully against the
     prediction (they sit in S but in no class), so tv_distance is
-    (1/2) * [sum_lambda |freq - prob| + freq_exceptional].
+    (1/2) * [sum_lambda |freq - prob| + freq_exceptional].  A group acting
+    on other than deg_t letters is a DegreeMismatchError.
     """
+    if group.d != F.deg_t:
+        raise DegreeMismatchError(
+            f"group acts on {group.d} letters but F has degree {F.deg_t} in t"
+        )
     dist = empirical_distribution(F, S, threads=threads, budget=budget, seed=seed)
     pred = prediction_from_group(group)
     total = dist.total
@@ -468,7 +471,7 @@ def restricted_charsum(
         raise ZeroFrequencyError("frequency vector must be nonzero")
     ctx = F.ctx
     matches = _matching_points(F, parts, budget, seed)
-    counts = _sets._phase_counts(matches, b, ctx, -1)
+    counts = next(_sets.phase_counts(matches, [b], ctx, F.n, -1))
     cyclo = CyclotomicSum(ctx.p, counts)
     mag = cyclo.magnitude()
     return CharSumResult(cyclo, mag, mag / _weil_scale(ctx.q, F.n), len(matches))
@@ -496,8 +499,7 @@ def weil_sweep(
     ctx = F.ctx
     n = F.n
     if bs is None:
-        zero = (0,) * n
-        bs = [b for b in itertools.product(range(ctx.q), repeat=n) if b != zero]
+        bs = _sets.frequencies(ctx, n, budget)[1:]
     else:
         bs = [tuple(b) for b in bs]
         for b in bs:
@@ -507,28 +509,13 @@ def weil_sweep(
     scale = _weil_scale(ctx.q, n)
     p = ctx.p
     q = ctx.q
-    if ctx.k == 1 and matches:
-        arr = np.asarray(matches, dtype=np.int64)
 
-        def work(chunk):
-            rows = []
-            for b in chunk:
-                bv = np.asarray(b, dtype=np.int64)
-                idx = (-(arr @ bv)) % p
-                counts = np.bincount(idx, minlength=p)
-                mag = cyclotomic_magnitude(counts, p)
-                rows.append((q, b, mag, mag / scale))
-            return rows
-
-    else:
-
-        def work(chunk):
-            rows = []
-            for b in chunk:
-                counts = _sets._phase_counts(matches, b, ctx, -1)
-                mag = cyclotomic_magnitude(counts, p)
-                rows.append((q, b, mag, mag / scale))
-            return rows
+    def work(chunk):
+        rows = []
+        for b, counts in zip(chunk, _sets.phase_counts(matches, chunk, ctx, n, -1)):
+            mag = cyclotomic_magnitude(counts, p)
+            rows.append((q, b, mag, mag / scale))
+        return rows
 
     rows = map_merge(bs, work, lambda a, b2: a + b2, [], threads=threads)
     max_ratio = max((r[3] for r in rows), default=0.0)

@@ -88,6 +88,21 @@ def test_compare_with_group_file(capsys, tmp_path):
     assert report["result"]["irreg"] == 3.0
 
 
+def test_compare_group_file_of_wrong_degree_is_input_error(capsys, tmp_path):
+    path = tmp_path / "g2.txt"
+    cyclic_shift_group(2).to_file(str(path))
+    code, out = run_cli(
+        capsys,
+        "compare",
+        "--p", "11",
+        "--poly", "t^3 + A1*t + A2",
+        "--set", "full",
+        "--group", str(path),
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_charsum_golden(capsys):
     report = run_json(
         capsys,

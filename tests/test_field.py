@@ -124,6 +124,21 @@ def test_coords_roundtrip():
 def test_trace_prime_field_identity():
     ctx = FieldCtx(5)
     assert ctx.trace(3) == 3
+    assert ctx.trace_form.tolist() == [[1]]
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 5)])
+def test_trace_form_matches_frobenius_sum(p, k):
+    # trace() reads the form, so the Frobenius sum a + a^p + ... is the oracle
+    ctx = FieldCtx(p, k, seed=0)
+    x = ctx.from_coords((0, 1) + (0,) * (k - 2))
+    for i in range(k):
+        for j in range(k):
+            xij = ctx.mul(ctx.pow(x, i), ctx.pow(x, j))
+            assert ctx.trace_form[i][j] == ctx._trace_raw(xij)
+    assert not ctx.trace_form.flags.writeable
+    for a in ctx.elements():
+        assert ctx.trace(a) == ctx._trace_raw(a)
 
 
 def test_trace_f9_examples():

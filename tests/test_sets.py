@@ -2,9 +2,13 @@ import cmath
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ffstats import sets
 from ffstats.errors import ArityMismatchError, BudgetExceededError
 from ffstats.field import FieldCtx
 from ffstats.mpoly import parse
@@ -21,6 +25,7 @@ from ffstats.sets import (
     irregularity,
     load_points_file,
     parse_set,
+    phase_counts,
     split_top_level,
     verify_plancherel_decomposition,
 )
@@ -39,7 +44,7 @@ def brute_spectrum(points, ctx, n):
             dot = 0
             for ai, bi in zip(a, b):
                 dot = ctx.add(dot, ctx.mul(ai, bi))
-            acc += cmath.exp(-2j * cmath.pi * ctx.trace(dot) / p)
+            acc += cmath.exp(-2j * cmath.pi * ctx._trace_raw(dot) / p)
         values[b] = acc / q**n
     return values
 
@@ -159,7 +164,16 @@ def test_fourier_tracezero_f9():
 
 def test_fourier_matches_brute_oracle():
     rng = random.Random(3)
-    for ctx, n in ((FieldCtx(11), 1), (FieldCtx(5), 2), (FieldCtx(2, 3, seed=1), 1)):
+    cases = (
+        (FieldCtx(11), 1),
+        (FieldCtx(5), 2),
+        (FieldCtx(2, 3, seed=1), 1),
+        (FieldCtx(5, 2, seed=0), 1),
+        (FieldCtx(3, 3, seed=0), 1),
+        (FieldCtx(2, 2, seed=0), 2),
+        (FieldCtx(3, 2, seed=0), 2),
+    )
+    for ctx, n in cases:
         pts = [
             a
             for a in itertools.product(range(ctx.q), repeat=n)
@@ -169,6 +183,49 @@ def test_fourier_matches_brute_oracle():
         oracle = brute_spectrum(pts, ctx, n)
         for b, v in oracle.items():
             assert abs(spec[b] - v) < 1e-9
+
+
+_KERNEL_FIELDS = (
+    FieldCtx(2),
+    FieldCtx(7),
+    FieldCtx(13),
+    FieldCtx(2, 3, seed=0),
+    FieldCtx(3, 2, seed=1),
+    FieldCtx(5, 2, seed=0),
+    FieldCtx(3, 3, seed=2),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    ctx = draw(st.sampled_from(_KERNEL_FIELDS))
+    n = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, ctx.q - 1)] * n)
+    points = draw(st.lists(point, max_size=12))
+    freqs = draw(st.lists(point, max_size=8))
+    sign = draw(st.sampled_from((-1, 1)))
+    block = draw(st.integers(1, 64))
+    return ctx, n, points, freqs, sign, block
+
+
+@settings(max_examples=200, deadline=None)
+@example((FieldCtx(3, 2, seed=1), 1, [], [(0,), (4,)], -1, 8))
+@given(kernel_cases())
+def test_phase_counts_matches_scalar_loop(case):
+    ctx, n, points, freqs, sign, block = case
+    want = []
+    for b in freqs:
+        counts = [0] * ctx.p
+        for a in points:
+            dot = 0
+            for ai, bi in zip(a, b):
+                dot = ctx.add(dot, ctx.mul(ai, bi))
+            counts[sign * ctx._trace_raw(dot) % ctx.p] += 1
+        want.append(counts)
+    # small blocks put block boundaries inside the frequency list
+    with mock.patch.object(sets, "_PHASE_BLOCK", block):
+        got = [c.tolist() for c in phase_counts(points, freqs, ctx, n, sign)]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

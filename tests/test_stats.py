@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from ffstats.errors import (
+    BudgetExceededError,
+    DegreeMismatchError,
     InvalidGroupError,
     NotAdmissibleError,
     PartitionMismatchError,
@@ -265,6 +268,15 @@ def test_compare_artin_schreier_counterexample():
     assert sym.normalized_error > 1
 
 
+def test_compare_rejects_group_of_wrong_degree():
+    ctx = FieldCtx(11)
+    F = parse("t^3 + A1*t + A2", 2, ctx)
+    with pytest.raises(DegreeMismatchError):
+        compare(F, FullSpace(2), GroupSpec.symmetric(2))
+    with pytest.raises(DegreeMismatchError):
+        compare(F, FullSpace(2), cyclic_shift_group(2))
+
+
 def test_compare_json_shape():
     ctx = FieldCtx(13)
     F = parse("t^2 - A1", 1, ctx)
@@ -328,6 +340,20 @@ def test_weil_sweep_empty_frequency_list():
     F = parse("t^2 - A1", 1, ctx)
     sweep = weil_sweep(F, (2,), [])
     assert sweep.rows == [] and sweep.max_ratio == 0.0
+
+
+def test_weil_sweep_checks_budget_before_building_frequencies():
+    ctx = FieldCtx(101)
+    F = parse("t^3 + A1*t + A2", 2, ctx)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            weil_sweep(F, (3,), None, budget=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 10,200 nonzero frequency tuples alone would take about 650 kB
+    assert peak < 100_000
 
 
 def test_weil_sweep_thread_invariance():
