@@ -10,6 +10,7 @@ from .mpoly import (
     MultiPoly,
     SpecializationOutcome,
     admissibility,
+    classify_points,
     classify_specialization,
     disc_nonzero_probabilistic,
     parse,
@@ -68,6 +69,7 @@ __all__ = [
     "TraceZero",
     "UniPoly",
     "admissibility",
+    "classify_points",
     "classify_specialization",
     "compare",
     "disc_nonzero_probabilistic",

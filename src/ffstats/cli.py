@@ -32,6 +32,13 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sp, needs_poly=True):
     sp.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
     sp.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
@@ -49,7 +56,7 @@ def _add_common(sp, needs_poly=True):
             help="parameter count (default: highest A-index in --poly)",
         )
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_positive_int, default=1)
     sp.add_argument("--budget", type=int, default=sets.DEFAULT_BUDGET)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -217,11 +224,11 @@ def _demo_power_residues(args, ctx):
     H = args.H or _interval_default(ctx.p)
     F = mpoly.parse(f"t^{k} - A1", 1, ctx)
     descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
+    points = sets.enumerate_points(descriptor, ctx, args.budget)
     with_root = 0
-    for point in sets.enumerate_points(descriptor, ctx, args.budget):
-        outcome = mpoly.classify_specialization(F, point)
-        if outcome.is_type:
-            has_root = 1 in outcome.parts
+    for point, outcome in zip(points, mpoly.classify_points(F, points)):
+        if isinstance(outcome, tuple):
+            has_root = 1 in outcome
         else:
             f = F.specialize(point)
             has_root = any(f.evaluate(x) == 0 for x in range(ctx.q))

@@ -25,6 +25,7 @@ from .errors import (
     BudgetExceededError,
     NegativeExponentError,
     NotAdmissibleError,
+    NotSquarefreeError,
     PolynomialSyntaxError,
     UnknownVariableError,
 )
@@ -227,16 +228,17 @@ class MultiPoly:
         return self._spec
 
     def specialize_dense(self, point):
-        """Coefficient list of F(t, point), trimmed; the workhorse for sweeps."""
+        """Coefficient list of F(t, point), trimmed; the one specialization
+        loop, which ``classify_points`` runs once per point."""
         if len(point) != self.n:
             raise ArityMismatchError(
                 f"expected {self.n} coordinates, got {len(point)}"
             )
         d, rows = self._prepared()
         ctx = self.ctx
+        coeffs = [0] * (d + 1)
         if ctx.is_prime_field:
             p = ctx.p
-            coeffs = [0] * (d + 1)
             for e_t, powers, c in rows:
                 w = c
                 for i, e in powers:
@@ -244,7 +246,6 @@ class MultiPoly:
                     w = w * (a if e == 1 else pow(a, e, p)) % p
                 coeffs[e_t] = (coeffs[e_t] + w) % p
         else:
-            coeffs = [0] * (d + 1)
             for e_t, powers, c in rows:
                 w = c
                 for i, e in powers:
@@ -436,25 +437,47 @@ class SpecializationOutcome:
         return self.kind == TYPE
 
 
-def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:
-    """Degree drop, repeated factors, or the factorization type at a point."""
+def classify_points(F: MultiPoly, points):
+    """Classify F(t, a) for each point a, in order; the one per-point kernel.
+
+    Yields, per point, one of three outcomes:
+
+    * the factor-degree multiset as a descending tuple, when F(t, a) keeps
+      degree deg_t and is squarefree;
+    * ``DEGREE_DROP``, when the leading coefficient vanishes at a;
+    * ``NON_SQUAREFREE``, when F(t, a) has full degree but a repeated factor.
+
+    Raises NotAdmissibleError (on the first ``next``) when deg_t < 1.
+    """
     d = F.deg_t
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
-    coeffs = F.specialize_dense(point)
-    if len(coeffs) - 1 < d:
-        return SpecializationOutcome(DEGREE_DROP)
     ctx = F.ctx
-    if ctx.is_prime_field:
-        parts = _gfp.gf_spec_type(coeffs, ctx.p)
-    else:
-        f = UniPoly.make(ctx, coeffs)
-        parts = (
-            unipoly.factorization_type(f) if unipoly.is_squarefree(f) else None
-        )
-    if parts is None:
-        return SpecializationOutcome(NON_SQUAREFREE)
-    return SpecializationOutcome(TYPE, parts)
+    p = ctx.p
+    prime = ctx.is_prime_field
+    specialize = F.specialize_dense
+    spec_type = _gfp.gf_spec_type
+    for point in points:
+        coeffs = specialize(point)
+        if len(coeffs) <= d:
+            yield DEGREE_DROP
+            continue
+        if prime:
+            parts = spec_type(coeffs, p)
+        else:
+            try:
+                parts = unipoly.factorization_type(UniPoly(ctx, tuple(coeffs)))
+            except NotSquarefreeError:
+                parts = None
+        yield NON_SQUAREFREE if parts is None else parts
+
+
+def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:
+    """Degree drop, repeated factors, or the factorization type at a point."""
+    outcome = next(classify_points(F, [point]))
+    if isinstance(outcome, tuple):
+        return SpecializationOutcome(TYPE, outcome)
+    return SpecializationOutcome(outcome)
 
 
 # -- admissibility ----------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Work is split into contiguous index runs, worker results are merged in shard
 order, and every merge operation used in this package is associative, so the
-final result is identical for any worker count.
+final result is identical for any worker count.  The shard count follows
+the requested thread count; the pool never holds more threads than the
+machine has CPUs.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -25,14 +28,16 @@ def shard(items, nshards):
 
 
 def map_merge(items, worker, merge, empty, threads: int = 1):
-    """Apply worker to each shard and fold the partial results in order."""
-    chunks = shard(list(items), threads)
+    """Apply worker to each of ``threads`` shards of the list items and fold
+    the partial results in order."""
+    chunks = shard(items, threads)
     if not chunks:
         return empty
     if threads <= 1 or len(chunks) == 1:
         parts = [worker(c) for c in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        workers = min(len(chunks), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(worker, chunks))
     acc = empty
     for part in parts:

@@ -1,7 +1,8 @@
 """Factorization-class statistics over a specialization set.
 
-Empirical side: classify F(t, a) for every a in S and tally the factor-degree
-multisets, with separate buckets for degree drops and repeated factors.
+Empirical side: classify F(t, a) for every a in S (``mpoly.classify_points``)
+and tally the factor-degree multisets, with separate buckets for degree drops
+and repeated factors.
 Predicted side: either the random-permutation cycle-type law gamma, or the
 density nu*|C n pi^-1(target)|/|G| read off an explicitly listed permutation
 group whose elements carry labels in Z/nu (label 1 marks the coset the
@@ -16,12 +17,14 @@ roots of unity and reported with their magnitude / q^(n - 1/2) ratio.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
+    BudgetExceededError,
     DegreeMismatchError,
     InvalidGroupError,
     PartitionMismatchError,
@@ -256,44 +259,26 @@ class ClassDistribution:
 
 
 def _classify_chunk(F: MultiPoly, chunk) -> ClassDistribution:
-    from . import _gfp
+    counts = dict(Counter(_mp.classify_points(F, chunk)))
+    return ClassDistribution(
+        counts,
+        counts.pop(_mp.NON_SQUAREFREE, 0),
+        counts.pop(_mp.DEGREE_DROP, 0),
+        len(chunk),
+    )
 
-    ctx = F.ctx
-    d, rows = F._prepared()
-    dist = ClassDistribution.empty()
-    counts = dist.counts
-    if ctx.is_prime_field:
-        p = ctx.p
-        gf_spec_type = _gfp.gf_spec_type
-        for point in chunk:
-            coeffs = [0] * (d + 1)
-            for e_t, powers, c in rows:
-                w = c
-                for i, e in powers:
-                    a = point[i]
-                    w = w * (a if e == 1 else pow(a, e, p)) % p
-                coeffs[e_t] = (coeffs[e_t] + w) % p
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if len(coeffs) - 1 < d:
-                dist.degree_drop += 1
-                continue
-            parts = gf_spec_type(coeffs, p)
-            if parts is None:
-                dist.non_squarefree += 1
-            else:
-                counts[parts] = counts.get(parts, 0) + 1
-    else:
-        for point in chunk:
-            outcome = _mp.classify_specialization(F, point)
-            if outcome.kind == _mp.DEGREE_DROP:
-                dist.degree_drop += 1
-            elif outcome.kind == _mp.NON_SQUAREFREE:
-                dist.non_squarefree += 1
-            else:
-                counts[outcome.parts] = counts.get(outcome.parts, 0) + 1
-    dist.total = len(chunk)
-    return dist
+
+def _sweep_points(F: MultiPoly, S, budget, seed, check):
+    """The points of S, once S and deg_t fit the budget and F is classifiable:
+    both budget checks run before any dense specialization."""
+    pts = enumerate_points(S, F.ctx, budget)
+    if F.deg_t + 1 > budget:
+        raise BudgetExceededError(
+            f"degree {F.deg_t} in t needs {F.deg_t + 1} coefficients, budget is {budget}"
+        )
+    if check:
+        _mp.require_classifiable(F, seed=seed)
+    return pts
 
 
 def empirical_distribution(
@@ -306,9 +291,7 @@ def empirical_distribution(
     check: bool = True,
 ) -> ClassDistribution:
     """Classify every point of S; deterministic for any thread count."""
-    if check:
-        _mp.require_classifiable(F, seed=seed)
-    pts = enumerate_points(S, F.ctx, budget)
+    pts = _sweep_points(F, S, budget, seed, check)
     return map_merge(
         pts,
         lambda chunk: _classify_chunk(F, chunk),
@@ -418,36 +401,9 @@ class CharSumResult:
     terms: int
 
 
-def _matching_points(F, parts, budget, seed, check=True):
-    if check:
-        _mp.require_classifiable(F, seed=seed)
-    S = _sets.FullSpace(F.n)
-    pts = enumerate_points(S, F.ctx, budget)
-    dist_rows = []
-    ctx = F.ctx
-    d, rows = F._prepared()
-    if ctx.is_prime_field:
-        from . import _gfp
-
-        p = ctx.p
-        for point in pts:
-            coeffs = [0] * (d + 1)
-            for e_t, powers, c in rows:
-                w = c
-                for i, e in powers:
-                    a = point[i]
-                    w = w * (a if e == 1 else pow(a, e, p)) % p
-                coeffs[e_t] = (coeffs[e_t] + w) % p
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if len(coeffs) - 1 == d and _gfp.gf_spec_type(coeffs, p) == parts:
-                dist_rows.append(point)
-    else:
-        for point in pts:
-            outcome = _mp.classify_specialization(F, point)
-            if outcome.is_type and outcome.parts == parts:
-                dist_rows.append(point)
-    return dist_rows
+def _matching_points(F, parts, budget, seed):
+    pts = _sweep_points(F, _sets.FullSpace(F.n), budget, seed, True)
+    return [pt for pt, r in zip(pts, _mp.classify_points(F, pts)) if r == parts]
 
 
 def _weil_scale(q: int, n: int) -> float:

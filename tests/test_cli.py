@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -187,6 +188,27 @@ def test_budget_exceeded_exit_code(capsys):
         "--budget", "10",
     )
     assert code == 3
+
+
+def test_huge_degree_in_t_is_budget_error(capsys):
+    start = time.perf_counter()
+    code, _ = run_cli(
+        capsys,
+        "dist",
+        "--p", "5",
+        "--poly", "t^1000000000 + A1*t + A2",
+        "--set", "grid:int(0,3),int(0,3)",
+    )
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_input_error(capsys, threads):
+    code, out = run_cli(
+        capsys, "dist", "--p", "13", "--poly", "t^2 - A1", "--threads", threads
+    )
+    assert code == 2 and out == ""
 
 
 def test_missing_subcommand_is_input_error(capsys):

@@ -2,6 +2,9 @@ import itertools
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffstats.errors import (
     ArityMismatchError,
@@ -17,6 +20,7 @@ from ffstats.mpoly import (
     TYPE,
     MultiPoly,
     admissibility,
+    classify_points,
     classify_specialization,
     disc_nonzero_probabilistic,
     infer_parameter_count,
@@ -177,6 +181,62 @@ def test_classify_matches_discriminant_vanishing():
                 else:
                     assert discriminant(f) != 0
                     assert sum(out.parts) == F.deg_t
+
+
+@pytest.mark.parametrize(
+    "ctx", [FieldCtx(7), FieldCtx(3, 2, modulus=[1, 0, 1])], ids=["F7", "F9"]
+)
+def test_classify_points_yields_one_outcome_per_point_in_order(ctx):
+    F = parse("A1*t^2 + A2", 2, ctx)
+    pts = list(itertools.product(range(ctx.q), repeat=2))
+    outcomes = list(classify_points(F, pts))
+    assert len(outcomes) == len(pts)
+    for pt, out in zip(pts, outcomes):
+        one = classify_specialization(F, pt)
+        if one.kind == TYPE:
+            assert out == one.parts
+        else:
+            assert out == one.kind
+    assert outcomes[0] == DEGREE_DROP  # A1 = 0
+    assert outcomes[ctx.q] == NON_SQUAREFREE  # A1 = 1, A2 = 0: t^2
+    assert list(classify_points(F, [])) == []
+
+
+def test_classify_points_rejects_constant_in_t():
+    F = parse("A1 + 1", 1, FieldCtx(5))
+    with pytest.raises(NotAdmissibleError):
+        next(classify_points(F, [(1,)]))
+    with pytest.raises(NotAdmissibleError):
+        classify_specialization(F, (1,))
+
+
+@st.composite
+def _leading_parameter_cases(draw):
+    # F = A1*t^d + g(t) with deg g < d, and a nonzero value a for A1
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 101]))
+    d = draw(st.integers(1, 7))
+    g = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    a = draw(st.integers(1, p - 1))
+    return p, d, g, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leading_parameter_cases())
+def test_classify_points_matches_sympy(case):
+    p, d, g, a = case
+    ctx = FieldCtx(p)
+    terms = {(d, 1): 1}
+    terms.update({(i, 0): c for i, c in enumerate(g) if c})
+    F = MultiPoly(ctx, 1, terms)
+    at_zero, at_a = classify_points(F, [(0,), (a,)])
+    assert at_zero == DEGREE_DROP
+    t = sympy.Symbol("t")
+    descending = [a] + g[::-1]
+    _, factors = sympy.Poly(descending, t, modulus=p).factor_list()
+    if any(m > 1 for _, m in factors):
+        assert at_a == NON_SQUAREFREE
+    else:
+        assert at_a == tuple(sorted((f.degree() for f, _ in factors), reverse=True))
 
 
 def test_exceptional_points_are_rare():

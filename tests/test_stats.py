@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -193,6 +194,51 @@ def test_distribution_rejects_vanishing_discriminant():
         empirical_distribution(parse("(t - A1)^2", 1, ctx), FullSpace(1))
 
 
+def _mobius(n):
+    out = 1
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if n > 1 else out
+
+
+def _irreducible_count(q, e):
+    # N_q(e) = (1/e) * sum_{j | e} mu(e/j) q^j, the number of monic
+    # irreducibles of degree e over GF(q)
+    return sum(_mobius(e // j) * q**j for j in range(1, e + 1) if e % j == 0) // e
+
+
+@pytest.mark.parametrize(
+    "p,k,d",
+    [(5, 1, 3), (7, 1, 4), (2, 2, 4), (2, 3, 3), (3, 2, 3)],
+    ids=["GF5-d3", "GF7-d4", "GF4-d4", "GF8-d3", "GF9-d3"],
+)
+def test_distribution_of_all_monic_polynomials_is_necklace_counts(p, k, d):
+    # t^d + A1*t^(d-1) + ... + Ad over the full space lists every monic
+    # polynomial of degree d once; a squarefree one of type lambda is a
+    # choice of m_e distinct monic irreducibles of each degree e
+    ctx = FieldCtx(p, k)
+    q = ctx.q
+    poly = " + ".join([f"t^{d}"] + [f"A{i}*t^{d - i}" for i in range(1, d)] + [f"A{d}"])
+    dist = empirical_distribution(parse(poly, d, ctx), FullSpace(d))
+    expected = {}
+    for parts in partitions(d):
+        count = 1
+        for e in set(parts):
+            count *= math.comb(_irreducible_count(q, e), parts.count(e))
+        if count:
+            expected[parts] = count
+    assert dist.counts == expected
+    assert dist.non_squarefree == q ** (d - 1)
+    assert dist.degree_drop == 0
+    assert dist.total == q**d
+
+
 def test_distribution_thread_count_invariance():
     ctx = FieldCtx(53)
     F = parse("t^3 + A1*t + A2", 2, ctx)
@@ -354,6 +400,34 @@ def test_weil_sweep_checks_budget_before_building_frequencies():
         tracemalloc.stop()
     # the 10,200 nonzero frequency tuples alone would take about 650 kB
     assert peak < 100_000
+
+
+def test_huge_degree_in_t_fails_the_budget_before_specializing():
+    # a dense specialization of t^(10^9) would allocate 10^9 coefficients
+    ctx = FieldCtx(5)
+    F = parse("t^1000000000 + A1*t + A2", 2, ctx)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        empirical_distribution(F, GridProduct([APSpec(1, 0, 3), APSpec(1, 0, 3)]))
+    with pytest.raises(BudgetExceededError):
+        restricted_charsum(F, (1, 1), (1, 0))
+    with pytest.raises(BudgetExceededError):
+        weil_sweep(F, (1, 1), [(1, 0)])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_set_budget_is_checked_before_admissibility(monkeypatch):
+    import ffstats.mpoly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("admissibility sampled before the budget check")
+
+    monkeypatch.setattr(ffstats.mpoly, "require_classifiable", refuse)
+    F = parse("t^3 + A1*t + A2", 2, FieldCtx(13))
+    with pytest.raises(BudgetExceededError):
+        empirical_distribution(F, FullSpace(2), budget=100)
+    with pytest.raises(BudgetExceededError):
+        restricted_charsum(F, (3,), (1, 0), budget=100)
 
 
 def test_weil_sweep_thread_invariance():
