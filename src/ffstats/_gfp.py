@@ -1,17 +1,132 @@
-"""Dense univariate polynomial kernels over GF(p), p prime.
+"""Dense univariate polynomial kernels over GF(q): the one set of polynomial
+algorithms in the package, for prime fields and extension fields alike.
 
-Polynomials are plain lists of integer residues, index = degree, with no
-trailing zeros; ``[]`` is the zero polynomial.  These functions sit on the
-hot path of specialization sweeps (one distinct-degree pass per sample
-point), so they avoid classes and keep the inner loops allocation-light.
-Callers are expected to pass residues already reduced into [0, p).
+Polynomials are plain lists of coefficients, index = degree, with no
+trailing zeros; ``[]`` is the zero polynomial.  The kernels touch a
+coefficient only through ``+``, ``-``, ``*`` on ints and ``% p``, so the
+argument ``p`` decides the field:
+
+* for GF(p), ``p`` is the prime itself and coefficients are residues in
+  [0, p);
+* for GF(p^k), ``p`` is the field's :class:`Packed` reducer and each
+  coefficient is an element packed into one int (Kronecker substitution):
+  coordinate i of the power basis sits in bits [W*i, W*(i+1)).  An integer
+  product of two packed elements is then their polynomial product with
+  signed lanes, and ``x % reducer`` turns any such sum back into a reduced
+  packed element.
+
+Zero packs to 0 and one packs to 1, so ``if c``, ``c == 1`` and trimming
+mean the same on both kinds of field.  Callers pass reduced coefficients.
+Frobenius powers need the field size ``q`` besides ``p``.
+
+These functions sit on the hot path of specialization sweeps (one
+distinct-degree pass per sample point), so they avoid classes and keep the
+inner loops allocation-light.  The module keeps its historical name
+because the benchmark's traced run wraps ``_gfp.gf_spec_type``.
 """
+
+
+class Packed:
+    """Reducer of GF(p^k) whose elements are packed into signed W-bit lanes.
+
+    W = 2*bitlen(p) + bitlen(k) + 41, so one lane holds, with its sign, the
+    sum of up to 2^40 products of packed elements (each lane of one product
+    is a sum of at most k products of reduced coordinates, each below p^2):
+    every kernel sum is far shorter, since no coefficient list that fits in
+    memory has 2^40 terms.  ``x % reducer`` reads the signed lanes of x,
+    reduces each lane mod p, reduces by the field modulus and repacks; it is
+    the only place that reduces by the modulus.
+    """
+
+    __slots__ = ("p", "k", "q", "width", "mask", "half", "tail")
+
+    def __init__(self, p, modulus):
+        k = len(modulus) - 1
+        self.p = p
+        self.k = k
+        self.q = p**k
+        self.width = 2 * p.bit_length() + k.bit_length() + 41
+        self.mask = (1 << self.width) - 1
+        self.half = 1 << (self.width - 1)
+        # x^k = sum tail[j] x^j modulo the monic modulus
+        self.tail = [-c % p for c in modulus[:k]]
+
+    def pack(self, a):
+        """Packed form of an element encoded as c0 + c1*p + ... (base p)."""
+        p, width = self.p, self.width
+        x = 0
+        shift = 0
+        while a:
+            a, c = divmod(a, p)
+            x |= c << shift
+            shift += width
+        return x
+
+    def unpack(self, x):
+        """Base-p encoding of a reduced packed element."""
+        p, width, mask = self.p, self.width, self.mask
+        a = 0
+        m = 1
+        while x:
+            a += (x & mask) * m
+            x >>= width
+            m *= p
+        return a
+
+    def __rmod__(self, x):
+        p, k, width, mask, half = self.p, self.k, self.width, self.mask, self.half
+        cs = []
+        while x:
+            v = x & mask
+            x >>= width
+            if v >= half:
+                v -= mask + 1
+                x += 1
+            cs.append(v % p)
+        for i in range(len(cs) - 1, k - 1, -1):
+            c = cs[i] % p
+            if c:
+                off = i - k
+                for j, t in enumerate(self.tail):
+                    cs[off + j] += c * t
+        out = 0
+        for c in reversed(cs[:k]):
+            out = (out << width) | (c % p)
+        return out
+
+
+def gf_pow(a, e, p):
+    """a**e for one coefficient."""
+    if isinstance(p, int):
+        return pow(a, e, p)
+    r = 1
+    for bit in bin(e)[2:]:
+        r = r * r % p
+        if bit == "1":
+            r = r * a % p
+    return r
+
+
+def gf_inv(a, p):
+    """Inverse of one nonzero coefficient, a^(q-2)."""
+    if isinstance(p, int):
+        return pow(a, p - 2, p)
+    return gf_pow(a, p.q - 2, p)
 
 
 def gf_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def gf_add(f, g, p):
+    out = [0] * max(len(f), len(g))
+    for i, c in enumerate(f):
+        out[i] = c
+    for i, c in enumerate(g):
+        out[i] = (out[i] + c) % p
+    return gf_trim(out)
 
 
 def gf_sub(f, g, p):
@@ -38,7 +153,7 @@ def gf_monic(f, p):
     f = gf_trim(list(f))
     if not f or f[-1] == 1:
         return f
-    inv = pow(f[-1], p - 2, p)
+    inv = gf_inv(f[-1], p)
     return [c * inv % p for c in f]
 
 
@@ -50,11 +165,12 @@ def gf_divmod(f, g, p):
     if len(r) - 1 < dg:
         return [], gf_trim(r)
     q = [0] * (len(r) - dg)
-    inv = pow(g[-1], p - 2, p)
+    inv = 1 if g[-1] == 1 else gf_inv(g[-1], p)
     for i in range(len(r) - 1, dg - 1, -1):
         c = r[i]
         if c:
-            c = c * inv % p
+            if inv != 1:
+                c = c * inv % p
             q[i - dg] = c
             for j in range(dg):
                 r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
@@ -79,13 +195,6 @@ def gf_gcd(f, g, p):
 
 def gf_diff(f, p):
     return gf_trim([i * c % p for i, c in enumerate(f)][1:])
-
-
-def gf_eval(f, x, p):
-    y = 0
-    for c in reversed(f):
-        y = (y * x + c) % p
-    return y
 
 
 def _mulrem(u, v, g, dg, p):
@@ -123,10 +232,11 @@ def gf_pow_mod(f, e, g, p):
     return gf_trim(r)
 
 
-def gf_ddf_type(f, p):
-    """Multiset of irreducible-factor degrees of a monic squarefree f.
+def gf_ddf_type(f, p, q):
+    """Multiset of irreducible-factor degrees of a monic squarefree f over
+    GF(q).
 
-    Distinct-degree splitting only: stage i collects gcd(g, x^(p^i) - x),
+    Distinct-degree splitting only: stage i collects gcd(g, x^(q^i) - x),
     whose degree is i times the number of degree-i factors.  The factors
     themselves are never separated.  Returns a descending tuple.
     """
@@ -142,7 +252,7 @@ def gf_ddf_type(f, p):
         if 2 * i > dg:
             parts.append(dg)
             break
-        h = gf_pow_mod(h, p, g, p)
+        h = gf_pow_mod(h, q, g, p)
         d = gf_gcd(gf_sub(h, [0, 1], p), g, p)
         dd = len(d) - 1
         if dd > 0:
@@ -153,51 +263,50 @@ def gf_ddf_type(f, p):
     return tuple(sorted(parts, reverse=True))
 
 
-def gf_spec_type(f, p):
-    """Factor-degree multiset of f (descending tuple), or None when f has a
-    repeated factor.  f must have degree >= 1 and a nonzero leading term."""
+def gf_spec_type(f, p, q):
+    """Factor-degree multiset of f over GF(q) (descending tuple), or None
+    when f has a repeated factor.  f must have degree >= 1 and a nonzero
+    leading term; f of degree d is irreducible iff this returns (d,)."""
     if f[-1] != 1:
-        inv = pow(f[-1], p - 2, p)
+        inv = gf_inv(f[-1], p)
         f = [c * inv % p for c in f]
     if len(f) == 2:
         return (1,)
     fp = gf_diff(f, p)
     if not fp or len(gf_gcd(f, fp, p)) != 1:
         return None
-    return gf_ddf_type(f, p)
+    return gf_ddf_type(f, p, q)
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def gf_resultant(f, g, p):
+    """res(f, g) by a remainder sequence tracking leading coefficients."""
+    a, b = list(f), list(g)
+    if not a or not b:
+        return 0
+    acc = 1
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return acc * gf_pow(b[0], m, p) % p
+        r = gf_rem(a, b, p)
+        if not r:
+            return 0
+        acc = acc * gf_pow(b[-1], m - (len(r) - 1), p) % p
+        if (m * n) % 2:
+            acc = -acc % p
+        a, b = b, r
 
 
-def gf_irreducible(f, p):
-    """Deterministic irreducibility test over GF(p): x^(p^d) = x mod f and
-    gcd(x^(p^(d/l)) - x, f) = 1 for every prime l dividing d."""
-    f = gf_monic(f, p)
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    frob = [[0, 1]]
-    h = [0, 1]
-    for _ in range(d):
-        h = gf_pow_mod(h, p, f, p)
-        frob.append(h)
-    if gf_sub(frob[d], [0, 1], p):
-        return False
-    for ell in _prime_factors(d):
-        if len(gf_gcd(gf_sub(frob[d // ell], [0, 1], p), f, p)) != 1:
-            return False
-    return True
+def gf_interpolate(xs, ys, p):
+    """Lagrange interpolation through (xs[i], ys[i]); xs distinct."""
+    acc = []
+    for i, xi in enumerate(xs):
+        num = [1]
+        den = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = gf_mul(num, [-xj % p, 1], p)
+                den = den * ((xi - xj) % p) % p
+        scale = ys[i] * gf_inv(den, p) % p
+        acc = gf_add(acc, [c * scale % p for c in num], p)
+    return acc

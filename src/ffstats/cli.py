@@ -98,6 +98,7 @@ def _cmd_factor_type(args):
     ctx = _ctx_from(args)
     F = _poly_from(args, ctx)
     point = sets.parse_point(args.point, ctx) if args.point else ()
+    mpoly.require_dense_budget(F, args.budget)
     outcome = mpoly.classify_specialization(F, point)
     f = F.specialize(point)
     result = {
@@ -310,18 +311,12 @@ def _demo_artin_schreier(args, ctx):
     p = ctx.p
     F = mpoly.parse(f"t^{p} - t - A1", 1, ctx)
     descriptor = sets.TraceZero()
-    dist = stats.empirical_distribution(
-        F,
-        descriptor,
-        threads=args.threads,
-        budget=args.budget,
-        seed=args.seed,
-    )
-    rep = sets.irregularity(descriptor, ctx, budget=args.budget)
     group = stats.cyclic_shift_group(p)
     comparison = stats.compare(
         F, descriptor, group, threads=args.threads, budget=args.budget, seed=args.seed
     )
+    dist = comparison.distribution
+    rep = sets.irregularity(descriptor, ctx, budget=args.budget)
     split_all = dist.counts.get((1,) * p, 0)
     return {
         "degree": p,

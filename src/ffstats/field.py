@@ -8,6 +8,10 @@ c0 + c1*p + ... + c_{k-1}*p^(k-1), so for k == 1 the encoding is the
 residue itself.  Contexts are immutable after construction and safe to
 share between threads; elements are plain ints.
 
+``ctx.red`` is what the polynomial kernels of :mod:`ffstats._gfp` take as
+their modulus: the prime itself, or for k > 1 the field's packed-integer
+reducer, through which ``mul`` also multiplies.
+
 The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), built once per
 context: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is coords(a)
 against the first column of M, and a prime field is the case M = [[1]].
@@ -142,7 +146,7 @@ def _poly_str(coeffs, var="x"):
 class FieldCtx:
     """Immutable description of GF(p^k); elements are ints in [0, q)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "trace_form")
+    __slots__ = ("p", "k", "q", "modulus", "red", "trace_form")
 
     def __init__(self, p: int, k: int = 1, modulus=None, seed: int = 0):
         if not isinstance(p, int) or not is_prime(p):
@@ -156,6 +160,7 @@ class FieldCtx:
             if modulus is not None:
                 raise DegreeMismatchError("a prime field takes no modulus")
             self.modulus = None
+            self.red = p
         else:
             if modulus is None:
                 mod = self._random_irreducible(p, k, seed)
@@ -165,11 +170,12 @@ class FieldCtx:
                     raise DegreeMismatchError(
                         f"modulus must be monic of degree {k}, got {_poly_str(mod)}"
                     )
-                if not _gfp.gf_irreducible(mod, p):
+                if _gfp.gf_spec_type(mod, p, p) != (k,):
                     raise ReducibleModulusError(
                         f"{_poly_str(mod)} is reducible over GF({p})"
                     )
             self.modulus = tuple(mod)
+            self.red = _gfp.Packed(p, mod)
         # Trace form M_ij = tr(x^(i+j)); the integer p encodes x when k > 1.
         powers = [1]
         for _ in range(2 * k - 2):
@@ -185,7 +191,7 @@ class FieldCtx:
         rng = random.Random(seed)
         while True:
             cand = [rng.randrange(p) for _ in range(k)] + [1]
-            if _gfp.gf_irreducible(cand, p):
+            if _gfp.gf_spec_type(cand, p, p) == (k,):
                 return cand
 
     # -- element encoding -------------------------------------------------
@@ -257,12 +263,8 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        prod = _gfp.gf_mul(list(self.coords(a)), list(self.coords(b)), self.p)
-        red = _gfp.gf_rem(prod, list(self.modulus), self.p)
-        red += [0] * (self.k - len(red))
-        return self.from_coords(red)
+        red = self.red
+        return red.unpack(red.pack(a) * red.pack(b) % red)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

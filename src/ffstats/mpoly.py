@@ -25,7 +25,6 @@ from .errors import (
     BudgetExceededError,
     NegativeExponentError,
     NotAdmissibleError,
-    NotSquarefreeError,
     PolynomialSyntaxError,
     UnknownVariableError,
 )
@@ -453,23 +452,26 @@ def classify_points(F: MultiPoly, points):
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
     ctx = F.ctx
-    p = ctx.p
-    prime = ctx.is_prime_field
+    red, q = ctx.red, ctx.q
     specialize = F.specialize_dense
     spec_type = _gfp.gf_spec_type
+    pack = unipoly.pack_coeffs
     for point in points:
         coeffs = specialize(point)
         if len(coeffs) <= d:
             yield DEGREE_DROP
             continue
-        if prime:
-            parts = spec_type(coeffs, p)
-        else:
-            try:
-                parts = unipoly.factorization_type(UniPoly(ctx, tuple(coeffs)))
-            except NotSquarefreeError:
-                parts = None
+        parts = spec_type(pack(ctx, coeffs), red, q)
         yield NON_SQUAREFREE if parts is None else parts
+
+
+def require_dense_budget(F: MultiPoly, budget: int) -> None:
+    """Raise BudgetExceededError unless one specialization of F, a list of
+    deg_t + 1 coefficients, fits the budget; call it before specializing."""
+    if F.deg_t + 1 > budget:
+        raise BudgetExceededError(
+            f"degree {F.deg_t} in t needs {F.deg_t + 1} coefficients, budget is {budget}"
+        )
 
 
 def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:
@@ -520,12 +522,9 @@ def _find_subfield_root(base: FieldCtx, ext: FieldCtx):
         raise BudgetExceededError(
             f"subfield embedding scan over {ext.q} elements refused"
         )
-    mod = list(base.modulus)
+    mod = UniPoly.from_ints(ext, base.modulus)
     for e in ext.elements():
-        acc = 0
-        for c in reversed(mod):
-            acc = ext.add(ext.mul(acc, e), ext.from_int(c))
-        if acc == 0:
+        if mod.evaluate(e) == 0:
             return e
     raise RuntimeError("irreducible modulus has no root in its extension")
 
@@ -535,18 +534,9 @@ def _lift_terms(F: MultiPoly, ext: FieldCtx):
     base = F.ctx
     if base.k == 1:
         return dict(F.terms)  # residues < p are valid encodings everywhere
+    # c = sum c_i x^i maps to sum c_i root^i, a root of the base modulus
     root = _find_subfield_root(base, ext)
-    powers = [1]
-    for _ in range(base.k - 1):
-        powers.append(ext.mul(powers[-1], root))
-    out = {}
-    for e, c in F.terms.items():
-        cs = base.coords(c)
-        img = 0
-        for ci, rp in zip(cs, powers):
-            img = ext.add(img, ext.mul(ext.from_int(ci), rp))
-        out[e] = img
-    return out
+    return {e: UniPoly.from_ints(ext, base.coords(c)).evaluate(root) for e, c in F.terms.items()}
 
 
 def disc_nonzero_probabilistic(F: MultiPoly, trials: int = 32, seed: int = 0):

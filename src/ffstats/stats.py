@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
-    BudgetExceededError,
     DegreeMismatchError,
     InvalidGroupError,
     PartitionMismatchError,
@@ -272,10 +271,7 @@ def _sweep_points(F: MultiPoly, S, budget, seed, check):
     """The points of S, once S and deg_t fit the budget and F is classifiable:
     both budget checks run before any dense specialization."""
     pts = enumerate_points(S, F.ctx, budget)
-    if F.deg_t + 1 > budget:
-        raise BudgetExceededError(
-            f"degree {F.deg_t} in t needs {F.deg_t + 1} coefficients, budget is {budget}"
-        )
+    _mp.require_dense_budget(F, budget)
     if check:
         _mp.require_classifiable(F, seed=seed)
     return pts

@@ -8,8 +8,9 @@ criterion (simple critical points with pairwise distinct critical values).
 
 Only the *degrees* of the irreducible factors are ever computed; gcds with
 x^(q^i) - x group the factors by degree and nothing is split further.
-Prime fields dispatch to the dense integer kernels in :mod:`ffstats._gfp`;
-proper extensions run the same algorithms through context arithmetic.
+Every operation runs on the kernels of :mod:`ffstats._gfp`, for every
+field: ``pack_coeffs`` and ``unpack_coeffs`` carry coefficients across
+that boundary.
 """
 
 from __future__ import annotations
@@ -29,10 +30,21 @@ from .field import FieldCtx
 FactorizationType = tuple
 
 
-def _trim(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+def pack_coeffs(ctx, coeffs):
+    """Encoded coefficients as the kernels of ``_gfp`` take them along with
+    ``ctx.red``: packed on extension fields, unchanged on prime fields."""
+    if ctx.k == 1:
+        return coeffs
+    pack = ctx.red.pack
+    return [pack(c) for c in coeffs]
+
+
+def unpack_coeffs(ctx, coeffs):
+    """Encoded coefficients of a list of reduced kernel coefficients."""
+    if ctx.k == 1:
+        return coeffs
+    unpack = ctx.red.unpack
+    return [unpack(c) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -44,7 +56,7 @@ class UniPoly:
 
     @classmethod
     def make(cls, ctx, elems):
-        return cls(ctx, tuple(_trim(list(elems))))
+        return cls(ctx, tuple(_gfp.gf_trim(list(elems))))
 
     @classmethod
     def from_ints(cls, ctx, ints):
@@ -81,25 +93,33 @@ class UniPoly:
         if self.ctx != other.ctx:
             raise ValueError("polynomials over different field contexts")
 
+    def _packed(self):
+        return pack_coeffs(self.ctx, self.coeffs)
+
+    def _kernel(self, fn, *others):
+        """The ``_gfp`` kernel fn on self and others, as kernel lists."""
+        for g in others:
+            self._same_field(g)
+        return fn(self._packed(), *[g._packed() for g in others], self.ctx.red)
+
+    def _from_kernel(self, cs):
+        return UniPoly.make(self.ctx, unpack_coeffs(self.ctx, cs))
+
     def __add__(self, other):
-        self._same_field(other)
-        return UniPoly.make(self.ctx, _add(self.ctx, list(self.coeffs), list(other.coeffs)))
+        return self._from_kernel(self._kernel(_gfp.gf_add, other))
 
     def __sub__(self, other):
-        self._same_field(other)
-        return UniPoly.make(self.ctx, _sub(self.ctx, list(self.coeffs), list(other.coeffs)))
+        return self._from_kernel(self._kernel(_gfp.gf_sub, other))
 
     def __neg__(self):
         return UniPoly.make(self.ctx, [self.ctx.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        self._same_field(other)
-        return UniPoly.make(self.ctx, _mul(self.ctx, list(self.coeffs), list(other.coeffs)))
+        return self._from_kernel(self._kernel(_gfp.gf_mul, other))
 
     def __divmod__(self, other):
-        self._same_field(other)
-        q, r = _divmod(self.ctx, list(self.coeffs), list(other.coeffs))
-        return UniPoly.make(self.ctx, q), UniPoly.make(self.ctx, r)
+        q, r = self._kernel(_gfp.gf_divmod, other)
+        return self._from_kernel(q), self._from_kernel(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -110,19 +130,19 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero or self.lc == 1:
             return self
-        inv = self.ctx.inv(self.lc)
-        return UniPoly(self.ctx, tuple(self.ctx.mul(c, inv) for c in self.coeffs))
+        return self._from_kernel(self._kernel(_gfp.gf_monic))
 
     def derivative(self) -> "UniPoly":
-        ctx = self.ctx
-        return UniPoly.make(ctx, _diff(ctx, list(self.coeffs)))
+        return self._from_kernel(self._kernel(_gfp.gf_diff))
 
     def evaluate(self, a: int) -> int:
         ctx = self.ctx
+        red = ctx.red
+        (x,) = pack_coeffs(ctx, [a])
         y = 0
-        for c in reversed(self.coeffs):
-            y = ctx.add(ctx.mul(y, a), c)
-        return y
+        for c in reversed(self._packed()):
+            y = (y * x + c) % red
+        return unpack_coeffs(ctx, [y])[0]
 
     def __str__(self):
         ctx = self.ctx
@@ -144,224 +164,41 @@ class UniPoly:
         return " + ".join(parts)
 
 
-# -- generic dense kernels (any field context) ------------------------------
-
-
-def _add(ctx, f, g):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = ctx.add(out[i], c)
-    return _trim(out)
-
-
-def _sub(ctx, f, g):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = ctx.sub(out[i], c)
-    return _trim(out)
-
-
-def _mul(ctx, f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-    return _trim(out)
-
-
-def _divmod(ctx, f, g):
-    g = _trim(list(g))
-    dg = len(g) - 1
-    if dg < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = _trim(list(f))
-    if len(r) - 1 < dg:
-        return [], r
-    q = [0] * (len(r) - dg)
-    inv = ctx.inv(g[-1])
-    for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i]
-        if c:
-            c = ctx.mul(c, inv)
-            q[i - dg] = c
-            for j in range(dg):
-                r[i - dg + j] = ctx.sub(r[i - dg + j], ctx.mul(c, g[j]))
-            r[i] = 0
-    return _trim(q), _trim(r[:dg])
-
-
-def _rem(ctx, f, g):
-    return _divmod(ctx, f, g)[1]
-
-
-def _gcd(ctx, f, g):
-    a, b = _trim(list(f)), _trim(list(g))
-    while b:
-        a, b = b, _rem(ctx, a, b)
-    if a and a[-1] != 1:
-        inv = ctx.inv(a[-1])
-        a = [ctx.mul(c, inv) for c in a]
-    return a
-
-
-def _diff(ctx, f):
-    out = []
-    for i in range(1, len(f)):
-        c = f[i]
-        # i*c inside the field: repeated addition is fine, i stays tiny,
-        # but reducing i into the prime subfield first is cheaper.
-        out.append(ctx.mul(ctx.from_int(i), c))
-    return _trim(out)
-
-
-def _pow_mod(ctx, f, e, g):
-    dg = len(g) - 1
-    if e == 0:
-        return [1] if dg > 0 else []
-    base = _rem(ctx, f, g)
-    if not base:
-        return []
-    r = list(base)
-    for bit in bin(e)[3:]:
-        r = _rem(ctx, _mul(ctx, r, r), g)
-        if bit == "1":
-            r = _rem(ctx, _mul(ctx, r, base), g)
-    return r
-
-
-def _ddf_type(ctx, f):
-    # f monic squarefree over GF(q); mirrors _gfp.gf_ddf_type with q = p^k.
-    q = ctx.q
-    parts = []
-    g = f
-    h = [0, 1]
-    i = 0
-    while True:
-        dg = len(g) - 1
-        if dg <= 0:
-            break
-        i += 1
-        if 2 * i > dg:
-            parts.append(dg)
-            break
-        h = _pow_mod(ctx, h, q, g)
-        d = _gcd(ctx, _sub(ctx, h, [0, 1]), g)
-        dd = len(d) - 1
-        if dd > 0:
-            parts.extend([i] * (dd // i))
-            g = _divmod(ctx, g, d)[0]
-            if len(g) - 1 > 0:
-                h = _rem(ctx, h, g)
-    return tuple(sorted(parts, reverse=True))
-
-
-def _resultant(ctx, f, g):
-    """res(f, g) by a remainder sequence tracking leading coefficients."""
-    a, b = _trim(list(f)), _trim(list(g))
-    if not a or not b:
-        return 0
-    acc = 1
-    while True:
-        m, n = len(a) - 1, len(b) - 1
-        if n == 0:
-            return ctx.mul(acc, ctx.pow(b[0], m))
-        r = _rem(ctx, a, b)
-        if not r:
-            return 0
-        acc = ctx.mul(acc, ctx.pow(b[-1], m - (len(r) - 1)))
-        if (m * n) % 2:
-            acc = ctx.neg(acc)
-        a, b = b, r
-
-
-def _interpolate(ctx, xs, ys):
-    # Lagrange; xs distinct.
-    acc = []
-    for i, xi in enumerate(xs):
-        num = [1]
-        den = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = _mul(ctx, num, [ctx.neg(xj), 1])
-                den = ctx.mul(den, ctx.sub(xi, xj))
-        scale = ctx.mul(ys[i], ctx.inv(den))
-        acc = _add(ctx, acc, [ctx.mul(c, scale) for c in num])
-    return acc
-
-
 # -- public operations -------------------------------------------------------
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor via the Euclidean algorithm."""
-    f._same_field(g)
     if f.is_zero and g.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
-    ctx = f.ctx
-    if ctx.is_prime_field:
-        return UniPoly.make(ctx, _gfp.gf_gcd(list(f.coeffs), list(g.coeffs), ctx.p))
-    return UniPoly.make(ctx, _gcd(ctx, list(f.coeffs), list(g.coeffs)))
+    return f._from_kernel(f._kernel(_gfp.gf_gcd, g))
 
 
 def is_squarefree(f: UniPoly) -> bool:
     """True iff gcd(f, f') = 1; false in particular whenever f' = 0."""
     if f.degree < 1:
         raise ZeroPolynomialError("squarefreeness needs degree >= 1")
-    ctx = f.ctx
-    if ctx.is_prime_field:
-        fp = _gfp.gf_diff(list(f.coeffs), ctx.p)
-        return bool(fp) and len(_gfp.gf_gcd(list(f.coeffs), fp, ctx.p)) == 1
-    fp = _diff(ctx, list(f.coeffs))
-    return bool(fp) and len(_gcd(ctx, list(f.coeffs), fp)) == 1
+    red = f.ctx.red
+    fc = f._packed()
+    fp = _gfp.gf_diff(fc, red)
+    return bool(fp) and len(_gfp.gf_gcd(fc, fp, red)) == 1
 
 
 def factorization_type(f: UniPoly) -> FactorizationType:
     """Multiset of irreducible-factor degrees of a squarefree f, descending."""
     if f.degree < 1:
         raise ZeroPolynomialError("factorization type needs degree >= 1")
-    ctx = f.ctx
-    if ctx.is_prime_field:
-        parts = _gfp.gf_spec_type(list(f.coeffs), ctx.p)
-        if parts is None:
-            raise NotSquarefreeError(f"{f} has a repeated factor")
-        return parts
-    if not is_squarefree(f):
+    parts = _gfp.gf_spec_type(f._packed(), f.ctx.red, f.ctx.q)
+    if parts is None:
         raise NotSquarefreeError(f"{f} has a repeated factor")
-    return _ddf_type(ctx, list(f.monic().coeffs))
+    return parts
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Rabin's test: x^(q^d) = x mod f and, for every prime l | d,
-    gcd(x^(q^(d/l)) - x, f) = 1.  Constants count as reducible."""
+    """True iff f has degree d >= 1 and factor-degree multiset (d,); an
+    inseparable f is reducible.  Constants count as reducible."""
     d = f.degree
-    if d < 1:
-        return False
-    ctx = f.ctx
-    if ctx.is_prime_field:
-        return _gfp.gf_irreducible(list(f.coeffs), ctx.p)
-    if d == 1:
-        return True
-    fm = list(f.monic().coeffs)
-    q = ctx.q
-    frob = [[0, 1]]
-    h = [0, 1]
-    for _ in range(d):
-        h = _pow_mod(ctx, h, q, fm)
-        frob.append(h)
-    if _trim(_sub(ctx, frob[d], [0, 1])):
-        return False
-    for ell in _gfp._prime_factors(d):
-        if len(_gcd(ctx, _sub(ctx, frob[d // ell], [0, 1]), fm)) != 1:
-            return False
-    return True
+    return d >= 1 and _gfp.gf_spec_type(f._packed(), f.ctx.red, f.ctx.q) == (d,)
 
 
 def discriminant(f: UniPoly) -> int:
@@ -370,12 +207,12 @@ def discriminant(f: UniPoly) -> int:
     d = f.degree
     if d < 1:
         raise ZeroPolynomialError("discriminant needs degree >= 1")
-    ctx = f.ctx
-    fp = _diff(ctx, list(f.coeffs))
-    res = _resultant(ctx, list(f.coeffs), fp)
+    red = f.ctx.red
+    fc = f._packed()
+    res = _gfp.gf_resultant(fc, _gfp.gf_diff(fc, red), red)
     if (d * (d - 1) // 2) % 2:
-        res = ctx.neg(res)
-    return ctx.mul(res, ctx.inv(f.lc))
+        res = -res % red
+    return unpack_coeffs(f.ctx, [res * _gfp.gf_inv(fc[-1], red) % red])[0]
 
 
 def is_morse(f: UniPoly) -> bool:
@@ -395,15 +232,18 @@ def is_morse(f: UniPoly) -> bool:
         raise MorsePreconditionError(
             f"Morse test needs p > deg f, got p={ctx.p}, deg={d}"
         )
+    red = ctx.red
+    fc = f._packed()
     # p > d keeps deg f' = d - 1 >= 1 and f'' nonzero
-    fp = _diff(ctx, list(f.coeffs))
-    if len(_gcd(ctx, fp, _diff(ctx, fp))) != 1:
+    fp = _gfp.gf_diff(fc, red)
+    if len(_gfp.gf_gcd(fp, _gfp.gf_diff(fp, red), red)) != 1:
         return False
-    # c(X) has degree deg(f') = d - 1; interpolate from d evaluations.
+    # c(X) has degree deg(f') = d - 1; interpolate from d evaluations.  The
+    # points 0..d-1 lie in the prime subfield, where packing changes nothing.
     xs = list(range(d))
-    ys = [_resultant(ctx, fp, _sub(ctx, [x0], list(f.coeffs))) for x0 in xs]
-    c = _interpolate(ctx, xs, ys)
-    cp = _diff(ctx, c)
+    ys = [_gfp.gf_resultant(fp, _gfp.gf_sub([x0], fc, red), red) for x0 in xs]
+    c = _gfp.gf_interpolate(xs, ys, red)
+    cp = _gfp.gf_diff(c, red)
     if not cp:
         return len(c) - 1 == 0
-    return len(_gcd(ctx, c, cp)) == 1
+    return len(_gfp.gf_gcd(c, cp, red)) == 1

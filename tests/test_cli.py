@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ffstats import stats
 from ffstats.cli import main
 from ffstats.stats import cyclic_shift_group
 
@@ -201,6 +202,30 @@ def test_huge_degree_in_t_is_budget_error(capsys):
     )
     assert code == 3
     assert time.perf_counter() - start < 1.0
+
+
+def test_factor_type_huge_degree_is_budget_error(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys, "factor-type", "--p", "7", "--poly", "t^1000000000 + A1", "--point", "1"
+    )
+    assert code == 3 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_artin_schreier_demo_classifies_its_set_once(capsys, monkeypatch):
+    calls = []
+    classify = stats.empirical_distribution
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "empirical_distribution", counted)
+    report = run_json(capsys, "demo", "artin-schreier", "--p", "3", "--k", "2")
+    assert len(calls) == 1
+    result = report["result"]
+    assert result["split_completely"] == result["set_size"] == 3
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffstats.errors import (
     DegreeMismatchError,
@@ -224,3 +226,70 @@ def test_cyclotomic_merge_is_addition():
 def test_cyclotomic_value_matches_magnitude():
     s = CyclotomicSum(7, [2, -1, 0, 3, 0, 0, 1])
     assert abs(abs(s.value()) - s.magnitude()) < 1e-12
+
+
+# -- packed elements against a schoolbook oracle ----------------------------------
+
+SMALL_EXTENSIONS = [FieldCtx(p, k, seed=3) for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3))]
+LARGE_EXTENSIONS = [FieldCtx(p, k, seed=3) for p, k in ((3, 5), (7, 3), (65537, 2), (100003, 2))]
+
+
+def _encode(cs, p):
+    return sum(c * p**i for i, c in enumerate(cs))
+
+
+def _decode(a, p, k):
+    return tuple(a // p**i % p for i in range(k))
+
+
+def _schoolbook_mul(a, b, modulus, p):
+    """Coordinates of a*b: the product of the coordinate lists, reduced by
+    the monic modulus, mod p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    k = len(modulus) - 1
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        for j, m in enumerate(modulus):
+            prod[i - k + j] -= c * m
+    return tuple(c % p for c in prod[:k])
+
+
+def _coords(ctx):
+    return st.tuples(*[st.integers(0, ctx.p - 1)] * ctx.k)
+
+
+@pytest.mark.parametrize("ctx", SMALL_EXTENSIONS, ids=repr)
+def test_packed_roundtrip_every_element(ctx):
+    red = ctx.red
+    for a in ctx.elements():
+        assert red.unpack(red.pack(a)) == a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_matches_schoolbook_oracle(data):
+    ctx = data.draw(st.sampled_from(SMALL_EXTENSIONS + LARGE_EXTENSIONS), label="field")
+    a, b = data.draw(_coords(ctx)), data.draw(_coords(ctx))
+    got = ctx.mul(_encode(a, ctx.p), _encode(b, ctx.p))
+    assert _decode(got, ctx.p, ctx.k) == _schoolbook_mul(a, b, ctx.modulus, ctx.p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_signed_sum_reduces_once(data):
+    # negative lanes and borrows between lanes, one reduction at the end
+    ctx = data.draw(st.sampled_from(SMALL_EXTENSIONS + LARGE_EXTENSIONS), label="field")
+    p, k, red = ctx.p, ctx.k, ctx.red
+    terms = data.draw(
+        st.lists(st.tuples(st.sampled_from((1, -1)), _coords(ctx), _coords(ctx)), min_size=1, max_size=200)
+    )
+    total = 0
+    expect = [0] * k
+    for sign, a, b in terms:
+        total += sign * red.pack(_encode(a, p)) * red.pack(_encode(b, p))
+        for i, c in enumerate(_schoolbook_mul(a, b, ctx.modulus, p)):
+            expect[i] += sign * c
+    assert _decode(red.unpack(total % red), p, k) == tuple(c % p for c in expect)

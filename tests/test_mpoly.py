@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from ffstats.errors import (
     ArityMismatchError,
     NegativeExponentError,
     NotAdmissibleError,
+    NotSquarefreeError,
     PolynomialSyntaxError,
     UnknownVariableError,
 )
@@ -27,7 +29,7 @@ from ffstats.mpoly import (
     parse,
     require_classifiable,
 )
-from ffstats.unipoly import UniPoly, discriminant
+from ffstats.unipoly import UniPoly, discriminant, factorization_type, is_irreducible
 
 
 def test_parse_quadratic_family():
@@ -237,6 +239,63 @@ def test_classify_points_matches_sympy(case):
         assert at_a == NON_SQUAREFREE
     else:
         assert at_a == tuple(sorted((f.degree() for f, _ in factors), reverse=True))
+
+
+# Extension fields for the splitting-rule oracle: GF(4), GF(8), GF(9), GF(25),
+# GF(27), GF(49), GF(101^2).
+SPLITTING_FIELDS = [FieldCtx(p, k, seed=1) for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (101, 2))]
+
+
+def _compose_linear(ctx, f, c1, c2):
+    """Coefficients of f(c1*t + c2) over ctx, by Horner's rule on scalars."""
+    out = []
+    for c in reversed(f):
+        nxt = [0] * (len(out) + 1)
+        for i, a in enumerate(out):
+            nxt[i] = ctx.add(nxt[i], ctx.mul(a, c2))
+            nxt[i + 1] = ctx.add(nxt[i + 1], ctx.mul(a, c1))
+        nxt[0] = ctx.add(nxt[0], c)
+        out = nxt
+    return out
+
+
+@st.composite
+def _prime_subfield_cases(draw):
+    # monic f over GF(p), d <= 6, and an affine substitution t -> c1*t + c2
+    # over GF(q) that moves the coefficients out of GF(p) but keeps the type
+    ctx = draw(st.sampled_from(SPLITTING_FIELDS))
+    d = draw(st.integers(1, 6))
+    f = draw(st.lists(st.integers(0, ctx.p - 1), min_size=d, max_size=d)) + [1]
+    c1 = draw(st.integers(1, ctx.q - 1))
+    c2 = draw(st.integers(0, ctx.q - 1))
+    return ctx, f, c1, c2
+
+
+@settings(max_examples=420, deadline=None)
+@given(_prime_subfield_cases())
+def test_extension_classification_matches_splitting_rule(case):
+    # sympy factors over GF(p) only; an irreducible factor of degree e over
+    # GF(p) splits over GF(p^k) into gcd(e, k) factors of degree e/gcd(e, k).
+    ctx, f, c1, c2 = case
+    _, factors = sympy.Poly(f[::-1], sympy.Symbol("t"), modulus=ctx.p).factor_list()
+    g = UniPoly.make(ctx, _compose_linear(ctx, f, c1, c2))
+    F = MultiPoly(ctx, 1, {(i, 0): c for i, c in enumerate(g.coeffs) if c})
+    outcome = next(classify_points(F, [(0,)]))
+    if any(m > 1 for _, m in factors):
+        assert outcome == NON_SQUAREFREE
+        with pytest.raises(NotSquarefreeError):
+            factorization_type(g)
+        assert not is_irreducible(g)
+        return
+    parts = []
+    for h, _ in factors:
+        e = h.degree()
+        s = math.gcd(e, ctx.k)
+        parts += [e // s] * s
+    expect = tuple(sorted(parts, reverse=True))
+    assert outcome == expect
+    assert factorization_type(g) == expect
+    assert is_irreducible(g) == (expect == (g.degree,))
 
 
 def test_exceptional_points_are_rare():
