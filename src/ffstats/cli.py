@@ -224,16 +224,10 @@ def _demo_power_residues(args, ctx):
     k = args.power
     H = args.H or _interval_default(ctx.p)
     F = mpoly.parse(f"t^{k} - A1", 1, ctx)
+    mpoly.require_dense_budget(F, args.budget)
     descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
     points = sets.enumerate_points(descriptor, ctx, args.budget)
-    with_root = 0
-    for point, outcome in zip(points, mpoly.classify_points(F, points)):
-        if isinstance(outcome, tuple):
-            has_root = 1 in outcome
-        else:
-            f = F.specialize(point)
-            has_root = any(f.evaluate(x) == 0 for x in range(ctx.q))
-        with_root += 1 if has_root else 0
+    with_root = sum(unipoly.has_root(F.specialize(point)) for point in points)
     g = math.gcd(ctx.p - 1, k)
     return {
         "power": k,
@@ -428,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, needs_poly=False)
     sp.add_argument("--H", type=int, default=None, help="interval length")
     sp.add_argument("--beta", type=int, default=0, help="interval start")
-    sp.add_argument("--power", type=int, default=2, help="k for power residues")
+    sp.add_argument("--power", type=_positive_int, default=2, help="k for power residues")
     sp.add_argument("--f", default="t^3 - 3*t", help="Morse base polynomial in t")
     sp.add_argument("--shifts", default="0", help="comma-separated shifts h_i")
     sp.set_defaults(handler=_cmd_demo)

@@ -10,7 +10,11 @@ share between threads; elements are plain ints.
 
 ``ctx.red`` is what the polynomial kernels of :mod:`ffstats._gfp` take as
 their modulus: the prime itself, or for k > 1 the field's packed-integer
-reducer, through which ``mul`` also multiplies.
+reducer.  ``ctx.pack`` and ``ctx.unpack`` carry one element into and out of
+the kernels' form (the identity on a prime field), and all arithmetic goes
+through ``red``: ``add``, ``sub`` and ``mul`` apply ``+``, ``-`` or ``*`` to
+packed operands and reduce with ``% red``, ``pow`` and ``inv`` are the
+``_gfp`` kernels ``gf_pow`` and ``gf_inv``.
 
 The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), built once per
 context: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is coords(a)
@@ -225,68 +229,38 @@ class FieldCtx:
     def random_element(self, rng: random.Random) -> int:
         return rng.randrange(self.q)
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.k == 1
+    # -- arithmetic: the kernels' form, reduced by ``red`` -------------------
 
-    # -- arithmetic --------------------------------------------------------
+    def pack(self, a: int) -> int:
+        """Kernel form of an element: the residue itself on a prime field,
+        the packed int of ``red`` on an extension."""
+        return a if self.k == 1 else self.red.pack(a)
+
+    def unpack(self, x: int) -> int:
+        """Encoding of a reduced element in kernel form."""
+        return x if self.k == 1 else self.red.unpack(x)
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return (a + b) % p
-        out = 0
-        m = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * m
-            a //= p
-            b //= p
-            m *= p
-        return out
+        return self.unpack((self.pack(a) + self.pack(b)) % self.red)
 
     def sub(self, a: int, b: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return (a - b) % p
-        out = 0
-        m = 1
-        for _ in range(self.k):
-            out += ((a - b) % p) * m
-            a //= p
-            b //= p
-            m *= p
-        return out
+        return self.unpack((self.pack(a) - self.pack(b)) % self.red)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
-        red = self.red
-        return red.unpack(red.pack(a) * red.pack(b) % red)
+        return self.unpack(self.pack(a) * self.pack(b) % self.red)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        if self.k == 1:
-            return pow(a, e, self.p)
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return r
+        return self.unpack(_gfp.gf_pow(self.pack(a), e, self.red))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return self.unpack(_gfp.gf_inv(self.pack(a), self.red))
 
     # -- trace and character ------------------------------------------------
 

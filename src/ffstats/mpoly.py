@@ -217,46 +217,41 @@ class MultiPoly:
     # -- specialization ------------------------------------------------------------
 
     def _prepared(self):
-        # (deg_t, [(e_t, ((var_index, exp), ...), coeff), ...]) for tight loops
+        # (deg_t, [(e_t, ((var_index, exp), ...), packed coeff), ...]) for tight loops
         if self._spec is None:
             rows = []
             for e, c in sorted(self.terms.items()):
                 powers = tuple((i, x) for i, x in enumerate(e[1:]) if x)
-                rows.append((e[0], powers, c))
+                rows.append((e[0], powers, self.ctx.pack(c)))
             self._spec = (self.deg_t, rows)
         return self._spec
 
     def specialize_dense(self, point):
-        """Coefficient list of F(t, point), trimmed; the one specialization
-        loop, which ``classify_points`` runs once per point."""
+        """Coefficient list of F(t, point), trimmed and in the kernels' form
+        (``ctx.pack`` of each coefficient), ready for ``ctx.red``; the one
+        specialization loop, which ``classify_points`` runs once per point."""
         if len(point) != self.n:
             raise ArityMismatchError(
                 f"expected {self.n} coordinates, got {len(point)}"
             )
         d, rows = self._prepared()
         ctx = self.ctx
+        red = ctx.red
+        gf_pow = _gfp.gf_pow
+        point = [ctx.pack(a) for a in point]
         coeffs = [0] * (d + 1)
-        if ctx.is_prime_field:
-            p = ctx.p
-            for e_t, powers, c in rows:
-                w = c
-                for i, e in powers:
-                    a = point[i]
-                    w = w * (a if e == 1 else pow(a, e, p)) % p
-                coeffs[e_t] = (coeffs[e_t] + w) % p
-        else:
-            for e_t, powers, c in rows:
-                w = c
-                for i, e in powers:
-                    w = ctx.mul(w, ctx.pow(point[i], e))
-                coeffs[e_t] = ctx.add(coeffs[e_t], w)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return coeffs
+        for e_t, powers, c in rows:
+            w = c
+            for i, e in powers:
+                a = point[i]
+                w = w * (a if e == 1 else gf_pow(a, e, red)) % red
+            coeffs[e_t] = (coeffs[e_t] + w) % red
+        return _gfp.gf_trim(coeffs)
 
     def specialize(self, point) -> UniPoly:
         """Substitute A_i := point[i]; the degree may drop below deg_t."""
-        return UniPoly.make(self.ctx, self.specialize_dense(point))
+        coeffs = self.specialize_dense(point)
+        return UniPoly.make(self.ctx, unipoly.unpack_coeffs(self.ctx, coeffs))
 
     # -- printing ---------------------------------------------------------------
 
@@ -451,17 +446,15 @@ def classify_points(F: MultiPoly, points):
     d = F.deg_t
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
-    ctx = F.ctx
-    red, q = ctx.red, ctx.q
+    red, q = F.ctx.red, F.ctx.q
     specialize = F.specialize_dense
     spec_type = _gfp.gf_spec_type
-    pack = unipoly.pack_coeffs
     for point in points:
         coeffs = specialize(point)
         if len(coeffs) <= d:
             yield DEGREE_DROP
             continue
-        parts = spec_type(pack(ctx, coeffs), red, q)
+        parts = spec_type(coeffs, red, q)
         yield NON_SQUAREFREE if parts is None else parts
 
 
@@ -556,23 +549,16 @@ def disc_nonzero_probabilistic(F: MultiPoly, trials: int = 32, seed: int = 0):
     while base.q**m <= 2 * bound:
         m += 1
     if m == 1:
-        sctx = base
-        terms = dict(F.terms)
-    elif base.k == 1:
-        sctx = FieldCtx(base.p, m, seed=seed + 1)
-        terms = dict(F.terms)
+        sample = F
     else:
         sctx = FieldCtx(base.p, base.k * m, seed=seed + 1)
-        terms = _lift_terms(F, sctx)
-    sample = MultiPoly(sctx, F.n, terms)
+        sample = MultiPoly(sctx, F.n, _lift_terms(F, sctx))
     rng = random.Random(seed)
     for trial in range(trials):
-        point = [sctx.random_element(rng) for _ in range(F.n)]
-        coeffs = sample.specialize_dense(point)
-        if len(coeffs) - 1 == d:
-            f = UniPoly.make(sctx, coeffs)
-            if unipoly.discriminant(f) != 0:
-                return True, trial + 1
+        point = [sample.ctx.random_element(rng) for _ in range(F.n)]
+        f = sample.specialize(point)
+        if f.degree == d and unipoly.discriminant(f) != 0:
+            return True, trial + 1
     return False, trials
 
 

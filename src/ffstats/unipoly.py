@@ -3,14 +3,15 @@
 A :class:`UniPoly` is an immutable coefficient vector (encoded field
 elements, index = degree, no trailing zeros) tied to a :class:`FieldCtx`.
 The module provides gcd, squarefreeness, the factor-degree multiset via
-distinct-degree splitting, irreducibility, discriminants, and the Morse
-criterion (simple critical points with pairwise distinct critical values).
+distinct-degree splitting, irreducibility, roots in the field,
+discriminants, and the Morse criterion (simple critical points with
+pairwise distinct critical values).
 
 Only the *degrees* of the irreducible factors are ever computed; gcds with
 x^(q^i) - x group the factors by degree and nothing is split further.
 Every operation runs on the kernels of :mod:`ffstats._gfp`, for every
-field: ``pack_coeffs`` and ``unpack_coeffs`` carry coefficients across
-that boundary.
+field: ``pack_coeffs`` and ``unpack_coeffs`` carry coefficient lists across
+that boundary, ``ctx.pack`` and ``ctx.unpack`` single elements.
 """
 
 from __future__ import annotations
@@ -138,11 +139,11 @@ class UniPoly:
     def evaluate(self, a: int) -> int:
         ctx = self.ctx
         red = ctx.red
-        (x,) = pack_coeffs(ctx, [a])
+        x = ctx.pack(a)
         y = 0
         for c in reversed(self._packed()):
             y = (y * x + c) % red
-        return unpack_coeffs(ctx, [y])[0]
+        return ctx.unpack(y)
 
     def __str__(self):
         ctx = self.ctx
@@ -201,6 +202,17 @@ def is_irreducible(f: UniPoly) -> bool:
     return d >= 1 and _gfp.gf_spec_type(f._packed(), f.ctx.red, f.ctx.q) == (d,)
 
 
+def has_root(f: UniPoly) -> bool:
+    """True iff f has a root in its field, i.e. deg gcd(f, t^q - t) >= 1.
+    The zero polynomial has every element as a root, a nonzero constant none."""
+    if f.degree < 1:
+        return f.is_zero
+    red = f.ctx.red
+    g = _gfp.gf_monic(f._packed(), red)
+    h = _gfp.gf_pow_mod([0, 1], f.ctx.q, g, red)
+    return len(_gfp.gf_gcd(_gfp.gf_sub(h, [0, 1], red), g, red)) > 1
+
+
 def discriminant(f: UniPoly) -> int:
     """(-1)^(d(d-1)/2) * res(f, f') / lc(f); zero iff f is not squarefree
     (including the inseparable case f' = 0)."""
@@ -212,7 +224,7 @@ def discriminant(f: UniPoly) -> int:
     res = _gfp.gf_resultant(fc, _gfp.gf_diff(fc, red), red)
     if (d * (d - 1) // 2) % 2:
         res = -res % red
-    return unpack_coeffs(f.ctx, [res * _gfp.gf_inv(fc[-1], red) % red])[0]
+    return f.ctx.unpack(res * _gfp.gf_inv(fc[-1], red) % red)
 
 
 def is_morse(f: UniPoly) -> bool:

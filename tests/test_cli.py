@@ -213,6 +213,25 @@ def test_factor_type_huge_degree_is_budget_error(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_power_residues_huge_power_is_budget_error(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "demo", "power-residues", "--p", "7", "--power", "1000000000")
+    assert code == 3 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_power_residues_count_matches_brute_force(capsys, p):
+    # p | power makes every t^power - a inseparable
+    H = p - 1
+    for power in (2, 3, p, 2 * p):
+        res = run_json(
+            capsys, "demo", "power-residues", "--p", str(p), "--power", str(power), "--H", str(H)
+        )["result"]
+        powers = {pow(x, power, p) for x in range(p)}
+        assert res["count_with_root"] == sum(a in powers for a in range(H)), power
+
+
 def test_artin_schreier_demo_classifies_its_set_once(capsys, monkeypatch):
     calls = []
     classify = stats.empirical_distribution

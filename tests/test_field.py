@@ -12,6 +12,7 @@ from ffstats.errors import (
     ReducibleModulusError,
 )
 from ffstats.field import CyclotomicSum, FieldCtx, cyclotomic_magnitude, is_prime
+from ffstats.mpoly import MultiPoly
 
 
 def test_is_prime_small():
@@ -293,3 +294,70 @@ def test_packed_signed_sum_reduces_once(data):
         for i, c in enumerate(_schoolbook_mul(a, b, ctx.modulus, p)):
             expect[i] += sign * c
     assert _decode(red.unpack(total % red), p, k) == tuple(c % p for c in expect)
+
+
+# -- every operation against the oracle, prime fields included ---------------------
+
+ORACLE_FIELDS = [FieldCtx(2), FieldCtx(101), FieldCtx(1000003)] + SMALL_EXTENSIONS + LARGE_EXTENSIONS
+
+
+def _oracle_mul(ctx, a, b):
+    # a prime field is the case k = 1 with modulus x
+    return _schoolbook_mul(a, b, ctx.modulus or (0, 1), ctx.p)
+
+
+def _oracle_add(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_add_sub_neg_match_coordinatewise_oracle(data):
+    ctx = data.draw(st.sampled_from(ORACLE_FIELDS), label="field")
+    p, k = ctx.p, ctx.k
+    a, b = data.draw(_coords(ctx)), data.draw(_coords(ctx))
+    x, y = _encode(a, p), _encode(b, p)
+    assert _decode(ctx.add(x, y), p, k) == _oracle_add(a, b, p)
+    assert _decode(ctx.sub(x, y), p, k) == tuple((u - v) % p for u, v in zip(a, b))
+    assert _decode(ctx.neg(x), p, k) == tuple(-u % p for u in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pow_inv_match_oracle_products(data):
+    ctx = data.draw(st.sampled_from(ORACLE_FIELDS), label="field")
+    p, k = ctx.p, ctx.k
+    a = data.draw(_coords(ctx))
+    e = data.draw(st.integers(0, 20), label="e")
+    x = _encode(a, p)
+    one = (1,) + (0,) * (k - 1)
+    expect = one
+    for _ in range(e):
+        expect = _oracle_mul(ctx, expect, a)
+    assert _decode(ctx.pow(x, e), p, k) == expect
+    assert ctx.pow(x, ctx.q) == x
+    if any(a):
+        assert _oracle_mul(ctx, a, _decode(ctx.inv(x), p, k)) == one
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_specialize_dense_matches_termwise_oracle(data):
+    ctx = data.draw(st.sampled_from(SMALL_EXTENSIONS + LARGE_EXTENSIONS), label="field")
+    p, k = ctx.p, ctx.k
+    n = data.draw(st.integers(1, 3), label="n")
+    exponents = st.tuples(st.integers(0, 4), *[st.integers(0, 3)] * n)
+    terms = data.draw(st.dictionaries(exponents, _coords(ctx), max_size=8), label="terms")
+    point = [data.draw(_coords(ctx)) for _ in range(n)]
+    expect = [(0,) * k] * 5
+    for e, c in terms.items():
+        w = c
+        for a, m in zip(point, e[1:]):
+            for _ in range(m):
+                w = _oracle_mul(ctx, w, a)
+        expect[e[0]] = _oracle_add(expect[e[0]], w, p)
+    while expect and not any(expect[-1]):
+        expect.pop()
+    F = MultiPoly(ctx, n, {e: _encode(c, p) for e, c in terms.items()})
+    got = F.specialize_dense([_encode(a, p) for a in point])
+    assert [_decode(ctx.unpack(c), p, k) for c in got] == expect

@@ -74,6 +74,15 @@ CLI_RUNS = [
     (("demo", "trinomial", "--p", "31"), "ed12eeca97b172f9a19e4c130446fd10b8bde2f8e32fad1b0b3a8053be693c6b"),
     (("demo", "morse", "--p", "31", "--shifts", "0,1"), "7258177fa9a219c1d315cc842125561264ee97c3953f70e93c049e0c67fe5522"),
     (("demo", "artin-schreier", "--p", "3", "--k", "2"), "86a58f77059e7c818cbf73afd332e4c0f79461e5475c90c814e24cf92ba4ec46"),
+    (("dist", "--p", "2", "--k", "3", "--poly", CUBIC, "--set", "full"), "a010f4321f681f855d84fce9e03175b4285ee041021183cb68a08b9c58afbbc4"),
+    # parameter powers above 1 run gf_pow inside the specialization loop
+    (
+        ("factor-type", "--p", "3", "--k", "2", "--poly", "t^2 + A1^3*t + A2^2",
+         "--point", "[1,2],[2,2]"),
+        "e079e5e5be26d693f7b95a0c93b8ecf127980cd93836dc1c457224b32d5ae25d",
+    ),
+    # t^5 - a is inseparable over GF(5): every point is not squarefree
+    (("demo", "power-residues", "--p", "5", "--power", "5", "--H", "5"), "cfa736abe64525d8587e1aa2b5e950a693b8fae8fb063332d76977874981edaf"),
 ]
 
 
