@@ -19,11 +19,24 @@ Zero packs to 0 and one packs to 1, so ``if c``, ``c == 1`` and trimming
 mean the same on both kinds of field.  Callers pass reduced coefficients.
 Frobenius powers need the field size ``q`` besides ``p``.
 
-These functions sit on the hot path of specialization sweeps (one
-distinct-degree pass per sample point), so they avoid classes and keep the
-inner loops allocation-light.  The module keeps its historical name
-because the benchmark's traced run wraps ``_gfp.gf_spec_type``.
+Prime-field sweeps classify a whole block of polynomials at once with
+:func:`gf_spec_types` (int64 numpy linear algebra on Berlekamp matrices);
+the scalar :func:`gf_spec_type`, one distinct-degree pass per polynomial,
+serves extension fields, primes too large for int64 and single polynomials.
+The scalar kernels avoid classes and keep their inner loops
+allocation-light.  The module keeps its historical name because the
+benchmark's traced run wraps ``_gfp.gf_spec_type``.
 """
+
+import functools
+
+import numpy as np
+
+# gf_spec_types keeps every int64 sum below 2^63 when d * p^2 < 2^62: a
+# mulmod entry sums at most d products of residues and subtracts at most
+# d - 1 more, an entry of Q^j sums d products, and an elimination step
+# subtracts two products.
+_INT64_LIMIT = 1 << 62
 
 
 class Packed:
@@ -276,6 +289,126 @@ def gf_spec_type(f, p, q):
     if not fp or len(gf_gcd(f, fp, p)) != 1:
         return None
     return gf_ddf_type(f, p, q)
+
+
+# -- batched prime-field classification --------------------------------------
+# The batch is the last axis, so that numpy's inner loops run along it: a
+# block of polynomials is a (d, N) array, one per column, a block of
+# matrices a (d, d, N) array.
+
+
+def gf_batch_fits(d, p):
+    """Whether gf_spec_types can classify degree-d polynomials over GF(p)."""
+    return d * p * p < _INT64_LIMIT
+
+
+def gf_vpow(a, e, p):
+    """a**e mod p elementwise, for an int64 array of residues."""
+    r = np.ones_like(a)
+    for bit in bin(e)[2:]:
+        r = r * r % p
+        if bit == "1":
+            r = r * a % p
+    return r
+
+
+def _vmulrem(u, v, f, p):
+    # u*v mod the monic f, column by column; f omits its leading 1.
+    d = len(u)
+    m = np.zeros((2 * d - 1, u.shape[1]), dtype=np.int64)
+    for i in range(d):
+        m[i : i + d] += u[i] * v
+    for k in range(2 * d - 2, d - 1, -1):
+        m[k - d : k] -= m[k] % p * f
+    return m[:d] % p
+
+
+def _vrank(a, p):
+    # Ranks mod p of a (d, d, N) block with entries in (-p, p), overwriting
+    # it.  Elimination cross-multiplies, row*pivot - pivot_row*entry, so it
+    # needs no inverses; only rows not yet pivots, right of the current
+    # column, are read again.
+    d, _, n = a.shape
+    at = np.arange(n)
+    free = np.ones((d, n), dtype=bool)
+    for c in range(d):
+        col = np.where(free, a[:, c], 0)
+        has = col.any(axis=0)
+        piv = (col != 0).argmax(axis=0)
+        free[piv[has], at[has]] = False
+        rest = a[:, c + 1 :]
+        prow = rest[piv, :, at].T
+        col[piv, at] = 0
+        rest *= np.where(has, a[piv, c, at], 1)
+        rest -= col[:, None] * prow
+        rest %= p
+    return d - free.sum(axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_counts_map(d):
+    # N_j = sum_e c_e gcd(j, e) = sum_{k | j} phi(k) M_k with
+    # M_k = sum_{k | e} c_e.  Mobius inversion over divisors gives
+    # phi(j) M_j = sum_{k | j} mu(j/k) N_k, and over multiples
+    # c_e = sum_m mu(m) M_{em}.  mobius[k-1, j-1] = mu(j/k) when k | j.
+    mu = [0, 1] + [0] * d
+    for i in range(1, d + 1):
+        for j in range(2 * i, d + 1, i):
+            mu[j] -= mu[i]
+    mobius = np.zeros((d, d), dtype=np.int64)
+    for k in range(1, d + 1):
+        mobius[k - 1, k - 1 :: k] = mu[1 : d // k + 1]
+    phi = (np.arange(1, d + 1) @ mobius)[:, None]
+    mobius.flags.writeable = phi.flags.writeable = False  # shared by every call
+    return mobius, phi
+
+
+def gf_spec_types(c, p):
+    """The batched gf_spec_type: c is an (N, d+1) int64 array of residues,
+    one polynomial per row, d >= 1 and gf_batch_fits(d, p).  Returns, per
+    row, the descending tuple of factor degrees, None for a repeated factor,
+    or () when the degree-d coefficient is zero.
+
+    Row i of the Berlekamp matrix Q is x^(ip) mod f, the Frobenius map of
+    GF(p)[x]/(f): f is squarefree iff Q is invertible, and then
+    nullity(Q^j - I) = sum over the factors of gcd(j, degree), which two
+    Mobius inversions turn into the number of factors of each degree
+    (Berlekamp 1967; von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 14).
+    """
+    n, d = c.shape[0], c.shape[1] - 1
+    out = [()] * n
+    live = np.flatnonzero(c[:, d])
+    f = c[live, :d].T * gf_vpow(c[live, d], p - 2, p) % p
+    q = np.zeros((d, d, len(live)), dtype=np.int64)
+    q[0, 0] = 1
+    h = q[0]
+    for bit in bin(p)[2:]:
+        h = _vmulrem(h, h, f, p)
+        if bit == "1":  # times x: a shift and one reduction step
+            h = (np.vstack((np.zeros_like(h[:1]), h[:-1])) - h[-1] * f) % p
+    for i in range(1, d):
+        q[i] = _vmulrem(q[i - 1], h, f, p)
+    squarefree = _vrank(q.copy(), p) == d
+    for i in live[~squarefree].tolist():
+        out[i] = None
+    q = q[:, :, squarefree]
+    nullity = np.empty((d, q.shape[2]), dtype=np.int64)
+    eye = np.eye(d, dtype=np.int64)[:, :, None]
+    power = q
+    for j in range(d):
+        nullity[j] = d - _vrank(power - eye, p)
+        if j + 1 < d:
+            power = np.einsum("ikn,kjn->ijn", power, q) % p
+    mobius, phi = _degree_counts_map(d)
+    counts = mobius @ (mobius.T @ nullity // phi)
+    types = {}
+    for i, row in zip(live[squarefree].tolist(), counts.T.tolist()):
+        key = tuple(row)
+        if key not in types:
+            types[key] = tuple(e for e in range(d, 0, -1) for _ in range(row[e - 1]))
+        out[i] = types[key]
+    return out
 
 
 def gf_resultant(f, g, p):

@@ -16,8 +16,11 @@ parameter exponents) that parses back to the same polynomial.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _gfp, unipoly
 from .errors import (
@@ -228,8 +231,9 @@ class MultiPoly:
 
     def specialize_dense(self, point):
         """Coefficient list of F(t, point), trimmed and in the kernels' form
-        (``ctx.pack`` of each coefficient), ready for ``ctx.red``; the one
-        specialization loop, which ``classify_points`` runs once per point."""
+        (``ctx.pack`` of each coefficient), ready for ``ctx.red``; the scalar
+        specialization loop, which ``classify_points`` runs once per point
+        where it cannot batch."""
         if len(point) != self.n:
             raise ArityMismatchError(
                 f"expected {self.n} coordinates, got {len(point)}"
@@ -247,6 +251,24 @@ class MultiPoly:
                 w = w * (a if e == 1 else gf_pow(a, e, red)) % red
             coeffs[e_t] = (coeffs[e_t] + w) % red
         return _gfp.gf_trim(coeffs)
+
+    def specialize_block(self, points):
+        """F(t, a) for a block of points over a prime field, in int64: points
+        is an (N, n) array of residues, one point per row; returns the untrimmed
+        (N, deg_t + 1) coefficient array.  Needs p < 2^31.  Each parameter
+        gets one table of the powers its terms use."""
+        d, rows = self._prepared()
+        p = self.ctx.p
+        tables = [{} for _ in range(self.n)]
+        out = np.zeros((len(points), d + 1), dtype=np.int64)
+        for e_t, powers, c in rows:
+            w = np.full(len(points), c, dtype=np.int64)
+            for i, e in powers:
+                if e not in tables[i]:
+                    tables[i][e] = _gfp.gf_vpow(points[:, i], e, p)
+                w = w * tables[i][e] % p
+            out[:, e_t] = (out[:, e_t] + w) % p
+        return out
 
     def specialize(self, point) -> UniPoly:
         """Substitute A_i := point[i]; the degree may drop below deg_t."""
@@ -431,8 +453,14 @@ class SpecializationOutcome:
         return self.kind == TYPE
 
 
+# Points per block of the batched prime-field path: the d x d Berlekamp
+# matrices of a block hold about this many entries in all.
+_SPEC_BLOCK = 1 << 13
+
+
 def classify_points(F: MultiPoly, points):
-    """Classify F(t, a) for each point a, in order; the one per-point kernel.
+    """Classify F(t, a) for each point a, in order; every sweep classifies
+    through here.
 
     Yields, per point, one of three outcomes:
 
@@ -441,21 +469,47 @@ def classify_points(F: MultiPoly, points):
     * ``DEGREE_DROP``, when the leading coefficient vanishes at a;
     * ``NON_SQUAREFREE``, when F(t, a) has full degree but a repeated factor.
 
-    Raises NotAdmissibleError (on the first ``next``) when deg_t < 1.
+    Over a prime field with deg_t * p^2 < 2^62 (the int64 bound,
+    ``_gfp.gf_batch_fits``), the points are reduced mod p and classified in
+    blocks of about ``_SPEC_BLOCK / deg_t^2`` by ``specialize_block`` and
+    ``_gfp.gf_spec_types``, from Berlekamp matrices (Berlekamp 1967; von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 14).  Otherwise each
+    point takes ``specialize_dense`` and the distinct-degree splitting of
+    ``_gfp.gf_spec_type``.  Both paths yield the same outcomes.
+
+    Raises NotAdmissibleError (on the first ``next``) when deg_t < 1, and
+    ArityMismatchError at the first point of the wrong length.
     """
     d = F.deg_t
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
-    red, q = F.ctx.red, F.ctx.q
-    specialize = F.specialize_dense
-    spec_type = _gfp.gf_spec_type
-    for point in points:
-        coeffs = specialize(point)
-        if len(coeffs) <= d:
-            yield DEGREE_DROP
-            continue
-        parts = spec_type(coeffs, red, q)
-        yield NON_SQUAREFREE if parts is None else parts
+    p = F.ctx.p
+    if F.ctx.k > 1 or not _gfp.gf_batch_fits(d, p):
+        for point in points:
+            yield _classify_one(F, point)
+        return
+    size = max(1, _SPEC_BLOCK // (d * d))
+    points = iter(points)
+    while True:
+        block = list(itertools.islice(points, size))
+        good = next((i for i, a in enumerate(block) if len(a) != F.n), len(block))
+        if good:
+            rows = np.fromiter((x % p for a in block[:good] for x in a), np.int64, good * F.n)
+            for parts in _gfp.gf_spec_types(F.specialize_block(rows.reshape(good, F.n)), p):
+                yield DEGREE_DROP if parts == () else NON_SQUAREFREE if parts is None else parts
+        if good < len(block):
+            F.specialize_dense(block[good])  # raises ArityMismatchError
+        if len(block) < size:
+            return
+
+
+def _classify_one(F, point):
+    # The scalar path: specialize_dense and distinct-degree splitting.
+    coeffs = F.specialize_dense(point)
+    if len(coeffs) <= F.deg_t:
+        return DEGREE_DROP
+    parts = _gfp.gf_spec_type(coeffs, F.ctx.red, F.ctx.q)
+    return NON_SQUAREFREE if parts is None else parts
 
 
 def require_dense_budget(F: MultiPoly, budget: int) -> None:
@@ -468,8 +522,12 @@ def require_dense_budget(F: MultiPoly, budget: int) -> None:
 
 
 def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:
-    """Degree drop, repeated factors, or the factorization type at a point."""
-    outcome = next(classify_points(F, [point]))
+    """Degree drop, repeated factors, or the factorization type at a point.
+    One point takes the scalar path of classify_points, which is several
+    times faster than a block of one."""
+    if F.deg_t < 1:
+        raise NotAdmissibleError("polynomial has no t term to factor")
+    outcome = _classify_one(F, point)
     if isinstance(outcome, tuple):
         return SpecializationOutcome(TYPE, outcome)
     return SpecializationOutcome(outcome)
