@@ -19,23 +19,29 @@ Zero packs to 0 and one packs to 1, so ``if c``, ``c == 1`` and trimming
 mean the same on both kinds of field.  Callers pass reduced coefficients.
 Frobenius powers need the field size ``q`` besides ``p``.
 
-Prime-field sweeps classify a whole block of polynomials at once with
-:func:`gf_spec_types` (int64 numpy linear algebra on Berlekamp matrices);
-the scalar :func:`gf_spec_type`, one distinct-degree pass per polynomial,
-serves extension fields, primes too large for int64 and single polynomials.
-The scalar kernels avoid classes and keep their inner loops
-allocation-light.  The module keeps its historical name because the
-benchmark's traced run wraps ``_gfp.gf_spec_type``.
+Sweeps classify a whole block of polynomials at once with
+:func:`gf_spec_types`, int64 numpy linear algebra on Frobenius matrices over
+GF(q), with GF(q) products taken through the multiplication tensor of a
+:class:`VecField`; a prime field is the case k = 1.  The scalar
+:func:`gf_spec_type`, one distinct-degree pass per polynomial, is the
+reference the batched kernel is tested against, and serves single
+polynomials and fields past the int64 bound of :func:`gf_batch_fits`.  The
+scalar kernels avoid classes and keep their inner loops allocation-light.
+The module keeps its historical name because the benchmark's traced run
+wraps ``_gfp.gf_spec_type``.
 """
 
 import functools
 
 import numpy as np
 
-# gf_spec_types keeps every int64 sum below 2^63 when d * p^2 < 2^62: a
-# mulmod entry sums at most d products of residues and subtracts at most
-# d - 1 more, an entry of Q^j sums d products, and an elimination step
-# subtracts two products.
+# gf_spec_types keeps every int64 sum below 2^63 when max(d, k^2) * p^2 <
+# 2^62.  Every sum of raw coordinate products is reduced mod p before it
+# meets the multiplication tensor, and every tensor contraction is reduced
+# after it: a contraction sums k^2 products of residues; a mulmod entry sums
+# at most d products and subtracts at most d - 1 more (reduced elements when
+# k > 1); an entry of Q^j sums d products; an elimination step subtracts two
+# products.  Points are read into int64 as encodings below q, so q < 2^62 too.
 _INT64_LIMIT = 1 << 62
 
 
@@ -65,7 +71,10 @@ class Packed:
         self.tail = [-c % p for c in modulus[:k]]
 
     def pack(self, a):
-        """Packed form of an element encoded as c0 + c1*p + ... (base p)."""
+        """Packed form of an element encoded as c0 + c1*p + ... (base p);
+        ValueError unless 0 <= a < q."""
+        if not 0 <= a < self.q:
+            raise ValueError(f"{a} does not encode an element of GF({self.q})")
         p, width = self.p, self.width
         x = 0
         shift = 0
@@ -291,57 +300,128 @@ def gf_spec_type(f, p, q):
     return gf_ddf_type(f, p, q)
 
 
-# -- batched prime-field classification --------------------------------------
-# The batch is the last axis, so that numpy's inner loops run along it: a
-# block of polynomials is a (d, N) array, one per column, a block of
-# matrices a (d, d, N) array.
+# -- batched classification ----------------------------------------------------
+# The batch is the last axis, so that numpy's inner loops run along it.  A
+# block of GF(q) elements is a (k, N) array of power-basis coordinates, one
+# element per column; a block of polynomials a (d, k, N) array, a block of
+# matrices a (d, d, k, N) array.  Prime fields are the case k = 1.
 
 
-def gf_batch_fits(d, p):
-    """Whether gf_spec_types can classify degree-d polynomials over GF(p)."""
-    return d * p * p < _INT64_LIMIT
+class VecField:
+    """GF(q) arithmetic on int64 coordinate arrays, for one field; the
+    per-field constants of the batched kernels.
+
+    A product a*b of GF(q) elements is bilinear in their coordinates:
+    (a*b)_l = sum_ij a_i b_j T[i, j, l], where row T[i, j] holds the
+    coordinates of x^(i+j) reduced by the modulus.  ``outer`` forms the
+    coordinate products a_i b_j and ``contract`` applies T, so that sums of
+    products can be accumulated raw and contracted once.  On a prime field
+    (k = 1) ``outer`` is the plain product and ``contract`` does nothing, so
+    a product there costs one ``a * b % p`` and no contraction.
+    """
+
+    __slots__ = ("p", "k", "q", "tensor", "frobenius_bits", "one", "_flat")
+
+    def __init__(self, p, tail):
+        k = len(tail) or 1
+        self.p, self.k, self.q = p, k, p**k
+        # x^s for s = 0..2k-2 by repeated times-x; x^k = sum tail[j] x^j
+        powers = [[1] + [0] * (k - 1)]
+        for _ in range(2 * k - 2):
+            v = powers[-1]
+            powers.append([(a + v[-1] * t) % p for a, t in zip([0] + v[:-1], tail)])
+        tensor = np.array([[powers[i + j] for j in range(k)] for i in range(k)], dtype=np.int64)
+        flat = tensor.reshape(k * k, k).T
+        one = np.zeros((k, 1), dtype=np.int64)
+        one[0] = 1
+        for a in (tensor, flat, one):
+            a.flags.writeable = False  # shared by every block and thread
+        self.tensor, self._flat, self.one = tensor, flat, one
+        self.frobenius_bits = bin(self.q)[2:]
+
+    def outer(self, a, b):
+        """The coordinate products of a and b, broadcast over the leading
+        axes; entries below p^2 in size when a and b are reduced."""
+        if self.k == 1:
+            return a * b
+        k = self.k
+        x = a[..., :, None, :] * b[..., None, :, :]
+        return x.reshape(x.shape[:-3] + (k * k, x.shape[-1]))
+
+    def contract(self, x):
+        """GF(q) elements from sums of ``outer`` products.  When k > 1 each
+        coordinate product is reduced mod p, summed against T (sums below
+        k^2 p^2) and the result reduced again; when k = 1 the sum is returned
+        as it is, for the caller to reduce."""
+        if self.k == 1:
+            return x
+        return np.matmul(self._flat, x % self.p) % self.p
+
+    def prod(self, a, b):
+        """a*b, congruent mod p to the reduced product: below p^2 in size
+        for reduced a and b, and reduced already when k > 1."""
+        return self.contract(self.outer(a, b))
+
+    def mul(self, a, b):
+        return self.prod(a, b) % self.p
+
+    def pow(self, a, e):
+        """a**e elementwise, for a block of reduced elements."""
+        r = np.zeros_like(a)
+        r[0] = 1
+        for bit in bin(e)[2:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def matmul(self, a, b):
+        """Matrix product of (d, m, k, N) and (m, e, k, N) blocks, reduced."""
+        if self.k == 1:
+            return np.einsum("imn,mjn->ijn", a[:, :, 0], b[:, :, 0])[:, :, None] % self.p
+        x = np.einsum("imxn,mjyn->ijxyn", a, b)
+        return self.contract(x.reshape(x.shape[:2] + (self.k * self.k, x.shape[-1])))
 
 
-def gf_vpow(a, e, p):
-    """a**e mod p elementwise, for an int64 array of residues."""
-    r = np.ones_like(a)
-    for bit in bin(e)[2:]:
-        r = r * r % p
-        if bit == "1":
-            r = r * a % p
-    return r
+def gf_batch_fits(d, k, p):
+    """Whether gf_spec_types can classify degree-d polynomials over GF(p^k)
+    in int64, and points over it can be read into int64."""
+    return max(d, k * k) * p * p < _INT64_LIMIT and p**k < _INT64_LIMIT
 
 
-def _vmulrem(u, v, f, p):
+def _vmulrem(u, v, f, field):
     # u*v mod the monic f, column by column; f omits its leading 1.
-    d = len(u)
-    m = np.zeros((2 * d - 1, u.shape[1]), dtype=np.int64)
+    d, p = len(u), field.p
+    m = np.zeros((2 * d - 1, field.k * field.k, v.shape[-1]), dtype=np.int64)
     for i in range(d):
-        m[i : i + d] += u[i] * v
-    for k in range(2 * d - 2, d - 1, -1):
-        m[k - d : k] -= m[k] % p * f
+        m[i : i + d] += field.outer(u[i], v)
+    m = field.contract(m)
+    for s in range(2 * d - 2, d - 1, -1):
+        m[s - d : s] -= field.prod(m[s] % p, f)
     return m[:d] % p
 
 
-def _vrank(a, p):
-    # Ranks mod p of a (d, d, N) block with entries in (-p, p), overwriting
-    # it.  Elimination cross-multiplies, row*pivot - pivot_row*entry, so it
-    # needs no inverses; only rows not yet pivots, right of the current
-    # column, are read again.
-    d, _, n = a.shape
+def _vrank(a, field):
+    # Ranks over GF(q) of a (d, d, k, N) block with entries in (-p, p),
+    # overwriting it.  Elimination cross-multiplies, row*pivot -
+    # pivot_row*entry, so it needs no inverses; only rows not yet pivots,
+    # right of the current column, are read again.
+    d, _, _, n = a.shape
     at = np.arange(n)
     free = np.ones((d, n), dtype=bool)
     for c in range(d):
-        col = np.where(free, a[:, c], 0)
-        has = col.any(axis=0)
-        piv = (col != 0).argmax(axis=0)
+        col = np.where(free[:, None], a[:, c], 0)
+        nonzero = col.any(axis=1)
+        has = nonzero.any(axis=0)
+        piv = nonzero.argmax(axis=0)
         free[piv[has], at[has]] = False
         rest = a[:, c + 1 :]
-        prow = rest[piv, :, at].T
-        col[piv, at] = 0
-        rest *= np.where(has, a[piv, c, at], 1)
-        rest -= col[:, None] * prow
-        rest %= p
+        prow = rest[piv, :, :, at].transpose(1, 2, 0)
+        col[piv, :, at] = 0
+        pivot = np.where(has, a[piv, c, :, at].T, field.one)
+        x = field.outer(rest, pivot)
+        x -= field.outer(col[:, None], prow)
+        np.remainder(field.contract(x), field.p, out=rest)
     return d - free.sum(axis=0)
 
 
@@ -363,43 +443,47 @@ def _degree_counts_map(d):
     return mobius, phi
 
 
-def gf_spec_types(c, p):
-    """The batched gf_spec_type: c is an (N, d+1) int64 array of residues,
-    one polynomial per row, d >= 1 and gf_batch_fits(d, p).  Returns, per
-    row, the descending tuple of factor degrees, None for a repeated factor,
-    or () when the degree-d coefficient is zero.
+def gf_spec_types(c, field):
+    """The batched gf_spec_type: c is an (N, d+1, k) int64 array of reduced
+    power-basis coordinates, one polynomial over GF(q) = ``field`` per row,
+    d >= 1 and gf_batch_fits(d, k, p).  Returns, per row, the descending
+    tuple of factor degrees, None for a repeated factor, or () when the
+    degree-d coefficient is zero.
 
-    Row i of the Berlekamp matrix Q is x^(ip) mod f, the Frobenius map of
-    GF(p)[x]/(f): f is squarefree iff Q is invertible, and then
+    Row i of the Frobenius matrix Q is x^(iq) mod f: a -> a^q is GF(q)-linear
+    on GF(q)[x]/(f), f is squarefree iff Q is invertible, and then
     nullity(Q^j - I) = sum over the factors of gcd(j, degree), which two
     Mobius inversions turn into the number of factors of each degree
     (Berlekamp 1967; von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 14).
+    ch. 14).  On a prime field Q is Berlekamp's matrix.
     """
     n, d = c.shape[0], c.shape[1] - 1
+    p = field.p
     out = [()] * n
-    live = np.flatnonzero(c[:, d])
-    f = c[live, :d].T * gf_vpow(c[live, d], p - 2, p) % p
-    q = np.zeros((d, d, len(live)), dtype=np.int64)
-    q[0, 0] = 1
+    live = np.flatnonzero(c[:, d].any(axis=1))
+    c = c[live].transpose(1, 2, 0)
+    f = field.mul(c[:d], field.pow(c[d], field.q - 2))
+    q = np.zeros((d, d) + c.shape[1:], dtype=np.int64)
+    q[0, 0, 0] = 1
     h = q[0]
-    for bit in bin(p)[2:]:
-        h = _vmulrem(h, h, f, p)
+    for bit in field.frobenius_bits:
+        h = _vmulrem(h, h, f, field)
         if bit == "1":  # times x: a shift and one reduction step
-            h = (np.vstack((np.zeros_like(h[:1]), h[:-1])) - h[-1] * f) % p
+            h = (np.concatenate((np.zeros_like(h[:1]), h[:-1])) - field.prod(h[-1], f)) % p
     for i in range(1, d):
-        q[i] = _vmulrem(q[i - 1], h, f, p)
-    squarefree = _vrank(q.copy(), p) == d
+        q[i] = _vmulrem(q[i - 1], h, f, field)
+    squarefree = _vrank(q.copy(), field) == d
     for i in live[~squarefree].tolist():
         out[i] = None
-    q = q[:, :, squarefree]
-    nullity = np.empty((d, q.shape[2]), dtype=np.int64)
-    eye = np.eye(d, dtype=np.int64)[:, :, None]
+    q = q[..., squarefree]
+    nullity = np.empty((d, q.shape[-1]), dtype=np.int64)
+    eye = np.zeros((d, d, field.k, 1), dtype=np.int64)
+    eye[range(d), range(d), 0] = 1
     power = q
     for j in range(d):
-        nullity[j] = d - _vrank(power - eye, p)
+        nullity[j] = d - _vrank(power - eye, field)
         if j + 1 < d:
-            power = np.einsum("ikn,kjn->ijn", power, q) % p
+            power = field.matmul(power, q)
     mobius, phi = _degree_counts_map(d)
     counts = mobius @ (mobius.T @ nullity // phi)
     types = {}
@@ -409,7 +493,6 @@ def gf_spec_types(c, p):
             types[key] = tuple(e for e in range(d, 0, -1) for _ in range(row[e - 1]))
         out[i] = types[key]
     return out
-
 
 def gf_resultant(f, g, p):
     """res(f, g) by a remainder sequence tracking leading coefficients."""

@@ -16,6 +16,11 @@ through ``red``: ``add``, ``sub`` and ``mul`` apply ``+``, ``-`` or ``*`` to
 packed operands and reduce with ``% red``, ``pow`` and ``inv`` are the
 ``_gfp`` kernels ``gf_pow`` and ``gf_inv``.
 
+``ctx.vec`` is what the batched classifier takes instead: a
+:class:`_gfp.VecField` holding the multiplication tensor T[i, j] =
+coords(x^(i+j)), built once per context, and ``ctx.coordinates`` reads a
+block of points into the int64 coordinate arrays it works on.
+
 The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), built once per
 context: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is coords(a)
 against the first column of M, and a prime field is the case M = [[1]].
@@ -150,7 +155,7 @@ def _poly_str(coeffs, var="x"):
 class FieldCtx:
     """Immutable description of GF(p^k); elements are ints in [0, q)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "red", "trace_form")
+    __slots__ = ("p", "k", "q", "modulus", "red", "trace_form", "vec")
 
     def __init__(self, p: int, k: int = 1, modulus=None, seed: int = 0):
         if not isinstance(p, int) or not is_prime(p):
@@ -188,6 +193,9 @@ class FieldCtx:
         form = np.array([traces[i : i + k] for i in range(k)], dtype=np.int64)
         form.flags.writeable = False
         self.trace_form = form
+        # The batched kernels' arithmetic: the multiplication tensor
+        # T[i, j] = coords(x^(i+j)), read-only, built once per context.
+        self.vec = _gfp.VecField(p, self.red.tail if k > 1 else ())
 
     @staticmethod
     def _random_irreducible(p, k, seed):
@@ -228,6 +236,25 @@ class FieldCtx:
 
     def random_element(self, rng: random.Random) -> int:
         return rng.randrange(self.q)
+
+    def coordinates(self, points, n: int):
+        """Power-basis coordinates of the leading points that have n
+        coordinates, each naming an element, as an (m, n, k) int64 array; the
+        point at index m, if there is one, is the first that does not.  On a
+        prime field every integer names its residue mod p; on an extension
+        only an encoding in [0, q) names an element.  Needs q < 2^63."""
+        p, k, q = self.p, self.k, self.q
+        if k == 1:
+            m = next((i for i, a in enumerate(points) if len(a) != n), len(points))
+            flat = np.fromiter((x % p for a in points[:m] for x in a), np.int64, m * n)
+            return flat.reshape(m, n, 1)
+        m = next(
+            (i for i, a in enumerate(points) if len(a) != n or not all(0 <= x < q for x in a)),
+            len(points),
+        )
+        flat = np.fromiter((x for a in points[:m] for x in a), np.int64, m * n)
+        places = p ** np.arange(k, dtype=np.int64)
+        return (flat[:, None] // places % p).reshape(m, n, k)
 
     # -- arithmetic: the kernels' form, reduced by ``red`` -------------------
 

@@ -220,12 +220,14 @@ class MultiPoly:
     # -- specialization ------------------------------------------------------------
 
     def _prepared(self):
-        # (deg_t, [(e_t, ((var_index, exp), ...), packed coeff), ...]) for tight loops
+        # (deg_t, [(e_t, ((var_index, exp), ...), packed coeff, coords), ...])
+        # for tight loops
         if self._spec is None:
+            ctx = self.ctx
             rows = []
             for e, c in sorted(self.terms.items()):
                 powers = tuple((i, x) for i, x in enumerate(e[1:]) if x)
-                rows.append((e[0], powers, self.ctx.pack(c)))
+                rows.append((e[0], powers, ctx.pack(c), ctx.coords(c)))
             self._spec = (self.deg_t, rows)
         return self._spec
 
@@ -233,7 +235,9 @@ class MultiPoly:
         """Coefficient list of F(t, point), trimmed and in the kernels' form
         (``ctx.pack`` of each coefficient), ready for ``ctx.red``; the scalar
         specialization loop, which ``classify_points`` runs once per point
-        where it cannot batch."""
+        where it cannot batch.  Raises ArityMismatchError for a point of the
+        wrong length and, on an extension field, ValueError for a coordinate
+        outside [0, q)."""
         if len(point) != self.n:
             raise ArityMismatchError(
                 f"expected {self.n} coordinates, got {len(point)}"
@@ -244,7 +248,7 @@ class MultiPoly:
         gf_pow = _gfp.gf_pow
         point = [ctx.pack(a) for a in point]
         coeffs = [0] * (d + 1)
-        for e_t, powers, c in rows:
+        for e_t, powers, c, _ in rows:
             w = c
             for i, e in powers:
                 a = point[i]
@@ -253,22 +257,24 @@ class MultiPoly:
         return _gfp.gf_trim(coeffs)
 
     def specialize_block(self, points):
-        """F(t, a) for a block of points over a prime field, in int64: points
-        is an (N, n) array of residues, one point per row; returns the untrimmed
-        (N, deg_t + 1) coefficient array.  Needs p < 2^31.  Each parameter
-        gets one table of the powers its terms use."""
+        """F(t, a) for a block of points, in int64: points is an (N, n, k)
+        array of reduced power-basis coordinates (``ctx.coordinates``), one
+        point per row; returns the untrimmed (N, deg_t + 1, k) coefficient
+        array.  Needs ``_gfp.gf_batch_fits``.  Each parameter gets one table
+        of the powers its terms use; GF(q) products go through ``ctx.vec``."""
         d, rows = self._prepared()
-        p = self.ctx.p
+        field = self.ctx.vec
+        points = points.transpose(1, 2, 0)
         tables = [{} for _ in range(self.n)]
-        out = np.zeros((len(points), d + 1), dtype=np.int64)
-        for e_t, powers, c in rows:
-            w = np.full(len(points), c, dtype=np.int64)
+        out = np.zeros((d + 1, field.k, points.shape[-1]), dtype=np.int64)
+        for e_t, powers, _, coords in rows:
+            w = np.array(coords, dtype=np.int64)[:, None]
             for i, e in powers:
                 if e not in tables[i]:
-                    tables[i][e] = _gfp.gf_vpow(points[:, i], e, p)
-                w = w * tables[i][e] % p
-            out[:, e_t] = (out[:, e_t] + w) % p
-        return out
+                    tables[i][e] = field.pow(points[i], e)
+                w = field.mul(w, tables[i][e])
+            out[e_t] = (out[e_t] + w) % field.p
+        return out.transpose(2, 0, 1)
 
     def specialize(self, point) -> UniPoly:
         """Substitute A_i := point[i]; the degree may drop below deg_t."""
@@ -453,8 +459,10 @@ class SpecializationOutcome:
         return self.kind == TYPE
 
 
-# Points per block of the batched prime-field path: the d x d Berlekamp
-# matrices of a block hold about this many entries in all.
+# Points per block of the batched path: the largest temporaries, the raw
+# products of two blocks of d x d matrices over GF(p^k), hold about
+# d^2 k^2 entries per point, so a block of _SPEC_BLOCK / (d^2 k^2) points
+# holds about this many in all.
 _SPEC_BLOCK = 1 << 13
 
 
@@ -469,36 +477,41 @@ def classify_points(F: MultiPoly, points):
     * ``DEGREE_DROP``, when the leading coefficient vanishes at a;
     * ``NON_SQUAREFREE``, when F(t, a) has full degree but a repeated factor.
 
-    Over a prime field with deg_t * p^2 < 2^62 (the int64 bound,
-    ``_gfp.gf_batch_fits``), the points are reduced mod p and classified in
-    blocks of about ``_SPEC_BLOCK / deg_t^2`` by ``specialize_block`` and
-    ``_gfp.gf_spec_types``, from Berlekamp matrices (Berlekamp 1967; von zur
-    Gathen & Gerhard, Modern Computer Algebra, ch. 14).  Otherwise each
-    point takes ``specialize_dense`` and the distinct-degree splitting of
-    ``_gfp.gf_spec_type``.  Both paths yield the same outcomes.
+    Within the int64 bound ``_gfp.gf_batch_fits`` (max(deg_t, k^2) * p^2 <
+    2^62 and q < 2^62), the points are read into coordinate arrays by
+    ``ctx.coordinates`` and classified in blocks of about
+    ``_SPEC_BLOCK / (deg_t^2 k^2)`` by ``specialize_block`` and
+    ``_gfp.gf_spec_types``, from Frobenius matrices over GF(q) (Berlekamp
+    1967; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
+    Otherwise each point takes ``specialize_dense`` and the distinct-degree
+    splitting of ``_gfp.gf_spec_type``.  Both paths yield the same outcomes.
 
-    Raises NotAdmissibleError (on the first ``next``) when deg_t < 1, and
-    ArityMismatchError at the first point of the wrong length.
+    Coordinates of points over a prime field are reduced mod p; over an
+    extension they are element encodings and must lie in [0, q).
+
+    Raises NotAdmissibleError (on the first ``next``) when deg_t < 1, and,
+    after the outcomes of the points before it, ArityMismatchError at the
+    first point of the wrong length or ValueError at the first point over an
+    extension with a coordinate outside [0, q).
     """
     d = F.deg_t
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
-    p = F.ctx.p
-    if F.ctx.k > 1 or not _gfp.gf_batch_fits(d, p):
+    ctx = F.ctx
+    if not _gfp.gf_batch_fits(d, ctx.k, ctx.p):
         for point in points:
             yield _classify_one(F, point)
         return
-    size = max(1, _SPEC_BLOCK // (d * d))
+    size = max(1, _SPEC_BLOCK // (d * d * ctx.k * ctx.k))
     points = iter(points)
     while True:
         block = list(itertools.islice(points, size))
-        good = next((i for i, a in enumerate(block) if len(a) != F.n), len(block))
-        if good:
-            rows = np.fromiter((x % p for a in block[:good] for x in a), np.int64, good * F.n)
-            for parts in _gfp.gf_spec_types(F.specialize_block(rows.reshape(good, F.n)), p):
+        coords = ctx.coordinates(block, F.n)
+        if len(coords):
+            for parts in _gfp.gf_spec_types(F.specialize_block(coords), ctx.vec):
                 yield DEGREE_DROP if parts == () else NON_SQUAREFREE if parts is None else parts
-        if good < len(block):
-            F.specialize_dense(block[good])  # raises ArityMismatchError
+        if len(coords) < len(block):
+            F.specialize_dense(block[len(coords)])  # raises ArityMismatchError or ValueError
         if len(block) < size:
             return
 
@@ -522,9 +535,10 @@ def require_dense_budget(F: MultiPoly, budget: int) -> None:
 
 
 def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:
-    """Degree drop, repeated factors, or the factorization type at a point.
-    One point takes the scalar path of classify_points, which is several
-    times faster than a block of one."""
+    """Degree drop, repeated factors, or the factorization type at a point,
+    with the errors of classify_points.  One point takes the scalar path of
+    classify_points (``specialize_dense`` and ``_gfp.gf_spec_type``), which
+    is several times faster than a block of one."""
     if F.deg_t < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
     outcome = _classify_one(F, point)

@@ -1,8 +1,12 @@
-"""The batched prime-field classifier (``_gfp.gf_spec_types`` behind
-``mpoly.classify_points``) against the scalar path and independent oracles."""
+"""The batched classifier (``_gfp.gf_spec_types`` behind
+``mpoly.classify_points``) over prime and extension fields, against the
+scalar path and independent oracles."""
 
+import contextlib
 import itertools
 import math
+import random
+import signal
 from unittest import mock
 
 import pytest
@@ -27,14 +31,35 @@ _scalar = mpoly._classify_one
 
 
 def _blocked(F, points, size):
-    """classify_points with blocks of exactly `size` points."""
-    d = max(F.deg_t, 1)
-    with mock.patch.object(mpoly, "_SPEC_BLOCK", size * d * d):
-        return list(classify_points(F, points))
+    """classify_points with blocks of exactly `size` points; asserts that the
+    batched kernel classified every point."""
+    d, k = max(F.deg_t, 1), F.ctx.k
+    with mock.patch.object(mpoly, "_SPEC_BLOCK", size * d * d * k * k), mock.patch.object(
+        _gfp, "gf_spec_types", wraps=_gfp.gf_spec_types
+    ) as spy:
+        got = list(classify_points(F, points))
+    assert sum(len(call.args[0]) for call in spy.call_args_list) == len(points)
+    return got
 
 
 def _refuse(*args):
     raise AssertionError("the batched kernel ran")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a test that runs past `seconds` instead of letting it hang."""
+
+    def expire(*args):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @st.composite
@@ -60,7 +85,7 @@ def _families(draw):
 @given(_families())
 def test_batched_matches_scalar_path(case):
     F, points, size = case
-    assert _gfp.gf_batch_fits(F.deg_t, F.ctx.p)
+    assert _gfp.gf_batch_fits(F.deg_t, 1, F.ctx.p)
     assert _blocked(F, points, size) == [_scalar(F, pt) for pt in points]
 
 
@@ -93,13 +118,13 @@ def test_patched_bound_takes_the_scalar_path():
     with mock.patch.object(_gfp, "_INT64_LIMIT", 0), mock.patch.object(
         _gfp, "gf_spec_types", _refuse
     ):
-        assert not _gfp.gf_batch_fits(4, 13)
+        assert not _gfp.gf_batch_fits(4, 1, 13)
         assert list(classify_points(F, points)) == batched
 
 
 def test_large_prime_takes_the_scalar_path_and_matches_sympy():
     p = 2**31 - 1
-    assert not _gfp.gf_batch_fits(3, p)
+    assert not _gfp.gf_batch_fits(3, 1, p)
     F = parse("t^3 + A1*t + A2", 2, FieldCtx(p))
     points = [(0, 0), (p - 3, 2), (1, 1), (5, 7), (123456789, 987654321), (p - 1, 0)]
     with mock.patch.object(_gfp, "gf_spec_types", _refuse):
@@ -166,6 +191,119 @@ def test_points_are_reduced_before_int64():
     got = _blocked(F, points, 3)
     assert got == [_scalar(F, pt) for pt in points]
     assert got == [_scalar(F, tuple(a % 101 for a in pt)) for pt in points]
+
+
+# -- extension fields -------------------------------------------------------------
+
+# GF(4), GF(8), GF(9), GF(16), GF(25), GF(27), GF(49), GF(3^5), GF(2^8)
+EXTENSIONS = [
+    FieldCtx(p, k, seed=1) for p, k in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (3, 5), (2, 8))
+]
+
+
+@st.composite
+def _extension_families(draw):
+    # as _families, over GF(p^k) with d <= 6; coefficients are any elements
+    ctx = draw(st.sampled_from(EXTENSIONS), label="field")
+    q = ctx.q
+    d = draw(st.integers(1, 6), label="d")
+    n = draw(st.integers(1, 2), label="n")
+    coeff = st.integers(0, q - 1)
+    exps = st.tuples(st.integers(0, d - 1), *[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exps, coeff, max_size=6), label="terms")
+    lead = (d,) + tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    terms[lead] = draw(st.integers(1, q - 1))
+    F = MultiPoly(ctx, n, terms)
+    value = st.one_of(st.sampled_from([0, 1, ctx.p, q - 1]), coeff)
+    points = draw(st.lists(st.tuples(*[value] * n), min_size=1, max_size=16), label="points")
+    size = draw(st.integers(1, 7), label="block")
+    return F, points, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extension_families())
+def test_extension_batched_matches_scalar_path(case):
+    F, points, size = case
+    assert _gfp.gf_batch_fits(F.deg_t, F.ctx.k, F.ctx.p)
+    assert _blocked(F, points, size) == [_scalar(F, pt) for pt in points]
+
+
+@pytest.mark.parametrize("ctx", [c for c in EXTENSIONS if c.q <= 81], ids=lambda c: f"GF{c.q}")
+def test_artin_schreier_family_splits_exactly_on_trace_zero(ctx):
+    # t^p - t - a has degree p and derivative -1; it splits into p linear
+    # factors over GF(q) when tr(a) = 0 and is irreducible otherwise
+    p = ctx.p
+    F = parse(f"t^{p} - t - A1", 1, ctx)
+    points = [(a,) for a in range(ctx.q)]
+    got = _blocked(F, points, 5)
+    assert got == [(1,) * p if ctx.trace(a) == 0 else (p,) for (a,) in points]
+    assert got.count((1,) * p) == ctx.q // p
+
+
+@pytest.mark.parametrize("ctx", [c for c in EXTENSIONS if c.q <= 81], ids=lambda c: f"GF{c.q}")
+def test_inseparable_family_is_never_squarefree(ctx):
+    # every a is a p-th power b^p in GF(q), so t^p - a = (t - b)^p
+    F = parse(f"t^{ctx.p} - A1", 1, ctx)
+    points = [(a,) for a in range(ctx.q)]
+    assert _blocked(F, points, 4) == [NON_SQUAREFREE] * ctx.q
+
+
+EDGE = FieldCtx(1073741789, 2, seed=1)  # the largest prime below 2^30: 4 p^2 < 2^62
+
+
+@pytest.mark.parametrize(
+    "expr", ["t^3 + A1*t + A2", "(t - A1)^2*(t - A2)", "A1*t^4 + A2*t + 1", "(t^2 - A1)*(t^2 - A2)"]
+)
+def test_extension_at_the_edge_of_the_int64_bound(expr):
+    # every tensor contraction over GF(p^2) sums products near 2^60
+    F = parse(expr, 2, EDGE)
+    assert _gfp.gf_batch_fits(F.deg_t, 2, EDGE.p)
+    rng = random.Random(expr)
+    values = [0, 1, EDGE.p, EDGE.q - 1] + [rng.randrange(EDGE.q) for _ in range(3)]
+    points = [(a, b) for a in values for b in values[::2]] + [(values[-1], values[-1])]
+    assert _blocked(F, points, 5) == [_scalar(F, pt) for pt in points]
+
+
+def test_extension_patched_bound_takes_the_scalar_path():
+    F = parse("t^4 + A1*t^2 + A2*t + 1", 2, FieldCtx(3, 2, seed=1))
+    points = list(itertools.product(range(9), repeat=2))
+    batched = _blocked(F, points, 5)
+    with mock.patch.object(_gfp, "_INT64_LIMIT", 0), mock.patch.object(
+        _gfp, "gf_spec_types", _refuse
+    ):
+        assert not _gfp.gf_batch_fits(4, 2, 3)
+        assert list(classify_points(F, points)) == batched
+
+
+def test_bound_counts_the_tensor_and_the_encodings():
+    # max(d, k^2) p^2 < 2^62: 1073741789 and 1073741827 are the primes on
+    # either side of 2^30, so 4 p^2 passes 2^62 between them
+    below, above = 1073741789, 1073741827
+    assert _gfp.gf_batch_fits(4, 2, below) and not _gfp.gf_batch_fits(4, 2, above)
+    assert _gfp.gf_batch_fits(2, 1, above) and not _gfp.gf_batch_fits(2, 2, above)
+    assert not _gfp.gf_batch_fits(5, 2, below)
+    # q < 2^62, since points are read into int64 as encodings
+    assert _gfp.gf_batch_fits(6, 61, 2) and not _gfp.gf_batch_fits(6, 62, 2)
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 10**30, -(10**30)])
+def test_out_of_range_coordinate_on_an_extension_raises(bad):
+    F = parse("t^2 + A1", 1, FieldCtx(3, 2, seed=1))
+    with _deadline(5):
+        with pytest.raises(ValueError):
+            mpoly.classify_specialization(F, (bad,))
+        for size in (1, 2, 8):
+            with mock.patch.object(mpoly, "_SPEC_BLOCK", size * 16):
+                it = classify_points(F, [(1,), (2,), (bad,), (0,)])
+                assert next(it) == _scalar(F, (1,))
+                assert next(it) == _scalar(F, (2,))
+                with pytest.raises(ValueError):
+                    next(it)
+        with mock.patch.object(_gfp, "_INT64_LIMIT", 0):
+            it = classify_points(F, [(1,), (bad,)])
+            assert next(it) == _scalar(F, (1,))
+            with pytest.raises(ValueError):
+                next(it)
 
 
 def test_wrong_length_point_raises_after_the_earlier_outcomes():

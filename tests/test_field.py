@@ -144,6 +144,34 @@ def test_trace_form_matches_frobenius_sum(p, k):
         assert ctx.trace(a) == ctx._trace_raw(a)
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8)])
+def test_multiplication_tensor_matches_mul(p, k):
+    # the batched kernels multiply through T[i, j] = coords(x^i * x^j); mul
+    # through the packed reducer is the oracle, also on whole coordinate blocks
+    ctx = FieldCtx(p, k, seed=0)
+    vec = ctx.vec
+    basis = [ctx.from_coords(tuple(int(i == j) for j in range(k))) for i in range(k)]
+    for i in range(k):
+        for j in range(k):
+            assert vec.tensor[i, j].tolist() == list(ctx.coords(ctx.mul(basis[i], basis[j])))
+    assert not vec.tensor.flags.writeable
+    rng = random.Random(p * k)
+    pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(50)]
+    a, b = (np.array([ctx.coords(x[s]) for x in pairs], dtype=np.int64).T for s in (0, 1))
+    assert vec.mul(a, b).T.tolist() == [list(ctx.coords(ctx.mul(x, y))) for x, y in pairs]
+    assert vec.pow(a, ctx.q - 2).T.tolist() == [list(ctx.coords(ctx.pow(x, ctx.q - 2))) for x, _ in pairs]
+
+
+def test_coordinates_read_leading_valid_points():
+    f9 = FieldCtx(3, 2, modulus=[1, 0, 1])
+    pts = [(0, 8), (5, 3), (9, 1), (1, 1)]
+    assert f9.coordinates(pts, 2).tolist() == [[[0, 0], [2, 2]], [[2, 1], [0, 1]]]
+    assert f9.coordinates([(1,), (-1,)], 1).tolist() == [[[1, 0]]]
+    assert f9.coordinates([(1, 1), (2,)], 2).shape == (1, 2, 2)
+    f7 = FieldCtx(7)
+    assert f7.coordinates([(-1, 10**30), (3,)], 2).tolist() == [[[6], [10**30 % 7]]]
+
+
 def test_trace_f9_examples():
     ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
     x = ctx.from_coords((0, 1))

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffstats import _gfp
 from ffstats.errors import (
     ArityMismatchError,
     NegativeExponentError,
@@ -280,7 +282,9 @@ def test_extension_classification_matches_splitting_rule(case):
     _, factors = sympy.Poly(f[::-1], sympy.Symbol("t"), modulus=ctx.p).factor_list()
     g = UniPoly.make(ctx, _compose_linear(ctx, f, c1, c2))
     F = MultiPoly(ctx, 1, {(i, 0): c for i, c in enumerate(g.coeffs) if c})
-    outcome = next(classify_points(F, [(0,)]))
+    with mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as batched:
+        outcome = next(classify_points(F, [(0,)]))
+    batched.assert_called_once()
     if any(m > 1 for _, m in factors):
         assert outcome == NON_SQUAREFREE
         with pytest.raises(NotSquarefreeError):

@@ -3,9 +3,11 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from ffstats import _gfp
 from ffstats.errors import (
     BudgetExceededError,
     DegreeMismatchError,
@@ -225,7 +227,9 @@ def test_distribution_of_all_monic_polynomials_is_necklace_counts(p, k, d):
     ctx = FieldCtx(p, k)
     q = ctx.q
     poly = " + ".join([f"t^{d}"] + [f"A{i}*t^{d - i}" for i in range(1, d)] + [f"A{d}"])
-    dist = empirical_distribution(parse(poly, d, ctx), FullSpace(d))
+    with mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as batched:
+        dist = empirical_distribution(parse(poly, d, ctx), FullSpace(d))
+    assert sum(len(call.args[0]) for call in batched.call_args_list) == q**d
     expected = {}
     for parts in partitions(d):
         count = 1
