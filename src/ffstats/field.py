@@ -28,16 +28,15 @@ against the first column of M, and a prime field is the case M = [[1]].
 Character sums psi(u) = e^(2*pi*i*tr(u)/p) are never evaluated in floating
 point inside loops.  Instead each term increments an integer slot of a
 :class:`CyclotomicSum` (slot j holds the coefficient of e^(2*pi*i*j/p)) and
-the complex magnitude is taken once at the end.  Adding a constant to every
+the complex value is taken once at the end, by :func:`cyclotomic_rows`, which
+sums without BLAS, whose order depends on the CPU.  Adding a constant to every
 slot leaves the represented number unchanged, since the p-th roots of unity
-sum to zero; the evaluation exploits this to return sums supported on at
-most one root exactly, without any trigonometry.
+sum to zero; the evaluation exploits this to return sums on one root exactly.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import random
 
 import numpy as np
@@ -81,23 +80,25 @@ def _unity_roots(p: int):
     return np.cos(ang), np.sin(ang)
 
 
-def cyclotomic_magnitude(counts, p: int) -> float:
-    """|sum_j counts[j] * e^(2*pi*i*j/p)| for an integer count vector.
-
-    Shifts off the minimum first (a constant vector represents zero); sums
-    left supported on at most one slot come back exactly, everything else
-    is evaluated in double precision.
-    """
-    arr = np.asarray(counts, dtype=np.int64)
-    arr = arr - arr.min()
-    nz = np.flatnonzero(arr)
-    if nz.size == 0:
-        return 0.0
-    if nz.size == 1:
-        return float(arr[nz[0]])
+def cyclotomic_rows(counts, p: int):
+    """Real parts, imaginary parts and magnitudes of
+    sum_j counts[i, j] * e^(2*pi*i*j/p), one per row of an (m, p) int64 array.
+    Rows are shifted off their minimum (a constant row represents zero);
+    those left on at most one slot get their magnitude exactly, the rest
+    sqrt(re^2 + im^2) from ``np.add.reduce`` sums in an order fixed by p."""
+    arr = counts - counts.min(axis=1, keepdims=True)
     cos, sin = _unity_roots(p)
-    af = arr.astype(float)
-    return math.hypot(float(af @ cos), float(af @ sin))
+    re = np.add.reduce(arr * cos, axis=1)
+    im = np.add.reduce(arr * sin, axis=1)
+    mag = np.sqrt(re * re + im * im)
+    one = np.count_nonzero(arr, axis=1) <= 1
+    mag[one] = arr[one].max(axis=1)
+    return re, im, mag
+
+
+def cyclotomic_magnitude(counts, p: int) -> float:
+    """|sum_j counts[j] * e^(2*pi*i*j/p)|: one row of :func:`cyclotomic_rows`."""
+    return float(cyclotomic_rows(np.asarray(counts, dtype=np.int64).reshape(1, -1), p)[2][0])
 
 
 class CyclotomicSum:
@@ -127,9 +128,8 @@ class CyclotomicSum:
         return self
 
     def value(self) -> complex:
-        cos, sin = _unity_roots(self.p)
-        arr = np.asarray(self.counts, dtype=float)
-        return complex(float(arr @ cos), float(arr @ sin))
+        re, im, _ = cyclotomic_rows(np.asarray([self.counts], dtype=np.int64), self.p)
+        return complex(re[0], im[0])
 
     def magnitude(self) -> float:
         return cyclotomic_magnitude(self.counts, self.p)

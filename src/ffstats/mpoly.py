@@ -462,8 +462,10 @@ class SpecializationOutcome:
 # Points per block of the batched path: the largest temporaries, the raw
 # products of two blocks of d x d matrices over GF(p^k), hold about
 # d^2 k^2 entries per point, so a block of _SPEC_BLOCK / (d^2 k^2) points
-# holds about this many in all.
+# holds about this many in all; at least _SPEC_MIN points, below which the
+# fixed numpy overhead of a block outweighs its arithmetic.
 _SPEC_BLOCK = 1 << 13
+_SPEC_MIN = 32
 
 
 def classify_points(F: MultiPoly, points):
@@ -480,9 +482,10 @@ def classify_points(F: MultiPoly, points):
     Within the int64 bound ``_gfp.gf_batch_fits`` (max(deg_t, k^2) * p^2 <
     2^62 and q < 2^62), the points are read into coordinate arrays by
     ``ctx.coordinates`` and classified in blocks of about
-    ``_SPEC_BLOCK / (deg_t^2 k^2)`` by ``specialize_block`` and
-    ``_gfp.gf_spec_types``, from Frobenius matrices over GF(q) (Berlekamp
-    1967; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
+    ``_SPEC_BLOCK / (deg_t^2 k^2)`` points, at least ``_SPEC_MIN``, by
+    ``specialize_block`` and ``_gfp.gf_spec_types``, from Frobenius matrices
+    over GF(q) (Berlekamp 1967; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 14).
     Otherwise each point takes ``specialize_dense`` and the distinct-degree
     splitting of ``_gfp.gf_spec_type``.  Both paths yield the same outcomes.
 
@@ -502,7 +505,7 @@ def classify_points(F: MultiPoly, points):
         for point in points:
             yield _classify_one(F, point)
         return
-    size = max(1, _SPEC_BLOCK // (d * d * ctx.k * ctx.k))
+    size = max(_SPEC_MIN, _SPEC_BLOCK // (d * d * ctx.k * ctx.k))
     points = iter(points)
     while True:
         block = list(itertools.islice(points, size))

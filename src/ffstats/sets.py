@@ -9,13 +9,13 @@ coordinate-wise, each factor reduces affinely to an initial interval
 {0..H-1}, and the factor magnitudes have the closed form
 |sin(pi*H*b/p)| / (p*|sin(pi*b/p)|).
 
-Dense spectra are accumulated exactly as integer root-of-unity counts per
-frequency and converted to magnitudes only at the end; sums supported on a
-single root come back exactly, which keeps the landmark values (full space,
-singletons, trace-zero subgroups) free of floating-point noise.  Every
-spectrum takes its counts from :func:`phase_counts`, which reads the phases
-tr(a.b) off the trace form of the field: one integer matmul mod p per block
-of frequencies, for prime and extension fields alike.
+Every spectrum comes from one block kernel, :func:`phase_sums`: phases
+tr(a.b) from the trace form (one integer matmul mod p per block of
+frequencies), summed point by point for sets of fewer than p points, else
+binned into root-of-unity counts, one histogram per F_p-line of frequencies.
+Sums on a single root come back exactly, which keeps the landmark values
+(full space, singletons, trace-zero subgroups) free of floating-point noise,
+and no reduction goes through BLAS: the same bits on every machine.
 """
 
 from __future__ import annotations
@@ -27,17 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _gfp
 from .errors import (
     ArityMismatchError,
     BudgetExceededError,
     DegreeMismatchError,
 )
-from .field import FieldCtx, cyclotomic_magnitude, _unity_roots
+from .field import FieldCtx, _unity_roots, cyclotomic_rows
 
 DEFAULT_BUDGET = 1 << 24
 
-# Phase entries (points x frequencies) and count slots (p x frequencies)
-# that phase_counts holds at once.
+# Phase entries (frequencies x points) and count slots (frequencies x p)
+# that the spectrum kernel holds at once.
 _PHASE_BLOCK = 1 << 14
 
 
@@ -183,35 +184,81 @@ def frequencies(ctx: FieldCtx, n: int, budget: int = DEFAULT_BUDGET):
     return list(itertools.product(range(ctx.q), repeat=n))
 
 
-def _coordinates(rows, ctx, n):
-    """Power-basis coordinates of n-tuples of elements: one row of n*k ints
-    per tuple, the k coordinates of each element side by side."""
-    arr = np.asarray(rows, dtype=np.int64).reshape(-1, n, 1)
-    return (arr // ctx.p ** np.arange(ctx.k, dtype=np.int64) % ctx.p).reshape(
-        len(arr), n * ctx.k
-    )
+def _functionals(points, freqs, ctx, n, sign):
+    """Power-basis coordinates pts of the points and functionals w of the
+    frequencies with sign*tr(a.b) = pts[a] . w[b] mod p, by the trace form:
+    integer products below n*k*p^2, exact in int64 for any feasible p."""
+    pts, coords = (np.asarray(r, np.int64).reshape(-1, n, 1) // ctx.p ** np.arange(ctx.k) % ctx.p
+                   for r in (points, freqs))
+    form = np.kron(np.eye(n, dtype=np.int64), ctx.trace_form)
+    return pts.reshape(-1, n * ctx.k), sign * (coords.reshape(-1, n * ctx.k) @ form) % ctx.p
+
+
+def _bin(w, pts, p):
+    """Slot counts of the phases pts . w mod p, one row per functional."""
+    slots = w @ pts.T % p + p * np.arange(len(w))[:, None]
+    return np.bincount(slots.ravel(), minlength=p * len(w)).reshape(len(w), p)
 
 
 def phase_counts(points, freqs, ctx: FieldCtx, n: int, sign: int):
-    """Yield, for each frequency b in order, the length-p slot counts of
-    sum_{a in points} psi(sign * a.b).
-
-    tr(a.b) = coords(a)^T diag(M, ..., M) coords(b) mod p with M the trace
-    form, so the frequencies are multiplied by the form once, and each block
-    of them costs one int64 matmul mod p and one offset bincount.  Products
-    stay below n*k*p^2, inside int64 for any p whose count vector fits in
-    memory.
-    """
+    """Yield, for each block of frequencies b in order, the (B, p) slot counts
+    of sum_{a in points} psi(sign * a.b).  As tr(a.(l*b)) = l*tr(a.b), each
+    w = l*rep (l in F_p^* its first nonzero entry) has counts_w[m] =
+    counts_rep[m/l], so only one rep per F_p-line is binned."""
     p = ctx.p
-    pts = _coordinates(points, ctx, n)
-    form = np.kron(np.eye(n, dtype=np.int64), ctx.trace_form)
-    w = _coordinates(freqs, ctx, n) @ form % p
+    pts, w = _functionals(points, freqs, ctx, n, sign)
+    lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
+    lead[lead == 0] = 1  # the zero functional is its own line
+    inv = _gfp.VecField(p, ()).pow(lead[None], p - 2)[0]
+    w = w * inv[:, None] % p
+    lines = {}  # rep (as its base-p digits) -> row of the table
+    keys = (w @ p ** np.arange(w.shape[1])).tolist()
+    line = np.array([lines.setdefault(key, len(lines)) for key in keys], dtype=np.int64)
+    reps = np.empty((len(lines), w.shape[1]), np.int64)
+    reps[line] = w
     step = max(1, _PHASE_BLOCK // max(len(pts), p))
+    bins = (_bin(reps[lo : lo + step], pts, p) for lo in range(0, len(reps), step))
+    table = np.concatenate([np.empty((0, p), np.int64), *bins])
+    step = max(1, _PHASE_BLOCK // p)
     for lo in range(0, len(w), step):
-        block = w[lo : lo + step]
-        slots = sign * (pts @ block.T) % p + p * np.arange(len(block))
-        counts = np.bincount(slots.ravel(), minlength=p * len(block))
-        yield from counts.reshape(len(block), p)
+        yield table[line[lo : lo + step, None], inv[lo : lo + step, None] * np.arange(p) % p]
+
+
+def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int):
+    """Yield, for each block of frequencies b in order, the real parts,
+    imaginary parts and magnitudes of sum_{a in points} psi(sign * a.b).
+
+    With |S| >= p, the counts of :func:`phase_counts` go through
+    :func:`field.cyclotomic_rows`.  With |S| < p, the sparse path sums cos and
+    sin of each (frequency, point) phase, O(|S|) per frequency; as on the
+    histogram path (some slot is empty) a row on one root comes back exactly.
+    Sums are ``np.add.reduce`` along rows, never BLAS dot products (whose
+    order depends on the CPU): the bits depend on neither the machine nor
+    the ``_PHASE_BLOCK`` boundaries.
+    """
+    p, m = ctx.p, len(points)
+    if m >= p:
+        for counts in phase_counts(points, freqs, ctx, n, sign):
+            yield cyclotomic_rows(counts, p)
+        return
+    pts, w = _functionals(points, freqs, ctx, n, sign)
+    cos, sin = _unity_roots(p)
+    step = max(1, _PHASE_BLOCK // max(m, 1))
+    for lo in range(0, len(w), step):
+        phases = w[lo : lo + step] @ pts.T % p
+        re = np.add.reduce(cos[phases], axis=1)
+        im = np.add.reduce(sin[phases], axis=1)
+        mag = np.sqrt(re * re + im * im)
+        root = phases.min(axis=1, initial=p)
+        one = root == phases.max(axis=1, initial=-1)
+        re[one], im[one], mag[one] = m * cos[root[one]], m * sin[root[one]], m
+        yield re, im, mag
+
+
+def character_sums(points, freqs, ctx: FieldCtx, n: int, sign: int):
+    """The (re, im, magnitude) floats of :func:`phase_sums`, frequency by frequency."""
+    for re, im, mag in phase_sums(points, freqs, ctx, n, sign):
+        yield from zip(re.tolist(), im.tolist(), mag.tolist())
 
 
 @dataclass
@@ -232,11 +279,8 @@ def indicator_fourier(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Fourier
     qn = ctx.q**n
     freqs = frequencies(ctx, n, budget)
     pts = enumerate_points(s, ctx, budget)
-    cos, sin = _unity_roots(ctx.p)
-    values = {}
-    for b, counts in zip(freqs, phase_counts(pts, freqs, ctx, n, -1)):
-        counts = counts.astype(float)
-        values[b] = complex(float(counts @ cos), float(counts @ sin)) / qn
+    sums = zip(freqs, character_sums(pts, freqs, ctx, n, -1))
+    values = {b: complex(re, im) / qn for b, (re, im, _) in sums}
     return FourierSpectrum(ctx, n, values)
 
 
@@ -302,9 +346,9 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
         return IrregularityReport(irreg, method, bound, size)
     n = dimension(s)
     pts = enumerate_points(s, ctx, budget)
-    total = 0.0
-    for counts in phase_counts(pts, frequencies(ctx, n, budget), ctx, n, -1):
-        total += cyclotomic_magnitude(counts, ctx.p)
+    # fsum is correctly rounded: the total does not depend on the blocks
+    sums = character_sums(pts, frequencies(ctx, n, budget), ctx, n, -1)
+    total = math.fsum(mag for _, _, mag in sums)
     return IrregularityReport(total / size, "exact_dft", None, size)
 
 
@@ -333,12 +377,9 @@ def verify_plancherel_decomposition(
     spts = enumerate_points(s, ctx, budget)
     lhs = len(set(spts) & set(d_points))
     spectrum = indicator_fourier(s, ctx, budget)
-    cos, sin = _unity_roots(ctx.p)
     rhs = complex(len(spts) * len(d_points) / qn)
-    for b, counts in zip(nonzero, phase_counts(d_points, nonzero, ctx, n, +1)):
-        counts = counts.astype(float)
-        t_d = complex(float(counts @ cos), float(counts @ sin))
-        rhs += spectrum.values[b] * t_d
+    for b, (re, im, _) in zip(nonzero, character_sums(d_points, nonzero, ctx, n, +1)):
+        rhs += spectrum.values[b] * complex(re, im)
     return abs(lhs - rhs)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     PartitionMismatchError,
     ZeroFrequencyError,
 )
-from .field import CyclotomicSum, cyclotomic_magnitude
+from .field import CyclotomicSum
 from .mpoly import MultiPoly
 from .parallel import map_merge
 from .sets import DEFAULT_BUDGET, dimension, enumerate_points
@@ -423,9 +423,9 @@ def restricted_charsum(
         raise ZeroFrequencyError("frequency vector must be nonzero")
     ctx = F.ctx
     matches = _matching_points(F, parts, budget, seed)
-    counts = next(_sets.phase_counts(matches, [b], ctx, F.n, -1))
-    cyclo = CyclotomicSum(ctx.p, counts)
-    mag = cyclo.magnitude()
+    cyclo = CyclotomicSum(ctx.p, next(_sets.phase_counts(matches, [b], ctx, F.n, -1))[0])
+    # the magnitude weil_sweep gives for b, on the path the matches select
+    _, _, mag = next(_sets.character_sums(matches, [b], ctx, F.n, -1))
     return CharSumResult(cyclo, mag, mag / _weil_scale(ctx.q, F.n), len(matches))
 
 
@@ -459,15 +459,10 @@ def weil_sweep(
                 raise ZeroFrequencyError(f"bad frequency {b}")
     matches = _matching_points(F, parts, budget, seed)
     scale = _weil_scale(ctx.q, n)
-    p = ctx.p
-    q = ctx.q
 
     def work(chunk):
-        rows = []
-        for b, counts in zip(chunk, _sets.phase_counts(matches, chunk, ctx, n, -1)):
-            mag = cyclotomic_magnitude(counts, p)
-            rows.append((q, b, mag, mag / scale))
-        return rows
+        sums = zip(chunk, _sets.character_sums(matches, chunk, ctx, n, -1))
+        return [(ctx.q, b, mag, mag / scale) for b, (_, _, mag) in sums]
 
     rows = map_merge(bs, work, lambda a, b2: a + b2, [], threads=threads)
     max_ratio = max((r[3] for r in rows), default=0.0)

@@ -35,8 +35,8 @@ def _blocked(F, points, size):
     batched kernel classified every point."""
     d, k = max(F.deg_t, 1), F.ctx.k
     with mock.patch.object(mpoly, "_SPEC_BLOCK", size * d * d * k * k), mock.patch.object(
-        _gfp, "gf_spec_types", wraps=_gfp.gf_spec_types
-    ) as spy:
+        mpoly, "_SPEC_MIN", 1
+    ), mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as spy:
         got = list(classify_points(F, points))
     assert sum(len(call.args[0]) for call in spy.call_args_list) == len(points)
     return got
@@ -293,7 +293,9 @@ def test_out_of_range_coordinate_on_an_extension_raises(bad):
         with pytest.raises(ValueError):
             mpoly.classify_specialization(F, (bad,))
         for size in (1, 2, 8):
-            with mock.patch.object(mpoly, "_SPEC_BLOCK", size * 16):
+            with mock.patch.object(mpoly, "_SPEC_BLOCK", size * 16), mock.patch.object(
+                mpoly, "_SPEC_MIN", 1
+            ):
                 it = classify_points(F, [(1,), (2,), (bad,), (0,)])
                 assert next(it) == _scalar(F, (1,))
                 assert next(it) == _scalar(F, (2,))
@@ -309,7 +311,9 @@ def test_out_of_range_coordinate_on_an_extension_raises(bad):
 def test_wrong_length_point_raises_after_the_earlier_outcomes():
     F = parse("t^2 + A1", 1, FieldCtx(7))
     for size in (1, 3, 8):
-        with mock.patch.object(mpoly, "_SPEC_BLOCK", size * 4):
+        with mock.patch.object(mpoly, "_SPEC_BLOCK", size * 4), mock.patch.object(
+            mpoly, "_SPEC_MIN", 1
+        ):
             it = classify_points(F, [(1,), (3,), (0, 1), (2,)])
             assert next(it) == (2,)  # t^2 + 1: -1 is not a square mod 7
             assert next(it) == (1, 1)  # t^2 + 3: -3 = 4 is
@@ -324,3 +328,15 @@ def test_constant_in_t_and_empty_input():
     assert list(classify_points(F, [])) == []
     assert list(classify_points(F, iter(()))) == []
 
+
+
+def test_blocks_hold_at_least_spec_min_points():
+    # d^2 k^2 = 1600 would leave _SPEC_BLOCK / 1600 = 5 points a block
+    F = parse("t^5 + A1*t^2 + A1", 1, FieldCtx(2, 8, seed=3))
+    points = [(a,) for a in range(F.ctx.q)]
+    assert mpoly._SPEC_BLOCK // (25 * 64) < mpoly._SPEC_MIN == 32
+    with mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as spy:
+        got = list(classify_points(F, points))
+    sizes = [len(call.args[0]) for call in spy.call_args_list]
+    assert sum(sizes) == len(points) and min(sizes) >= 32
+    assert got == [_scalar(F, pt) for pt in points]

@@ -4,13 +4,14 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffstats import sets
 from ffstats.errors import ArityMismatchError, BudgetExceededError
-from ffstats.field import FieldCtx
+from ffstats.field import FieldCtx, cyclotomic_rows
 from ffstats.mpoly import parse
 from ffstats.sets import (
     APSpec,
@@ -26,6 +27,7 @@ from ffstats.sets import (
     load_points_file,
     parse_set,
     phase_counts,
+    phase_sums,
     split_top_level,
     verify_plancherel_decomposition,
 )
@@ -213,6 +215,15 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_phase_counts_matches_scalar_loop(case):
     ctx, n, points, freqs, sign, block = case
+    # small blocks put block boundaries inside the frequency list
+    with mock.patch.object(sets, "_PHASE_BLOCK", block):
+        got = [row.tolist() for blk in phase_counts(points, freqs, ctx, n, sign) for row in blk]
+    assert got == _scalar_counts(points, freqs, ctx, sign)
+
+
+def _scalar_counts(points, freqs, ctx, sign):
+    """Slot counts binned directly, one frequency at a time, from field
+    arithmetic and the trace as a sum of Frobenius powers."""
     want = []
     for b in freqs:
         counts = [0] * ctx.p
@@ -222,10 +233,83 @@ def test_phase_counts_matches_scalar_loop(case):
                 dot = ctx.add(dot, ctx.mul(ai, bi))
             counts[sign * ctx._trace_raw(dot) % ctx.p] += 1
         want.append(counts)
-    # small blocks put block boundaries inside the frequency list
-    with mock.patch.object(sets, "_PHASE_BLOCK", block):
-        got = [c.tolist() for c in phase_counts(points, freqs, ctx, n, sign)]
-    assert got == want
+    return want
+
+
+def _sample(ctx, n, size, seed):
+    rng = random.Random(seed)
+    return rng.sample(list(itertools.product(range(ctx.q), repeat=n)), size)
+
+
+@pytest.mark.parametrize(
+    "ctx, n, size",
+    [
+        (FieldCtx(13), 1, 13),
+        (FieldCtx(13), 2, 20),
+        (FieldCtx(7), 2, 3),
+        (FieldCtx(3, 2, seed=1), 1, 4),
+        (FieldCtx(3, 2, seed=1), 2, 10),
+        (FieldCtx(5, 2, seed=0), 2, 30),
+        (FieldCtx(2, 3, seed=0), 2, 9),
+    ],
+)
+def test_line_reused_counts_match_direct_binning(ctx, n, size):
+    points = _sample(ctx, n, size, seed=size)
+    freqs = list(itertools.product(range(ctx.q), repeat=n))
+    with mock.patch.object(sets, "_bin", wraps=sets._bin) as spy:
+        got = [row.tolist() for blk in phase_counts(points, freqs, ctx, n, -1) for row in blk]
+    assert got == _scalar_counts(points, freqs, ctx, -1)
+    # one histogram per F_p-line: the zero frequency, and (q^n - 1)/(p - 1)
+    binned = sum(len(call.args[0]) for call in spy.call_args_list)
+    assert binned == 1 + (len(freqs) - 1) // (ctx.p - 1)
+
+
+def _histogram_sums(points, freqs, ctx, n, sign):
+    """The histogram path of phase_sums, forced whatever the set's size."""
+    return [cyclotomic_rows(c, ctx.p) for c in phase_counts(points, freqs, ctx, n, sign)]
+
+
+def _joined(blocks):
+    return [np.concatenate(part) for part in zip(*blocks)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((FieldCtx(13), FieldCtx(101), FieldCtx(5, 2, seed=0), FieldCtx(7, 2, seed=1))),
+    st.integers(1, 2),
+    st.data(),
+)
+def test_sparse_path_matches_forced_histogram_path(ctx, n, data):
+    point = st.tuples(*[st.integers(0, ctx.q - 1)] * n)
+    points = data.draw(st.lists(point, max_size=ctx.p - 1))
+    freqs = data.draw(st.lists(point, min_size=1, max_size=30)) + [(0,) * n]
+    sign = data.draw(st.sampled_from((-1, 1)))
+    assert len(points) < ctx.p  # so phase_sums takes the sparse path
+    sparse = _joined(phase_sums(points, freqs, ctx, n, sign))
+    dense = _joined(_histogram_sums(points, freqs, ctx, n, sign))
+    one = np.count_nonzero(np.concatenate(list(phase_counts(points, freqs, ctx, n, sign))), axis=1) <= 1
+    assert one[-1]  # the zero frequency sits on one root
+    for got, want in zip(sparse, dense):
+        assert np.all(np.abs(got - want) <= 1e-12 * max(len(points), 1))
+        assert got[one].tobytes() == want[one].tobytes()
+    assert sparse[2][-1] == len(points) and sparse[1][-1] == 0.0
+
+
+@pytest.mark.parametrize("blk", range(1, 8))
+@pytest.mark.parametrize(
+    "ctx, n, size", [(FieldCtx(101), 2, 40), (FieldCtx(13), 2, 60), (FieldCtx(5, 2, seed=0), 2, 80)]
+)
+def test_phase_sums_bytes_do_not_depend_on_blocks(ctx, n, size, blk):
+    points = _sample(ctx, n, size, seed=blk)
+    freqs = list(itertools.product(range(ctx.q), repeat=n))
+    want = [a.tobytes() for a in _joined(phase_sums(points, freqs, ctx, n, -1))]
+    # blocks of blk frequencies on either path
+    with mock.patch.object(sets, "_PHASE_BLOCK", blk * min(size, ctx.p)):
+        blocks = list(phase_sums(points, freqs, ctx, n, -1))
+        rep = irregularity(ExplicitSet(points), ctx).irreg
+    assert max(len(b[0]) for b in blocks) <= blk
+    assert [a.tobytes() for a in _joined(blocks)] == want
+    assert rep.hex() == irregularity(ExplicitSet(points), ctx).irreg.hex()
 
 
 # ---------------------------------------------------------------------------

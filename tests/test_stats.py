@@ -442,6 +442,25 @@ def test_weil_sweep_thread_invariance():
     assert one.rows == three.rows and one.max_ratio == three.max_ratio
 
 
+@pytest.mark.parametrize(
+    "poly, n, parts, p",
+    # 15 squares in GF(31) take the sparse path, the [2,1] cubics over GF(13)^2
+    # the histogram path
+    [("t^2 - A1", 1, (1, 1), 31), ("t^3 + A1*t + A2", 2, (2, 1), 13)],
+)
+def test_weil_sweep_bytes_at_one_and_two_threads(poly, n, parts, p):
+    F = parse(poly, n, FieldCtx(p))
+
+    def hexed(sweep):
+        return [(b, mag.hex(), ratio.hex()) for _, b, mag, ratio in sweep.rows], sweep.max_ratio.hex()
+
+    one = weil_sweep(F, parts, None, threads=1)
+    assert hexed(one) == hexed(weil_sweep(F, parts, None, threads=2))
+    # restricted_charsum takes the same path for one frequency: the same bits
+    for _, b, mag, _ in one.rows[:: len(one.rows) // 5]:
+        assert restricted_charsum(F, parts, b).magnitude.hex() == mag.hex()
+
+
 def test_charsum_extension_field_path():
     ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
     F = parse("t^2 - A1", 1, ctx)
