@@ -7,9 +7,10 @@ Artin-Schreier trace-zero counterexample).
 
 Every run prints one JSON document: ``{"version", "config", "result",
 "timings"}``.  The ``result`` subtree is byte-identical for a fixed
-(config, seed) whatever ``--threads`` says; thread count and wall-clock
-times live only under ``config``/``timings``.  Logs go to stderr, reports
-to stdout or ``--out``.  Exit codes: 0 ok, 2 input error, 3 budget error.
+(config, seed); wall-clock times live only under ``timings``.  Every run
+works in the calling thread: ``--threads`` is accepted for compatibility
+and echoed in ``config``.  Logs go to stderr, reports to stdout or
+``--out``.  Exit codes: 0 ok, 2 input error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ def _add_common(sp, needs_poly=True):
             help="parameter count (default: highest A-index in --poly)",
         )
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_positive_int, default=1)
+    sp.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility; every run uses one thread",
+    )
     sp.add_argument("--budget", type=int, default=sets.DEFAULT_BUDGET)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -127,7 +133,7 @@ def _cmd_dist(args):
     F = _poly_from(args, ctx)
     descriptor = sets.parse_set(args.set, ctx, n=F.n)
     dist = stats.empirical_distribution(
-        F, descriptor, threads=args.threads, budget=args.budget, seed=args.seed
+        F, descriptor, budget=args.budget, seed=args.seed
     )
     result = dist.to_json_dict()
     cfg = _base_config(args, ctx, poly=str(F), n=F.n, set=args.set)
@@ -146,7 +152,7 @@ def _cmd_compare(args):
     descriptor = sets.parse_set(args.set, ctx, n=F.n)
     group = _load_group(args.group, F.deg_t)
     report = stats.compare(
-        F, descriptor, group, threads=args.threads, budget=args.budget, seed=args.seed
+        F, descriptor, group, budget=args.budget, seed=args.seed
     )
     result = report.to_json_dict()
     cfg = _base_config(args, ctx, poly=str(F), n=F.n, set=args.set, group=args.group)
@@ -159,7 +165,7 @@ def _cmd_charsum(args):
     parts = stats.parse_type(args.type)
     if args.all_b:
         sweep = stats.weil_sweep(
-            F, parts, None, budget=args.budget, threads=args.threads, seed=args.seed
+            F, parts, None, budget=args.budget, seed=args.seed
         )
         result = {
             "max_ratio": sweep.max_ratio,
@@ -203,7 +209,7 @@ def _demo_pv(args, ctx):
     F = mpoly.parse("t^2 - A1", 1, ctx)
     descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
     dist = stats.empirical_distribution(
-        F, descriptor, threads=args.threads, budget=args.budget, seed=args.seed
+        F, descriptor, budget=args.budget, seed=args.seed
     )
     split = dist.counts.get((1, 1), 0)
     rep = sets.irregularity(descriptor, ctx, budget=args.budget)
@@ -254,7 +260,6 @@ def _demo_trinomial(args, ctx):
         F,
         descriptor,
         stats.GroupSpec.symmetric(3),
-        threads=args.threads,
         budget=args.budget,
         seed=args.seed,
     )
@@ -279,7 +284,7 @@ def _demo_morse(args, ctx):
     H = args.H or _interval_default(ctx.p)
     descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
     dist = stats.empirical_distribution(
-        F, descriptor, threads=args.threads, budget=args.budget, seed=args.seed
+        F, descriptor, budget=args.budget, seed=args.seed
     )
     m = len(shifts)
     all_irreducible = dist.counts.get((d,) * m, 0)
@@ -307,7 +312,7 @@ def _demo_artin_schreier(args, ctx):
     descriptor = sets.TraceZero()
     group = stats.cyclic_shift_group(p)
     comparison = stats.compare(
-        F, descriptor, group, threads=args.threads, budget=args.budget, seed=args.seed
+        F, descriptor, group, budget=args.budget, seed=args.seed
     )
     dist = comparison.distribution
     rep = sets.irregularity(descriptor, ctx, budget=args.budget)

@@ -119,14 +119,6 @@ class CyclotomicSum:
     def add_root(self, j: int, weight: int = 1) -> None:
         self.counts[j % self.p] += weight
 
-    def merge(self, other: "CyclotomicSum") -> "CyclotomicSum":
-        """Slot-wise addition; associative, so shard partials combine in any
-        grouping with the same result."""
-        if other.p != self.p:
-            raise DegreeMismatchError("cannot merge sums over different roots")
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        return self
-
     def value(self) -> complex:
         re, im, _ = cyclotomic_rows(np.asarray([self.counts], dtype=np.int64), self.p)
         return complex(re[0], im[0])

@@ -224,7 +224,7 @@ def phase_counts(points, freqs, ctx: FieldCtx, n: int, sign: int):
         yield table[line[lo : lo + step, None], inv[lo : lo + step, None] * np.arange(p) % p]
 
 
-def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int):
+def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DEFAULT_BUDGET):
     """Yield, for each block of frequencies b in order, the real parts,
     imaginary parts and magnitudes of sum_{a in points} psi(sign * a.b).
 
@@ -235,8 +235,17 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int):
     Sums are ``np.add.reduce`` along rows, never BLAS dot products (whose
     order depends on the CPU): the bits depend on neither the machine nor
     the ``_PHASE_BLOCK`` boundaries.
+
+    The budget bounds the work before any phase or count is built: f*|S|
+    phases for f frequencies on the sparse path; on the histogram path
+    |S| phases for each F_p-line binned (at most min(f, (q^n-1)/(p-1) + 1))
+    plus p count slots per frequency.
     """
-    p, m = ctx.p, len(points)
+    p, m, f = ctx.p, len(points), len(freqs)
+    lines = (ctx.q**n - 1) // (p - 1) + 1
+    work = f * m if m < p else min(f, lines) * m + f * p
+    if work > budget:
+        raise BudgetExceededError(f"spectrum costs {work} ({f} freqs, {m} points), budget {budget}")
     if m >= p:
         for counts in phase_counts(points, freqs, ctx, n, sign):
             yield cyclotomic_rows(counts, p)
@@ -255,9 +264,9 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int):
         yield re, im, mag
 
 
-def character_sums(points, freqs, ctx: FieldCtx, n: int, sign: int):
+def character_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DEFAULT_BUDGET):
     """The (re, im, magnitude) floats of :func:`phase_sums`, frequency by frequency."""
-    for re, im, mag in phase_sums(points, freqs, ctx, n, sign):
+    for re, im, mag in phase_sums(points, freqs, ctx, n, sign, budget):
         yield from zip(re.tolist(), im.tolist(), mag.tolist())
 
 
@@ -279,7 +288,7 @@ def indicator_fourier(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Fourier
     qn = ctx.q**n
     freqs = frequencies(ctx, n, budget)
     pts = enumerate_points(s, ctx, budget)
-    sums = zip(freqs, character_sums(pts, freqs, ctx, n, -1))
+    sums = zip(freqs, character_sums(pts, freqs, ctx, n, -1, budget))
     values = {b: complex(re, im) / qn for b, (re, im, _) in sums}
     return FourierSpectrum(ctx, n, values)
 
@@ -347,7 +356,7 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
     n = dimension(s)
     pts = enumerate_points(s, ctx, budget)
     # fsum is correctly rounded: the total does not depend on the blocks
-    sums = character_sums(pts, frequencies(ctx, n, budget), ctx, n, -1)
+    sums = character_sums(pts, frequencies(ctx, n, budget), ctx, n, -1, budget)
     total = math.fsum(mag for _, _, mag in sums)
     return IrregularityReport(total / size, "exact_dft", None, size)
 
@@ -378,7 +387,7 @@ def verify_plancherel_decomposition(
     lhs = len(set(spts) & set(d_points))
     spectrum = indicator_fourier(s, ctx, budget)
     rhs = complex(len(spts) * len(d_points) / qn)
-    for b, (re, im, _) in zip(nonzero, character_sums(d_points, nonzero, ctx, n, +1)):
+    for b, (re, im, _) in zip(nonzero, character_sums(d_points, nonzero, ctx, n, +1, budget)):
         rhs += spectrum.values[b] * complex(re, im)
     return abs(lhs - rhs)
 

@@ -29,9 +29,7 @@ from .errors import (
     PartitionMismatchError,
     ZeroFrequencyError,
 )
-from .field import CyclotomicSum
 from .mpoly import MultiPoly
-from .parallel import map_merge
 from .sets import DEFAULT_BUDGET, dimension, enumerate_points
 
 # -- partitions and cycle types ---------------------------------------------------
@@ -232,18 +230,6 @@ class ClassDistribution:
     degree_drop: int
     total: int
 
-    @classmethod
-    def empty(cls):
-        return cls({}, 0, 0, 0)
-
-    def merge(self, other: "ClassDistribution") -> "ClassDistribution":
-        for parts, c in other.counts.items():
-            self.counts[parts] = self.counts.get(parts, 0) + c
-        self.non_squarefree += other.non_squarefree
-        self.degree_drop += other.degree_drop
-        self.total += other.total
-        return self
-
     def frequency(self, parts) -> Fraction:
         return Fraction(self.counts.get(parts, 0), self.total)
 
@@ -255,16 +241,6 @@ class ClassDistribution:
             "degree_drop": self.degree_drop,
             "total": self.total,
         }
-
-
-def _classify_chunk(F: MultiPoly, chunk) -> ClassDistribution:
-    counts = dict(Counter(_mp.classify_points(F, chunk)))
-    return ClassDistribution(
-        counts,
-        counts.pop(_mp.NON_SQUAREFREE, 0),
-        counts.pop(_mp.DEGREE_DROP, 0),
-        len(chunk),
-    )
 
 
 def _sweep_points(F: MultiPoly, S, budget, seed, check):
@@ -281,19 +257,18 @@ def empirical_distribution(
     F: MultiPoly,
     S,
     *,
-    threads: int = 1,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     check: bool = True,
 ) -> ClassDistribution:
-    """Classify every point of S; deterministic for any thread count."""
+    """Classify every point of S in one in-order pass."""
     pts = _sweep_points(F, S, budget, seed, check)
-    return map_merge(
-        pts,
-        lambda chunk: _classify_chunk(F, chunk),
-        ClassDistribution.merge,
-        ClassDistribution.empty(),
-        threads=threads,
+    counts = dict(Counter(_mp.classify_points(F, pts)))
+    return ClassDistribution(
+        counts,
+        counts.pop(_mp.NON_SQUAREFREE, 0),
+        counts.pop(_mp.DEGREE_DROP, 0),
+        len(pts),
     )
 
 
@@ -340,7 +315,6 @@ def compare(
     S,
     group: GroupSpec,
     *,
-    threads: int = 1,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> ComparisonReport:
@@ -356,7 +330,7 @@ def compare(
         raise DegreeMismatchError(
             f"group acts on {group.d} letters but F has degree {F.deg_t} in t"
         )
-    dist = empirical_distribution(F, S, threads=threads, budget=budget, seed=seed)
+    dist = empirical_distribution(F, S, budget=budget, seed=seed)
     pred = prediction_from_group(group)
     total = dist.total
     universe = sorted(set(dist.counts) | set(pred), reverse=True)
@@ -391,7 +365,6 @@ def compare(
 
 @dataclass
 class CharSumResult:
-    cyclo: CyclotomicSum
     magnitude: float
     weil_ratio: float
     terms: int
@@ -423,10 +396,9 @@ def restricted_charsum(
         raise ZeroFrequencyError("frequency vector must be nonzero")
     ctx = F.ctx
     matches = _matching_points(F, parts, budget, seed)
-    cyclo = CyclotomicSum(ctx.p, next(_sets.phase_counts(matches, [b], ctx, F.n, -1))[0])
     # the magnitude weil_sweep gives for b, on the path the matches select
-    _, _, mag = next(_sets.character_sums(matches, [b], ctx, F.n, -1))
-    return CharSumResult(cyclo, mag, mag / _weil_scale(ctx.q, F.n), len(matches))
+    _, _, mag = next(_sets.character_sums(matches, [b], ctx, F.n, -1, budget))
+    return CharSumResult(mag, mag / _weil_scale(ctx.q, F.n), len(matches))
 
 
 @dataclass
@@ -441,7 +413,6 @@ def weil_sweep(
     bs=None,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
     seed: int = 0,
 ) -> WeilSweep:
     """Character-sum magnitudes over a family of nonzero frequencies
@@ -459,11 +430,7 @@ def weil_sweep(
                 raise ZeroFrequencyError(f"bad frequency {b}")
     matches = _matching_points(F, parts, budget, seed)
     scale = _weil_scale(ctx.q, n)
-
-    def work(chunk):
-        sums = zip(chunk, _sets.character_sums(matches, chunk, ctx, n, -1))
-        return [(ctx.q, b, mag, mag / scale) for b, (_, _, mag) in sums]
-
-    rows = map_merge(bs, work, lambda a, b2: a + b2, [], threads=threads)
+    sums = zip(bs, _sets.character_sums(matches, bs, ctx, n, -1, budget))
+    rows = [(ctx.q, b, mag, mag / scale) for b, (_, _, mag) in sums]
     max_ratio = max((r[3] for r in rows), default=0.0)
     return WeilSweep(max_ratio, rows)

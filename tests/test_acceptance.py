@@ -2,8 +2,8 @@
 
 Each criterion below runs at its stated tolerance and prints one PASS/FAIL
 line (run with ``pytest tests/test_acceptance.py -v -s`` to see them).  The
-final criterion re-runs every report-producing computation with 1, 4 and 8
-worker threads and demands byte-identical serialized results.
+final criterion builds every report a second time, from cleared caches, and
+demands byte-identical serialized results.
 """
 
 import functools
@@ -52,15 +52,13 @@ def _primes(lo, hi):
 
 
 @functools.lru_cache(maxsize=None)
-def criterion1_report(threads=1):
+def criterion1_report():
     rows = []
     for p in (101, 1009, 10007):
         ctx = FieldCtx(p)
         F = parse("t^2 - A1", 1, ctx)
         H = math.ceil(p**0.75)
-        dist = empirical_distribution(
-            F, GridProduct([APSpec(1, 0, H)]), threads=threads
-        )
+        dist = empirical_distribution(F, GridProduct([APSpec(1, 0, H)]))
         split = dist.counts.get((1, 1), 0)
         oracle = sum(1 for a in range(1, H) if pow(a, (p - 1) // 2, p) == 1)
         rows.append(
@@ -77,7 +75,7 @@ def criterion1_report(threads=1):
 
 
 def test_criterion_1_polya_vinogradov():
-    rep = criterion1_report(1)
+    rep = criterion1_report()
     ok = all(
         r["split_count"] == r["legendre_oracle"]
         and abs(r["deviation"]) <= r["tolerance"]
@@ -92,7 +90,7 @@ def test_criterion_1_polya_vinogradov():
 
 
 @functools.lru_cache(maxsize=None)
-def criterion2_report(threads=1):
+def criterion2_report():
     p = 1009
     ctx = FieldCtx(p)
     H = math.ceil(p**0.75)
@@ -126,7 +124,7 @@ def criterion2_report(threads=1):
 
 
 def test_criterion_2_power_residues():
-    rep = criterion2_report(1)
+    rep = criterion2_report()
     ok = all(
         r["count_with_root"] == r["power_residue_oracle"]
         and abs(r["deviation"]) <= r["tolerance"]
@@ -140,11 +138,11 @@ def test_criterion_2_power_residues():
 
 
 @functools.lru_cache(maxsize=None)
-def criterion3_report(threads=1):
+def criterion3_report():
     rows = []
     for p in _primes(5, 499):
         F = parse("t^2 - A1", 1, FieldCtx(p))
-        dist = empirical_distribution(F, FullSpace(1), threads=threads)
+        dist = empirical_distribution(F, FullSpace(1))
         rows.append(
             {
                 "p": p,
@@ -158,7 +156,7 @@ def criterion3_report(threads=1):
 
 
 def test_criterion_3_exact_full_space_law():
-    rep = criterion3_report(1)
+    rep = criterion3_report()
     ok = all(
         r["split"] == (r["p"] - 1) // 2
         and r["inert"] == (r["p"] - 1) // 2
@@ -174,7 +172,7 @@ def test_criterion_3_exact_full_space_law():
 
 
 @functools.lru_cache(maxsize=None)
-def criterion4_report(threads=1):
+def criterion4_report():
     mismatches = []
     checked = 0
     for d in range(1, 8):
@@ -191,7 +189,7 @@ def criterion4_report(threads=1):
 
 
 def test_criterion_4_gamma_oracle():
-    rep = criterion4_report(1)
+    rep = criterion4_report()
     ok = not rep["mismatches"]
     _line(4, ok, f"gamma equals brute-force S_d enumeration for all {rep['checked']} types, d <= 7")
     assert ok
@@ -201,15 +199,15 @@ def test_criterion_4_gamma_oracle():
 
 
 @functools.lru_cache(maxsize=None)
-def criterion5_report(threads=1):
+def criterion5_report():
     rows = []
     for p in (53, 101, 211):
         ctx = FieldCtx(p)
         F = parse("t^3 + A1*t + A2", 2, ctx)
-        full = compare(F, FullSpace(2), GroupSpec.symmetric(3), threads=threads)
+        full = compare(F, FullSpace(2), GroupSpec.symmetric(3))
         H = math.ceil(p**0.8)
         grid = GridProduct([APSpec(1, 0, H), APSpec(1, 0, H)])
-        restricted = compare(F, grid, GroupSpec.symmetric(3), threads=threads)
+        restricted = compare(F, grid, GroupSpec.symmetric(3))
         rows.append(
             {
                 "p": p,
@@ -225,7 +223,7 @@ def criterion5_report(threads=1):
 
 
 def test_criterion_5_trinomial_statistics():
-    rep = criterion5_report(1)
+    rep = criterion5_report()
     ok = all(r["full_tv"] <= r["full_tolerance"] for r in rep["rows"])
     ok = ok and all(
         math.isfinite(r["restricted_normalized_error"])
@@ -251,7 +249,7 @@ def _interval_irreg_fft(p, H):
 
 
 @functools.lru_cache(maxsize=None)
-def criterion6_report(threads=1):
+def criterion6_report():
     report = {}
     # exact landmark values
     report["full_space"] = [
@@ -320,7 +318,7 @@ def criterion6_report(threads=1):
 
 
 def test_criterion_6_irregularity_suite():
-    rep = criterion6_report(1)
+    rep = criterion6_report()
     ok = rep["full_space"] == [1.0, 1.0, 1.0]
     ok = ok and rep["singleton"] == [13.0, 169.0, 27.0]
     ok = ok and rep["product_max_deviation"] <= 1e-9
@@ -342,12 +340,12 @@ def test_criterion_6_irregularity_suite():
 
 
 @functools.lru_cache(maxsize=None)
-def criterion7_report(threads=1):
+def criterion7_report():
     ctx = FieldCtx(3, 3, seed=0)
     F = parse("t^3 - t - A1", 1, ctx)
-    dist = empirical_distribution(F, TraceZero(), threads=threads)
+    dist = empirical_distribution(F, TraceZero())
     rep = irregularity(TraceZero(), ctx)
-    cyclic = compare(F, TraceZero(), cyclic_shift_group(3), threads=threads)
+    cyclic = compare(F, TraceZero(), cyclic_shift_group(3))
     return {
         "set_size": dist.total,
         "split_completely": dist.counts.get((1, 1, 1), 0),
@@ -361,7 +359,7 @@ def criterion7_report(threads=1):
 
 
 def test_criterion_7_trace_zero_counterexample():
-    rep = criterion7_report(1)
+    rep = criterion7_report()
     ok = (
         rep["set_size"] == 9
         and rep["split_completely"] == 9
@@ -383,20 +381,18 @@ def test_criterion_7_trace_zero_counterexample():
 
 
 @functools.lru_cache(maxsize=None)
-def criterion8_report(threads=1):
+def criterion8_report():
     quad_rows = []
     for p in _primes(3, 499):
         ctx = FieldCtx(p)
         F = parse("t^2 - A1", 1, ctx)
         row = {"p": p}
         for parts, tag in (((1, 1), "split"), ((2,), "inert")):
-            sweep = weil_sweep(F, parts, None, threads=threads)
+            sweep = weil_sweep(F, parts, None)
             row[f"max_magnitude_{tag}"] = max(r[2] for r in sweep.rows)
         row["bound"] = (math.sqrt(p) + 1) / 2
         quad_rows.append(row)
-    tri = weil_sweep(
-        parse("t^3 + A1*t + A2", 2, FieldCtx(13)), (3,), None, threads=threads
-    )
+    tri = weil_sweep(parse("t^3 + A1*t + A2", 2, FieldCtx(13)), (3,), None)
     gauss = restricted_charsum(parse("t^2 - A1", 1, FieldCtx(5)), (2,), (1,))
     return {
         "quadratic": quad_rows,
@@ -407,7 +403,7 @@ def criterion8_report(threads=1):
 
 
 def test_criterion_8_character_sum_bounds():
-    rep = criterion8_report(1)
+    rep = criterion8_report()
     ok = all(
         r["max_magnitude_split"] <= r["bound"] + 1e-9
         and r["max_magnitude_inert"] <= r["bound"] + 1e-9
@@ -428,7 +424,7 @@ def test_criterion_8_character_sum_bounds():
 
 
 @functools.lru_cache(maxsize=None)
-def criterion9_report(threads=1):
+def criterion9_report():
     rng = random.Random(909)
     residuals = []
     for i in range(50):
@@ -456,7 +452,7 @@ def criterion9_report(threads=1):
 
 
 def test_criterion_9_plancherel_identity():
-    rep = criterion9_report(1)
+    rep = criterion9_report()
     ok = rep["max_residual"] < 1e-6
     _line(
         9,
@@ -466,7 +462,7 @@ def test_criterion_9_plancherel_identity():
     assert ok
 
 
-# -- criterion 10: determinism across worker counts ----------------------------------------
+# -- criterion 10: determinism from run to run ---------------------------------------------
 
 
 def test_criterion_10_thread_determinism():
@@ -481,16 +477,16 @@ def test_criterion_10_thread_determinism():
         criterion8_report,
         criterion9_report,
     ]
-    unstable = []
-    for i, fn in enumerate(makers, start=1):
-        blobs = {json.dumps(fn(t), sort_keys=True) for t in (1, 4, 8)}
-        if len(blobs) != 1:
-            unstable.append(i)
+    first = [json.dumps(fn(), sort_keys=True) for fn in makers]
+    for fn in makers:
+        fn.cache_clear()
+    again = [json.dumps(fn(), sort_keys=True) for fn in makers]
+    unstable = [i for i, (a, b) in enumerate(zip(first, again), start=1) if a != b]
     ok = not unstable
     _line(
         10,
         ok,
-        "criteria 1-9 reports byte-identical at 1, 4 and 8 threads"
+        "criteria 1-9 reports byte-identical when built twice"
         + ("" if ok else f" (unstable: {unstable})"),
     )
     assert ok

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import time
 
 import pytest
@@ -253,6 +254,30 @@ def test_threads_below_one_is_input_error(capsys, threads):
         capsys, "dist", "--p", "13", "--poly", "t^2 - A1", "--threads", threads
     )
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "--p", "53", "--poly", "t^3 + A1*t + A2"),
+        ("compare", "--p", "53", "--poly", "t^3 + A1*t + A2"),
+        ("charsum", "--p", "13", "--poly", "t^3 + A1*t + A2", "--type", "3", "--all-b"),
+    ],
+)
+def test_sweeps_start_no_thread(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError(f"started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, out = run_cli(capsys, *argv, "--threads", "4")
+    assert code == 0 and json.loads(out)["config"]["threads"] == 4
+
+
+def test_irreg_of_gf256_squared_is_budget_error_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "irreg", "--p", "2", "--k", "8", "--set", "full", "--n", "2")
+    assert code == 3 and out == ""
+    assert time.perf_counter() - start < 1.0
 
 
 def test_missing_subcommand_is_input_error(capsys):

@@ -243,15 +243,6 @@ def test_magnitude_matches_direct_float_accumulation():
     assert abs(s.magnitude() - abs(direct)) < 1e-9
 
 
-def test_cyclotomic_merge_is_addition():
-    a = CyclotomicSum(5, [1, 2, 0, 0, 1])
-    b = CyclotomicSum(5, [0, 1, 3, 0, 0])
-    c = a.merge(b)
-    assert c.counts == [1, 3, 3, 0, 1]
-    with pytest.raises(DegreeMismatchError):
-        CyclotomicSum(5).merge(CyclotomicSum(7))
-
-
 def test_cyclotomic_value_matches_magnitude():
     s = CyclotomicSum(7, [2, -1, 0, 3, 0, 0, 1])
     assert abs(abs(s.value()) - s.magnitude()) < 1e-12

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import time
 from unittest import mock
 
 import numpy as np
@@ -310,6 +311,61 @@ def test_phase_sums_bytes_do_not_depend_on_blocks(ctx, n, size, blk):
     assert max(len(b[0]) for b in blocks) <= blk
     assert [a.tobytes() for a in _joined(blocks)] == want
     assert rep.hex() == irregularity(ExplicitSet(points), ctx).irreg.hex()
+
+
+@pytest.mark.parametrize(
+    "ctx, points, work",
+    [
+        # 3 points of GF(13) take the sparse path: 13 frequencies x 3 points
+        (FieldCtx(13), [(1,), (4,), (9,)], 13 * 3),
+        # all of GF(5)^2 takes the histogram path: 6 F_5-lines and the zero
+        # frequency binned over 25 points, plus 5 count slots per frequency
+        (FieldCtx(5), list(itertools.product(range(5), repeat=2)), 7 * 25 + 25 * 5),
+    ],
+    ids=["sparse", "histogram"],
+)
+def test_phase_sums_budget_counts_the_work(ctx, points, work, monkeypatch):
+    n = len(points[0])
+    freqs = list(itertools.product(range(ctx.q), repeat=n))
+    assert len(list(phase_sums(points, freqs, ctx, n, -1, budget=work))) >= 1
+
+    def refuse(*args):
+        raise AssertionError("phases built before the budget check")
+
+    monkeypatch.setattr(sets, "_functionals", refuse)
+    with pytest.raises(BudgetExceededError):
+        next(phase_sums(points, freqs, ctx, n, -1, budget=work - 1))
+
+
+_LINE = ExplicitSet([(a,) for a in range(5)])
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        lambda budget: irregularity(_LINE, FieldCtx(5), budget),
+        lambda budget: indicator_fourier(_LINE, FieldCtx(5), budget),
+        # the singleton's spectrum fits; the plus-sign sums over D do not
+        lambda budget: verify_plancherel_decomposition(
+            ExplicitSet([(0,)]), _LINE.points, FieldCtx(5), budget
+        ),
+    ],
+    ids=["irregularity", "indicator_fourier", "plancherel"],
+)
+def test_spectra_pass_their_budget_to_the_kernel(spectrum):
+    # 5 points and 5 frequencies fit a budget of 5; their spectrum does not
+    with pytest.raises(BudgetExceededError, match="spectrum"):
+        spectrum(5)
+    spectrum(35)
+
+
+def test_full_space_of_gf256_squared_fails_the_budget_at_once():
+    # 2^16 points x 2^16 frequencies: it used to pass the default budget and
+    # run for minutes
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        irregularity(FullSpace(2), FieldCtx(2, 8))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

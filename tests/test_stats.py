@@ -243,19 +243,6 @@ def test_distribution_of_all_monic_polynomials_is_necklace_counts(p, k, d):
     assert dist.total == q**d
 
 
-def test_distribution_thread_count_invariance():
-    ctx = FieldCtx(53)
-    F = parse("t^3 + A1*t + A2", 2, ctx)
-    one = empirical_distribution(F, FullSpace(2), threads=1)
-    four = empirical_distribution(F, FullSpace(2), threads=4)
-    assert one.counts == four.counts
-    assert (one.non_squarefree, one.degree_drop, one.total) == (
-        four.non_squarefree,
-        four.degree_drop,
-        four.total,
-    )
-
-
 def test_distribution_variable_relabelling_invariance():
     ctx = FieldCtx(11)
     F = parse("t^2 + A1*t + A2^2", 2, ctx)
@@ -434,31 +421,36 @@ def test_set_budget_is_checked_before_admissibility(monkeypatch):
         restricted_charsum(F, (3,), (1, 0), budget=100)
 
 
-def test_weil_sweep_thread_invariance():
-    ctx = FieldCtx(31)
-    F = parse("t^2 - A1", 1, ctx)
-    one = weil_sweep(F, (1, 1), None, threads=1)
-    three = weil_sweep(F, (1, 1), None, threads=3)
-    assert one.rows == three.rows and one.max_ratio == three.max_ratio
-
-
 @pytest.mark.parametrize(
     "poly, n, parts, p",
     # 15 squares in GF(31) take the sparse path, the [2,1] cubics over GF(13)^2
     # the histogram path
     [("t^2 - A1", 1, (1, 1), 31), ("t^3 + A1*t + A2", 2, (2, 1), 13)],
 )
-def test_weil_sweep_bytes_at_one_and_two_threads(poly, n, parts, p):
+def test_restricted_charsum_gives_weil_sweep_bits(poly, n, parts, p):
     F = parse(poly, n, FieldCtx(p))
-
-    def hexed(sweep):
-        return [(b, mag.hex(), ratio.hex()) for _, b, mag, ratio in sweep.rows], sweep.max_ratio.hex()
-
-    one = weil_sweep(F, parts, None, threads=1)
-    assert hexed(one) == hexed(weil_sweep(F, parts, None, threads=2))
+    sweep = weil_sweep(F, parts, None)
     # restricted_charsum takes the same path for one frequency: the same bits
-    for _, b, mag, _ in one.rows[:: len(one.rows) // 5]:
+    for _, b, mag, _ in sweep.rows[:: len(sweep.rows) // 5]:
         assert restricted_charsum(F, parts, b).magnitude.hex() == mag.hex()
+
+
+@pytest.mark.parametrize(
+    "sweep, work",
+    [
+        # all 5 points of GF(5) have type [1], so the sums take the histogram
+        # path; the frequencies of GF(5) lie on 2 lines (zero's included), so
+        # 4 frequencies cost 2*5 phases and 4*5 count slots, one costs 5 + 5
+        (lambda F, budget: weil_sweep(F, (1,), None, budget=budget), 30),
+        (lambda F, budget: restricted_charsum(F, (1,), (1,), budget=budget), 10),
+    ],
+    ids=["weil_sweep", "restricted_charsum"],
+)
+def test_character_sums_pass_their_budget_to_the_kernel(sweep, work):
+    F = parse("t + A1", 1, FieldCtx(5))
+    with pytest.raises(BudgetExceededError, match="spectrum"):
+        sweep(F, work - 1)
+    sweep(F, work)
 
 
 def test_charsum_extension_field_path():
