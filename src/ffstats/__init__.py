@@ -4,7 +4,7 @@ irregularity as the error scale."""
 
 __version__ = "0.1.0"
 
-from .field import CyclotomicSum, FieldCtx, is_prime
+from .field import FieldCtx, is_prime
 from .mpoly import (
     AdmissibilityReport,
     MultiPoly,
@@ -56,7 +56,6 @@ __all__ = [
     "APSpec",
     "ClassDistribution",
     "ComparisonReport",
-    "CyclotomicSum",
     "ExplicitSet",
     "FieldCtx",
     "FourierSpectrum",

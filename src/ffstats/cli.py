@@ -226,14 +226,20 @@ def _demo_pv(args, ctx):
 
 
 def _demo_power_residues(args, ctx):
-    """How many a in an interval are k-th powers: t^k - a has a root."""
-    k = args.power
+    """How many a in an interval are k-th powers: t^k - a has a root.
+
+    With m = k with every factor p divided out, t^k - a and t^m - a have a
+    root for the same a, as x -> x^p permutes the field.  As p does not
+    divide m, t^m - a is squarefree unless a = 0 (and m >= 2, with root 0),
+    so the a with a root are the non-squarefree one and every type with a 1."""
+    k = m = args.power
+    while m % ctx.p == 0:
+        m //= ctx.p
     H = args.H or _interval_default(ctx.p)
-    F = mpoly.parse(f"t^{k} - A1", 1, ctx)
-    mpoly.require_dense_budget(F, args.budget)
+    F = mpoly.parse(f"t^{m} - A1", 1, ctx)
     descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
-    points = sets.enumerate_points(descriptor, ctx, args.budget)
-    with_root = sum(unipoly.has_root(F.specialize(point)) for point in points)
+    dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
+    with_root = dist.non_squarefree + sum(c for parts, c in dist.counts.items() if 1 in parts)
     g = math.gcd(ctx.p - 1, k)
     return {
         "power": k,

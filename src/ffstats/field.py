@@ -26,12 +26,13 @@ context: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is coords(a)
 against the first column of M, and a prime field is the case M = [[1]].
 
 Character sums psi(u) = e^(2*pi*i*tr(u)/p) are never evaluated in floating
-point inside loops.  Instead each term increments an integer slot of a
-:class:`CyclotomicSum` (slot j holds the coefficient of e^(2*pi*i*j/p)) and
-the complex value is taken once at the end, by :func:`cyclotomic_rows`, which
-sums without BLAS, whose order depends on the CPU.  Adding a constant to every
-slot leaves the represented number unchanged, since the p-th roots of unity
-sum to zero; the evaluation exploits this to return sums on one root exactly.
+point inside loops.  On the histogram path of ``sets.phase_sums`` a block of
+them arrives here as integer count vectors (slot j holds the coefficient of
+e^(2*pi*i*j/p)), and :func:`cyclotomic_rows` takes their complex values once,
+summing without BLAS, whose order depends on the CPU.  Adding a constant to
+every slot leaves the represented number unchanged, since the p-th roots of
+unity sum to zero; the evaluation exploits this to return sums on one root
+exactly.
 """
 
 from __future__ import annotations
@@ -99,35 +100,6 @@ def cyclotomic_rows(counts, p: int):
 def cyclotomic_magnitude(counts, p: int) -> float:
     """|sum_j counts[j] * e^(2*pi*i*j/p)|: one row of :func:`cyclotomic_rows`."""
     return float(cyclotomic_rows(np.asarray(counts, dtype=np.int64).reshape(1, -1), p)[2][0])
-
-
-class CyclotomicSum:
-    """Exact integer combination of the p-th roots of unity."""
-
-    __slots__ = ("p", "counts")
-
-    def __init__(self, p: int, counts=None):
-        if counts is None:
-            counts = [0] * p
-        else:
-            counts = [int(c) for c in counts]
-            if len(counts) != p:
-                raise DegreeMismatchError(f"expected {p} slots, got {len(counts)}")
-        self.p = p
-        self.counts = counts
-
-    def add_root(self, j: int, weight: int = 1) -> None:
-        self.counts[j % self.p] += weight
-
-    def value(self) -> complex:
-        re, im, _ = cyclotomic_rows(np.asarray([self.counts], dtype=np.int64), self.p)
-        return complex(re[0], im[0])
-
-    def magnitude(self) -> float:
-        return cyclotomic_magnitude(self.counts, self.p)
-
-    def __repr__(self):
-        return f"CyclotomicSum(p={self.p}, counts={self.counts!r})"
 
 
 def _poly_str(coeffs, var="x"):

@@ -615,8 +615,7 @@ def disc_nonzero_probabilistic(F: MultiPoly, trials: int = 32, seed: int = 0):
     halves the false-negative probability.  Returns (verdict, trials_used);
     a True verdict is exact.
     """
-    d = F.deg_t
-    if d < 1:
+    if F.deg_t < 1:
         raise ValueError("needs positive degree in t")
     base = F.ctx
     bound = _disc_degree_bound(F)
@@ -631,8 +630,9 @@ def disc_nonzero_probabilistic(F: MultiPoly, trials: int = 32, seed: int = 0):
     rng = random.Random(seed)
     for trial in range(trials):
         point = [sample.ctx.random_element(rng) for _ in range(F.n)]
-        f = sample.specialize(point)
-        if f.degree == d and unipoly.discriminant(f) != 0:
+        # a full-degree specialization has a nonzero discriminant exactly
+        # when it is squarefree, i.e. when the classifier gives it a type
+        if isinstance(_classify_one(sample, point), tuple):
             return True, trial + 1
     return False, trials
 

@@ -10,8 +10,8 @@ statistics concentrate on; nu = 1 admits every element).
 
 The comparison report normalizes the total-variation gap by sqrt(q)/irreg(S),
 the scale on which a well-distributed set keeps the gap bounded.  Restricted
-character sums over {a : class(F(t,a)) = lambda} are accumulated exactly over
-roots of unity and reported with their magnitude / q^(n - 1/2) ratio.
+character sums over {a : class(F(t,a)) = lambda} come from ``sets.phase_sums``
+and are reported with their magnitude / q^(n - 1/2) ratio.
 """
 
 from __future__ import annotations
@@ -243,13 +243,12 @@ class ClassDistribution:
         }
 
 
-def _sweep_points(F: MultiPoly, S, budget, seed, check):
+def _sweep_points(F: MultiPoly, S, budget, seed):
     """The points of S, once S and deg_t fit the budget and F is classifiable:
     both budget checks run before any dense specialization."""
     pts = enumerate_points(S, F.ctx, budget)
     _mp.require_dense_budget(F, budget)
-    if check:
-        _mp.require_classifiable(F, seed=seed)
+    _mp.require_classifiable(F, seed=seed)
     return pts
 
 
@@ -259,10 +258,9 @@ def empirical_distribution(
     *,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    check: bool = True,
 ) -> ClassDistribution:
     """Classify every point of S in one in-order pass."""
-    pts = _sweep_points(F, S, budget, seed, check)
+    pts = _sweep_points(F, S, budget, seed)
     counts = dict(Counter(_mp.classify_points(F, pts)))
     return ClassDistribution(
         counts,
@@ -337,7 +335,7 @@ def compare(
     gap = Fraction(0)
     per_type = {}
     for parts in universe:
-        fr = Fraction(dist.counts.get(parts, 0), total)
+        fr = dist.frequency(parts)
         pr = pred.get(parts, Fraction(0))
         gap += abs(fr - pr)
         per_type[parts] = (float(fr), float(pr), float(abs(fr - pr)))
@@ -371,8 +369,22 @@ class CharSumResult:
 
 
 def _matching_points(F, parts, budget, seed):
-    pts = _sweep_points(F, _sets.FullSpace(F.n), budget, seed, True)
+    pts = _sweep_points(F, _sets.FullSpace(F.n), budget, seed)
     return [pt for pt, r in zip(pts, _mp.classify_points(F, pts)) if r == parts]
+
+
+def _frequency(b, ctx, n) -> tuple:
+    """b as a tuple, once it names a nonzero frequency of GF(q)^n: on a
+    prime field any integers (taken mod p), on an extension element
+    encodings in [0, q)."""
+    b = tuple(b)
+    if len(b) != n:
+        raise ZeroFrequencyError(f"frequency needs {n} coordinates, got {len(b)}")
+    if ctx.k > 1 and not all(0 <= x < ctx.q for x in b):
+        raise ValueError(f"frequency {b} has a coordinate outside [0, {ctx.q})")
+    if all(x % ctx.q == 0 for x in b):
+        raise ZeroFrequencyError(f"frequency {b} is zero")
+    return b
 
 
 def _weil_scale(q: int, n: int) -> float:
@@ -387,14 +399,10 @@ def restricted_charsum(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> CharSumResult:
-    """Exact accumulation of psi(-a.b) over {a : class(F(t,a)) = parts}."""
+    """The sum of psi(-a.b) over {a : class(F(t,a)) = parts}."""
     parts = tuple(sorted(parts, reverse=True))
-    b = tuple(b)
-    if len(b) != F.n:
-        raise ZeroFrequencyError(f"frequency needs {F.n} coordinates, got {len(b)}")
-    if all(x == 0 for x in b):
-        raise ZeroFrequencyError("frequency vector must be nonzero")
     ctx = F.ctx
+    b = _frequency(b, ctx, F.n)
     matches = _matching_points(F, parts, budget, seed)
     # the magnitude weil_sweep gives for b, on the path the matches select
     _, _, mag = next(_sets.character_sums(matches, [b], ctx, F.n, -1, budget))
@@ -424,10 +432,7 @@ def weil_sweep(
     if bs is None:
         bs = _sets.frequencies(ctx, n, budget)[1:]
     else:
-        bs = [tuple(b) for b in bs]
-        for b in bs:
-            if len(b) != n or all(x == 0 for x in b):
-                raise ZeroFrequencyError(f"bad frequency {b}")
+        bs = [_frequency(b, ctx, n) for b in bs]
     matches = _matching_points(F, parts, budget, seed)
     scale = _weil_scale(ctx.q, n)
     sums = zip(bs, _sets.character_sums(matches, bs, ctx, n, -1, budget))

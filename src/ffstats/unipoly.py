@@ -3,9 +3,8 @@
 A :class:`UniPoly` is an immutable coefficient vector (encoded field
 elements, index = degree, no trailing zeros) tied to a :class:`FieldCtx`.
 The module provides gcd, squarefreeness, the factor-degree multiset via
-distinct-degree splitting, irreducibility, roots in the field,
-discriminants, and the Morse criterion (simple critical points with
-pairwise distinct critical values).
+distinct-degree splitting, irreducibility, discriminants, and the Morse
+criterion (simple critical points with pairwise distinct critical values).
 
 Only the *degrees* of the irreducible factors are ever computed; gcds with
 x^(q^i) - x group the factors by degree and nothing is split further.
@@ -200,17 +199,6 @@ def is_irreducible(f: UniPoly) -> bool:
     inseparable f is reducible.  Constants count as reducible."""
     d = f.degree
     return d >= 1 and _gfp.gf_spec_type(f._packed(), f.ctx.red, f.ctx.q) == (d,)
-
-
-def has_root(f: UniPoly) -> bool:
-    """True iff f has a root in its field, i.e. deg gcd(f, t^q - t) >= 1.
-    The zero polynomial has every element as a root, a nonzero constant none."""
-    if f.degree < 1:
-        return f.is_zero
-    red = f.ctx.red
-    g = _gfp.gf_monic(f._packed(), red)
-    h = _gfp.gf_pow_mod([0, 1], f.ctx.q, g, red)
-    return len(_gfp.gf_gcd(_gfp.gf_sub(h, [0, 1], red), g, red)) > 1
 
 
 def discriminant(f: UniPoly) -> int:

@@ -221,19 +221,30 @@ def test_power_residues_huge_power_is_budget_error(capsys):
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("p", [5, 7, 13])
+def test_power_residues_power_of_p_classifies_degree_one(capsys):
+    # 7^12 strips to m = 1: every a is a 7^12-th power, and no dense budget
+    # for degree 7^12 is ever asked for
+    res = run_json(capsys, "demo", "power-residues", "--p", "7", "--power", str(7**12))["result"]
+    assert res["count_with_root"] == res["H"] == 5
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 13])
 def test_power_residues_count_matches_brute_force(capsys, p):
-    # p | power makes every t^power - a inseparable
+    # p | power takes the stripping of factors p; an interval from a nonzero
+    # start leaves out a = 0 (or wraps past it)
     H = p - 1
-    for power in (2, 3, p, 2 * p):
-        res = run_json(
-            capsys, "demo", "power-residues", "--p", str(p), "--power", str(power), "--H", str(H)
-        )["result"]
-        powers = {pow(x, power, p) for x in range(p)}
-        assert res["count_with_root"] == sum(a in powers for a in range(H)), power
+    for power in (2, 3, p, 2 * p, p * p, 3 * p * p):
+        for beta in (0, 3):
+            argv = ("--p", str(p), "--power", str(power), "--H", str(H), "--beta", str(beta))
+            res = run_json(capsys, "demo", "power-residues", *argv)["result"]
+            powers = {pow(x, power, p) for x in range(p)}
+            want = sum((beta + j) % p in powers for j in range(H))
+            assert res["count_with_root"] == want, (power, beta)
 
 
-def test_artin_schreier_demo_classifies_its_set_once(capsys, monkeypatch):
+@pytest.fixture
+def distribution_calls(monkeypatch):
+    """The positional arguments of every stats.empirical_distribution call."""
     calls = []
     classify = stats.empirical_distribution
 
@@ -242,8 +253,21 @@ def test_artin_schreier_demo_classifies_its_set_once(capsys, monkeypatch):
         return classify(*args, **kwargs)
 
     monkeypatch.setattr(stats, "empirical_distribution", counted)
+    return calls
+
+
+def test_power_residues_demo_classifies_its_interval_once(capsys, distribution_calls):
+    argv = ("--p", "7", "--power", "14", "--H", "6")
+    report = run_json(capsys, "demo", "power-residues", *argv)
+    assert len(distribution_calls) == 1
+    # 14 = 2 * 7 classifies t^2 - a; the squares among 0..5 are 0, 1, 2, 4
+    assert distribution_calls[0][0].deg_t == 2
+    assert report["result"]["count_with_root"] == 4
+
+
+def test_artin_schreier_demo_classifies_its_set_once(capsys, distribution_calls):
     report = run_json(capsys, "demo", "artin-schreier", "--p", "3", "--k", "2")
-    assert len(calls) == 1
+    assert len(distribution_calls) == 1
     result = report["result"]
     assert result["split_completely"] == result["set_size"] == 3
 

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffstats import _gfp
+from ffstats import _gfp, mpoly
 from ffstats.errors import (
     ArityMismatchError,
     NegativeExponentError,
@@ -347,6 +347,50 @@ def test_disc_nonzero_extension_tower():
     assert ok
     bad, _ = disc_nonzero_probabilistic(parse("(t - A1^3)^2", 1, ctx), trials=12)
     assert not bad
+
+
+DISC_FIELDS = [FieldCtx(p) for p in (2, 3, 5, 13)] + [FieldCtx(2, 2, seed=1), FieldCtx(3, 2, seed=1)]
+DISC_FAMILIES = [
+    "t^2 - A1",
+    "t^3 + A1*t + A2",
+    "A1*t^2 + t + A2",  # degree drops at A1 = 0
+    "t^p - t - A1",  # squarefree everywhere though p <= deg_t
+    "(t - A1)^2",
+    "t^p - A1",  # inseparable
+    "(t - A1)^2*(t - A2)",
+]
+
+
+def _discriminant_trials(F, trials, seed):
+    """The draws of disc_nonzero_probabilistic, each decided by discriminant."""
+    bound = (2 * F.deg_t - 1) * F.deg_params
+    m = 1
+    while F.ctx.q**m <= 2 * bound:
+        m += 1
+    sample = F
+    if m > 1:
+        sctx = FieldCtx(F.ctx.p, F.ctx.k * m, seed=seed + 1)
+        sample = MultiPoly(sctx, F.n, mpoly._lift_terms(F, sctx))
+    rng = random.Random(seed)
+    for trial in range(trials):
+        f = sample.specialize([sample.ctx.random_element(rng) for _ in range(F.n)])
+        if f.degree == F.deg_t and discriminant(f) != 0:
+            return True, trial + 1
+    return False, trials
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(DISC_FIELDS),
+    st.sampled_from(DISC_FAMILIES),
+    st.integers(1, 6),
+    st.integers(0, 10**6),
+)
+def test_disc_nonzero_matches_discriminant_on_the_same_draws(ctx, family, trials, seed):
+    expr = family.replace("p", str(ctx.p))
+    F = parse(expr, infer_parameter_count(expr), ctx)
+    want = _discriminant_trials(F, trials, seed)
+    assert disc_nonzero_probabilistic(F, trials=trials, seed=seed) == want
 
 
 def test_admissibility_reports():

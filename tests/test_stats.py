@@ -338,13 +338,32 @@ def test_charsum_golden_ratio_magnitude():
     assert res.weil_ratio == pytest.approx(res.magnitude / math.sqrt(5), abs=1e-12)
 
 
+SWEEPS = {
+    "restricted_charsum": lambda F, b: restricted_charsum(F, (1, 1), b),
+    "weil_sweep": lambda F, b: weil_sweep(F, (1, 1), [b]),
+}
+
+
 def test_charsum_zero_frequency_rejected():
     ctx = FieldCtx(5)
     F = parse("t^2 - A1", 1, ctx)
-    with pytest.raises(ZeroFrequencyError):
-        restricted_charsum(F, (2,), (0,))
-    with pytest.raises(ZeroFrequencyError):
-        restricted_charsum(F, (2,), (0, 0))
+    for sweep in SWEEPS.values():
+        # on a prime field the zero test runs after reduction mod p
+        for b in ((0,), (0, 0), (5,), (-10,)):
+            with pytest.raises(ZeroFrequencyError):
+                sweep(F, b)
+        with pytest.raises(ZeroFrequencyError, match="coordinates"):
+            sweep(F, (1, 1))
+    assert restricted_charsum(F, (2,), (7,)) == restricted_charsum(F, (2,), (2,))
+
+
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
+@pytest.mark.parametrize("b", [(100,), (-8,), (9,)], ids=str)
+def test_extension_frequency_outside_the_field_is_rejected(sweep, b):
+    # over GF(9) a frequency is an element encoding in [0, 9)
+    F = parse("t^2 - A1", 1, FieldCtx(3, 2, modulus=[1, 0, 1]))
+    with pytest.raises(ValueError, match="outside"):
+        sweep(F, b)
 
 
 def test_charsum_split_class_gauss_bound():

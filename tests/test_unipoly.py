@@ -3,8 +3,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ffstats.errors import (
     MorsePreconditionError,
@@ -17,7 +15,6 @@ from ffstats.unipoly import (
     UniPoly,
     discriminant,
     factorization_type,
-    has_root,
     is_irreducible,
     is_morse,
     is_squarefree,
@@ -382,18 +379,6 @@ def test_is_irreducible_matches_type():
         want = is_squarefree(f) and factorization_type(f) == (f.degree,)
         # a power of one irreducible is caught by squarefreeness except deg 1
         assert is_irreducible(f) == (want or (f.degree == 1))
-
-
-ROOT_FIELDS = [FieldCtx(7), FieldCtx(2, 3, seed=1), FieldCtx(3, 2, seed=1), FieldCtx(5, 2, seed=1)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_has_root_matches_exhaustive_search(data):
-    ctx = data.draw(st.sampled_from(ROOT_FIELDS), label="field")
-    coeffs = data.draw(st.lists(st.integers(0, ctx.q - 1), max_size=7), label="coeffs")
-    f = UniPoly.make(ctx, coeffs)
-    assert has_root(f) == any(f.evaluate(x) == 0 for x in ctx.elements())
 
 
 # ---------------------------------------------------------------------------
