@@ -208,11 +208,12 @@ def _demo_pv(args, ctx):
     H = args.H or _interval_default(ctx.p)
     F = mpoly.parse("t^2 - A1", 1, ctx)
     descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
+    # first, so that a closed form past the budget exits before classifying
+    rep = sets.irregularity(descriptor, ctx, budget=args.budget)
     dist = stats.empirical_distribution(
         F, descriptor, budget=args.budget, seed=args.seed
     )
     split = dist.counts.get((1, 1), 0)
-    rep = sets.irregularity(descriptor, ctx, budget=args.budget)
     return {
         "H": H,
         "beta": args.beta,
@@ -289,13 +290,13 @@ def _demo_morse(args, ctx):
         F = F * (base + A + mpoly.MultiPoly.constant(ctx, 1, ctx.from_int(h)))
     H = args.H or _interval_default(ctx.p)
     descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
+    rep = sets.irregularity(descriptor, ctx, budget=args.budget)
     dist = stats.empirical_distribution(
         F, descriptor, budget=args.budget, seed=args.seed
     )
     m = len(shifts)
     all_irreducible = dist.counts.get((d,) * m, 0)
     target = H / d**m
-    rep = sets.irregularity(descriptor, ctx, budget=args.budget)
     return {
         "f": str(fU),
         "is_morse": True,
@@ -321,14 +322,13 @@ def _demo_artin_schreier(args, ctx):
         F, descriptor, group, budget=args.budget, seed=args.seed
     )
     dist = comparison.distribution
-    rep = sets.irregularity(descriptor, ctx, budget=args.budget)
     split_all = dist.counts.get((1,) * p, 0)
     return {
         "degree": p,
         "set_size": dist.total,
         "split_completely": split_all,
         "split_fraction": split_all / dist.total,
-        "irreg": rep.to_json_dict(),
+        "irreg": comparison.irregularity.to_json_dict(),
         "comparison_vs_cyclic": comparison.to_json_dict(),
     }
 

@@ -19,11 +19,13 @@ packed operands and reduce with ``% red``, ``pow`` and ``inv`` are the
 ``ctx.vec`` is what the batched classifier takes instead: a
 :class:`_gfp.VecField` holding the multiplication tensor T[i, j] =
 coords(x^(i+j)), built once per context, and ``ctx.coordinates`` reads a
-block of points into the int64 coordinate arrays it works on.
+block of points into the int64 coordinate arrays it works on, through
+``ctx.decode``, the one base-p digit split of an array of encodings.
 
-The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), built once per
-context: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is coords(a)
-against the first column of M, and a prime field is the case M = [[1]].
+The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), derived once per
+context from T: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is
+coords(a) against the first column of M, and a prime field is the case
+M = [[1]].
 
 Character sums psi(u) = e^(2*pi*i*tr(u)/p) are never evaluated in floating
 point inside loops.  On the histogram path of ``sets.phase_sums`` a block of
@@ -149,17 +151,17 @@ class FieldCtx:
                     )
             self.modulus = tuple(mod)
             self.red = _gfp.Packed(p, mod)
-        # Trace form M_ij = tr(x^(i+j)); the integer p encodes x when k > 1.
-        powers = [1]
-        for _ in range(2 * k - 2):
-            powers.append(self.mul(powers[-1], p))
-        traces = [self._trace_raw(a) for a in powers]
-        form = np.array([traces[i : i + k] for i in range(k)], dtype=np.int64)
+        # The multiplication tensor T[i, j] = coords(x^(i+j)), read-only,
+        # built once per context: the batched kernels' arithmetic, and the
+        # source of the trace form.
+        self.vec = _gfp.VecField(p, self.red.tail if k > 1 else ())
+        # tr(x^m) is the trace of multiplication by x^m, t_m = sum_l T[m, l, l],
+        # so M_ij = tr(x^(i+j)) = sum_l T[i, j, l] t_l, taken in Python ints:
+        # the products pass int64 for large p.
+        tensor = self.vec.tensor.astype(object)
+        form = (tensor @ np.trace(tensor, axis1=1, axis2=2) % p).astype(np.int64)
         form.flags.writeable = False
         self.trace_form = form
-        # The batched kernels' arithmetic: the multiplication tensor
-        # T[i, j] = coords(x^(i+j)), read-only, built once per context.
-        self.vec = _gfp.VecField(p, self.red.tail if k > 1 else ())
 
     @staticmethod
     def _random_irreducible(p, k, seed):
@@ -207,18 +209,20 @@ class FieldCtx:
         point at index m, if there is one, is the first that does not.  On a
         prime field every integer names its residue mod p; on an extension
         only an encoding in [0, q) names an element.  Needs q < 2^63."""
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            m = next((i for i, a in enumerate(points) if len(a) != n), len(points))
-            flat = np.fromiter((x % p for a in points[:m] for x in a), np.int64, m * n)
-            return flat.reshape(m, n, 1)
+        k, q = self.k, self.q
         m = next(
-            (i for i, a in enumerate(points) if len(a) != n or not all(0 <= x < q for x in a)),
+            (i for i, a in enumerate(points)
+             if len(a) != n or (k > 1 and not all(0 <= x < q for x in a))),
             len(points),
         )
-        flat = np.fromiter((x for a in points[:m] for x in a), np.int64, m * n)
-        places = p ** np.arange(k, dtype=np.int64)
-        return (flat[:, None] // places % p).reshape(m, n, k)
+        flat = np.fromiter((x % q for a in points[:m] for x in a), np.int64, m * n)
+        return self.decode(flat).reshape(m, n, k)
+
+    def decode(self, codes):
+        """Power-basis coordinates of an int64 array of encodings, as a new
+        trailing axis of length k: the base-p digits, each reduced mod p (on
+        a prime field, the residue of every integer)."""
+        return codes[..., None] // self.p ** np.arange(self.k, dtype=np.int64) % self.p
 
     # -- arithmetic: the kernels' form, reduced by ``red`` -------------------
 
@@ -257,7 +261,8 @@ class FieldCtx:
 
     def _trace_raw(self, a: int) -> int:
         # tr(a) = a + a^p + ... + a^(p^(k-1)); lands in the prime subfield,
-        # whose elements encode as their residue.
+        # whose elements encode as their residue.  Independent of the trace
+        # form, so the tests keep it as its oracle.
         s = a
         t = a
         for _ in range(self.k - 1):
@@ -270,10 +275,6 @@ class FieldCtx:
         tr(a) = tr(a * 1) = coords(a) . M[:, 0] mod p."""
         column = self.trace_form[:, 0].tolist()
         return sum(c * m for c, m in zip(self.coords(a), column)) % self.p
-
-    def psi_index(self, a: int) -> int:
-        """Slot index j of psi(a) = e^(2*pi*i*j/p), i.e. the trace of a."""
-        return self.trace(a)
 
     # -- misc ----------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _gfp, unipoly
+from . import _gfp
 from .errors import (
     ArityMismatchError,
     BudgetExceededError,
@@ -279,7 +279,7 @@ class MultiPoly:
     def specialize(self, point) -> UniPoly:
         """Substitute A_i := point[i]; the degree may drop below deg_t."""
         coeffs = self.specialize_dense(point)
-        return UniPoly.make(self.ctx, unipoly.unpack_coeffs(self.ctx, coeffs))
+        return UniPoly.make(self.ctx, [self.ctx.unpack(c) for c in coeffs])
 
     # -- printing ---------------------------------------------------------------
 

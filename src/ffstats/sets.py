@@ -41,6 +41,10 @@ DEFAULT_BUDGET = 1 << 24
 # that the spectrum kernel holds at once.
 _PHASE_BLOCK = 1 << 14
 
+# Frequencies the interval closed form sums at once.  Up to p - 1 = 2^17
+# there is one block, whose sum is the plain ``np.sum`` of every magnitude.
+_INTERVAL_BLOCK = 1 << 17
+
 
 # -- descriptors ---------------------------------------------------------------
 
@@ -169,7 +173,9 @@ def enumerate_points(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
         return list(s.points)
     if ctx.q > budget:
         raise BudgetExceededError(f"field has {ctx.q} elements, budget is {budget}")
-    return [(a,) for a in range(ctx.q) if ctx.trace(a) == 0]
+    # sums of k products below p^2 <= q: exact in int64 for any q within budget
+    traces = ctx.decode(np.arange(ctx.q, dtype=np.int64)) @ ctx.trace_form[:, 0] % ctx.p
+    return [(a,) for a in np.flatnonzero(traces == 0).tolist()]
 
 
 # -- spectra -------------------------------------------------------------------
@@ -188,8 +194,7 @@ def _functionals(points, freqs, ctx, n, sign):
     """Power-basis coordinates pts of the points and functionals w of the
     frequencies with sign*tr(a.b) = pts[a] . w[b] mod p, by the trace form:
     integer products below n*k*p^2, exact in int64 for any feasible p."""
-    pts, coords = (np.asarray(r, np.int64).reshape(-1, n, 1) // ctx.p ** np.arange(ctx.k) % ctx.p
-                   for r in (points, freqs))
+    pts, coords = (ctx.decode(np.asarray(r, np.int64).reshape(-1, n)) for r in (points, freqs))
     form = np.kron(np.eye(n, dtype=np.int64), ctx.trace_form)
     return pts.reshape(-1, n * ctx.k), sign * (coords.reshape(-1, n * ctx.k) @ form) % ctx.p
 
@@ -326,9 +331,12 @@ def _interval_irreg(p: int, H: int) -> float:
         return 1.0  # only the zero frequency survives
     if H == 1:
         return float(p)  # flat spectrum of magnitude 1/p
-    b = np.arange(1, p)
-    mags = np.abs(np.sin(np.pi * H * b / p)) / (p * np.abs(np.sin(np.pi * b / p)))
-    l1 = H / p + float(mags.sum())
+    sums = []
+    for lo in range(1, p, _INTERVAL_BLOCK):
+        b = np.arange(lo, min(lo + _INTERVAL_BLOCK, p))
+        mags = np.abs(np.sin(np.pi * H * b / p)) / (p * np.abs(np.sin(np.pi * b / p)))
+        sums.append(float(mags.sum()))
+    l1 = H / p + math.fsum(sums)
     return p / H * l1
 
 
@@ -338,6 +346,8 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
     Grid products (and the full space over a prime field, a grid of full
     intervals) go through the per-coordinate closed form after the affine
     reduction of each progression; everything else is a dense transform.
+    The closed form sums p - 1 terms for each distinct length 1 < H < p,
+    counted against the budget before any of them is built.
     """
     validate_set(s, ctx)
     size = cardinality(s, ctx)
@@ -346,6 +356,9 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
             lengths = [f.length for f in s.factors]
         else:
             lengths = [ctx.p] * s.n
+        work = (ctx.p - 1) * len({H for H in lengths if 1 < H < ctx.p})
+        if work > budget:
+            raise BudgetExceededError(f"closed form sums {work} terms, budget is {budget}")
         irreg = 1.0
         bound = 1.0
         for H in lengths:

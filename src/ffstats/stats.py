@@ -279,12 +279,15 @@ class ComparisonReport:
     prediction: dict  # parts -> Fraction
     per_type: dict  # parts -> (frequency, prediction, |deviation|) floats
     tv_distance: float
-    irreg: float
-    irreg_method: str
+    irregularity: _sets.IrregularityReport
     normalized_error: float
     q: int
     n: int
     p_gt_d: bool
+
+    @property
+    def irreg(self) -> float:
+        return self.irregularity.irreg
 
     def to_json_dict(self):
         ordered = sorted(self.per_type, reverse=True)
@@ -299,8 +302,8 @@ class ComparisonReport:
             },
             "distribution": self.distribution.to_json_dict(),
             "tv_distance": self.tv_distance,
-            "irreg": self.irreg,
-            "irreg_method": self.irreg_method,
+            "irreg": self.irregularity.irreg,
+            "irreg_method": self.irregularity.method,
             "normalized_error": self.normalized_error,
             "q": self.q,
             "n": self.n,
@@ -349,8 +352,7 @@ def compare(
         prediction=pred,
         per_type=per_type,
         tv_distance=float(tv),
-        irreg=rep.irreg,
-        irreg_method=rep.method,
+        irregularity=rep,
         normalized_error=norm,
         q=q,
         n=dimension(S),
@@ -368,11 +370,6 @@ class CharSumResult:
     terms: int
 
 
-def _matching_points(F, parts, budget, seed):
-    pts = _sweep_points(F, _sets.FullSpace(F.n), budget, seed)
-    return [pt for pt, r in zip(pts, _mp.classify_points(F, pts)) if r == parts]
-
-
 def _frequency(b, ctx, n) -> tuple:
     """b as a tuple, once it names a nonzero frequency of GF(q)^n: on a
     prime field any integers (taken mod p), on an extension element
@@ -387,10 +384,6 @@ def _frequency(b, ctx, n) -> tuple:
     return b
 
 
-def _weil_scale(q: int, n: int) -> float:
-    return float(q) ** n / math.sqrt(q)
-
-
 def restricted_charsum(
     F: MultiPoly,
     parts,
@@ -399,20 +392,18 @@ def restricted_charsum(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> CharSumResult:
-    """The sum of psi(-a.b) over {a : class(F(t,a)) = parts}."""
-    parts = tuple(sorted(parts, reverse=True))
-    ctx = F.ctx
-    b = _frequency(b, ctx, F.n)
-    matches = _matching_points(F, parts, budget, seed)
-    # the magnitude weil_sweep gives for b, on the path the matches select
-    _, _, mag = next(_sets.character_sums(matches, [b], ctx, F.n, -1, budget))
-    return CharSumResult(mag, mag / _weil_scale(ctx.q, F.n), len(matches))
+    """The sum of psi(-a.b) over {a : class(F(t,a)) = parts}: the one row of
+    ``weil_sweep(F, parts, [b])``."""
+    sweep = weil_sweep(F, parts, [b], budget=budget, seed=seed)
+    _, _, mag, ratio = sweep.rows[0]
+    return CharSumResult(mag, ratio, sweep.terms)
 
 
 @dataclass
 class WeilSweep:
     max_ratio: float
     rows: list  # (q, b, magnitude, ratio)
+    terms: int  # points in the class
 
 
 def weil_sweep(
@@ -433,9 +424,10 @@ def weil_sweep(
         bs = _sets.frequencies(ctx, n, budget)[1:]
     else:
         bs = [_frequency(b, ctx, n) for b in bs]
-    matches = _matching_points(F, parts, budget, seed)
-    scale = _weil_scale(ctx.q, n)
+    pts = _sweep_points(F, _sets.FullSpace(n), budget, seed)
+    matches = [pt for pt, r in zip(pts, _mp.classify_points(F, pts)) if r == parts]
+    scale = float(ctx.q) ** n / math.sqrt(ctx.q)
     sums = zip(bs, _sets.character_sums(matches, bs, ctx, n, -1, budget))
     rows = [(ctx.q, b, mag, mag / scale) for b, (_, _, mag) in sums]
     max_ratio = max((r[3] for r in rows), default=0.0)
-    return WeilSweep(max_ratio, rows)
+    return WeilSweep(max_ratio, rows, len(matches))

@@ -9,8 +9,8 @@ criterion (simple critical points with pairwise distinct critical values).
 Only the *degrees* of the irreducible factors are ever computed; gcds with
 x^(q^i) - x group the factors by degree and nothing is split further.
 Every operation runs on the kernels of :mod:`ffstats._gfp`, for every
-field: ``pack_coeffs`` and ``unpack_coeffs`` carry coefficient lists across
-that boundary, ``ctx.pack`` and ``ctx.unpack`` single elements.
+field: ``ctx.pack`` and ``ctx.unpack`` carry each coefficient across that
+boundary.
 """
 
 from __future__ import annotations
@@ -28,23 +28,6 @@ from .field import FieldCtx
 # A factorization type is the multiset of irreducible-factor degrees,
 # stored as a tuple of positive ints sorted descending, e.g. (3, 2, 2, 1).
 FactorizationType = tuple
-
-
-def pack_coeffs(ctx, coeffs):
-    """Encoded coefficients as the kernels of ``_gfp`` take them along with
-    ``ctx.red``: packed on extension fields, unchanged on prime fields."""
-    if ctx.k == 1:
-        return coeffs
-    pack = ctx.red.pack
-    return [pack(c) for c in coeffs]
-
-
-def unpack_coeffs(ctx, coeffs):
-    """Encoded coefficients of a list of reduced kernel coefficients."""
-    if ctx.k == 1:
-        return coeffs
-    unpack = ctx.red.unpack
-    return [unpack(c) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -94,7 +77,7 @@ class UniPoly:
             raise ValueError("polynomials over different field contexts")
 
     def _packed(self):
-        return pack_coeffs(self.ctx, self.coeffs)
+        return [self.ctx.pack(c) for c in self.coeffs]
 
     def _kernel(self, fn, *others):
         """The ``_gfp`` kernel fn on self and others, as kernel lists."""
@@ -103,7 +86,7 @@ class UniPoly:
         return fn(self._packed(), *[g._packed() for g in others], self.ctx.red)
 
     def _from_kernel(self, cs):
-        return UniPoly.make(self.ctx, unpack_coeffs(self.ctx, cs))
+        return UniPoly.make(self.ctx, [self.ctx.unpack(c) for c in cs])
 
     def __add__(self, other):
         return self._from_kernel(self._kernel(_gfp.gf_add, other))

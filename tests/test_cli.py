@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ffstats import stats
+from ffstats import sets, stats
 from ffstats.cli import main
 from ffstats.stats import cyclic_shift_group
 
@@ -272,6 +272,21 @@ def test_artin_schreier_demo_classifies_its_set_once(capsys, distribution_calls)
     assert result["split_completely"] == result["set_size"] == 3
 
 
+def test_artin_schreier_demo_computes_its_irregularity_once(capsys, monkeypatch):
+    calls = []
+    irregularity = sets.irregularity
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return irregularity(*args, **kwargs)
+
+    monkeypatch.setattr(sets, "irregularity", counted)
+    report = run_json(capsys, "demo", "artin-schreier", "--p", "3", "--k", "5")
+    assert len(calls) == 1
+    result = report["result"]
+    assert result["irreg"]["irreg"] == result["comparison_vs_cyclic"]["irreg"] == 3.0
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_input_error(capsys, threads):
     code, out = run_cli(
@@ -300,6 +315,23 @@ def test_sweeps_start_no_thread(capsys, monkeypatch, argv):
 def test_irreg_of_gf256_squared_is_budget_error_at_once(capsys):
     start = time.perf_counter()
     code, out = run_cli(capsys, "irreg", "--p", "2", "--k", "8", "--set", "full", "--n", "2")
+    assert code == 3 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("irreg", "--p", "100000007", "--set", "grid:int(0,1000)"),
+        # the demos check the closed form before classifying 10^6 points
+        ("demo", "pv", "--p", "100000007"),
+        ("demo", "morse", "--p", "100000007", "--shifts", "0,1"),
+    ],
+)
+def test_interval_irreg_past_the_budget_exits_at_once(capsys, argv):
+    # p - 1 = 100,000,006 closed-form terms exceed the default budget, 2^24
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert time.perf_counter() - start < 1.0
 

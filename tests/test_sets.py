@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -87,6 +88,15 @@ def test_enumerate_tracezero_f9():
     pts = enumerate_points(TraceZero(), ctx)
     assert pts == [(0,), (3,), (6,)]  # 0, x, 2x
     assert cardinality(TraceZero(), ctx) == 3
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3), (7, 3), (2, 12)])
+def test_enumerate_tracezero_matches_scalar_trace(p, k):
+    # the set is read from the trace form over decoded coordinates; the
+    # scalar trace, element by element, is the reference
+    ctx = FieldCtx(p, k, seed=0)
+    expect = [(a,) for a in range(ctx.q) if ctx.trace(a) == 0]
+    assert enumerate_points(TraceZero(), ctx) == expect
 
 
 def test_explicit_set_validation():
@@ -413,6 +423,31 @@ def test_irreg_interval_respects_envelope():
     assert rep.bound_9plogp == pytest.approx(9 * 101 * math.log(101) / 10)
     assert rep.irreg <= rep.bound_9plogp
     assert rep.irreg > 1.0
+
+
+def test_interval_irreg_counts_p_minus_1_terms_against_the_budget():
+    ctx = FieldCtx(101)
+    with pytest.raises(BudgetExceededError, match="100 terms"):
+        irregularity(GridProduct([APSpec(1, 0, 10)]), ctx, budget=99)
+    # one sum per distinct length; H = 1 and H = p cost nothing
+    grid = GridProduct([APSpec(1, 0, 10), APSpec(3, 5, 10), APSpec(1, 0, 1), APSpec(1, 0, 101)])
+    assert irregularity(grid, ctx, budget=100).method == "product_1d"
+    assert irregularity(FullSpace(2), ctx, budget=0).irreg == 1.0
+
+
+def test_interval_irreg_memory_is_bounded():
+    # p - 1 magnitudes summed in blocks: one pass over all of them peaks
+    # at about 305 MiB for this p
+    ctx = FieldCtx(10_000_019)
+    sets._interval_irreg.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = irregularity(GridProduct([APSpec(1, 0, 1000)]), ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert 1.0 < rep.irreg <= rep.bound_9plogp
 
 
 def test_interval_irreg_bound_values():
