@@ -20,18 +20,16 @@ mean the same on both kinds of field.  Callers pass reduced coefficients.
 Frobenius powers need the field size ``q`` besides ``p``.
 
 Sweeps classify a whole block of polynomials at once with
-:func:`gf_spec_types`, int64 numpy linear algebra on Frobenius matrices over
+:func:`gf_spec_types`, distinct-degree splitting by int64 numpy ranks over
 GF(q), with GF(q) products taken through the multiplication tensor of a
 :class:`VecField`; a prime field is the case k = 1.  The scalar
-:func:`gf_spec_type`, one distinct-degree pass per polynomial, is the
-reference the batched kernel is tested against, and serves single
+:func:`gf_spec_type`, one distinct-degree pass of gcds per polynomial, is
+the reference the batched kernel is tested against, and serves single
 polynomials and fields past the int64 bound of :func:`gf_batch_fits`.  The
 scalar kernels avoid classes and keep their inner loops allocation-light.
 The module keeps its historical name because the benchmark's traced run
 wraps ``_gfp.gf_spec_type``.
 """
-
-import functools
 
 import numpy as np
 
@@ -40,8 +38,10 @@ import numpy as np
 # meets the multiplication tensor, and every tensor contraction is reduced
 # after it: a contraction sums k^2 products of residues; a mulmod entry sums
 # at most d products and subtracts at most d - 1 more (reduced elements when
-# k > 1); an entry of Q^j sums d products; an elimination step subtracts two
-# products.  Points are read into int64 as encodings below q, so q < 2^62 too.
+# k > 1); an entry of the vector-matrix product x^(q^j) = x^(q^(j-1)) Q sums
+# d products; an elimination step subtracts two products; a coefficient of
+# the derivative is a residue times at most d, below d * p.  Points are read
+# into int64 as encodings below q, so q < 2^62 too.
 _INT64_LIMIT = 1 << 62
 
 
@@ -375,13 +375,6 @@ class VecField:
                 r = self.mul(r, a)
         return r
 
-    def matmul(self, a, b):
-        """Matrix product of (d, m, k, N) and (m, e, k, N) blocks, reduced."""
-        if self.k == 1:
-            return np.einsum("imn,mjn->ijn", a[:, :, 0], b[:, :, 0])[:, :, None] % self.p
-        x = np.einsum("imxn,mjyn->ijxyn", a, b)
-        return self.contract(x.reshape(x.shape[:2] + (self.k * self.k, x.shape[-1])))
-
 
 def gf_batch_fits(d, k, p):
     """Whether gf_spec_types can classify degree-d polynomials over GF(p^k)
@@ -425,22 +418,18 @@ def _vrank(a, field):
     return d - free.sum(axis=0)
 
 
-@functools.lru_cache(maxsize=None)
-def _degree_counts_map(d):
-    # N_j = sum_e c_e gcd(j, e) = sum_{k | j} phi(k) M_k with
-    # M_k = sum_{k | e} c_e.  Mobius inversion over divisors gives
-    # phi(j) M_j = sum_{k | j} mu(j/k) N_k, and over multiples
-    # c_e = sum_m mu(m) M_{em}.  mobius[k-1, j-1] = mu(j/k) when k | j.
-    mu = [0, 1] + [0] * d
-    for i in range(1, d + 1):
-        for j in range(2 * i, d + 1, i):
-            mu[j] -= mu[i]
-    mobius = np.zeros((d, d), dtype=np.int64)
-    for k in range(1, d + 1):
-        mobius[k - 1, k - 1 :: k] = mu[1 : d // k + 1]
-    phi = (np.arange(1, d + 1) @ mobius)[:, None]
-    mobius.flags.writeable = phi.flags.writeable = False  # shared by every call
-    return mobius, phi
+def _times_x(h, f, field):
+    # x*h mod the monic f: a shift and one reduction step
+    return (np.concatenate((np.zeros_like(h[:1]), h[:-1])) - field.prod(h[-1], f)) % field.p
+
+
+def _gcd_degree(g, f, field):
+    # deg gcd(g, f) = d - rank M_g, where row i of M_g is x^i g mod f: the rows
+    # span the ideal (g) in GF(q)[x]/(f), of dimension d - deg gcd(g, f)
+    rows = [g]
+    for _ in range(1, len(f)):
+        rows.append(_times_x(rows[-1], f, field))
+    return len(f) - _vrank(np.stack(rows), field)
 
 
 def gf_spec_types(c, field):
@@ -450,12 +439,14 @@ def gf_spec_types(c, field):
     tuple of factor degrees, None for a repeated factor, or () when the
     degree-d coefficient is zero.
 
-    Row i of the Frobenius matrix Q is x^(iq) mod f: a -> a^q is GF(q)-linear
-    on GF(q)[x]/(f), f is squarefree iff Q is invertible, and then
-    nullity(Q^j - I) = sum over the factors of gcd(j, degree), which two
-    Mobius inversions turn into the number of factors of each degree
-    (Berlekamp 1967; von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 14).  On a prime field Q is Berlekamp's matrix.
+    Distinct-degree splitting by ranks (von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 14): deg gcd(g, f) = d - rank M_g, where row i of
+    M_g is x^i g mod f.  The monic f is squarefree iff rank M_f' = d.  Then
+    D_j = deg gcd(x^(q^j) - x, f) = sum over e | j of e c_e, where c_e counts
+    the factors of degree e; D_1..D_(d/2) give c_e for e <= d/2, and the
+    rest of the degree is zero or one factor.  x^(q^j) is x^(q^(j-1)) times
+    the Frobenius matrix Q, whose row i is x^(iq) mod f (a -> a^q is
+    GF(q)-linear on GF(q)[x]/(f)).  A block takes 1 + d // 2 ranks.
     """
     n, d = c.shape[0], c.shape[1] - 1
     p = field.p
@@ -463,34 +454,41 @@ def gf_spec_types(c, field):
     live = np.flatnonzero(c[:, d].any(axis=1))
     c = c[live].transpose(1, 2, 0)
     f = field.mul(c[:d], field.pow(c[d], field.q - 2))
-    q = np.zeros((d, d) + c.shape[1:], dtype=np.int64)
-    q[0, 0, 0] = 1
-    h = q[0]
-    for bit in field.frobenius_bits:
-        h = _vmulrem(h, h, f, field)
-        if bit == "1":  # times x: a shift and one reduction step
-            h = (np.concatenate((np.zeros_like(h[:1]), h[:-1])) - field.prod(h[-1], f)) % p
-    for i in range(1, d):
-        q[i] = _vmulrem(q[i - 1], h, f, field)
-    squarefree = _vrank(q.copy(), field) == d
+    monic = np.concatenate((f, np.zeros_like(f[:1])))
+    monic[d, 0] = 1
+    derivative = np.arange(1, d + 1)[:, None, None] * monic[1:] % p
+    squarefree = _gcd_degree(derivative, f, field) == 0
     for i in live[~squarefree].tolist():
         out[i] = None
-    q = q[..., squarefree]
-    nullity = np.empty((d, q.shape[-1]), dtype=np.int64)
-    eye = np.zeros((d, d, field.k, 1), dtype=np.int64)
-    eye[range(d), range(d), 0] = 1
-    power = q
-    for j in range(d):
-        nullity[j] = d - _vrank(power - eye, field)
-        if j + 1 < d:
-            power = field.matmul(power, q)
-    mobius, phi = _degree_counts_map(d)
-    counts = mobius @ (mobius.T @ nullity // phi)
+    f = f[..., squarefree]
+    degrees = np.empty((d // 2, f.shape[-1]), dtype=np.int64)
+    if d >= 2:  # h = x^q mod f
+        h = np.zeros_like(f)
+        h[0, 0] = 1
+        for bit in field.frobenius_bits:
+            h = _vmulrem(h, h, f, field)
+            if bit == "1":
+                h = _times_x(h, f, field)
+    if d >= 4:
+        q = np.zeros((d,) + f.shape, dtype=np.int64)
+        q[0, 0, 0] = 1
+        q[1] = h
+        for i in range(2, d):
+            q[i] = _vmulrem(q[i - 1], h, f, field)
+    for j in range(d // 2):
+        if j:  # x^(q^(j+1)) = x^(q^j) Q, d products a coordinate
+            h = field.contract(field.outer(h[:, None], q).sum(axis=0)) % p
+        g = h.copy()
+        g[1, 0] -= 1
+        degrees[j] = _gcd_degree(g, f, field)
+    for e in range(1, d // 2 + 1):  # Mobius inversion, as a sieve, leaves e c_e
+        degrees[2 * e - 1 :: e] -= degrees[e - 1]
     types = {}
-    for i, row in zip(live[squarefree].tolist(), counts.T.tolist()):
-        key = tuple(row)
+    for i, key in zip(live[squarefree].tolist(), map(tuple, degrees.T.tolist())):
         if key not in types:
-            types[key] = tuple(e for e in range(d, 0, -1) for _ in range(row[e - 1]))
+            rest = d - sum(key)  # zero, or one factor of degree above d/2
+            small = tuple(e for e in range(d // 2, 0, -1) for _ in range(key[e - 1] // e))
+            types[key] = (rest,) + small if rest else small
         out[i] = types[key]
     return out
 

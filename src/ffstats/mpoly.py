@@ -460,10 +460,10 @@ class SpecializationOutcome:
 
 
 # Points per block of the batched path: the largest temporaries, the raw
-# products of two blocks of d x d matrices over GF(p^k), hold about
-# d^2 k^2 entries per point, so a block of _SPEC_BLOCK / (d^2 k^2) points
-# holds about this many in all; at least _SPEC_MIN points, below which the
-# fixed numpy overhead of a block outweighs its arithmetic.
+# coordinate products of an elimination step of a d x d rank over GF(p^k),
+# hold about d^2 k^2 entries per point, so a block of _SPEC_BLOCK / (d^2 k^2)
+# points holds about this many in all; at least _SPEC_MIN points, below which
+# the fixed numpy overhead of a block outweighs its arithmetic.
 _SPEC_BLOCK = 1 << 13
 _SPEC_MIN = 32
 
@@ -483,9 +483,10 @@ def classify_points(F: MultiPoly, points):
     2^62 and q < 2^62), the points are read into coordinate arrays by
     ``ctx.coordinates`` and classified in blocks of about
     ``_SPEC_BLOCK / (deg_t^2 k^2)`` points, at least ``_SPEC_MIN``, by
-    ``specialize_block`` and ``_gfp.gf_spec_types``, from Frobenius matrices
-    over GF(q) (Berlekamp 1967; von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 14).
+    ``specialize_block`` and ``_gfp.gf_spec_types``: distinct-degree
+    splitting, with the degree of each gcd read off the rank of a
+    deg_t x deg_t matrix over GF(q), 1 + deg_t // 2 ranks a block (von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 14).
     Otherwise each point takes ``specialize_dense`` and the distinct-degree
     splitting of ``_gfp.gf_spec_type``.  Both paths yield the same outcomes.
 

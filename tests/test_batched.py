@@ -164,25 +164,40 @@ def _irreducible_count(q, e):
     return sum(sympy.mobius(e // j) * q**j for j in sympy.divisors(e)) // e
 
 
-@pytest.mark.parametrize("p,d", [(11, 3), (13, 3), (11, 4)])
-def test_necklace_counts_across_blocks(p, d):
+# Degree >= 4 composes x^(q^j) through the Frobenius matrix; the types with a
+# part above d/2 come from the leftover degree.
+@pytest.mark.parametrize("q,d", [(11, 3), (13, 3), (11, 4), (2, 8), (3, 6), (5, 5), (9, 4)])
+def test_necklace_counts_across_blocks(q, d):
     # t^d + A1*t^(d-1) + ... + Ad lists every monic polynomial of degree d
     # once: a type with m_e parts e is counted by prod_e C(N_q(e), m_e)
     poly = " + ".join([f"t^{d}"] + [f"A{i}*t^{d - i}" for i in range(1, d)] + [f"A{d}"])
-    F = parse(poly, d, FieldCtx(p))
-    outcomes = _blocked(F, list(itertools.product(range(p), repeat=d)), 97)
+    F = parse(poly, d, FieldCtx(*(sympy.perfect_power(q) or (q, 1)), seed=1))
+    outcomes = _blocked(F, list(itertools.product(range(q), repeat=d)), 97)
     expected = {}
     for parts in partitions(d):
         count = 1
         for e in set(parts):
-            count *= math.comb(_irreducible_count(p, e), parts.count(e))
+            count *= math.comb(_irreducible_count(q, e), parts.count(e))
         if count:
             expected[parts] = count
-    expected[NON_SQUAREFREE] = p ** (d - 1)
+    expected[NON_SQUAREFREE] = q ** (d - 1)
     got = {}
     for outcome in outcomes:
         got[outcome] = got.get(outcome, 0) + 1
     assert got == expected
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(7), FieldCtx(2, 2, seed=1)], ids=lambda c: f"GF{c.q}")
+@pytest.mark.parametrize("d", range(1, 9))
+def test_a_block_takes_one_rank_and_one_more_per_degree_up_to_half(ctx, d):
+    # squarefreeness is one rank, and D_j = deg gcd(x^(q^j) - x, f) one rank
+    # for each j <= d/2
+    F = parse(f"t^{d} + A1*t^{d - 1} + 1", 1, ctx)
+    points = [(a,) for a in range(ctx.q)]
+    with mock.patch.object(_gfp, "_vrank", wraps=_gfp._vrank) as ranks:
+        got = _blocked(F, points, 3)
+    assert ranks.call_count == (1 + d // 2) * -(-ctx.q // 3)
+    assert got == [_scalar(F, pt) for pt in points]
 
 
 def test_points_are_reduced_before_int64():
