@@ -5,8 +5,8 @@ and ``demo`` (presets: quadratic residues in an interval, k-th power
 residues, the trinomial family, shifted Morse polynomials, and the
 Artin-Schreier trace-zero counterexample).
 
-Every run prints one JSON document: ``{"version", "config", "result",
-"timings"}``.  The ``result`` subtree is byte-identical for a fixed
+Every run prints one JSON document on one line: ``{"version", "config",
+"result", "timings"}``.  The ``result`` subtree is byte-identical for a fixed
 (config, seed); wall-clock times live only under ``timings``.  Every run
 works in the calling thread: ``--threads`` is accepted for compatibility
 and echoed in ``config``.  Logs go to stderr, reports to stdout or
@@ -16,6 +16,8 @@ and echoed in ``config``.  Logs go to stderr, reports to stdout or
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import math
@@ -353,6 +355,7 @@ def _cmd_demo(args):
 
 
 def _csv_rows(result):
+    header = ["type", "count", "frequency", "prediction", "deviation"]
     if "per_type" in result:  # comparison report
         dist = result["distribution"]
         rows = []
@@ -366,7 +369,7 @@ def _csv_rows(result):
                     cell["deviation"],
                 ]
             )
-        return ["type,count,frequency,prediction,deviation"], rows
+        return header, rows
     if "counts" in result:  # plain distribution
         rows = [
             [t, c, c / result["total"], "", ""]
@@ -374,17 +377,25 @@ def _csv_rows(result):
         ]
         rows.append(["non_squarefree", result["non_squarefree"], "", "", ""])
         rows.append(["degree_drop", result["degree_drop"], "", "", ""])
-        return ["type,count,frequency,prediction,deviation"], rows
-    return ["key,value"], [[k, v] for k, v in result.items()]
+        return header, rows
+    if "rows" in result:  # charsum --all-b
+        rows = [[r["q"], r["b"], r["magnitude"], r["ratio"]] for r in result["rows"]]
+        return ["q", "b", "magnitude", "ratio"], rows
+    return ["key", "value"], [[k, v] for k, v in result.items()]
 
 
 def _emit(report, args):
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        # no indent: json's C encoder only runs without one
+        text = json.dumps(report) + "\n"
     else:
         header, rows = _csv_rows(report["result"])
-        lines = header + [",".join(str(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        # str() first: the writer would print None as an empty field
+        writer.writerows([str(x) for x in row] for row in rows)
+        text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,11 +1,13 @@
+import csv
 import json
 import math
 import threading
 import time
+import types
 
 import pytest
 
-from ffstats import sets, stats
+from ffstats import cli, sets, stats
 from ffstats.cli import main
 from ffstats.stats import cyclic_shift_group
 
@@ -367,9 +369,77 @@ def test_csv_output(capsys):
         "--format", "csv",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "type,count,frequency,prediction,deviation"
-    assert any(line.startswith("[1,1],6") for line in lines)
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["type", "count", "frequency", "prediction", "deviation"]
+    assert ["[1,1]", "6", str(6 / 13), "", ""] in rows
+
+
+CUBIC_F7 = ("--p", "7", "--poly", "t^3+A1*t+A2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("charsum", *CUBIC_F7, "--type", "3", "--b", "1,2"),
+        ("charsum", *CUBIC_F7, "--type", "3", "--all-b"),
+        ("dist", *CUBIC_F7),
+        ("compare", *CUBIC_F7),
+        ("demo", "morse", "--p", "101", "--shifts", "0,1"),
+        ("factor-type", *CUBIC_F7, "--point", "0,0"),
+    ],
+)
+def test_csv_rows_have_as_many_fields_as_the_header(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
+def test_csv_charsum_quotes_the_frequency(capsys):
+    argv = ("charsum", *CUBIC_F7, "--type", "3", "--b", "1,2", "--format", "csv")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith('key,value\nb,"1,2"\nmagnitude,')
+    # fields without commas print as before, None included
+    code, out = run_cli(capsys, "factor-type", *CUBIC_F7, "--point", "0,0", "--format", "csv")
+    assert out.startswith("key,value\noutcome,non_squarefree\ntype,None\n")
+
+
+def test_csv_charsum_sweep_has_one_row_per_frequency(capsys):
+    argv = ("charsum", *CUBIC_F7, "--type", "3", "--all-b")
+    expected = run_json(capsys, *argv)["result"]["rows"]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert header == ["q", "b", "magnitude", "ratio"]
+    assert len(rows) == 48 == len(expected)
+    for (q, b, magnitude, ratio), want in zip(rows, expected):
+        assert (int(q), b, float(magnitude), float(ratio)) == (
+            want["q"], want["b"], want["magnitude"], want["ratio"],
+        )
+
+
+def test_json_report_is_one_line_from_the_c_encoder(capsys, monkeypatch):
+    reports = []
+    emit = cli._emit
+
+    def spy(report, args):
+        reports.append(report)
+        emit(report, args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python json encoder")
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    with monkeypatch.context() as m:
+        m.setattr(json.encoder, "_make_iterencode", refuse)
+        code, out = run_cli(
+            capsys, "charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", "3", "--all-b"
+        )
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    indented = json.loads(json.dumps(reports[0], indent=2))
+    assert json.loads(out)["result"] == indented["result"]
 
 
 def test_out_file(capsys, tmp_path):
@@ -385,3 +455,16 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     report = json.loads(path.read_text())
     assert report["result"]["total"] == 13
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_holds_the_bytes_of_stdout(capsys, monkeypatch, tmp_path, fmt):
+    # a frozen clock makes timings equal, so the whole report must match
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    argv = ("charsum", *CUBIC_F7, "--type", "3", "--b", "1,2", "--format", fmt)
+    path = tmp_path / f"report.{fmt}"
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    code, nothing = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and nothing == ""
+    assert path.read_bytes() == out.encode("utf-8")
