@@ -6,11 +6,15 @@ residues, the trinomial family, shifted Morse polynomials, and the
 Artin-Schreier trace-zero counterexample).
 
 Every run prints one JSON document on one line: ``{"version", "config",
-"result", "timings"}``.  The ``result`` subtree is byte-identical for a fixed
+"result", "timings"}``.  ``main`` builds the field and any ``--poly``, calls
+the subcommand's handler for ``result``, and derives ``config`` from the
+parsed options: every one but ``--out``, with ``q`` and the canonical
+polynomial added.  The ``result`` subtree is byte-identical for a fixed
 (config, seed); wall-clock times live only under ``timings``.  Every run
-works in the calling thread: ``--threads`` is accepted for compatibility
-and echoed in ``config``.  Logs go to stderr, reports to stdout or
-``--out``.  Exit codes: 0 ok, 2 input error, 3 budget error.
+works in the calling thread: ``--threads`` is accepted for compatibility.
+``--format csv`` writes a table instead, nested results as dotted keys.
+Logs go to stderr, reports to stdout or ``--out``.  Exit codes: 0 ok,
+2 input error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -42,32 +46,36 @@ def _positive_int(text):
     return value
 
 
-def _add_common(sp, needs_poly=True):
-    sp.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
-    sp.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
-    sp.add_argument(
+def _shared_parsers():
+    """The options every subcommand takes, and those of the subcommands that
+    take a polynomial, as argparse parents."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
+    common.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
+    common.add_argument(
         "--modulus",
         default=None,
         help="extension modulus as ascending coefficients, e.g. '1,0,1' for x^2+1",
     )
-    if needs_poly:
-        sp.add_argument("--poly", required=True, help="polynomial in t, A1..An")
-        sp.add_argument(
-            "--n",
-            type=int,
-            default=None,
-            help="parameter count (default: highest A-index in --poly)",
-        )
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument(
         "--threads",
         type=_positive_int,
         default=1,
         help="accepted for compatibility; every run uses one thread",
     )
-    sp.add_argument("--budget", type=int, default=sets.DEFAULT_BUDGET)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out", default=None, help="write the report here instead of stdout")
+    common.add_argument("--budget", type=_positive_int, default=sets.DEFAULT_BUDGET)
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out", default=None, help="write the report here instead of stdout")
+    poly = argparse.ArgumentParser(add_help=False)
+    poly.add_argument("--poly", required=True, help="polynomial in t, A1..An")
+    poly.add_argument(
+        "--n",
+        type=int,
+        default=None,
+        help="parameter count (default: highest A-index in --poly)",
+    )
+    return common, poly
 
 
 def _ctx_from(args) -> FieldCtx:
@@ -79,67 +87,50 @@ def _ctx_from(args) -> FieldCtx:
 
 def _poly_from(args, ctx):
     n = args.n if args.n is not None else mpoly.infer_parameter_count(args.poly)
-    return mpoly.parse(args.poly, n, ctx)
+    return mpoly.parse(args.poly, n, ctx, budget=args.budget)
 
 
-def _base_config(args, ctx, **extra):
-    cfg = {
-        "p": ctx.p,
-        "k": ctx.k,
-        "q": ctx.q,
-        "modulus": None
-        if ctx.modulus is None
-        else ",".join(str(c) for c in ctx.modulus),
-        "seed": args.seed,
-        "threads": args.threads,
-        "budget": args.budget,
-        "format": args.format,
-    }
-    cfg.update(extra)
+def _config(args, ctx, F):
+    """Every parsed option but --out, with the field (and polynomial) as built."""
+    cfg = {key: v for key, v in vars(args).items() if key not in ("handler", "out")}
+    cfg.update(
+        p=ctx.p,
+        k=ctx.k,
+        q=ctx.q,
+        modulus=None if ctx.modulus is None else ",".join(str(c) for c in ctx.modulus),
+    )
+    if F is not None:
+        cfg.update(poly=str(F), n=F.n)
     return cfg
 
 
 # -- subcommand handlers ------------------------------------------------------------
 
 
-def _cmd_factor_type(args):
-    ctx = _ctx_from(args)
-    F = _poly_from(args, ctx)
+def _cmd_factor_type(args, ctx, F):
     point = sets.parse_point(args.point, ctx) if args.point else ()
     mpoly.require_dense_budget(F, args.budget)
     outcome = mpoly.classify_specialization(F, point)
     f = F.specialize(point)
-    result = {
+    return {
         "outcome": outcome.kind,
         "type": stats.format_type(outcome.parts) if outcome.is_type else None,
         "specialized": str(f),
         "degree": f.degree,
     }
-    cfg = _base_config(args, ctx, poly=str(F), n=F.n, point=args.point or "")
-    return result, cfg
 
 
-def _cmd_irreg(args):
-    ctx = _ctx_from(args)
+def _cmd_irreg(args, ctx, F):
     # --n sizes the full space; any other descriptor carries its own dimension
     n = args.n if args.set.strip() == "full" else None
     descriptor = sets.parse_set(args.set, ctx, n=n)
-    rep = sets.irregularity(descriptor, ctx, budget=args.budget)
-    result = rep.to_json_dict()
-    cfg = _base_config(args, ctx, set=args.set, n=args.n)
-    return result, cfg
+    return sets.irregularity(descriptor, ctx, budget=args.budget).to_json_dict()
 
 
-def _cmd_dist(args):
-    ctx = _ctx_from(args)
-    F = _poly_from(args, ctx)
+def _cmd_dist(args, ctx, F):
     descriptor = sets.parse_set(args.set, ctx, n=F.n)
-    dist = stats.empirical_distribution(
-        F, descriptor, budget=args.budget, seed=args.seed
-    )
-    result = dist.to_json_dict()
-    cfg = _base_config(args, ctx, poly=str(F), n=F.n, set=args.set)
-    return result, cfg
+    dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
+    return dist.to_json_dict()
 
 
 def _load_group(spec_text, d):
@@ -148,28 +139,18 @@ def _load_group(spec_text, d):
     return stats.GroupSpec.from_file(spec_text)
 
 
-def _cmd_compare(args):
-    ctx = _ctx_from(args)
-    F = _poly_from(args, ctx)
+def _cmd_compare(args, ctx, F):
     descriptor = sets.parse_set(args.set, ctx, n=F.n)
     group = _load_group(args.group, F.deg_t)
-    report = stats.compare(
-        F, descriptor, group, budget=args.budget, seed=args.seed
-    )
-    result = report.to_json_dict()
-    cfg = _base_config(args, ctx, poly=str(F), n=F.n, set=args.set, group=args.group)
-    return result, cfg
+    report = stats.compare(F, descriptor, group, budget=args.budget, seed=args.seed)
+    return report.to_json_dict()
 
 
-def _cmd_charsum(args):
-    ctx = _ctx_from(args)
-    F = _poly_from(args, ctx)
+def _cmd_charsum(args, ctx, F):
     parts = stats.parse_type(args.type)
     if args.all_b:
-        sweep = stats.weil_sweep(
-            F, parts, None, budget=args.budget, seed=args.seed
-        )
-        result = {
+        sweep = stats.weil_sweep(F, parts, None, budget=args.budget, seed=args.seed)
+        return {
             "max_ratio": sweep.max_ratio,
             "rows": [
                 {
@@ -181,40 +162,34 @@ def _cmd_charsum(args):
                 for q, b, mag, ratio in sweep.rows
             ],
         }
-    else:
-        if not args.b:
-            raise ValueError("need --b or --all-b")
-        b = sets.parse_point(args.b, ctx)
-        res = stats.restricted_charsum(F, parts, b, budget=args.budget, seed=args.seed)
-        result = {
-            "b": args.b,
-            "magnitude": res.magnitude,
-            "weil_ratio": res.weil_ratio,
-            "terms": res.terms,
-        }
-    cfg = _base_config(
-        args, ctx, poly=str(F), n=F.n, type=args.type, b=args.b or "", all_b=args.all_b
-    )
-    return result, cfg
+    if not args.b:
+        raise ValueError("need --b or --all-b")
+    b = sets.parse_point(args.b, ctx)
+    res = stats.restricted_charsum(F, parts, b, budget=args.budget, seed=args.seed)
+    return {
+        "b": args.b,
+        "magnitude": res.magnitude,
+        "weil_ratio": res.weil_ratio,
+        "terms": res.terms,
+    }
 
 
 # -- demos -----------------------------------------------------------------------
 
 
-def _interval_default(p):
-    return math.ceil(p**0.75)
+def _interval(args, ctx):
+    """--H points from --beta on the line; H defaults to ceil(p^(3/4))."""
+    H = args.H or math.ceil(ctx.p**0.75)
+    return H, sets.GridProduct([sets.APSpec(1, args.beta, H)])
 
 
-def _demo_pv(args, ctx):
+def _demo_pv(args, ctx, F):
     """Quadratic residues in an interval: how often t^2 - a splits."""
-    H = args.H or _interval_default(ctx.p)
+    H, descriptor = _interval(args, ctx)
     F = mpoly.parse("t^2 - A1", 1, ctx)
-    descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
     # first, so that a closed form past the budget exits before classifying
     rep = sets.irregularity(descriptor, ctx, budget=args.budget)
-    dist = stats.empirical_distribution(
-        F, descriptor, budget=args.budget, seed=args.seed
-    )
+    dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
     split = dist.counts.get((1, 1), 0)
     return {
         "H": H,
@@ -228,7 +203,7 @@ def _demo_pv(args, ctx):
     }
 
 
-def _demo_power_residues(args, ctx):
+def _demo_power_residues(args, ctx, F):
     """How many a in an interval are k-th powers: t^k - a has a root.
 
     With m = k with every factor p divided out, t^k - a and t^m - a have a
@@ -238,9 +213,8 @@ def _demo_power_residues(args, ctx):
     k = m = args.power
     while m % ctx.p == 0:
         m //= ctx.p
-    H = args.H or _interval_default(ctx.p)
+    H, descriptor = _interval(args, ctx)
     F = mpoly.parse(f"t^{m} - A1", 1, ctx)
-    descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
     dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
     with_root = dist.non_squarefree + sum(c for parts, c in dist.counts.items() if 1 in parts)
     g = math.gcd(ctx.p - 1, k)
@@ -256,28 +230,21 @@ def _demo_power_residues(args, ctx):
     }
 
 
-def _demo_trinomial(args, ctx):
+def _demo_trinomial(args, ctx, F):
     """t^3 + A1*t + A2 against the random-permutation law."""
     F = mpoly.parse("t^3 + A1*t + A2", 2, ctx)
     if args.H:
-        descriptor = sets.GridProduct(
-            [sets.APSpec(1, 0, args.H), sets.APSpec(1, 0, args.H)]
-        )
+        descriptor = sets.GridProduct([sets.APSpec(1, 0, args.H), sets.APSpec(1, 0, args.H)])
     else:
         descriptor = sets.FullSpace(2)
-    report = stats.compare(
-        F,
-        descriptor,
-        stats.GroupSpec.symmetric(3),
-        budget=args.budget,
-        seed=args.seed,
-    )
+    group = stats.GroupSpec.symmetric(3)
+    report = stats.compare(F, descriptor, group, budget=args.budget, seed=args.seed)
     return report.to_json_dict()
 
 
-def _demo_morse(args, ctx):
+def _demo_morse(args, ctx, F):
     """Shifted families f(t) + h_i + a: all-irreducible counts in an interval."""
-    f = mpoly.parse(args.f, 0, ctx)
+    f = mpoly.parse(args.f, 0, ctx, budget=args.budget)
     fU = f.specialize(())
     d = fU.degree
     if not unipoly.is_morse(fU):
@@ -290,12 +257,9 @@ def _demo_morse(args, ctx):
     F = mpoly.MultiPoly.constant(ctx, 1, 1)
     for h in shifts:
         F = F * (base + A + mpoly.MultiPoly.constant(ctx, 1, ctx.from_int(h)))
-    H = args.H or _interval_default(ctx.p)
-    descriptor = sets.GridProduct([sets.APSpec(1, args.beta, H)])
+    H, descriptor = _interval(args, ctx)
     rep = sets.irregularity(descriptor, ctx, budget=args.budget)
-    dist = stats.empirical_distribution(
-        F, descriptor, budget=args.budget, seed=args.seed
-    )
+    dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
     m = len(shifts)
     all_irreducible = dist.counts.get((d,) * m, 0)
     target = H / d**m
@@ -313,16 +277,14 @@ def _demo_morse(args, ctx):
     }
 
 
-def _demo_artin_schreier(args, ctx):
+def _demo_artin_schreier(args, ctx, F):
     """t^p - t - a on the trace-zero set: every specialization splits, yet
     the set is as regular as they come (irregularity p)."""
     p = ctx.p
     F = mpoly.parse(f"t^{p} - t - A1", 1, ctx)
     descriptor = sets.TraceZero()
     group = stats.cyclic_shift_group(p)
-    comparison = stats.compare(
-        F, descriptor, group, budget=args.budget, seed=args.seed
-    )
+    comparison = stats.compare(F, descriptor, group, budget=args.budget, seed=args.seed)
     dist = comparison.distribution
     split_all = dist.counts.get((1,) * p, 0)
     return {
@@ -342,13 +304,6 @@ _DEMOS = {
     "morse": _demo_morse,
     "artin-schreier": _demo_artin_schreier,
 }
-
-
-def _cmd_demo(args):
-    ctx = _ctx_from(args)
-    result = _DEMOS[args.name](args, ctx)
-    cfg = _base_config(args, ctx, demo=args.name)
-    return result, cfg
 
 
 # -- output ----------------------------------------------------------------------
@@ -381,7 +336,16 @@ def _csv_rows(result):
     if "rows" in result:  # charsum --all-b
         rows = [[r["q"], r["b"], r["magnitude"], r["ratio"]] for r in result["rows"]]
         return ["q", "b", "magnitude", "ratio"], rows
-    return ["key", "value"], [[k, v] for k, v in result.items()]
+    return ["key", "value"], list(_flatten(result))
+
+
+def _flatten(tree, prefix=""):
+    """[dotted key, value] of every leaf; a list is one leaf, as JSON text."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _flatten(value, f"{prefix}{key}.")
+        else:
+            yield [prefix + key, json.dumps(value) if isinstance(value, list) else value]
 
 
 def _emit(report, args):
@@ -409,45 +373,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Factorization statistics of polynomial specializations over finite fields",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    common, poly = _shared_parsers()
 
-    sp = sub.add_parser("factor-type", help="classify one specialization")
-    _add_common(sp)
+    sp = sub.add_parser("factor-type", parents=[common, poly], help="classify one specialization")
     sp.add_argument("--point", default="", help="comma-separated element literals")
     sp.set_defaults(handler=_cmd_factor_type)
 
-    sp = sub.add_parser("irreg", help="irregularity of a set")
-    _add_common(sp, needs_poly=False)
+    sp = sub.add_parser("irreg", parents=[common], help="irregularity of a set")
     sp.add_argument("--set", required=True)
     sp.add_argument("--n", type=int, default=1, help="dimension for 'full'")
     sp.set_defaults(handler=_cmd_irreg)
 
-    sp = sub.add_parser("dist", help="empirical class distribution over a set")
-    _add_common(sp)
+    sp = sub.add_parser(
+        "dist", parents=[common, poly], help="empirical class distribution over a set"
+    )
     sp.add_argument("--set", default="full")
     sp.set_defaults(handler=_cmd_dist)
 
-    sp = sub.add_parser("compare", help="distribution vs. group prediction")
-    _add_common(sp)
+    sp = sub.add_parser("compare", parents=[common, poly], help="distribution vs. group prediction")
     sp.add_argument("--set", default="full")
     sp.add_argument("--group", default="symmetric", help="'symmetric' or a group file")
     sp.set_defaults(handler=_cmd_compare)
 
-    sp = sub.add_parser("charsum", help="restricted character sums")
-    _add_common(sp)
+    sp = sub.add_parser("charsum", parents=[common, poly], help="restricted character sums")
     sp.add_argument("--type", required=True, help="factorization type, e.g. '2,1'")
     sp.add_argument("--b", default="", help="frequency vector")
     sp.add_argument("--all-b", action="store_true", help="sweep every nonzero frequency")
     sp.set_defaults(handler=_cmd_charsum)
 
-    sp = sub.add_parser("demo", help="named reproductions")
-    sp.add_argument("name", choices=sorted(_DEMOS))
-    _add_common(sp, needs_poly=False)
-    sp.add_argument("--H", type=int, default=None, help="interval length")
+    sp = sub.add_parser("demo", parents=[common], help="named reproductions")
+    sp.add_argument("demo", choices=sorted(_DEMOS))
+    sp.add_argument("--H", type=_positive_int, default=None, help="interval length")
     sp.add_argument("--beta", type=int, default=0, help="interval start")
     sp.add_argument("--power", type=_positive_int, default=2, help="k for power residues")
     sp.add_argument("--f", default="t^3 - 3*t", help="Morse base polynomial in t")
     sp.add_argument("--shifts", default="0", help="comma-separated shifts h_i")
-    sp.set_defaults(handler=_cmd_demo)
 
     return ap
 
@@ -459,9 +419,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_INPUT
+    handler = _DEMOS[args.demo] if args.command == "demo" else args.handler
     start = time.perf_counter()
     try:
-        result, cfg = args.handler(args)
+        ctx = _ctx_from(args)
+        F = _poly_from(args, ctx) if "poly" in args else None
+        result = handler(args, ctx, F)
     except BudgetExceededError as exc:
         log.error("budget error: %s", exc)
         return EXIT_BUDGET
@@ -471,7 +434,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
     report = {
         "version": __version__,
-        "config": cfg,
+        "config": _config(args, ctx, F),
         "result": result,
         "timings": {"elapsed_s": elapsed},
     }

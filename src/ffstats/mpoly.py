@@ -32,6 +32,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .field import FieldCtx
+from .sets import DEFAULT_BUDGET
 from .unipoly import UniPoly
 
 # -- tokenizer ----------------------------------------------------------------
@@ -90,7 +91,11 @@ def _tneg(ctx, a):
     return {e: ctx.neg(c) for e, c in a.items()}
 
 
-def _tmul(ctx, a, b):
+def _tmul(ctx, a, b, budget=None):
+    if budget is not None and len(a) * len(b) > budget:
+        raise BudgetExceededError(
+            f"product of {len(a)} by {len(b)} terms costs {len(a) * len(b)}, budget is {budget}"
+        )
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -103,15 +108,15 @@ def _tmul(ctx, a, b):
     return out
 
 
-def _tpow(ctx, a, e, nvars):
+def _tpow(ctx, a, e, nvars, budget=None):
     out = {(0,) * (nvars + 1): 1}
     base = a
     while e:
         if e & 1:
-            out = _tmul(ctx, out, base)
+            out = _tmul(ctx, out, base, budget)
         e >>= 1
         if e:
-            base = _tmul(ctx, base, base)
+            base = _tmul(ctx, base, base, budget)
     return out
 
 
@@ -324,12 +329,18 @@ class MultiPoly:
 # -- parser --------------------------------------------------------------------
 
 
+# Each nesting level costs four stack frames (expr, term, factor, atom).
+_MAX_NESTING = 100
+
+
 class _Parser:
-    def __init__(self, tokens, ctx, n):
+    def __init__(self, tokens, ctx, n, budget):
         self.toks = tokens
         self.pos = 0
         self.ctx = ctx
         self.n = n
+        self.budget = budget
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -370,7 +381,8 @@ class _Parser:
         acc = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            acc = acc * self.factor()
+            terms = _tmul(self.ctx, acc.terms, self.factor().terms, self.budget)
+            acc = MultiPoly(self.ctx, self.n, terms)
         return -acc if negate else acc
 
     def factor(self):
@@ -385,7 +397,8 @@ class _Parser:
                     "exponent must be an integer literal", tok[2]
                 )
             self.advance()
-            return base ** tok[1]
+            terms = _tpow(self.ctx, base.terms, tok[1], self.n, self.budget)
+            return MultiPoly(self.ctx, self.n, terms)
         return base
 
     def atom(self):
@@ -419,15 +432,23 @@ class _Parser:
                 )
             raise UnknownVariableError(f"unknown variable {val!r}", pos)
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise PolynomialSyntaxError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", pos
+                )
+            self.depth += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise PolynomialSyntaxError(f"unexpected {val!r}", pos)
 
 
-def parse(expr: str, n: int, ctx: FieldCtx) -> MultiPoly:
-    """Parse an expression in t, A1..An over the given field context."""
-    return _Parser(_tokenize(expr), ctx, n).parse()
+def parse(expr: str, n: int, ctx: FieldCtx, *, budget: int = DEFAULT_BUDGET) -> MultiPoly:
+    """Parse an expression in t, A1..An over the given field context.  Each
+    product of a terms by b terms counts a*b against the budget before it
+    is built."""
+    return _Parser(_tokenize(expr), ctx, n, budget).parse()
 
 
 def infer_parameter_count(expr: str) -> int:
@@ -587,15 +608,19 @@ def _disc_degree_bound(F: MultiPoly) -> int:
 
 
 def _find_subfield_root(base: FieldCtx, ext: FieldCtx):
-    if ext.q > 1 << 16:
-        raise BudgetExceededError(
-            f"subfield embedding scan over {ext.q} elements refused"
-        )
+    """A root in ext of the modulus of base.  The trace z + z^q + ... +
+    z^(q^(m-1)) down to the copy of GF(q) in ext, m = [ext : base], is
+    uniform there for a uniform z, and k of its q elements are roots, so
+    about q/k draws find one; the draws are seeded by the two fields."""
     mod = UniPoly.from_ints(ext, base.modulus)
-    for e in ext.elements():
-        if mod.evaluate(e) == 0:
-            return e
-    raise RuntimeError("irreducible modulus has no root in its extension")
+    rng = random.Random(f"{base!r} in {ext!r}")
+    while True:
+        w = z = ext.random_element(rng)
+        for _ in range(ext.k // base.k - 1):
+            z = ext.pow(z, base.q)
+            w = ext.add(w, z)
+        if mod.evaluate(w) == 0:
+            return w
 
 
 def _lift_terms(F: MultiPoly, ext: FieldCtx):

@@ -197,25 +197,18 @@ def cyclic_shift_group(d: int) -> GroupSpec:
     return GroupSpec.explicit(d, 1, elems)
 
 
-def prediction_from_group(group: GroupSpec, universe=None) -> dict:
+def prediction_from_group(group: GroupSpec) -> dict:
     """Map each cycle type to its predicted probability.
 
     Symmetric mode is the exact gamma law.  Explicit mode counts elements
     with label 1 mod nu (every element when nu = 1) and scales by nu/|G|.
     """
-    if universe is None:
-        universe = partitions(group.d)
     if group.mode == "symmetric":
-        return {parts: gamma_symmetric(group.d, parts) for parts in universe}
+        return {parts: gamma_symmetric(group.d, parts) for parts in partitions(group.d)}
     target = 1 % group.nu
-    hits = {}
-    for perm, label in group.elements:
-        if label == target:
-            ct = cycle_type(perm)
-            hits[ct] = hits.get(ct, 0) + 1
+    hits = Counter(cycle_type(perm) for perm, label in group.elements if label == target)
     order = len(group.elements)
-    probs = {parts: Fraction(group.nu * hits.get(parts, 0), order) for parts in universe}
-    return {parts: pr for parts, pr in probs.items() if pr or parts in hits}
+    return {parts: Fraction(group.nu * c, order) for parts, c in hits.items()}
 
 
 # -- empirical distributions ------------------------------------------------------------
@@ -416,7 +409,7 @@ def weil_sweep(
 ) -> WeilSweep:
     """Character-sum magnitudes over a family of nonzero frequencies
     (every nonzero frequency when bs is None), sharing one classification
-    pass over the full space."""
+    pass over the full space.  The parts must sum to deg_t."""
     parts = tuple(sorted(parts, reverse=True))
     ctx = F.ctx
     n = F.n
@@ -425,6 +418,8 @@ def weil_sweep(
     else:
         bs = [_frequency(b, ctx, n) for b in bs]
     pts = _sweep_points(F, _sets.FullSpace(n), budget, seed)
+    if sum(parts) != F.deg_t:  # after the budget checks: a degree past them exits 3
+        raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
     matches = [pt for pt, r in zip(pts, _mp.classify_points(F, pts)) if r == parts]
     scale = float(ctx.q) ** n / math.sqrt(ctx.q)
     sums = zip(bs, _sets.character_sums(matches, bs, ctx, n, -1, budget))

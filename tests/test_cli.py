@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -468,3 +469,153 @@ def test_out_file_holds_the_bytes_of_stdout(capsys, monkeypatch, tmp_path, fmt):
     code, nothing = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and nothing == ""
     assert path.read_bytes() == out.encode("utf-8")
+
+
+# -- config is derived from the parsed options --------------------------------------
+
+COMMAND_ARGV = {
+    "factor-type": ("--p", "5", "--poly", "t^2 - A1", "--point", "2"),
+    "irreg": ("--p", "11", "--set", "grid:int(0,5)"),
+    "dist": ("--p", "5", "--poly", "t^2 - A1"),
+    "compare": ("--p", "5", "--poly", "t^2 - A1"),
+    "charsum": ("--p", "5", "--poly", "t^2 - A1", "--type", "2", "--b", "1"),
+}
+DEMO_ARGV = {
+    "pv": ("--p", "11"),
+    "power-residues": ("--p", "11", "--power", "3"),
+    "trinomial": ("--p", "11", "--H", "5"),
+    "morse": ("--p", "31", "--shifts", "0,1"),
+    "artin-schreier": ("--p", "3", "--k", "2"),
+}
+
+
+def _every_run():
+    """One argv per subcommand and per demo of the parser, with the
+    subparser that parses it."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        if name == "demo":
+            demos = next(a for a in sp._actions if not a.option_strings).choices
+            yield from ((sp, ("demo", d, *DEMO_ARGV[d])) for d in demos)
+        else:
+            yield sp, (name, *COMMAND_ARGV[name])
+
+
+EVERY_RUN = [argv for _, argv in _every_run()]
+
+
+def test_every_subcommand_and_demo_has_a_run():
+    assert {argv[0] for argv in EVERY_RUN} == set(COMMAND_ARGV) | {"demo"}
+    assert {argv[1] for argv in EVERY_RUN if argv[0] == "demo"} == set(DEMO_ARGV)
+
+
+@pytest.mark.parametrize("argv", EVERY_RUN, ids=" ".join)
+def test_config_holds_every_parsed_option(capsys, argv):
+    sp = next(sp for sp, a in _every_run() if a == argv)
+    dests = {a.dest for a in sp._actions if a.dest != "help"} | {"command"}
+    args = cli.build_parser().parse_args(list(argv))
+    config = run_json(capsys, *argv)["config"]
+    assert dests - {"out"} <= config.keys()
+    assert "out" not in config and "handler" not in config
+    # the field and polynomial as built stand in for modulus, poly and n
+    built = {"modulus", "poly", "n"}
+    assert {k: config[k] for k in dests - built - {"out"}} == {
+        k: v for k, v in vars(args).items() if k in dests - built - {"out"}
+    }
+    assert config["q"] == config["p"] ** config["k"]
+
+
+@pytest.mark.parametrize(
+    "argv, option, values",
+    [
+        (("demo", "trinomial", "--p", "11"), "--H", ("5", "7")),
+        (("demo", "morse", "--p", "31"), "--beta", ("0", "3")),
+    ],
+)
+def test_demo_options_reach_the_config(capsys, argv, option, values):
+    configs = [run_json(capsys, *argv, option, v)["config"] for v in values]
+    assert configs[0] != configs[1]
+    assert [c[option.lstrip("-")] for c in configs] == [int(v) for v in values]
+
+
+def _at(tree, path):
+    for key in path.split("."):
+        tree = tree[key]
+    return tree
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_ARGV))
+def test_csv_of_every_demo_flattens_nested_results(capsys, demo):
+    argv = ("demo", demo, *DEMO_ARGV[demo])
+    result = run_json(capsys, *argv)["result"]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert not any(cell.startswith("{") for row in rows for cell in row)
+    if header != ["key", "value"]:  # the trinomial demo is a comparison table
+        return
+    for key, value in rows:
+        want = _at(result, key)
+        assert value == (json.dumps(want) if isinstance(want, list) else str(want))
+
+
+def test_csv_flattens_into_dotted_keys(capsys):
+    code, out = run_cli(capsys, "demo", "pv", "--p", "11", "--format", "csv")
+    assert code == 0
+    assert "\ndistribution.counts.[2],2\n" in out
+    assert "\nirreg.method,closed_form_interval\n" in out
+
+
+# -- inputs that cost too much or mean nothing --------------------------------------
+
+
+def test_two_point_sweep_over_gf512_answers_at_once(capsys, tmp_path):
+    path = tmp_path / "points"
+    path.write_text("1\n2\n")
+    start = time.perf_counter()
+    report = run_json(
+        capsys, "dist", "--p", "2", "--k", "9", "--poly", "t^5 + A1^29*t + 1", "--set", f"file:{path}"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert report["result"]["total"] == 2
+
+
+def test_poly_nested_in_3000_parentheses_is_input_error(capsys):
+    poly = "(" * 3000 + "t + A1" + ")" * 3000
+    code, out = run_cli(capsys, "dist", "--p", "11", "--poly", poly)
+    assert code == 2 and out == ""
+
+
+def test_poly_expansion_past_the_budget_is_budget_error(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys,
+        "dist",
+        "--p", "101",
+        "--poly", "(t + A1 + A2 + A3)^30 + A1",
+        "--set", "grid:int(0,2),int(0,2),int(0,2)",
+        "--budget", "100000",
+    )
+    assert code == 3 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_charsum_type_of_another_degree_is_input_error(capsys):
+    code, out = run_cli(capsys, "charsum", "--p", "11", "--poly", "t^2 - A1", "--type", "3", "--b", "1")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "--p", "13", "--poly", "t^2 - A1", "--budget", "-5"),
+        ("irreg", "--p", "13", "--set", "full", "--budget", "0"),
+        ("demo", "pv", "--p", "11", "--H", "0"),
+        ("demo", "trinomial", "--p", "11", "--H", "-1"),
+    ],
+)
+def test_budget_and_interval_length_below_one_are_input_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out == ""

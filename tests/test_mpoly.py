@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ffstats import _gfp, mpoly
 from ffstats.errors import (
     ArityMismatchError,
+    BudgetExceededError,
     NegativeExponentError,
     NotAdmissibleError,
     NotSquarefreeError,
@@ -434,3 +435,32 @@ def test_from_unipoly_lift():
     F = MultiPoly.from_unipoly(f, 1)
     assert F.n == 1 and F.deg_t == 3
     assert F.specialize((0,)) == f
+
+
+def test_parentheses_nested_past_the_limit_are_a_syntax_error():
+    ctx = FieldCtx(11)
+    depth = mpoly._MAX_NESTING
+    assert parse("(" * depth + "t" + ")" * depth, 0, ctx) == parse("t", 0, ctx)
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse("(" * 3000 + "t" + ")" * 3000, 0, ctx)
+    assert info.value.position == depth
+
+
+def test_parse_counts_each_product_against_the_budget():
+    ctx = FieldCtx(101)
+    # (t + A1)^2 multiplies 2 terms by 2, (t + A1)*(t - A1) likewise
+    assert parse("(t + A1)^2", 1, ctx, budget=4) == parse("t^2 + 2*t*A1 + A1^2", 1, ctx)
+    for expr in ("(t + A1)^2", "(t + A1)*(t - A1)"):
+        with pytest.raises(BudgetExceededError):
+            parse(expr, 1, ctx, budget=3)
+    with pytest.raises(BudgetExceededError):
+        parse("(t + A1 + A2 + A3)^30 + A1", 3, ctx, budget=100_000)
+
+
+@pytest.mark.parametrize("p, k, m", [(2, 3, 2), (2, 9, 2), (3, 2, 3), (5, 2, 2), (7, 3, 2)])
+def test_subfield_root_is_a_root_of_the_base_modulus(p, k, m):
+    base = FieldCtx(p, k)
+    ext = FieldCtx(p, k * m, seed=1)
+    root = mpoly._find_subfield_root(base, ext)
+    assert UniPoly.from_ints(ext, base.modulus).evaluate(root) == 0
+    assert mpoly._find_subfield_root(base, ext) == root

@@ -480,3 +480,18 @@ def test_charsum_extension_field_path():
     squares = {ctx.mul(s, s) for s in range(1, 9)}
     assert res.terms == len(squares)
     assert res.magnitude <= (math.sqrt(9) + 1) / 2 + 1e-9
+
+
+def test_charsum_of_a_type_that_is_not_a_partition_of_deg_t_is_refused():
+    F = parse("t^2 - A1", 1, FieldCtx(11))
+    with pytest.raises(PartitionMismatchError):
+        restricted_charsum(F, (3,), (1,))
+    with pytest.raises(PartitionMismatchError):
+        weil_sweep(F, (1,))
+
+
+def test_prediction_from_group_takes_only_the_group():
+    group = cyclic_shift_group(3)
+    assert set(prediction_from_group(group)) == {(1, 1, 1), (3,)}
+    with pytest.raises(TypeError):
+        prediction_from_group(group, partitions(3))
