@@ -231,10 +231,13 @@ def _demo_power_residues(args, ctx, F):
 
 
 def _demo_trinomial(args, ctx, F):
-    """t^3 + A1*t + A2 against the random-permutation law."""
+    """t^3 + A1*t + A2 against the random-permutation law, over the box
+    int(beta,H)^2 (the full plane without --H)."""
     F = mpoly.parse("t^3 + A1*t + A2", 2, ctx)
     if args.H:
-        descriptor = sets.GridProduct([sets.APSpec(1, 0, args.H), sets.APSpec(1, 0, args.H)])
+        descriptor = sets.GridProduct([sets.APSpec(1, args.beta, args.H)] * 2)
+    elif args.beta:
+        raise ValueError("--beta needs --H: the full plane has no start")
     else:
         descriptor = sets.FullSpace(2)
     group = stats.GroupSpec.symmetric(3)

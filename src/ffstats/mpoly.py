@@ -17,6 +17,7 @@ parameter exponents) that parses back to the same polynomial.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -91,11 +92,9 @@ def _tneg(ctx, a):
     return {e: ctx.neg(c) for e, c in a.items()}
 
 
-def _tmul(ctx, a, b, budget=None):
-    if budget is not None and len(a) * len(b) > budget:
-        raise BudgetExceededError(
-            f"product of {len(a)} by {len(b)} terms costs {len(a) * len(b)}, budget is {budget}"
-        )
+def _tmul(ctx, a, b, charge=None):
+    if charge is not None:
+        charge(len(a) * len(b))
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -108,16 +107,42 @@ def _tmul(ctx, a, b, budget=None):
     return out
 
 
-def _tpow(ctx, a, e, nvars, budget=None):
-    out = {(0,) * (nvars + 1): 1}
+def _tpow(ctx, a, e, nvars, charge=None):
+    """a^e by square-and-multiply; the first factor is taken, not multiplied by 1."""
+    if e == 0:
+        return {(0,) * (nvars + 1): 1}
+    out = None
     base = a
     while e:
         if e & 1:
-            out = _tmul(ctx, out, base, budget)
+            out = base if out is None else _tmul(ctx, out, base, charge)
         e >>= 1
         if e:
-            base = _tmul(ctx, base, base, budget)
+            base = _tmul(ctx, base, base, charge)
     return out
+
+
+def _tpow_cost(a, e):
+    """The cost _tpow charges for a^e when no term cancels, so that each
+    power a^j has its most terms: min(C(len(a) + j - 1, j), the exponent box)."""
+    if not a:
+        return 0
+    spans = [max(x) - min(x) for x in zip(*a)]
+
+    def most(j):
+        return min(math.comb(len(a) + j - 1, j), math.prod(j * s + 1 for s in spans))
+
+    cost, done, step = 0, 0, 1
+    while e:
+        if e & 1:
+            if done:
+                cost += most(done) * most(step)
+            done += step
+        e >>= 1
+        if e:
+            cost += most(step) ** 2
+            step *= 2
+    return cost
 
 
 class MultiPoly:
@@ -340,7 +365,20 @@ class _Parser:
         self.ctx = ctx
         self.n = n
         self.budget = budget
+        self.spent = 0
         self.depth = 0
+
+    def check(self, cost):
+        if self.spent + cost > self.budget:
+            raise BudgetExceededError(
+                f"expansion costs {self.spent + cost} term products, budget is {self.budget}"
+            )
+
+    def charge(self, cost):
+        """Count each product of the whole expansion against the budget
+        before it is built."""
+        self.check(cost)
+        self.spent += cost
 
     def peek(self):
         return self.toks[self.pos]
@@ -381,7 +419,7 @@ class _Parser:
         acc = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            terms = _tmul(self.ctx, acc.terms, self.factor().terms, self.budget)
+            terms = _tmul(self.ctx, acc.terms, self.factor().terms, self.charge)
             acc = MultiPoly(self.ctx, self.n, terms)
         return -acc if negate else acc
 
@@ -397,7 +435,11 @@ class _Parser:
                     "exponent must be an integer literal", tok[2]
                 )
             self.advance()
-            terms = _tpow(self.ctx, base.terms, tok[1], self.n, self.budget)
+            if tok[1] < self.ctx.p:
+                # below p only colliding terms cancel: refuse at once a chain
+                # that passes the budget with none cancelling
+                self.check(_tpow_cost(base.terms, tok[1]))
+            terms = _tpow(self.ctx, base.terms, tok[1], self.n, self.charge)
             return MultiPoly(self.ctx, self.n, terms)
         return base
 
@@ -446,8 +488,10 @@ class _Parser:
 
 def parse(expr: str, n: int, ctx: FieldCtx, *, budget: int = DEFAULT_BUDGET) -> MultiPoly:
     """Parse an expression in t, A1..An over the given field context.  Each
-    product of a terms by b terms counts a*b against the budget before it
-    is built."""
+    product of a terms by b terms adds a*b to the cost of the expansion,
+    which is checked against the budget before the product is built.  A
+    power below the characteristic is refused at once when its chain of
+    products would pass the budget with no term cancelling."""
     return _Parser(_tokenize(expr), ctx, n, budget).parse()
 
 

@@ -7,7 +7,10 @@ so the full space has irregularity exactly 1 and a singleton has q^n.
 Products of intervals or arithmetic progressions in a prime field factor
 coordinate-wise, each factor reduces affinely to an initial interval
 {0..H-1}, and the factor magnitudes have the closed form
-|sin(pi*H*b/p)| / (p*|sin(pi*b/p)|).
+|sin(pi*H*b/p)| / (p*|sin(pi*b/p)|).  One pass serves every distinct
+length: it sums b <= (p-1)/2 only (b and p - b give the same term), takes
+each numerator from H*b mod p reduced exactly in int64 (so p < 2^46), and
+looks every sine up in one table sin(pi*i/p) while (p-1)/2 < 2^17.
 
 Every spectrum comes from one block kernel, :func:`phase_sums`: phases
 tr(a.b) from the trace form (one integer matmul mod p per block of
@@ -24,6 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,9 +45,11 @@ DEFAULT_BUDGET = 1 << 24
 # that the spectrum kernel holds at once.
 _PHASE_BLOCK = 1 << 14
 
-# Frequencies the interval closed form sums at once.  Up to p - 1 = 2^17
-# there is one block, whose sum is the plain ``np.sum`` of every magnitude.
+# Frequencies b <= (p-1)/2 the interval closed form sums at once.  Up to
+# (p-1)/2 < 2^17 there is one block, whose magnitudes come from one sine table.
 _INTERVAL_BLOCK = 1 << 17
+# Arguments H*b mod p stay exact in int64 while p * 2^17 < 2^63.
+_INTERVAL_MAX_P = 1 << 46
 
 
 # -- descriptors ---------------------------------------------------------------
@@ -143,6 +149,11 @@ def validate_set(s, ctx: FieldCtx) -> None:
 
 def cardinality(s, ctx: FieldCtx) -> int:
     validate_set(s, ctx)
+    return _size(s, ctx)
+
+
+def _size(s, ctx):
+    """|S| of a set already validated."""
     if isinstance(s, FullSpace):
         return ctx.q**s.n
     if isinstance(s, GridProduct):
@@ -158,7 +169,13 @@ def cardinality(s, ctx: FieldCtx) -> int:
 def enumerate_points(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
     """All points of the set, each exactly once, in a fixed deterministic
     order (lexicographic coordinates / progression index order)."""
-    size = cardinality(s, ctx)
+    validate_set(s, ctx)
+    return _points(s, ctx, budget)
+
+
+def _points(s, ctx, budget):
+    """:func:`enumerate_points` of a set already validated."""
+    size = _size(s, ctx)
     if size > budget:
         raise BudgetExceededError(f"set has {size} points, budget is {budget}")
     if isinstance(s, FullSpace):
@@ -325,19 +342,40 @@ def interval_irreg_bound(p: int, H: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _interval_irreg(p: int, H: int) -> float:
-    """Exact irregularity of {0..H-1} in F_p via the sine closed form."""
-    if H == p:
-        return 1.0  # only the zero frequency survives
-    if H == 1:
-        return float(p)  # flat spectrum of magnitude 1/p
-    sums = []
-    for lo in range(1, p, _INTERVAL_BLOCK):
-        b = np.arange(lo, min(lo + _INTERVAL_BLOCK, p))
-        mags = np.abs(np.sin(np.pi * H * b / p)) / (p * np.abs(np.sin(np.pi * b / p)))
-        sums.append(float(mags.sum()))
-    l1 = H / p + math.fsum(sums)
-    return p / H * l1
+def _interval_irreg(p: int, lengths: tuple) -> MappingProxyType:
+    """Exact irregularity of {0..H-1} in F_p via the sine closed form, for
+    each H of the sorted tuple of distinct lengths, as {H: irreg}.
+
+    The magnitude at b is sin(pi*r/p) / (p*sin(pi*b/p)) with r = H*b mod p
+    folded to min(r, p - r), so every sine argument lies in [0, pi/2] and
+    the term for p - b is the term for b, bit for bit: only b <= (p-1)/2 is
+    summed.  Within a block starting at lo, r = (H*lo mod p) + H*j for
+    j < _INTERVAL_BLOCK = 2^17 is exact in int64 while p < 2^46; past that
+    the closed form is refused before anything is allocated.  When (p-1)/2
+    fits in one block, one table sin(pi*i/p), i <= (p-1)/2, serves every
+    numerator and denominator; otherwise each block takes its own sines."""
+    out = {H: 1.0 if H == p else float(p) for H in lengths if H in (1, p)}
+    inner = [H for H in lengths if 1 < H < p]
+    if not inner:
+        return MappingProxyType(out)
+    if p >= _INTERVAL_MAX_P:
+        raise BudgetExceededError(f"closed form needs p < 2^46 for exact arguments, got {p}")
+    half = (p - 1) // 2
+    table = np.sin(np.pi / p * np.arange(half + 1)) if half < _INTERVAL_BLOCK else None
+    sums = {H: [] for H in inner}
+    for lo in range(1, half + 1, _INTERVAL_BLOCK):
+        b = np.arange(lo, min(lo + _INTERVAL_BLOCK, half + 1))
+        den = p * (np.sin(np.pi / p * b) if table is None else table[b])
+        j = b - lo
+        for H in inner:
+            r = H * j + H * lo % p
+            r -= r // p * p  # numpy strength-reduces // by a scalar, not %
+            r = np.minimum(r, p - r)
+            num = np.sin(np.pi / p * r) if table is None else table[r]
+            sums[H].append(float((num / den).sum()))
+    for H in inner:
+        out[H] = p / H * (H / p + 2 * math.fsum(sums[H]))
+    return MappingProxyType(out)  # read-only: the cache hands it to every caller
 
 
 def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> IrregularityReport:
@@ -346,11 +384,15 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
     Grid products (and the full space over a prime field, a grid of full
     intervals) go through the per-coordinate closed form after the affine
     reduction of each progression; everything else is a dense transform.
-    The closed form sums p - 1 terms for each distinct length 1 < H < p,
-    counted against the budget before any of them is built.
+    One pass of :func:`_interval_irreg` serves every distinct length: it
+    folds b <-> p - b, reduces each sine argument exactly (p < 2^46, else
+    a budget error) and, for (p-1)/2 < 2^17, looks every sine up in one
+    table.  It is charged p - 1 terms for each distinct length 1 < H < p,
+    against the budget before any of them is built.  The set is validated
+    once.
     """
     validate_set(s, ctx)
-    size = cardinality(s, ctx)
+    size = _size(s, ctx)
     if isinstance(s, GridProduct) or (isinstance(s, FullSpace) and ctx.k == 1):
         if isinstance(s, GridProduct):
             lengths = [f.length for f in s.factors]
@@ -359,15 +401,16 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
         work = (ctx.p - 1) * len({H for H in lengths if 1 < H < ctx.p})
         if work > budget:
             raise BudgetExceededError(f"closed form sums {work} terms, budget is {budget}")
+        values = _interval_irreg(ctx.p, tuple(sorted(set(lengths))))
         irreg = 1.0
         bound = 1.0
         for H in lengths:
-            irreg *= _interval_irreg(ctx.p, H)
+            irreg *= values[H]
             bound *= interval_irreg_bound(ctx.p, H)
         method = "closed_form_interval" if len(lengths) == 1 else "product_1d"
         return IrregularityReport(irreg, method, bound, size)
     n = dimension(s)
-    pts = enumerate_points(s, ctx, budget)
+    pts = _points(s, ctx, budget)
     # fsum is correctly rounded: the total does not depend on the blocks
     sums = character_sums(pts, frequencies(ctx, n, budget), ctx, n, -1, budget)
     total = math.fsum(mag for _, _, mag in sums)

@@ -602,6 +602,27 @@ def test_poly_expansion_past_the_budget_is_budget_error(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_power_expanding_past_the_budget_exits_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys, "dist", "--p", "1000003", "--poly", "(t + 1)^100000 + A1", "--set", "grid:int(0,3)"
+    )
+    assert code == 3 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_trinomial_demo_counts_over_the_box_from_beta(capsys):
+    demo = run_json(capsys, "demo", "trinomial", "--p", "11", "--H", "3", "--beta", "4")["result"]
+    grid = run_json(
+        capsys, "compare", "--p", "11", "--poly", "t^3 + A1*t + A2", "--set", "grid:int(4,3),int(4,3)"
+    )["result"]
+    assert demo["distribution"] == grid["distribution"]
+    at_zero = run_json(capsys, "demo", "trinomial", "--p", "11", "--H", "3")["result"]
+    assert at_zero["distribution"] != demo["distribution"]
+    code, out = run_cli(capsys, "demo", "trinomial", "--p", "11", "--beta", "4")
+    assert code == 2 and out == ""
+
+
 def test_charsum_type_of_another_degree_is_input_error(capsys):
     code, out = run_cli(capsys, "charsum", "--p", "11", "--poly", "t^2 - A1", "--type", "3", "--b", "1")
     assert code == 2 and out == ""

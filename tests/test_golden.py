@@ -26,7 +26,15 @@ import pytest
 from ffstats.cli import main
 from ffstats.field import FieldCtx
 from ffstats.mpoly import parse
-from ffstats.sets import ExplicitSet, FullSpace, TraceZero, indicator_fourier, irregularity
+from ffstats.sets import (
+    APSpec,
+    ExplicitSet,
+    FullSpace,
+    GridProduct,
+    TraceZero,
+    indicator_fourier,
+    irregularity,
+)
 from ffstats.stats import weil_sweep
 
 GF9 = FieldCtx(3, 2, modulus=[2, 2, 1])
@@ -41,6 +49,23 @@ def test_irregularity_golden_bytes():
     points = rng.sample(list(itertools.product(range(101), repeat=2)), 40)
     rep = irregularity(ExplicitSet(points), FieldCtx(101))
     assert rep.irreg.hex() == "0x1.6538c583ebcfdp+10"
+
+
+# (p, H, float.hex() of the closed-form irregularity of {0..H-1} in F_p)
+INTERVALS = [
+    (101, 10, "0x1.369ea0fa08620p+4"),
+    (10007, 1001, "0x1.2e27a332742aep+5"),
+    (100003, 5624, "0x1.3f4df068ffb5dp+6"),
+]
+
+
+def _interval(p, H):
+    return irregularity(GridProduct([APSpec(1, 0, H)]), FieldCtx(p)).irreg
+
+
+def test_interval_closed_form_golden_bytes():
+    for p, H, golden in INTERVALS:
+        assert _interval(p, H).hex() == golden, (p, H)
 
 
 def test_indicator_fourier_golden_bytes():
@@ -73,17 +98,17 @@ CLI_RUNS = [
     (("dist", "--p", "3", "--k", "2", "--poly", CUBIC, "--set", "full"), "b7546fdb9774107c1f134bb03b140479e4a9fa8bf524b7f9a1d66c5a712b60b8"),
     (("compare", "--p", "3", "--k", "2", "--poly", CUBIC, "--set", "full"), "0b613c31399eba385323107b75b69202e17aa5f9b4f4d1ee4113b42dff0a6123"),
     (("charsum", "--p", "11", "--poly", CUBIC, "--type", "2,1", "--all-b"), "be6cff5a471708ebd25171b44fe616a26da94162afa2e118ebf976635b9dd256"),
-    (("irreg", "--p", "101", "--set", "grid:int(0,10),ap(3,5,20)"), "9c688f9d868be16fab144213f879cdc94dfd4e2c905ef1c883552d180ace283a"),
+    (("irreg", "--p", "101", "--set", "grid:int(0,10),ap(3,5,20)"), "7e0d24c23269828442ca03bb749053385fbe8eadeeb5b93511248d111d927fdf"),
     (("irreg", "--p", "3", "--k", "3", "--set", "tracezero"), "3f38610bd45feb4985b81ef42bc5b6eac7290acc46c167e82e153bcc53f4a5d5"),
     (
         ("factor-type", "--p", "5", "--k", "2", "--poly", "t^4 + [1,2]*A1*t + A2",
          "--point", "[3,1],[0,4]"),
         "9f79d23d8f1628d06ef83eebdcb33a284a05a2ed9717d9ed2fb478335d9d3bef",
     ),
-    (("demo", "pv", "--p", "101"), "e2df9178e07790154c72d89b472f9bf710c570c719321f15a01438b695da0b7d"),
+    (("demo", "pv", "--p", "101"), "94d543740b3a021f631177c1b6aee14f4a8795c696d0493d9b4d5a32d54fd1ff"),
     (("demo", "power-residues", "--p", "31", "--power", "3"), "3fc4cc610b73b3cc75bd4d5e09c2b42eb7cb2d69e158df9191ab19617fd1fcf9"),
     (("demo", "trinomial", "--p", "31"), "ed12eeca97b172f9a19e4c130446fd10b8bde2f8e32fad1b0b3a8053be693c6b"),
-    (("demo", "morse", "--p", "31", "--shifts", "0,1"), "7258177fa9a219c1d315cc842125561264ee97c3953f70e93c049e0c67fe5522"),
+    (("demo", "morse", "--p", "31", "--shifts", "0,1"), "d537ddefa44e96da2dee41a614b74a89a6048d0a2cd8e8bc625c90658a5356b2"),
     (("demo", "artin-schreier", "--p", "3", "--k", "2"), "86a58f77059e7c818cbf73afd332e4c0f79461e5475c90c814e24cf92ba4ec46"),
     (("dist", "--p", "2", "--k", "3", "--poly", CUBIC, "--set", "full"), "a010f4321f681f855d84fce9e03175b4285ee041021183cb68a08b9c58afbbc4"),
     # parameter powers above 1 run gf_pow inside the specialization loop
@@ -147,6 +172,19 @@ def test_irregularity_golden_bytes_against_mpmath():
     with mpmath.workdps(50):
         for pts, ctx in ((GF9_POINTS, GF9), (points, FieldCtx(101))):
             _assert_close(irregularity(ExplicitSet(pts), ctx).irreg, _mp_irreg(pts, ctx, 2))
+
+
+def test_interval_closed_form_golden_bytes_against_mpmath():
+    # 1 + (1/H) sum_{b=1}^{p-1} |sin(pi*H*b/p) / sin(pi*b/p)|, every b summed
+    for p, H, golden in INTERVALS:
+        with mpmath.workdps(50):
+            ratios = (
+                abs(mpmath.sinpi(mpmath.mpf(H * b) / p) / mpmath.sinpi(mpmath.mpf(b) / p))
+                for b in range(1, p)
+            )
+            want = 1 + mpmath.fsum(ratios) / H
+            got = float.fromhex(golden)
+            assert abs(mpmath.mpmathify(got) - want) <= mpmath.mpf("1e-15") * want, (p, H)
 
 
 def test_indicator_fourier_golden_bytes_against_mpmath():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -455,6 +456,36 @@ def test_parse_counts_each_product_against_the_budget():
             parse(expr, 1, ctx, budget=3)
     with pytest.raises(BudgetExceededError):
         parse("(t + A1 + A2 + A3)^30 + A1", 3, ctx, budget=100_000)
+
+
+def test_parse_counts_the_whole_expansion_against_the_budget():
+    ctx = FieldCtx(101)
+    # two products of 2 by 2 terms: each within 4, together 8
+    expr = "(t + A1)*(t - A1) + (t + A2)*(t - A2)"
+    assert parse(expr, 2, ctx, budget=8) == parse("2*t^2 - A1^2 - A2^2", 2, ctx)
+    with pytest.raises(BudgetExceededError, match="8 term products"):
+        parse(expr, 2, ctx, budget=7)
+
+
+def test_parse_refuses_a_power_below_p_before_expanding_it():
+    ctx = FieldCtx(1000003)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        parse("(t + 1)^100000 + A1", 1, ctx)
+    assert time.perf_counter() - start < 1.0
+    # at or past p, Frobenius collapses terms: (t + 1)^1024 = t^1024 + 1
+    # over GF(2) costs ten squarings of two terms
+    gf2 = FieldCtx(2)
+    assert parse("(t + 1)^1024", 0, gf2, budget=40) == parse("t^1024 + 1", 0, gf2)
+
+
+@pytest.mark.parametrize("expr, e", [("t + 1", 37), ("t + A1 + 1", 21), ("t^2 + 5", 13), ("t", 9), ("t - t", 5)])
+def test_power_cost_before_expanding_is_the_cost_charged_when_nothing_cancels(expr, e):
+    ctx = FieldCtx(1000003)
+    charged = []
+    terms = parse(expr, 1, ctx).terms
+    mpoly._tpow(ctx, terms, e, 1, charged.append)
+    assert mpoly._tpow_cost(terms, e) == sum(charged)
 
 
 @pytest.mark.parametrize("p, k, m", [(2, 3, 2), (2, 9, 2), (3, 2, 3), (5, 2, 2), (7, 3, 2)])

@@ -450,6 +450,65 @@ def test_interval_irreg_memory_is_bounded():
     assert 1.0 < rep.irreg <= rep.bound_9plogp
 
 
+def test_interval_irreg_of_several_lengths_in_one_call_has_the_bits_of_one_call_each():
+    for p in (101, 10007, 100003):
+        lengths = (1, 2, 10, p // 3, p - 1, p)
+        sets._interval_irreg.cache_clear()
+        together = sets._interval_irreg(p, lengths)
+        sets._interval_irreg.cache_clear()
+        alone = {H: sets._interval_irreg(p, (H,))[H] for H in lengths}
+        assert {H: v.hex() for H, v in together.items()} == {H: v.hex() for H, v in alone.items()}
+        assert together[1] == p and together[p] == 1.0
+
+
+def test_interval_irreg_in_blocks_without_the_table(monkeypatch):
+    # blocks of 8 frequencies: every p from 17 on computes its own sines,
+    # from 19 on in several blocks
+    primes = [p for p in range(17, 98) if all(p % d for d in range(2, p))]
+    lengths = {p: tuple(sorted({2, 3, p // 2, p - 1})) for p in primes}
+    sets._interval_irreg.cache_clear()
+    table = {p: sets._interval_irreg(p, lengths[p]) for p in primes}
+    monkeypatch.setattr(sets, "_INTERVAL_BLOCK", 8)
+    sets._interval_irreg.cache_clear()
+    try:
+        for p in primes:
+            ctx = FieldCtx(p)
+            blocks = sets._interval_irreg(p, lengths[p])
+            for H in lengths[p]:
+                assert blocks[H] == pytest.approx(table[p][H], rel=1e-15, abs=0), (p, H)
+                brute = brute_irreg([(a,) for a in range(H)], ctx, 1)
+                assert abs(blocks[H] - brute) < 1e-9, (p, H)
+    finally:
+        sets._interval_irreg.cache_clear()
+
+
+def test_interval_irreg_past_exact_arguments_is_refused_at_once():
+    ctx = FieldCtx(2**46 + 15)  # the least prime above 2^46
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="2\\^46"):
+            irregularity(GridProduct([APSpec(1, 0, 1000)]), ctx, budget=2**62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_irregularity_validates_an_explicit_set_once(monkeypatch):
+    calls = []
+    validate = sets.validate_set
+
+    def spy(s, ctx):
+        calls.append(s)
+        validate(s, ctx)
+
+    monkeypatch.setattr(sets, "validate_set", spy)
+    points = ExplicitSet([(a, (3 * a + 1) % 13) for a in range(9)])
+    rep = irregularity(points, FieldCtx(13))
+    assert len(calls) == 1
+    assert rep.irreg == pytest.approx(brute_irreg(points.points, FieldCtx(13), 2))
+
+
 def test_interval_irreg_bound_values():
     assert interval_irreg_bound(101, 101) == pytest.approx(9 * math.log(101))
     assert interval_irreg_bound(101, 10) == pytest.approx(419.514, abs=0.001)
