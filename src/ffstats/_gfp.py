@@ -36,12 +36,12 @@ import numpy as np
 # gf_spec_types keeps every int64 sum below 2^63 when max(d, k^2) * p^2 <
 # 2^62.  Every sum of raw coordinate products is reduced mod p before it
 # meets the multiplication tensor, and every tensor contraction is reduced
-# after it: a contraction sums k^2 products of residues; a mulmod entry sums
-# at most d products and subtracts at most d - 1 more (reduced elements when
-# k > 1); an entry of the vector-matrix product x^(q^j) = x^(q^(j-1)) Q sums
-# d products; an elimination step subtracts two products; a coefficient of
-# the derivative is a residue times at most d, below d * p.  Points are read
-# into int64 as encodings below q, so q < 2^62 too.
+# after it: a contraction sums k^2 products of residues; a product mod f sums
+# d products, then its reduced high half meets the table of x^s mod f in sums
+# of d - 1 products and a residue, below d p^2 before % p; an entry of x^(q^j) =
+# x^(q^(j-1)) Q sums d products; an elimination step subtracts two products;
+# a coefficient of f' is a residue times at most d.  Points are read into
+# int64 as encodings below q, so q < 2^62 too.
 _INT64_LIMIT = 1 << 62
 
 
@@ -355,7 +355,7 @@ class VecField:
         as it is, for the caller to reduce."""
         if self.k == 1:
             return x
-        return np.matmul(self._flat, x % self.p) % self.p
+        return self.reduce(np.matmul(self._flat, self.reduce(x)))
 
     def prod(self, a, b):
         """a*b, congruent mod p to the reduced product: below p^2 in size
@@ -363,7 +363,12 @@ class VecField:
         return self.contract(self.outer(a, b))
 
     def mul(self, a, b):
-        return self.prod(a, b) % self.p
+        return self.reduce(self.prod(a, b))
+
+    def reduce(self, x):
+        """x mod p, elementwise: numpy strength-reduces // by a scalar (to
+        a multiply and shifts) but not %, which divides."""
+        return x - x // self.p * self.p
 
     def pow(self, a, e):
         """a**e elementwise, for a block of reduced elements."""
@@ -382,16 +387,36 @@ def gf_batch_fits(d, k, p):
     return max(d, k * k) * p * p < _INT64_LIMIT and p**k < _INT64_LIMIT
 
 
-def _vmulrem(u, v, f, field):
-    # u*v mod the monic f, column by column; f omits its leading 1.
-    d, p = len(u), field.p
+def gf_type_key(parts, d):
+    """The gf_spec_types key of a degree-d polynomial whose gf_spec_type is
+    parts: -2 for (), -1 for None, else the sum of e (d+1)^(e-1) over parts
+    e <= d/2, whose base-(d+1) digits are e c_e (c_e parts equal to e)."""
+    if parts is None:
+        return -1
+    return sum(e * (d + 1) ** (e - 1) for e in parts if 2 * e <= d) if parts else -2
+
+
+def gf_key_type(key, d):
+    """The gf_spec_type of a degree-d key: the inverse of gf_type_key."""
+    if key < 0:
+        return None if key == -1 else ()
+    small = []
+    for e in range(1, d // 2 + 1):
+        key, digit = divmod(key, d + 1)
+        small[:0] = [e] * (digit // e)
+    rest = d - sum(small)  # zero, or one factor of degree above d/2
+    return (rest, *small) if rest else tuple(small)
+
+
+def _vmulrem(u, v, table, field):
+    # u*v mod the monic f, column by column; the high half of the product,
+    # degrees d..2d-2, takes one contraction against table[s - d] = x^s mod f
+    d = len(u)
     m = np.zeros((2 * d - 1, field.k * field.k, v.shape[-1]), dtype=np.int64)
     for i in range(d):
         m[i : i + d] += field.outer(u[i], v)
-    m = field.contract(m)
-    for s in range(2 * d - 2, d - 1, -1):
-        m[s - d : s] -= field.prod(m[s] % p, f)
-    return m[:d] % p
+    m = field.reduce(field.contract(m))
+    return field.reduce(m[:d] + field.contract(field.outer(m[d:, None], table).sum(axis=0)))
 
 
 def _vrank(a, field):
@@ -408,36 +433,30 @@ def _vrank(a, field):
         has = nonzero.any(axis=0)
         piv = nonzero.argmax(axis=0)
         free[piv[has], at[has]] = False
+        if c == d - 1:  # the last column only counts its pivots
+            break
         rest = a[:, c + 1 :]
-        prow = rest[piv, :, :, at].transpose(1, 2, 0)
+        prow = np.ascontiguousarray(rest[piv, :, :, at].transpose(1, 2, 0))
         col[piv, :, at] = 0
         pivot = np.where(has, a[piv, c, :, at].T, field.one)
         x = field.outer(rest, pivot)
         x -= field.outer(col[:, None], prow)
-        np.remainder(field.contract(x), field.p, out=rest)
+        rest[...] = field.reduce(field.contract(x))
     return d - free.sum(axis=0)
 
 
 def _times_x(h, f, field):
     # x*h mod the monic f: a shift and one reduction step
-    return (np.concatenate((np.zeros_like(h[:1]), h[:-1])) - field.prod(h[-1], f)) % field.p
-
-
-def _gcd_degree(g, f, field):
-    # deg gcd(g, f) = d - rank M_g, where row i of M_g is x^i g mod f: the rows
-    # span the ideal (g) in GF(q)[x]/(f), of dimension d - deg gcd(g, f)
-    rows = [g]
-    for _ in range(1, len(f)):
-        rows.append(_times_x(rows[-1], f, field))
-    return len(f) - _vrank(np.stack(rows), field)
+    return field.reduce(np.concatenate((np.zeros_like(h[:1]), h[:-1])) - field.prod(h[-1], f))
 
 
 def gf_spec_types(c, field):
     """The batched gf_spec_type: c is an (N, d+1, k) int64 array of reduced
     power-basis coordinates, one polynomial over GF(q) = ``field`` per row,
-    d >= 1 and gf_batch_fits(d, k, p).  Returns, per row, the descending
-    tuple of factor degrees, None for a repeated factor, or () when the
-    degree-d coefficient is zero.
+    d >= 1 and gf_batch_fits(d, k, p).  Returns an int64 key per row
+    (:func:`gf_type_key`, read back by :func:`gf_key_type`): -2 when the
+    degree-d coefficient is zero, -1 for a repeated factor, otherwise the
+    base-(d+1) code of D_1..D_(d/2) after Mobius inversion.
 
     Distinct-degree splitting by ranks (von zur Gathen & Gerhard, Modern
     Computer Algebra, ch. 14): deg gcd(g, f) = d - rank M_g, where row i of
@@ -446,27 +465,28 @@ def gf_spec_types(c, field):
     the factors of degree e; D_1..D_(d/2) give c_e for e <= d/2, and the
     rest of the degree is zero or one factor.  x^(q^j) is x^(q^(j-1)) times
     the Frobenius matrix Q, whose row i is x^(iq) mod f (a -> a^q is
-    GF(q)-linear on GF(q)[x]/(f)).  A block takes 1 + d // 2 ranks.
+    GF(q)-linear on GF(q)[x]/(f)); every product mod f reduces its high
+    half against one table of x^s mod f, s = d..2d-2.  The 1 + d // 2
+    matrices M_g of a block are stacked on the batch axis and take one rank.
     """
     n, d = c.shape[0], c.shape[1] - 1
-    p = field.p
-    out = [()] * n
+    p, half = field.p, d // 2
+    keys = np.full(n, -2, dtype=np.int64)
     live = np.flatnonzero(c[:, d].any(axis=1))
     c = c[live].transpose(1, 2, 0)
     f = field.mul(c[:d], field.pow(c[d], field.q - 2))
     monic = np.concatenate((f, np.zeros_like(f[:1])))
     monic[d, 0] = 1
-    derivative = np.arange(1, d + 1)[:, None, None] * monic[1:] % p
-    squarefree = _gcd_degree(derivative, f, field) == 0
-    for i in live[~squarefree].tolist():
-        out[i] = None
-    f = f[..., squarefree]
-    degrees = np.empty((d // 2, f.shape[-1]), dtype=np.int64)
-    if d >= 2:  # h = x^q mod f
-        h = np.zeros_like(f)
+    gs = [np.arange(1, d + 1)[:, None, None] * monic[1:] % p]  # f'
+    if d >= 2:
+        table = [-f % p]  # x^d mod f, then times x up to x^(2d-2)
+        for _ in range(d - 2):
+            table.append(_times_x(table[-1], f, field))
+        table = np.stack(table)
+        h = np.zeros_like(f)  # x^q mod f
         h[0, 0] = 1
         for bit in field.frobenius_bits:
-            h = _vmulrem(h, h, f, field)
+            h = _vmulrem(h, h, table, field)
             if bit == "1":
                 h = _times_x(h, f, field)
     if d >= 4:
@@ -474,23 +494,23 @@ def gf_spec_types(c, field):
         q[0, 0, 0] = 1
         q[1] = h
         for i in range(2, d):
-            q[i] = _vmulrem(q[i - 1], h, f, field)
-    for j in range(d // 2):
+            q[i] = _vmulrem(q[i - 1], h, table, field)
+    for j in range(half):
         if j:  # x^(q^(j+1)) = x^(q^j) Q, d products a coordinate
-            h = field.contract(field.outer(h[:, None], q).sum(axis=0)) % p
+            h = field.reduce(field.contract(field.outer(h[:, None], q).sum(axis=0)))
         g = h.copy()
         g[1, 0] -= 1
-        degrees[j] = _gcd_degree(g, f, field)
-    for e in range(1, d // 2 + 1):  # Mobius inversion, as a sieve, leaves e c_e
-        degrees[2 * e - 1 :: e] -= degrees[e - 1]
-    types = {}
-    for i, key in zip(live[squarefree].tolist(), map(tuple, degrees.T.tolist())):
-        if key not in types:
-            rest = d - sum(key)  # zero, or one factor of degree above d/2
-            small = tuple(e for e in range(d // 2, 0, -1) for _ in range(key[e - 1] // e))
-            types[key] = (rest,) + small if rest else small
-        out[i] = types[key]
-    return out
+        gs.append(g)
+    rows = [np.concatenate(gs, axis=-1)]  # row i of every M_g: x^i g mod f
+    f = np.tile(f, len(gs))
+    for _ in range(1, d):
+        rows.append(_times_x(rows[-1], f, field))
+    degrees = d - _vrank(np.stack(rows), field).reshape(len(gs), -1)
+    for e in range(1, half + 1):  # Mobius inversion, as a sieve, leaves e c_e
+        degrees[2 * e :: e] -= degrees[e]
+    keys[live] = np.where(degrees[0] == 0, (d + 1) ** np.arange(half) @ degrees[1:], -1)
+    return keys
+
 
 def gf_resultant(f, g, p):
     """res(f, g) by a remainder sequence tracking leading coefficients."""

@@ -18,9 +18,10 @@ packed operands and reduce with ``% red``, ``pow`` and ``inv`` are the
 
 ``ctx.vec`` is what the batched classifier takes instead: a
 :class:`_gfp.VecField` holding the multiplication tensor T[i, j] =
-coords(x^(i+j)), built once per context, and ``ctx.coordinates`` reads a
-block of points into the int64 coordinate arrays it works on, through
-``ctx.decode``, the one base-p digit split of an array of encodings.
+coords(x^(i+j)), built once per context.  Points reach it as arrays of
+element encodings (``sets.point_codes``, or ``ctx.encodings`` of tuples),
+and ``ctx.decode``, the one base-p digit split of an array of encodings,
+turns each block into the int64 coordinate arrays it works on.
 
 The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), derived once per
 context from T: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is
@@ -203,20 +204,24 @@ class FieldCtx:
     def random_element(self, rng: random.Random) -> int:
         return rng.randrange(self.q)
 
-    def coordinates(self, points, n: int):
-        """Power-basis coordinates of the leading points that have n
-        coordinates, each naming an element, as an (m, n, k) int64 array; the
+    def encodings(self, points, n: int):
+        """Encodings of the leading points that have n coordinates, each
+        naming an element, as an (m, n) array (int64 while q < 2^62); the
         point at index m, if there is one, is the first that does not.  On a
         prime field every integer names its residue mod p; on an extension
-        only an encoding in [0, q) names an element.  Needs q < 2^63."""
+        only an encoding in [0, q) names an element."""
         k, q = self.k, self.q
         m = next(
             (i for i, a in enumerate(points)
              if len(a) != n or (k > 1 and not all(0 <= x < q for x in a))),
             len(points),
         )
-        flat = np.fromiter((x % q for a in points[:m] for x in a), np.int64, m * n)
-        return self.decode(flat).reshape(m, n, k)
+        dtype = np.int64 if q < _gfp._INT64_LIMIT else object
+        return np.fromiter((x % q for a in points[:m] for x in a), dtype, m * n).reshape(m, n)
+
+    def coordinates(self, points, n: int):
+        """:meth:`encodings` decoded, an (m, n, k) int64 array; q < 2^62."""
+        return self.decode(self.encodings(points, n))
 
     def decode(self, codes):
         """Power-basis coordinates of an int64 array of encodings, as a new

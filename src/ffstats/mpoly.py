@@ -16,7 +16,6 @@ parameter exponents) that parses back to the same polynomial.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -264,7 +263,7 @@ class MultiPoly:
     def specialize_dense(self, point):
         """Coefficient list of F(t, point), trimmed and in the kernels' form
         (``ctx.pack`` of each coefficient), ready for ``ctx.red``; the scalar
-        specialization loop, which ``classify_points`` runs once per point
+        specialization loop, which ``spec_keys`` runs once per point
         where it cannot batch.  Raises ArityMismatchError for a point of the
         wrong length and, on an extension field, ValueError for a coordinate
         outside [0, q)."""
@@ -288,10 +287,10 @@ class MultiPoly:
 
     def specialize_block(self, points):
         """F(t, a) for a block of points, in int64: points is an (N, n, k)
-        array of reduced power-basis coordinates (``ctx.coordinates``), one
-        point per row; returns the untrimmed (N, deg_t + 1, k) coefficient
-        array.  Needs ``_gfp.gf_batch_fits``.  Each parameter gets one table
-        of the powers its terms use; GF(q) products go through ``ctx.vec``."""
+        array of reduced power-basis coordinates (``ctx.decode``), one point
+        per row; returns the untrimmed (N, deg_t + 1, k) coefficient array.
+        Needs ``_gfp.gf_batch_fits``.  Each parameter gets one table of the
+        powers its terms use; GF(q) products go through ``ctx.vec``."""
         d, rows = self._prepared()
         field = self.ctx.vec
         points = points.transpose(1, 2, 0)
@@ -303,7 +302,7 @@ class MultiPoly:
                 if e not in tables[i]:
                     tables[i][e] = field.pow(points[i], e)
                 w = field.mul(w, tables[i][e])
-            out[e_t] = (out[e_t] + w) % field.p
+            out[e_t] = field.reduce(out[e_t] + w)
         return out.transpose(2, 0, 1)
 
     def specialize(self, point) -> UniPoly:
@@ -525,17 +524,47 @@ class SpecializationOutcome:
 
 
 # Points per block of the batched path: the largest temporaries, the raw
-# coordinate products of an elimination step of a d x d rank over GF(p^k),
-# hold about d^2 k^2 entries per point, so a block of _SPEC_BLOCK / (d^2 k^2)
-# points holds about this many in all; at least _SPEC_MIN points, below which
-# the fixed numpy overhead of a block outweighs its arithmetic.
-_SPEC_BLOCK = 1 << 13
+# coordinate products of an elimination step of the stacked rank (1 + d/2
+# matrices d x d over GF(p^k) a point), hold about (1 + d/2) d^2 k^2 entries
+# per point, so a block of _SPEC_BLOCK / (d^2 k^2) points holds about
+# (1 + d/2) _SPEC_BLOCK; at least _SPEC_MIN points, below which the fixed
+# numpy overhead of a block outweighs its arithmetic.
+_SPEC_BLOCK = 1 << 14
 _SPEC_MIN = 32
 
 
+def spec_keys(F: MultiPoly, codes):
+    """Yield, block by block, the int64 keys (``_gfp.gf_type_key``, read by
+    ``key_outcome``) of F(t, a) for the rows a of codes, an (N, n) array of
+    element encodings (``sets.point_codes`` or ``ctx.encodings``).  Within
+    ``_gfp.gf_batch_fits`` (max(deg_t, k^2) * p^2 < 2^62 and q < 2^62),
+    blocks of about ``_SPEC_BLOCK / (deg_t^2 k^2)`` points, at least
+    ``_SPEC_MIN``, go through ``ctx.decode``, ``specialize_block`` and
+    ``_gfp.gf_spec_types`` (one stacked rank a block); otherwise each point
+    takes ``specialize_dense`` and ``_gfp.gf_spec_type``.  Both give the
+    same keys."""
+    d, ctx = F.deg_t, F.ctx
+    if d < 1:
+        raise NotAdmissibleError("polynomial has no t term to factor")
+    size = max(_SPEC_MIN, _SPEC_BLOCK // (d * d * ctx.k * ctx.k))
+    batched = _gfp.gf_batch_fits(d, ctx.k, ctx.p)
+    for lo in range(0, len(codes), size):
+        block = codes[lo : lo + size]
+        if batched:
+            yield _gfp.gf_spec_types(F.specialize_block(ctx.decode(block)), ctx.vec)
+        else:
+            yield np.array([_scalar_key(F, point) for point in block.tolist()], np.int64)
+
+
+def key_outcome(key: int, d: int):
+    """The ``classify_points`` outcome a ``spec_keys`` key names; d = deg_t."""
+    parts = _gfp.gf_key_type(key, d)
+    return DEGREE_DROP if parts == () else NON_SQUAREFREE if parts is None else parts
+
+
 def classify_points(F: MultiPoly, points):
-    """Classify F(t, a) for each point a, in order; every sweep classifies
-    through here.
+    """Classify F(t, a) for each point a, in order: the per-point reading of
+    ``spec_keys``, through which every sweep classifies.
 
     Yields, per point, one of three outcomes:
 
@@ -544,16 +573,8 @@ def classify_points(F: MultiPoly, points):
     * ``DEGREE_DROP``, when the leading coefficient vanishes at a;
     * ``NON_SQUAREFREE``, when F(t, a) has full degree but a repeated factor.
 
-    Within the int64 bound ``_gfp.gf_batch_fits`` (max(deg_t, k^2) * p^2 <
-    2^62 and q < 2^62), the points are read into coordinate arrays by
-    ``ctx.coordinates`` and classified in blocks of about
-    ``_SPEC_BLOCK / (deg_t^2 k^2)`` points, at least ``_SPEC_MIN``, by
-    ``specialize_block`` and ``_gfp.gf_spec_types``: distinct-degree
-    splitting, with the degree of each gcd read off the rank of a
-    deg_t x deg_t matrix over GF(q), 1 + deg_t // 2 ranks a block (von zur
-    Gathen & Gerhard, Modern Computer Algebra, ch. 14).
-    Otherwise each point takes ``specialize_dense`` and the distinct-degree
-    splitting of ``_gfp.gf_spec_type``.  Both paths yield the same outcomes.
+    The points are read into encodings by ``ctx.encodings`` and classified
+    by ``spec_keys``; each distinct key is decoded once.
 
     Coordinates of points over a prime field are reduced mod p; over an
     extension they are element encodings and must lie in [0, q).
@@ -563,35 +584,27 @@ def classify_points(F: MultiPoly, points):
     first point of the wrong length or ValueError at the first point over an
     extension with a coordinate outside [0, q).
     """
-    d = F.deg_t
-    if d < 1:
-        raise NotAdmissibleError("polynomial has no t term to factor")
-    ctx = F.ctx
-    if not _gfp.gf_batch_fits(d, ctx.k, ctx.p):
-        for point in points:
-            yield _classify_one(F, point)
-        return
-    size = max(_SPEC_MIN, _SPEC_BLOCK // (d * d * ctx.k * ctx.k))
-    points = iter(points)
-    while True:
-        block = list(itertools.islice(points, size))
-        coords = ctx.coordinates(block, F.n)
-        if len(coords):
-            for parts in _gfp.gf_spec_types(F.specialize_block(coords), ctx.vec):
-                yield DEGREE_DROP if parts == () else NON_SQUAREFREE if parts is None else parts
-        if len(coords) < len(block):
-            F.specialize_dense(block[len(coords)])  # raises ArityMismatchError or ValueError
-        if len(block) < size:
-            return
+    points = list(points)
+    codes = F.ctx.encodings(points, F.n)
+    outcomes = {}
+    for keys in spec_keys(F, codes):
+        for key in keys.tolist():
+            if key not in outcomes:
+                outcomes[key] = key_outcome(key, F.deg_t)
+            yield outcomes[key]
+    if len(codes) < len(points):
+        F.specialize_dense(points[len(codes)])  # raises ArityMismatchError or ValueError
+
+
+def _scalar_key(F, point):
+    # The scalar path: specialize_dense and distinct-degree splitting.
+    coeffs = F.specialize_dense(point)
+    parts = _gfp.gf_spec_type(coeffs, F.ctx.red, F.ctx.q) if len(coeffs) > F.deg_t else ()
+    return _gfp.gf_type_key(parts, F.deg_t)
 
 
 def _classify_one(F, point):
-    # The scalar path: specialize_dense and distinct-degree splitting.
-    coeffs = F.specialize_dense(point)
-    if len(coeffs) <= F.deg_t:
-        return DEGREE_DROP
-    parts = _gfp.gf_spec_type(coeffs, F.ctx.red, F.ctx.q)
-    return NON_SQUAREFREE if parts is None else parts
+    return key_outcome(_scalar_key(F, point), F.deg_t)
 
 
 def require_dense_budget(F: MultiPoly, budget: int) -> None:
@@ -606,7 +619,7 @@ def require_dense_budget(F: MultiPoly, budget: int) -> None:
 def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:
     """Degree drop, repeated factors, or the factorization type at a point,
     with the errors of classify_points.  One point takes the scalar path of
-    classify_points (``specialize_dense`` and ``_gfp.gf_spec_type``), which
+    ``spec_keys`` (``specialize_dense`` and ``_gfp.gf_spec_type``), which
     is several times faster than a block of one."""
     if F.deg_t < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")

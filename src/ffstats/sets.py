@@ -168,31 +168,42 @@ def _size(s, ctx):
 
 def enumerate_points(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
     """All points of the set, each exactly once, in a fixed deterministic
-    order (lexicographic coordinates / progression index order)."""
+    order (lexicographic coordinates / progression index order), as tuples:
+    the rows of :func:`point_codes`."""
     validate_set(s, ctx)
-    return _points(s, ctx, budget)
+    return list(map(tuple, _codes(s, ctx, budget).tolist()))
 
 
-def _points(s, ctx, budget):
-    """:func:`enumerate_points` of a set already validated."""
+def point_codes(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
+    """The points of the set as an (|S|, n) array of element encodings, in
+    the order of :func:`enumerate_points`: int64 while q < 2^62, Python ints
+    past it.  The budget is checked before any array is built."""
+    validate_set(s, ctx)
+    return _codes(s, ctx, budget)
+
+
+def _codes(s, ctx, budget):
+    """:func:`point_codes` of a set already validated; the full space and a
+    grid are the Cartesian product of their axes, the last coordinate fastest."""
     size = _size(s, ctx)
     if size > budget:
         raise BudgetExceededError(f"set has {size} points, budget is {budget}")
-    if isinstance(s, FullSpace):
-        return list(itertools.product(range(ctx.q), repeat=s.n))
-    if isinstance(s, GridProduct):
-        p = ctx.p
-        axes = [
-            [(f.alpha * j + f.beta) % p for j in range(f.length)] for f in s.factors
-        ]
-        return list(itertools.product(*axes))
+    dtype = np.int64 if ctx.q < _gfp._INT64_LIMIT else object
     if isinstance(s, ExplicitSet):
-        return list(s.points)
-    if ctx.q > budget:
-        raise BudgetExceededError(f"field has {ctx.q} elements, budget is {budget}")
-    # sums of k products below p^2 <= q: exact in int64 for any q within budget
-    traces = ctx.decode(np.arange(ctx.q, dtype=np.int64)) @ ctx.trace_form[:, 0] % ctx.p
-    return [(a,) for a in np.flatnonzero(traces == 0).tolist()]
+        return np.array(s.points, dtype)
+    if isinstance(s, TraceZero):
+        if ctx.q > budget:
+            raise BudgetExceededError(f"field has {ctx.q} elements, budget is {budget}")
+        # sums of k products below p^2 <= q: exact in int64 for any q within budget
+        traces = ctx.decode(np.arange(ctx.q, dtype=np.int64)) @ ctx.trace_form[:, 0] % ctx.p
+        return np.flatnonzero(traces == 0)[:, None]
+    if isinstance(s, FullSpace):
+        axes = [np.arange(ctx.q, dtype=dtype)] * s.n
+    else:  # (alpha*j + beta) mod p, in Python ints once p^2 passes int64
+        p, wide = ctx.p, np.int64 if ctx.p**2 < _gfp._INT64_LIMIT else object
+        axes = [((np.arange(f.length, dtype=wide) * (f.alpha % p) + f.beta % p) % p).astype(dtype)
+                for f in s.factors]
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(size, -1)
 
 
 # -- spectra -------------------------------------------------------------------
@@ -410,10 +421,10 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
         method = "closed_form_interval" if len(lengths) == 1 else "product_1d"
         return IrregularityReport(irreg, method, bound, size)
     n = dimension(s)
-    pts = _points(s, ctx, budget)
+    pts = _codes(s, ctx, budget)
     # fsum is correctly rounded: the total does not depend on the blocks
-    sums = character_sums(pts, frequencies(ctx, n, budget), ctx, n, -1, budget)
-    total = math.fsum(mag for _, _, mag in sums)
+    sums = phase_sums(pts, frequencies(ctx, n, budget), ctx, n, -1, budget)
+    total = math.fsum(itertools.chain.from_iterable(mag.tolist() for _, _, mag in sums))
     return IrregularityReport(total / size, "exact_dft", None, size)
 
 

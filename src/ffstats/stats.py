@@ -1,8 +1,8 @@
 """Factorization-class statistics over a specialization set.
 
-Empirical side: classify F(t, a) for every a in S (``mpoly.classify_points``)
-and tally the factor-degree multisets, with separate buckets for degree drops
-and repeated factors.
+Empirical side: classify F(t, a) for every a in S (``mpoly.spec_keys`` of
+``sets.point_codes``) and tally the factor-degree multisets, with separate
+buckets for degree drops and repeated factors.
 Predicted side: either the random-permutation cycle-type law gamma, or the
 density nu*|C n pi^-1(target)|/|G| read off an explicitly listed permutation
 group whose elements carry labels in Z/nu (label 1 marks the coset the
@@ -21,6 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import _gfp
 from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
@@ -30,7 +33,7 @@ from .errors import (
     ZeroFrequencyError,
 )
 from .mpoly import MultiPoly
-from .sets import DEFAULT_BUDGET, dimension, enumerate_points
+from .sets import DEFAULT_BUDGET, dimension
 
 # -- partitions and cycle types ---------------------------------------------------
 
@@ -237,12 +240,12 @@ class ClassDistribution:
 
 
 def _sweep_points(F: MultiPoly, S, budget, seed):
-    """The points of S, once S and deg_t fit the budget and F is classifiable:
-    both budget checks run before any dense specialization."""
-    pts = enumerate_points(S, F.ctx, budget)
+    """``sets.point_codes`` of S, once S and deg_t fit the budget and F is
+    classifiable: both budget checks run before any dense specialization."""
+    codes = _sets.point_codes(S, F.ctx, budget)
     _mp.require_dense_budget(F, budget)
     _mp.require_classifiable(F, seed=seed)
-    return pts
+    return codes
 
 
 def empirical_distribution(
@@ -252,14 +255,20 @@ def empirical_distribution(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> ClassDistribution:
-    """Classify every point of S in one in-order pass."""
-    pts = _sweep_points(F, S, budget, seed)
-    counts = dict(Counter(_mp.classify_points(F, pts)))
+    """Classify every point of S in one in-order pass: the keys of each block
+    of ``mpoly.spec_keys`` are counted by ``np.unique``, and each distinct
+    key is decoded once."""
+    codes = _sweep_points(F, S, budget, seed)
+    tally = Counter()
+    for keys in _mp.spec_keys(F, codes):
+        values, times = np.unique(keys, return_counts=True)
+        tally.update(dict(zip(values.tolist(), times.tolist())))
+    counts = {_mp.key_outcome(key, F.deg_t): c for key, c in tally.items()}
     return ClassDistribution(
         counts,
         counts.pop(_mp.NON_SQUAREFREE, 0),
         counts.pop(_mp.DEGREE_DROP, 0),
-        len(pts),
+        len(codes),
     )
 
 
@@ -417,10 +426,11 @@ def weil_sweep(
         bs = _sets.frequencies(ctx, n, budget)[1:]
     else:
         bs = [_frequency(b, ctx, n) for b in bs]
-    pts = _sweep_points(F, _sets.FullSpace(n), budget, seed)
-    if sum(parts) != F.deg_t:  # after the budget checks: a degree past them exits 3
+    codes = _sweep_points(F, _sets.FullSpace(n), budget, seed)
+    if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
-    matches = [pt for pt, r in zip(pts, _mp.classify_points(F, pts)) if r == parts]
+    keys = np.concatenate(list(_mp.spec_keys(F, codes)))
+    matches = codes[keys == _gfp.gf_type_key(parts, F.deg_t)]
     scale = float(ctx.q) ** n / math.sqrt(ctx.q)
     sums = zip(bs, _sets.character_sums(matches, bs, ctx, n, -1, budget))
     rows = [(ctx.q, b, mag, mag / scale) for b, (_, _, mag) in sums]

@@ -190,14 +190,30 @@ def test_necklace_counts_across_blocks(q, d):
 @pytest.mark.parametrize("ctx", [FieldCtx(7), FieldCtx(2, 2, seed=1)], ids=lambda c: f"GF{c.q}")
 @pytest.mark.parametrize("d", range(1, 9))
 def test_a_block_takes_one_rank_and_one_more_per_degree_up_to_half(ctx, d):
-    # squarefreeness is one rank, and D_j = deg gcd(x^(q^j) - x, f) one rank
-    # for each j <= d/2
+    # a block takes one rank call, of a stack of 1 + d/2 matrices a point:
+    # M_f' for squarefreeness and one M_g for each D_j = deg gcd(x^(q^j) - x,
+    # f), j <= d/2
     F = parse(f"t^{d} + A1*t^{d - 1} + 1", 1, ctx)
     points = [(a,) for a in range(ctx.q)]
     with mock.patch.object(_gfp, "_vrank", wraps=_gfp._vrank) as ranks:
         got = _blocked(F, points, 3)
-    assert ranks.call_count == (1 + d // 2) * -(-ctx.q // 3)
+    assert ranks.call_count == -(-ctx.q // 3)
+    sizes = [len(points[lo : lo + 3]) for lo in range(0, ctx.q, 3)]
+    shapes = [call.args[0].shape for call in ranks.call_args_list]
+    assert shapes == [(d, d, ctx.k, (1 + d // 2) * m) for m in sizes]
     assert got == [_scalar(F, pt) for pt in points]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_every_type_round_trips_through_its_key(d):
+    keys = set()
+    for parts in partitions(d):
+        key = _gfp.gf_type_key(parts, d)
+        assert key >= 0 and _gfp.gf_key_type(key, d) == parts
+        keys.add(key)
+    assert len(keys) == len(partitions(d))
+    for parts, key in ((None, -1), ((), -2)):
+        assert _gfp.gf_type_key(parts, d) == key and _gfp.gf_key_type(key, d) == parts
 
 
 def test_points_are_reduced_before_int64():

@@ -89,6 +89,27 @@ def test_weil_sweep_golden_bytes():
     assert sweep.max_ratio.hex() == "0x1.5555555555557p-1"
 
 
+# ((p, k), poly, n, type, points in the class, sha256 of the rows as
+# float.hex(), then max_ratio.hex() and the point count): every nonzero
+# frequency of GF(4)^2, GF(9)^2, GF(9) and GF(13)^2
+WEIL_SWEEPS = [
+    ((2, 2), "t^3 + A1*t + A2", 2, (2, 1), 6, "ec5a343df94cecb3bbb608fba15e1c64c315f2a42bc4bbbc7aef40030c1acd15"),
+    ((3, 2), "t^3 + A1*t + A2", 2, (3,), 24, "2fc86619c32ac61e1e6e6cf891decb3887313f42dc7b993b6ef6c8ab2919a8a3"),
+    ((3, 2), "t^2 - A1", 1, (1, 1), 4, "c928460a21d7fd39cb9c6adc8eed29c91b2067eea157514fdd2be65d1e2c1874"),
+    ((13, 1), "t^3 + A1*t + A2", 2, (3,), 56, "f814daa2cc0c00b2ba860eb1f539e6276845212382e541588b28c656db208c30"),
+    ((13, 1), "t^3 + A1*t + A2", 2, (1, 1, 1), 22, "7486434c10258ac5f96f75f31369b742b5780fd22e4e3717420cec4add999a03"),
+]
+
+
+@pytest.mark.parametrize("field, poly, n, parts, terms, digest", WEIL_SWEEPS)
+def test_weil_sweep_golden_digests(field, poly, n, parts, terms, digest):
+    sweep = weil_sweep(parse(poly, n, FieldCtx(*field, seed=1)), parts, None)
+    rows = [(q, b, mag.hex(), ratio.hex()) for q, b, mag, ratio in sweep.rows]
+    text = repr(rows) + sweep.max_ratio.hex() + str(sweep.terms)
+    assert sweep.terms == terms
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 CUBIC = "t^3 + A1*t + A2"
 
 # (argv, sha256 of json.dumps(result, sort_keys=True))

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ffstats import sets
+from ffstats import mpoly, sets
 from ffstats.errors import ArityMismatchError, BudgetExceededError
 from ffstats.field import FieldCtx, cyclotomic_rows
 from ffstats.mpoly import parse
+from ffstats.stats import empirical_distribution
 from ffstats.sets import (
     APSpec,
     ExplicitSet,
@@ -30,6 +31,7 @@ from ffstats.sets import (
     parse_set,
     phase_counts,
     phase_sums,
+    point_codes,
     split_top_level,
     verify_plancherel_decomposition,
 )
@@ -123,6 +125,106 @@ def test_tracezero_requires_extension():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_points(FullSpace(2), FieldCtx(13), budget=100)
+
+
+# -- point codes ---------------------------------------------------------------
+
+CODE_FIELDS = [FieldCtx(p) for p in (2, 3, 5, 7, 13, 31)] + [
+    FieldCtx(p, k, seed=1) for p, k in ((2, 2), (3, 2), (2, 3))
+]
+
+
+def _listed(s, ctx):
+    # the points of s by itertools and scalar traces, apart from point_codes
+    if isinstance(s, FullSpace):
+        return list(itertools.product(range(ctx.q), repeat=s.n))
+    if isinstance(s, GridProduct):
+        axes = [[(f.alpha * j + f.beta) % ctx.p for j in range(f.length)] for f in s.factors]
+        return list(itertools.product(*axes))
+    if isinstance(s, ExplicitSet):
+        return list(s.points)
+    return [(a,) for a in range(ctx.q) if ctx.trace(a) == 0]
+
+
+@st.composite
+def _descriptors(draw):
+    ctx = draw(st.sampled_from(CODE_FIELDS), label="field")
+    kinds = ["full", "explicit"] + (["grid"] if ctx.k == 1 else ["tracezero"])
+    kind = draw(st.sampled_from(kinds), label="kind")
+    if kind == "full":
+        return ctx, FullSpace(draw(st.integers(1, 3 if ctx.q <= 5 else 2)))
+    if kind == "tracezero":
+        return ctx, TraceZero()
+    n = draw(st.integers(1, 2), label="n")
+    if kind == "explicit":
+        point = st.tuples(*[st.integers(0, ctx.q - 1)] * n)
+        return ctx, ExplicitSet(draw(st.lists(point, min_size=1, max_size=40, unique=True)))
+    p = ctx.p
+    # steps and offsets negative or past p, lengths 1 and p among the rest
+    alpha = st.integers(-3 * p, 3 * p).filter(lambda a: a % p)
+    length = st.one_of(st.sampled_from([1, p]), st.integers(1, p))
+    factors = [
+        APSpec(draw(alpha), draw(st.integers(-3 * p, 3 * p)), draw(length)) for _ in range(n)
+    ]
+    return ctx, GridProduct(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_descriptors(), st.data())
+def test_point_codes_are_the_enumerated_points_in_order(case, data):
+    ctx, s = case
+    codes = point_codes(s, ctx)
+    assert codes.dtype == np.int64 and codes.shape == (cardinality(s, ctx), sets.dimension(s))
+    assert list(map(tuple, codes.tolist())) == _listed(s, ctx) == enumerate_points(s, ctx)
+    # a sweep over the codes, with block boundaries inside the set, counts
+    # what the scalar path counts point by point
+    n = sets.dimension(s)
+    F = parse("t^2 + A1*t + " + (" + ".join(f"A{i}" for i in range(2, n + 1)) or "1"), n, ctx)
+    size = data.draw(st.integers(1, len(codes)), label="block")
+    with mock.patch.object(mpoly, "_SPEC_BLOCK", 4 * ctx.k * ctx.k * size), mock.patch.object(
+        mpoly, "_SPEC_MIN", 1
+    ):
+        dist = empirical_distribution(F, s)
+    counts = {}
+    for pt in enumerate_points(s, ctx):
+        outcome = mpoly._classify_one(F, pt)
+        counts[outcome] = counts.get(outcome, 0) + 1
+    assert dist.non_squarefree == counts.pop(mpoly.NON_SQUAREFREE, 0)
+    assert dist.degree_drop == counts.pop(mpoly.DEGREE_DROP, 0)
+    assert dist.counts == counts and dist.total == len(codes)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
+def test_point_codes_of_a_grid_past_int64_products(p):
+    # alpha*j passes int64 once p^2 does; encodings pass it once q >= 2^62,
+    # where the codes are Python ints and the sweep takes the scalar path
+    s = GridProduct([APSpec(-(10**30), p + 5, 4), APSpec(3, -1, 3)])
+    ctx = FieldCtx(p)
+    codes = point_codes(s, ctx)
+    assert codes.dtype == (np.int64 if p < 2**62 else object)
+    assert list(map(tuple, codes.tolist())) == _listed(s, ctx)
+    F = parse("t^2 - A1 - A2", 2, ctx)
+    dist = empirical_distribution(F, s)
+    assert dist.total == 12
+    assert sum(dist.counts.values()) + dist.non_squarefree == 12
+
+
+def test_point_codes_refuse_past_the_budget_before_building_an_array():
+    gf = FieldCtx(1009)
+    big = FieldCtx(2, 40, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="set has"):
+            point_codes(FullSpace(4), gf, budget=10**12)  # 1009^4 > 10^12 points
+        with pytest.raises(BudgetExceededError, match="set has"):
+            point_codes(GridProduct([APSpec(1, 0, 1009)] * 4), gf, budget=10**12)
+        # 2^39 trace-zero points fit this budget, the 2^40 traces do not
+        with pytest.raises(BudgetExceededError, match="field has"):
+            point_codes(TraceZero(), big, budget=2**39)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,21 @@ def test_distribution_of_all_monic_polynomials_is_necklace_counts(p, k, d):
     assert dist.total == q**d
 
 
+def test_distribution_peak_memory_is_below_the_tuple_list():
+    # the 259,081 points of GF(509)^2 took 16.8 MB under tracemalloc as a list
+    # of 2-tuples; as int64 codes they take 4.1 MB, and the sweep peaked at
+    # 6.2 MB with 2^14-entry blocks
+    F = parse("t^2 + A1*t + A2", 2, FieldCtx(509))
+    tracemalloc.start()
+    try:
+        dist = empirical_distribution(F, FullSpace(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.total == 509**2 and dist.non_squarefree == 509
+    assert peak < 8 << 20
+
+
 def test_distribution_variable_relabelling_invariance():
     ctx = FieldCtx(11)
     F = parse("t^2 + A1*t + A2^2", 2, ctx)
@@ -488,6 +503,14 @@ def test_charsum_of_a_type_that_is_not_a_partition_of_deg_t_is_refused():
         restricted_charsum(F, (3,), (1,))
     with pytest.raises(PartitionMismatchError):
         weil_sweep(F, (1,))
+
+
+def test_charsum_of_a_type_with_a_zero_part_is_refused():
+    # (2, 0) sums to deg_t, but a zero part names no class: it would read as
+    # the key of (2,)
+    F = parse("t^2 - A1", 1, FieldCtx(11))
+    with pytest.raises(PartitionMismatchError):
+        weil_sweep(F, (2, 0))
 
 
 def test_prediction_from_group_takes_only_the_group():
