@@ -387,6 +387,11 @@ def gf_batch_fits(d, k, p):
     return max(d, k * k) * p * p < _INT64_LIMIT and p**k < _INT64_LIMIT
 
 
+def gf_key_dtype(d):
+    """int64 while every degree-d key, below (d+1)^(d/2), fits it, else object."""
+    return np.int64 if (d + 1) ** (d // 2) <= 1 << 63 else object
+
+
 def gf_type_key(parts, d):
     """The gf_spec_types key of a degree-d polynomial whose gf_spec_type is
     parts: -2 for (), -1 for None, else the sum of e (d+1)^(e-1) over parts
@@ -453,10 +458,11 @@ def _times_x(h, f, field):
 def gf_spec_types(c, field):
     """The batched gf_spec_type: c is an (N, d+1, k) int64 array of reduced
     power-basis coordinates, one polynomial over GF(q) = ``field`` per row,
-    d >= 1 and gf_batch_fits(d, k, p).  Returns an int64 key per row
-    (:func:`gf_type_key`, read back by :func:`gf_key_type`): -2 when the
-    degree-d coefficient is zero, -1 for a repeated factor, otherwise the
-    base-(d+1) code of D_1..D_(d/2) after Mobius inversion.
+    d >= 1 and gf_batch_fits(d, k, p).  Returns a key per row, of
+    :func:`gf_key_dtype` (:func:`gf_type_key`, read back by
+    :func:`gf_key_type`): -2 when the degree-d coefficient is zero, -1 for
+    a repeated factor, otherwise the base-(d+1) code of D_1..D_(d/2) after
+    Mobius inversion.
 
     Distinct-degree splitting by ranks (von zur Gathen & Gerhard, Modern
     Computer Algebra, ch. 14): deg gcd(g, f) = d - rank M_g, where row i of
@@ -471,7 +477,7 @@ def gf_spec_types(c, field):
     """
     n, d = c.shape[0], c.shape[1] - 1
     p, half = field.p, d // 2
-    keys = np.full(n, -2, dtype=np.int64)
+    keys = np.full(n, -2, dtype=gf_key_dtype(d))
     live = np.flatnonzero(c[:, d].any(axis=1))
     c = c[live].transpose(1, 2, 0)
     f = field.mul(c[:d], field.pow(c[d], field.q - 2))
@@ -508,7 +514,8 @@ def gf_spec_types(c, field):
     degrees = d - _vrank(np.stack(rows), field).reshape(len(gs), -1)
     for e in range(1, half + 1):  # Mobius inversion, as a sieve, leaves e c_e
         degrees[2 * e :: e] -= degrees[e]
-    keys[live] = np.where(degrees[0] == 0, (d + 1) ** np.arange(half) @ degrees[1:], -1)
+    weights = np.array([(d + 1) ** e for e in range(half)], keys.dtype)
+    keys[live] = np.where(degrees[0] == 0, weights @ degrees[1:], -1)
     return keys
 
 

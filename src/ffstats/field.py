@@ -219,10 +219,6 @@ class FieldCtx:
         dtype = np.int64 if q < _gfp._INT64_LIMIT else object
         return np.fromiter((x % q for a in points[:m] for x in a), dtype, m * n).reshape(m, n)
 
-    def coordinates(self, points, n: int):
-        """:meth:`encodings` decoded, an (m, n, k) int64 array; q < 2^62."""
-        return self.decode(self.encodings(points, n))
-
     def decode(self, codes):
         """Power-basis coordinates of an int64 array of encodings, as a new
         trailing axis of length k: the base-p digits, each reduced mod p (on

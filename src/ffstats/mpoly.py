@@ -525,24 +525,23 @@ class SpecializationOutcome:
 
 # Points per block of the batched path: the largest temporaries, the raw
 # coordinate products of an elimination step of the stacked rank (1 + d/2
-# matrices d x d over GF(p^k) a point), hold about (1 + d/2) d^2 k^2 entries
-# per point, so a block of _SPEC_BLOCK / (d^2 k^2) points holds about
-# (1 + d/2) _SPEC_BLOCK; at least _SPEC_MIN points, below which the fixed
-# numpy overhead of a block outweighs its arithmetic.
-_SPEC_BLOCK = 1 << 14
+# d x d matrices over GF(p^k) a point), hold (1 + d/2) d^2 k^2 entries a
+# point, so a block of _SPEC_BLOCK / (d^2 k^2) points holds (1 + d/2) times
+# _SPEC_BLOCK; at least _SPEC_MIN points, as numpy's cost per call dominates below.
+_SPEC_BLOCK = 1 << 13
 _SPEC_MIN = 32
 
 
 def spec_keys(F: MultiPoly, codes):
-    """Yield, block by block, the int64 keys (``_gfp.gf_type_key``, read by
-    ``key_outcome``) of F(t, a) for the rows a of codes, an (N, n) array of
-    element encodings (``sets.point_codes`` or ``ctx.encodings``).  Within
-    ``_gfp.gf_batch_fits`` (max(deg_t, k^2) * p^2 < 2^62 and q < 2^62),
-    blocks of about ``_SPEC_BLOCK / (deg_t^2 k^2)`` points, at least
-    ``_SPEC_MIN``, go through ``ctx.decode``, ``specialize_block`` and
-    ``_gfp.gf_spec_types`` (one stacked rank a block); otherwise each point
-    takes ``specialize_dense`` and ``_gfp.gf_spec_type``.  Both give the
-    same keys."""
+    """Yield, block by block, the keys (``type_key``, read by ``key_outcome``;
+    int64 while deg_t <= 27, else Python ints) of F(t, a) for the rows a of
+    codes, an (N, n) array of element encodings (``sets.point_codes`` or
+    ``ctx.encodings``).  Within ``_gfp.gf_batch_fits`` (max(deg_t, k^2) *
+    p^2 < 2^62 and q < 2^62), blocks of about ``_SPEC_BLOCK / (deg_t^2 k^2)``
+    points, at least ``_SPEC_MIN``, go through ``ctx.decode``,
+    ``specialize_block`` and ``_gfp.gf_spec_types`` (one stacked rank a
+    block); otherwise each point takes ``specialize_dense`` and
+    ``_gfp.gf_spec_type``.  Both give the same keys."""
     d, ctx = F.deg_t, F.ctx
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
@@ -553,7 +552,10 @@ def spec_keys(F: MultiPoly, codes):
         if batched:
             yield _gfp.gf_spec_types(F.specialize_block(ctx.decode(block)), ctx.vec)
         else:
-            yield np.array([_scalar_key(F, point) for point in block.tolist()], np.int64)
+            yield np.array([_scalar_key(F, pt) for pt in block.tolist()], _gfp.gf_key_dtype(d))
+
+
+type_key = _gfp.gf_type_key  # the spec_keys key of a type: type_key(parts, deg_t)
 
 
 def key_outcome(key: int, d: int):
@@ -586,12 +588,10 @@ def classify_points(F: MultiPoly, points):
     """
     points = list(points)
     codes = F.ctx.encodings(points, F.n)
-    outcomes = {}
     for keys in spec_keys(F, codes):
-        for key in keys.tolist():
-            if key not in outcomes:
-                outcomes[key] = key_outcome(key, F.deg_t)
-            yield outcomes[key]
+        distinct, at = np.unique(keys, return_inverse=True)
+        outcomes = [key_outcome(key, F.deg_t) for key in distinct.tolist()]
+        yield from map(outcomes.__getitem__, at.tolist())
     if len(codes) < len(points):
         F.specialize_dense(points[len(codes)])  # raises ArityMismatchError or ValueError
 
@@ -600,7 +600,7 @@ def _scalar_key(F, point):
     # The scalar path: specialize_dense and distinct-degree splitting.
     coeffs = F.specialize_dense(point)
     parts = _gfp.gf_spec_type(coeffs, F.ctx.red, F.ctx.q) if len(coeffs) > F.deg_t else ()
-    return _gfp.gf_type_key(parts, F.deg_t)
+    return type_key(parts, F.deg_t)
 
 
 def _classify_one(F, point):

@@ -320,7 +320,7 @@ def indicator_fourier(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Fourier
     n = dimension(s)
     qn = ctx.q**n
     freqs = frequencies(ctx, n, budget)
-    pts = enumerate_points(s, ctx, budget)
+    pts = point_codes(s, ctx, budget)
     sums = zip(freqs, character_sums(pts, freqs, ctx, n, -1, budget))
     values = {b: complex(re, im) / qn for b, (re, im, _) in sums}
     return FourierSpectrum(ctx, n, values)

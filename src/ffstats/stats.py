@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _gfp
 from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
@@ -255,9 +254,8 @@ def empirical_distribution(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> ClassDistribution:
-    """Classify every point of S in one in-order pass: the keys of each block
-    of ``mpoly.spec_keys`` are counted by ``np.unique``, and each distinct
-    key is decoded once."""
+    """Classify every point of S in one in-order pass: ``np.unique`` counts the
+    keys of each ``mpoly.spec_keys`` block, and each distinct key is decoded once."""
     codes = _sweep_points(F, S, budget, seed)
     tally = Counter()
     for keys in _mp.spec_keys(F, codes):
@@ -430,7 +428,7 @@ def weil_sweep(
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
-    matches = codes[keys == _gfp.gf_type_key(parts, F.deg_t)]
+    matches = codes[keys == _mp.type_key(parts, F.deg_t)]
     scale = float(ctx.q) ** n / math.sqrt(ctx.q)
     sums = zip(bs, _sets.character_sums(matches, bs, ctx, n, -1, budget))
     rows = [(ctx.q, b, mag, mag / scale) for b, (_, _, mag) in sums]

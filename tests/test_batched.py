@@ -7,8 +7,10 @@ import itertools
 import math
 import random
 import signal
+from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from ffstats import _gfp, mpoly
 from ffstats.errors import ArityMismatchError, NotAdmissibleError
 from ffstats.field import FieldCtx
 from ffstats.mpoly import DEGREE_DROP, NON_SQUAREFREE, MultiPoly, classify_points, parse
-from ffstats.stats import partitions
+from ffstats.sets import FullSpace
+from ffstats.stats import empirical_distribution, partitions
 from ffstats.unipoly import discriminant
 
 # 759250111 is the largest prime with 8 p^2 < 2^62: every d <= 8 runs at the
@@ -204,7 +207,7 @@ def test_a_block_takes_one_rank_and_one_more_per_degree_up_to_half(ctx, d):
     assert got == [_scalar(F, pt) for pt in points]
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", [*range(1, 9), 27, 28, 30])
 def test_every_type_round_trips_through_its_key(d):
     keys = set()
     for parts in partitions(d):
@@ -212,8 +215,32 @@ def test_every_type_round_trips_through_its_key(d):
         assert key >= 0 and _gfp.gf_key_type(key, d) == parts
         keys.add(key)
     assert len(keys) == len(partitions(d))
+    assert (max(keys) < 1 << 63) == (_gfp.gf_key_dtype(d) is np.int64)
     for parts, key in ((None, -1), ((), -2)):
         assert _gfp.gf_type_key(parts, d) == key and _gfp.gf_key_type(key, d) == parts
+
+
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("d, p", [(28, 7), (30, 7)])
+def test_keys_past_int64_classify_like_the_scalar_splitting(d, p, batched):
+    # a factor of degree 14 at d = 28 (13 at d = 30) has a key past 2^63
+    ctx = FieldCtx(p)
+    F = parse(f"t^{d} + A1*t^2 + A2*t + 1", 2, ctx)
+    points = list(itertools.product(range(p), repeat=2))
+    want = []
+    for pt in points:
+        coeffs = F.specialize_dense(pt)
+        parts = _gfp.gf_spec_type(coeffs, ctx.red, ctx.q) if len(coeffs) > d else ()
+        want.append(DEGREE_DROP if parts == () else NON_SQUAREFREE if parts is None else parts)
+    assert any(_gfp.gf_type_key(w, d) >= 1 << 63 for w in want if isinstance(w, tuple))
+    fits = mock.patch.object(_gfp, "gf_batch_fits", return_value=batched)
+    spy = mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types)
+    with fits, spy as kernel:
+        assert list(classify_points(F, points)) == want
+        dist = empirical_distribution(F, FullSpace(2))
+    assert kernel.called == batched
+    assert dist.counts == Counter(w for w in want if isinstance(w, tuple))
+    assert (dist.non_squarefree, dist.total) == (want.count(NON_SQUAREFREE), len(points))
 
 
 def test_points_are_reduced_before_int64():

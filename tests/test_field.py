@@ -170,11 +170,12 @@ def test_multiplication_tensor_matches_mul(p, k):
 def test_coordinates_read_leading_valid_points():
     f9 = FieldCtx(3, 2, modulus=[1, 0, 1])
     pts = [(0, 8), (5, 3), (9, 1), (1, 1)]
-    assert f9.coordinates(pts, 2).tolist() == [[[0, 0], [2, 2]], [[2, 1], [0, 1]]]
-    assert f9.coordinates([(1,), (-1,)], 1).tolist() == [[[1, 0]]]
-    assert f9.coordinates([(1, 1), (2,)], 2).shape == (1, 2, 2)
+    assert f9.encodings(pts, 2).tolist() == [[0, 8], [5, 3]]
+    assert f9.decode(f9.encodings(pts, 2)).tolist() == [[[0, 0], [2, 2]], [[2, 1], [0, 1]]]
+    assert f9.encodings([(1,), (-1,)], 1).tolist() == [[1]]
+    assert f9.decode(f9.encodings([(1, 1), (2,)], 2)).shape == (1, 2, 2)
     f7 = FieldCtx(7)
-    assert f7.coordinates([(-1, 10**30), (3,)], 2).tolist() == [[[6], [10**30 % 7]]]
+    assert f7.encodings([(-1, 10**30), (3,)], 2).tolist() == [[6, 10**30 % 7]]
 
 
 def test_trace_f9_examples():
