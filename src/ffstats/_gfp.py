@@ -17,18 +17,17 @@ argument ``p`` decides the field:
 
 Zero packs to 0 and one packs to 1, so ``if c``, ``c == 1`` and trimming
 mean the same on both kinds of field.  Callers pass reduced coefficients.
-Frobenius powers need the field size ``q`` besides ``p``.
 
-Sweeps classify a whole block of polynomials at once with
-:func:`gf_spec_types`, distinct-degree splitting by int64 numpy ranks over
-GF(q), with GF(q) products taken through the multiplication tensor of a
-:class:`VecField`; a prime field is the case k = 1.  The scalar
-:func:`gf_spec_type`, one distinct-degree pass of gcds per polynomial, is
-the reference the batched kernel is tested against, and serves single
-polynomials and fields past the int64 bound of :func:`gf_batch_fits`.  The
-scalar kernels avoid classes and keep their inner loops allocation-light.
-The module keeps its historical name because the benchmark's traced run
-wraps ``_gfp.gf_spec_type``.
+Every polynomial is classified by :func:`gf_spec_types`, a whole block at
+once: distinct-degree splitting by numpy ranks over GF(q), with GF(q)
+products taken through the multiplication tensor of a :class:`VecField`; a
+prime field is the case k = 1.  Its arrays hold int64 within
+:func:`gf_batch_fits` and Python ints (object arrays) past it, as
+:func:`gf_dtype` chooses, and the algorithm is the same on both;
+:func:`gf_spec_type` is its one-row reading.  The scalar kernels on
+coefficient lists avoid classes and keep their inner loops
+allocation-light.  The module keeps its historical name because the
+benchmark's traced run wraps ``_gfp.gf_spec_type``.
 """
 
 import numpy as np
@@ -41,7 +40,9 @@ import numpy as np
 # of d - 1 products and a residue, below d p^2 before % p; an entry of x^(q^j) =
 # x^(q^(j-1)) Q sums d products; an elimination step subtracts two products;
 # a coefficient of f' is a residue times at most d.  Points are read into
-# int64 as encodings below q, so q < 2^62 too.
+# int64 as encodings below q, so q < 2^62 too.  Past the bound the same
+# kernel runs on object arrays of Python ints; gf_dtype is the one place
+# that chooses between the two.
 _INT64_LIMIT = 1 << 62
 
 
@@ -204,10 +205,6 @@ def gf_rem(f, g, p):
     return gf_divmod(f, g, p)[1]
 
 
-def gf_quo(f, g, p):
-    return gf_divmod(f, g, p)[0]
-
-
 def gf_gcd(f, g, p):
     a, b = list(f), list(g)
     while b:
@@ -219,87 +216,6 @@ def gf_diff(f, p):
     return gf_trim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def _mulrem(u, v, g, dg, p):
-    # u*v mod monic g; inputs deg < dg, output a length-<=dg list that may
-    # carry trailing zeros (fine for repeated use inside gf_pow_mod).
-    m = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                m[i + j] += a * b
-    m = [c % p for c in m]
-    for i in range(len(m) - 1, dg - 1, -1):
-        c = m[i]
-        if c:
-            off = i - dg
-            for j in range(dg):
-                m[off + j] = (m[off + j] - c * g[j]) % p
-    del m[dg:]
-    return m
-
-
-def gf_pow_mod(f, e, g, p):
-    """f**e mod g, with g monic of degree >= 1."""
-    dg = len(g) - 1
-    if e == 0:
-        return [1] if dg > 0 else []
-    base = gf_rem(f, g, p)
-    if not base:
-        return []
-    r = list(base)
-    for bit in bin(e)[3:]:
-        r = _mulrem(r, r, g, dg, p)
-        if bit == "1":
-            r = _mulrem(r, base, g, dg, p)
-    return gf_trim(r)
-
-
-def gf_ddf_type(f, p, q):
-    """Multiset of irreducible-factor degrees of a monic squarefree f over
-    GF(q).
-
-    Distinct-degree splitting only: stage i collects gcd(g, x^(q^i) - x),
-    whose degree is i times the number of degree-i factors.  The factors
-    themselves are never separated.  Returns a descending tuple.
-    """
-    parts = []
-    g = f
-    h = [0, 1]
-    i = 0
-    while True:
-        dg = len(g) - 1
-        if dg <= 0:
-            break
-        i += 1
-        if 2 * i > dg:
-            parts.append(dg)
-            break
-        h = gf_pow_mod(h, q, g, p)
-        d = gf_gcd(gf_sub(h, [0, 1], p), g, p)
-        dd = len(d) - 1
-        if dd > 0:
-            parts.extend([i] * (dd // i))
-            g = gf_quo(g, d, p)
-            if len(g) - 1 > 0:
-                h = gf_rem(h, g, p)
-    return tuple(sorted(parts, reverse=True))
-
-
-def gf_spec_type(f, p, q):
-    """Factor-degree multiset of f over GF(q) (descending tuple), or None
-    when f has a repeated factor.  f must have degree >= 1 and a nonzero
-    leading term; f of degree d is irreducible iff this returns (d,)."""
-    if f[-1] != 1:
-        inv = gf_inv(f[-1], p)
-        f = [c * inv % p for c in f]
-    if len(f) == 2:
-        return (1,)
-    fp = gf_diff(f, p)
-    if not fp or len(gf_gcd(f, fp, p)) != 1:
-        return None
-    return gf_ddf_type(f, p, q)
-
-
 # -- batched classification ----------------------------------------------------
 # The batch is the last axis, so that numpy's inner loops run along it.  A
 # block of GF(q) elements is a (k, N) array of power-basis coordinates, one
@@ -308,8 +224,8 @@ def gf_spec_type(f, p, q):
 
 
 class VecField:
-    """GF(q) arithmetic on int64 coordinate arrays, for one field; the
-    per-field constants of the batched kernels.
+    """GF(q) arithmetic on coordinate arrays, int64 or object, for one
+    field; the per-field constants of the batched kernels.
 
     A product a*b of GF(q) elements is bilinear in their coordinates:
     (a*b)_l = sum_ij a_i b_j T[i, j, l], where row T[i, j] holds the
@@ -317,7 +233,9 @@ class VecField:
     coordinate products a_i b_j and ``contract`` applies T, so that sums of
     products can be accumulated raw and contracted once.  On a prime field
     (k = 1) ``outer`` is the plain product and ``contract`` does nothing, so
-    a product there costs one ``a * b % p`` and no contraction.
+    a product there costs one ``a * b % p`` and no contraction.  The tensor
+    is int64 while its entries, below p, fit it, and an object array past
+    that; a product with an object array is one too.
     """
 
     __slots__ = ("p", "k", "q", "tensor", "frobenius_bits", "one", "_flat")
@@ -330,7 +248,8 @@ class VecField:
         for _ in range(2 * k - 2):
             v = powers[-1]
             powers.append([(a + v[-1] * t) % p for a, t in zip([0] + v[:-1], tail)])
-        tensor = np.array([[powers[i + j] for j in range(k)] for i in range(k)], dtype=np.int64)
+        dtype = np.int64 if p < 1 << 63 else object
+        tensor = np.array([[powers[i + j] for j in range(k)] for i in range(k)], dtype=dtype)
         flat = tensor.reshape(k * k, k).T
         one = np.zeros((k, 1), dtype=np.int64)
         one[0] = 1
@@ -387,6 +306,12 @@ def gf_batch_fits(d, k, p):
     return max(d, k * k) * p * p < _INT64_LIMIT and p**k < _INT64_LIMIT
 
 
+def gf_dtype(d, k, p):
+    """The dtype in which degree-d polynomials over GF(p^k) are specialized
+    and classified: int64 within gf_batch_fits, else object (Python ints)."""
+    return np.int64 if gf_batch_fits(d, k, p) else object
+
+
 def gf_key_dtype(d):
     """int64 while every degree-d key, below (d+1)^(d/2), fits it, else object."""
     return np.int64 if (d + 1) ** (d // 2) <= 1 << 63 else object
@@ -417,7 +342,7 @@ def _vmulrem(u, v, table, field):
     # u*v mod the monic f, column by column; the high half of the product,
     # degrees d..2d-2, takes one contraction against table[s - d] = x^s mod f
     d = len(u)
-    m = np.zeros((2 * d - 1, field.k * field.k, v.shape[-1]), dtype=np.int64)
+    m = np.zeros((2 * d - 1, field.k * field.k, v.shape[-1]), dtype=v.dtype)
     for i in range(d):
         m[i : i + d] += field.outer(u[i], v)
     m = field.reduce(field.contract(m))
@@ -456,9 +381,10 @@ def _times_x(h, f, field):
 
 
 def gf_spec_types(c, field):
-    """The batched gf_spec_type: c is an (N, d+1, k) int64 array of reduced
+    """Classify a block of polynomials: c is an (N, d+1, k) array of reduced
     power-basis coordinates, one polynomial over GF(q) = ``field`` per row,
-    d >= 1 and gf_batch_fits(d, k, p).  Returns a key per row, of
+    d >= 1, of :func:`gf_dtype` (every array of the kernel takes the dtype
+    of c).  Returns a key per row, of
     :func:`gf_key_dtype` (:func:`gf_type_key`, read back by
     :func:`gf_key_type`): -2 when the degree-d coefficient is zero, -1 for
     a repeated factor, otherwise the base-(d+1) code of D_1..D_(d/2) after
@@ -480,7 +406,9 @@ def gf_spec_types(c, field):
     keys = np.full(n, -2, dtype=gf_key_dtype(d))
     live = np.flatnonzero(c[:, d].any(axis=1))
     c = c[live].transpose(1, 2, 0)
-    f = field.mul(c[:d], field.pow(c[d], field.q - 2))
+    f = c[:d]
+    if (c[d] != field.one).any():  # make each row monic
+        f = field.mul(f, field.pow(c[d], field.q - 2))
     monic = np.concatenate((f, np.zeros_like(f[:1])))
     monic[d, 0] = 1
     gs = [np.arange(1, d + 1)[:, None, None] * monic[1:] % p]  # f'
@@ -496,7 +424,7 @@ def gf_spec_types(c, field):
             if bit == "1":
                 h = _times_x(h, f, field)
     if d >= 4:
-        q = np.zeros((d,) + f.shape, dtype=np.int64)
+        q = np.zeros((d,) + f.shape, dtype=f.dtype)
         q[0, 0, 0] = 1
         q[1] = h
         for i in range(2, d):
@@ -517,6 +445,17 @@ def gf_spec_types(c, field):
     weights = np.array([(d + 1) ** e for e in range(half)], keys.dtype)
     keys[live] = np.where(degrees[0] == 0, weights @ degrees[1:], -1)
     return keys
+
+
+def gf_spec_type(c, field):
+    """One row of :func:`gf_spec_types`, read back by :func:`gf_key_type`: c
+    is the (d+1, k) coordinate array of one polynomial over ``field``, d >=
+    1.  Returns its factor-degree multiset (a descending tuple), None when it
+    has a repeated factor, () when its degree-d coefficient is zero; it is
+    irreducible iff this returns (d,)."""
+    d = len(c) - 1
+    key = gf_spec_types(np.asarray(c).astype(gf_dtype(d, field.k, field.p))[None], field)[0]
+    return gf_key_type(int(key), d)
 
 
 def gf_resultant(f, g, p):

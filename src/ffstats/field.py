@@ -41,6 +41,7 @@ exactly.
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 import numpy as np
@@ -49,10 +50,15 @@ from . import _gfp
 from .errors import DegreeMismatchError, NotPrimeError, ReducibleModulusError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster, 2017): below it Miller-Rabin on those bases is exact.
+_MR_EXACT = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the base set is exact for 64-bit inputs."""
+    """Miller-Rabin to the bases _MR_BASES, exact below _MR_EXACT; from
+    there a strong Lucas test too, which makes it Baillie-PSW, with no known
+    composite that passes."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -75,7 +81,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n), n odd and positive."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 37 with no factor up to
+    37, on Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes
+    when U_d = 0 or V_(d 2^r) = 0 for some r < s (all mod n)."""
+    if math.isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # gcd(D, n) > 1, and |D| < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n) // 2 if x & 1 else x // 2
+
+    # U_k, V_k, Q^k from k = 1, doubling (U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k)
+    # and stepping (U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2)
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,7 +206,7 @@ class FieldCtx:
                     raise DegreeMismatchError(
                         f"modulus must be monic of degree {k}, got {_poly_str(mod)}"
                     )
-                if _gfp.gf_spec_type(mod, p, p) != (k,):
+                if _gfp.gf_spec_type(np.array(mod, object)[:, None], _gfp.VecField(p, ())) != (k,):
                     raise ReducibleModulusError(
                         f"{_poly_str(mod)} is reducible over GF({p})"
                     )
@@ -160,18 +220,23 @@ class FieldCtx:
         # so M_ij = tr(x^(i+j)) = sum_l T[i, j, l] t_l, taken in Python ints:
         # the products pass int64 for large p.
         tensor = self.vec.tensor.astype(object)
-        form = (tensor @ np.trace(tensor, axis1=1, axis2=2) % p).astype(np.int64)
+        form = (tensor @ np.trace(tensor, axis1=1, axis2=2) % p).astype(self.vec.tensor.dtype)
         form.flags.writeable = False
         self.trace_form = form
 
     @staticmethod
     def _random_irreducible(p, k, seed):
-        # Rejection sampling; about one in k monic candidates is irreducible.
+        # Rejection sampling; about one in k monic candidates is irreducible,
+        # so blocks of 2k candidates are classified at once, drawn in order,
+        # and the first irreducible one is taken.
         rng = random.Random(seed)
+        prime, irreducible = _gfp.VecField(p, ()), _gfp.gf_type_key((k,), k)
         while True:
-            cand = [rng.randrange(p) for _ in range(k)] + [1]
-            if _gfp.gf_spec_type(cand, p, p) == (k,):
-                return cand
+            block = [[rng.randrange(p) for _ in range(k)] + [1] for _ in range(2 * k)]
+            cands = np.array(block, _gfp.gf_dtype(k, 1, p))[..., None]
+            found = np.flatnonzero(_gfp.gf_spec_types(cands, prime) == irreducible)
+            if len(found):
+                return block[found[0]]
 
     # -- element encoding -------------------------------------------------
 
@@ -220,10 +285,11 @@ class FieldCtx:
         return np.fromiter((x % q for a in points[:m] for x in a), dtype, m * n).reshape(m, n)
 
     def decode(self, codes):
-        """Power-basis coordinates of an int64 array of encodings, as a new
-        trailing axis of length k: the base-p digits, each reduced mod p (on
-        a prime field, the residue of every integer)."""
-        return codes[..., None] // self.p ** np.arange(self.k, dtype=np.int64) % self.p
+        """Power-basis coordinates of an array of encodings, int64 or object,
+        as a new trailing axis of length k in the same dtype: the base-p
+        digits, each reduced mod p (on a prime field, the residue of every
+        integer)."""
+        return codes[..., None] // self.p ** np.arange(self.k).astype(codes.dtype) % self.p
 
     # -- arithmetic: the kernels' form, reduced by ``red`` -------------------
 

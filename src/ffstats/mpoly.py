@@ -33,7 +33,7 @@ from .errors import (
 )
 from .field import FieldCtx
 from .sets import DEFAULT_BUDGET
-from .unipoly import UniPoly
+from .unipoly import UniPoly, is_squarefree
 
 # -- tokenizer ----------------------------------------------------------------
 
@@ -262,11 +262,11 @@ class MultiPoly:
 
     def specialize_dense(self, point):
         """Coefficient list of F(t, point), trimmed and in the kernels' form
-        (``ctx.pack`` of each coefficient), ready for ``ctx.red``; the scalar
-        specialization loop, which ``spec_keys`` runs once per point
-        where it cannot batch.  Raises ArityMismatchError for a point of the
-        wrong length and, on an extension field, ValueError for a coordinate
-        outside [0, q)."""
+        (``ctx.pack`` of each coefficient), ready for ``ctx.red``: the
+        specialization of one point, for ``specialize`` and the point
+        checks of ``classify_points``.  Raises ArityMismatchError for a point
+        of the wrong length and, on an extension field, ValueError for a
+        coordinate outside [0, q)."""
         if len(point) != self.n:
             raise ArityMismatchError(
                 f"expected {self.n} coordinates, got {len(point)}"
@@ -286,18 +286,18 @@ class MultiPoly:
         return _gfp.gf_trim(coeffs)
 
     def specialize_block(self, points):
-        """F(t, a) for a block of points, in int64: points is an (N, n, k)
-        array of reduced power-basis coordinates (``ctx.decode``), one point
-        per row; returns the untrimmed (N, deg_t + 1, k) coefficient array.
-        Needs ``_gfp.gf_batch_fits``.  Each parameter gets one table of the
-        powers its terms use; GF(q) products go through ``ctx.vec``."""
+        """F(t, a) for a block of points: points is an (N, n, k) array of
+        reduced power-basis coordinates (``ctx.decode``), one point per row,
+        of ``_gfp.gf_dtype``; returns the untrimmed (N, deg_t + 1, k)
+        coefficient array in the same dtype.  Each parameter gets one table
+        of the powers its terms use; GF(q) products go through ``ctx.vec``."""
         d, rows = self._prepared()
         field = self.ctx.vec
         points = points.transpose(1, 2, 0)
         tables = [{} for _ in range(self.n)]
-        out = np.zeros((d + 1, field.k, points.shape[-1]), dtype=np.int64)
+        out = np.zeros((d + 1, field.k, points.shape[-1]), dtype=points.dtype)
         for e_t, powers, _, coords in rows:
-            w = np.array(coords, dtype=np.int64)[:, None]
+            w = np.array(coords, dtype=points.dtype)[:, None]
             for i, e in powers:
                 if e not in tables[i]:
                     tables[i][e] = field.pow(points[i], e)
@@ -536,23 +536,19 @@ def spec_keys(F: MultiPoly, codes):
     """Yield, block by block, the keys (``type_key``, read by ``key_outcome``;
     int64 while deg_t <= 27, else Python ints) of F(t, a) for the rows a of
     codes, an (N, n) array of element encodings (``sets.point_codes`` or
-    ``ctx.encodings``).  Within ``_gfp.gf_batch_fits`` (max(deg_t, k^2) *
-    p^2 < 2^62 and q < 2^62), blocks of about ``_SPEC_BLOCK / (deg_t^2 k^2)``
-    points, at least ``_SPEC_MIN``, go through ``ctx.decode``,
-    ``specialize_block`` and ``_gfp.gf_spec_types`` (one stacked rank a
-    block); otherwise each point takes ``specialize_dense`` and
-    ``_gfp.gf_spec_type``.  Both give the same keys."""
+    ``ctx.encodings``).  Blocks of about ``_SPEC_BLOCK / (deg_t^2 k^2)``
+    points, at least ``_SPEC_MIN``, are cast to ``_gfp.gf_dtype`` (int64
+    while max(deg_t, k^2) * p^2 < 2^62 and q < 2^62, Python ints past it)
+    and go through ``ctx.decode``, ``specialize_block`` and
+    ``_gfp.gf_spec_types``, one stacked rank a block."""
     d, ctx = F.deg_t, F.ctx
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
     size = max(_SPEC_MIN, _SPEC_BLOCK // (d * d * ctx.k * ctx.k))
-    batched = _gfp.gf_batch_fits(d, ctx.k, ctx.p)
+    dtype = _gfp.gf_dtype(d, ctx.k, ctx.p)
     for lo in range(0, len(codes), size):
-        block = codes[lo : lo + size]
-        if batched:
-            yield _gfp.gf_spec_types(F.specialize_block(ctx.decode(block)), ctx.vec)
-        else:
-            yield np.array([_scalar_key(F, pt) for pt in block.tolist()], _gfp.gf_key_dtype(d))
+        block = codes[lo : lo + size].astype(dtype, copy=False)
+        yield _gfp.gf_spec_types(F.specialize_block(ctx.decode(block)), ctx.vec)
 
 
 type_key = _gfp.gf_type_key  # the spec_keys key of a type: type_key(parts, deg_t)
@@ -596,17 +592,6 @@ def classify_points(F: MultiPoly, points):
         F.specialize_dense(points[len(codes)])  # raises ArityMismatchError or ValueError
 
 
-def _scalar_key(F, point):
-    # The scalar path: specialize_dense and distinct-degree splitting.
-    coeffs = F.specialize_dense(point)
-    parts = _gfp.gf_spec_type(coeffs, F.ctx.red, F.ctx.q) if len(coeffs) > F.deg_t else ()
-    return type_key(parts, F.deg_t)
-
-
-def _classify_one(F, point):
-    return key_outcome(_scalar_key(F, point), F.deg_t)
-
-
 def require_dense_budget(F: MultiPoly, budget: int) -> None:
     """Raise BudgetExceededError unless one specialization of F, a list of
     deg_t + 1 coefficients, fits the budget; call it before specializing."""
@@ -618,12 +603,8 @@ def require_dense_budget(F: MultiPoly, budget: int) -> None:
 
 def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:
     """Degree drop, repeated factors, or the factorization type at a point,
-    with the errors of classify_points.  One point takes the scalar path of
-    ``spec_keys`` (``specialize_dense`` and ``_gfp.gf_spec_type``), which
-    is several times faster than a block of one."""
-    if F.deg_t < 1:
-        raise NotAdmissibleError("polynomial has no t term to factor")
-    outcome = _classify_one(F, point)
+    with the errors of classify_points: a block of one point."""
+    outcome = next(classify_points(F, [point]))
     if isinstance(outcome, tuple):
         return SpecializationOutcome(TYPE, outcome)
     return SpecializationOutcome(outcome)
@@ -714,8 +695,9 @@ def disc_nonzero_probabilistic(F: MultiPoly, trials: int = 32, seed: int = 0):
     for trial in range(trials):
         point = [sample.ctx.random_element(rng) for _ in range(F.n)]
         # a full-degree specialization has a nonzero discriminant exactly
-        # when it is squarefree, i.e. when the classifier gives it a type
-        if isinstance(_classify_one(sample, point), tuple):
+        # when it is squarefree
+        f = sample.specialize(point)
+        if f.degree == F.deg_t and is_squarefree(f):
             return True, trial + 1
     return False, trials
 

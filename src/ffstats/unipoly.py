@@ -6,16 +6,19 @@ The module provides gcd, squarefreeness, the factor-degree multiset via
 distinct-degree splitting, irreducibility, discriminants, and the Morse
 criterion (simple critical points with pairwise distinct critical values).
 
-Only the *degrees* of the irreducible factors are ever computed; gcds with
-x^(q^i) - x group the factors by degree and nothing is split further.
-Every operation runs on the kernels of :mod:`ffstats._gfp`, for every
-field: ``ctx.pack`` and ``ctx.unpack`` carry each coefficient across that
-boundary.
+Only the *degrees* of the irreducible factors are ever computed, by the
+batched classifier of :mod:`ffstats._gfp` on a block of one polynomial
+(``ctx.decode`` carries the coefficients into its coordinate arrays).
+Every other operation runs on the scalar kernels of :mod:`ffstats._gfp`,
+for every field: ``ctx.pack`` and ``ctx.unpack`` carry each coefficient
+across that boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _gfp
 from .errors import (
@@ -167,11 +170,16 @@ def is_squarefree(f: UniPoly) -> bool:
     return bool(fp) and len(_gfp.gf_gcd(fc, fp, red)) == 1
 
 
+def _spec_type(f: UniPoly):
+    # the factor-degree multiset of f, or None for a repeated factor
+    return _gfp.gf_spec_type(f.ctx.decode(np.array(f.coeffs, object)), f.ctx.vec)
+
+
 def factorization_type(f: UniPoly) -> FactorizationType:
     """Multiset of irreducible-factor degrees of a squarefree f, descending."""
     if f.degree < 1:
         raise ZeroPolynomialError("factorization type needs degree >= 1")
-    parts = _gfp.gf_spec_type(f._packed(), f.ctx.red, f.ctx.q)
+    parts = _spec_type(f)
     if parts is None:
         raise NotSquarefreeError(f"{f} has a repeated factor")
     return parts
@@ -181,7 +189,7 @@ def is_irreducible(f: UniPoly) -> bool:
     """True iff f has degree d >= 1 and factor-degree multiset (d,); an
     inseparable f is reducible.  Constants count as reducible."""
     d = f.degree
-    return d >= 1 and _gfp.gf_spec_type(f._packed(), f.ctx.red, f.ctx.q) == (d,)
+    return d >= 1 and _spec_type(f) == (d,)
 
 
 def discriminant(f: UniPoly) -> int:

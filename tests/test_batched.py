@@ -1,6 +1,7 @@
 """The batched classifier (``_gfp.gf_spec_types`` behind
-``mpoly.classify_points``) over prime and extension fields, against the
-scalar path and independent oracles."""
+``mpoly.classify_points``) over prime and extension fields, on int64 and on
+object arrays, against the scalar splitting of ``scalar_splitting`` and
+independent oracles."""
 
 import contextlib
 import itertools
@@ -23,14 +24,12 @@ from ffstats.mpoly import DEGREE_DROP, NON_SQUAREFREE, MultiPoly, classify_point
 from ffstats.sets import FullSpace
 from ffstats.stats import empirical_distribution, partitions
 from ffstats.unipoly import discriminant
+from scalar_splitting import classify_one as _scalar
+from scalar_splitting import spec_type
 
 # 759250111 is the largest prime with 8 p^2 < 2^62: every d <= 8 runs at the
 # edge of the int64 bound.
 PRIMES = [2, 3, 5, 7, 13, 101, 10007, 1000003, 759250111]
-
-
-# The per-point path: specialize_dense and distinct-degree splitting.
-_scalar = mpoly._classify_one
 
 
 def _blocked(F, points, size):
@@ -45,8 +44,9 @@ def _blocked(F, points, size):
     return got
 
 
-def _refuse(*args):
-    raise AssertionError("the batched kernel ran")
+def _dtypes(spy):
+    """The dtypes of the blocks a spy on gf_spec_types saw."""
+    return {call.args[0].dtype for call in spy.call_args_list}
 
 
 @contextlib.contextmanager
@@ -114,33 +114,56 @@ def test_batched_matches_scalar_path_where_derivatives_vanish(p, name):
         assert set(got) == {NON_SQUAREFREE}
 
 
-def test_patched_bound_takes_the_scalar_path():
+def test_patched_bound_takes_the_object_path():
     F = parse("t^4 + A1*t^2 + A2*t + 1", 2, FieldCtx(13))
     points = list(itertools.product(range(13), repeat=2))
     batched = _blocked(F, points, 5)
     with mock.patch.object(_gfp, "_INT64_LIMIT", 0), mock.patch.object(
-        _gfp, "gf_spec_types", _refuse
-    ):
+        _gfp, "gf_spec_types", wraps=_gfp.gf_spec_types
+    ) as spy:
         assert not _gfp.gf_batch_fits(4, 1, 13)
         assert list(classify_points(F, points)) == batched
+    assert _dtypes(spy) == {np.dtype(object)}
 
 
-def test_large_prime_takes_the_scalar_path_and_matches_sympy():
+def _sympy_outcome(coeffs, p):
+    # the classify_points outcome of a monic polynomial over GF(p), highest
+    # coefficient first, by sympy's factorization
+    _, factors = sympy.Poly(coeffs, sympy.Symbol("t"), modulus=p).factor_list()
+    if any(m > 1 for _, m in factors):
+        return NON_SQUAREFREE
+    return tuple(sorted((f.degree() for f, _ in factors), reverse=True))
+
+
+def test_large_prime_takes_the_object_path_and_matches_sympy():
     p = 2**31 - 1
     assert not _gfp.gf_batch_fits(3, 1, p)
     F = parse("t^3 + A1*t + A2", 2, FieldCtx(p))
     points = [(0, 0), (p - 3, 2), (1, 1), (5, 7), (123456789, 987654321), (p - 1, 0)]
-    with mock.patch.object(_gfp, "gf_spec_types", _refuse):
+    with mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as spy:
         got = list(classify_points(F, points))
-    t = sympy.Symbol("t")
-    for (a1, a2), outcome in zip(points, got):
-        _, factors = sympy.Poly([1, 0, a1, a2], t, modulus=p).factor_list()
-        if any(m > 1 for _, m in factors):
-            assert outcome == NON_SQUAREFREE
-        else:
-            assert outcome == tuple(sorted((f.degree() for f, _ in factors), reverse=True))
+    assert _dtypes(spy) == {np.dtype(object)}
+    assert got == [_sympy_outcome([1, 0, a1, a2], p) for a1, a2 in points]
     assert got[0] == NON_SQUAREFREE  # t^3
     assert got[1] == NON_SQUAREFREE  # t^3 - 3t + 2 = (t - 1)^2 (t + 2)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**31 + 11, 2**61 - 1, 2**61 + 15, 2**89 - 1])
+@pytest.mark.parametrize("d, e", [(3, 1), (4, 2), (5, 1)])
+def test_object_path_matches_sympy_at_large_primes(p, d, e):
+    # t^d + A1*t^e + A2 on the object path past the int64 bound: random
+    # points, and points with repeated factors ((t - 1)^2 (t + 2) for the cubic)
+    F = parse(f"t^{d} + A1*t^{e} + A2", 2, FieldCtx(p))
+    rng = random.Random(p * d)
+    points = [(rng.randrange(p), rng.randrange(p)) for _ in range(12)]
+    points += [(0, 0), (p - 3, 2), (p - 1, 0), (1, p - 1)]
+    with mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as spy:
+        got = list(classify_points(F, points))
+    assert _dtypes(spy) == {np.dtype(object)}
+    for (a1, a2), outcome in zip(points, got):
+        coeffs = [1] + [0] * d  # highest degree first
+        coeffs[d - e], coeffs[d] = a1, a2
+        assert outcome == _sympy_outcome(coeffs, p), (a1, a2)
 
 
 @pytest.mark.parametrize(
@@ -223,22 +246,19 @@ def test_every_type_round_trips_through_its_key(d):
 @pytest.mark.parametrize("batched", [True, False])
 @pytest.mark.parametrize("d, p", [(28, 7), (30, 7)])
 def test_keys_past_int64_classify_like_the_scalar_splitting(d, p, batched):
-    # a factor of degree 14 at d = 28 (13 at d = 30) has a key past 2^63
+    # a factor of degree 14 at d = 28 (13 at d = 30) has a key past 2^63; the
+    # points are classified on int64 arrays when batched, else on object ones
     ctx = FieldCtx(p)
     F = parse(f"t^{d} + A1*t^2 + A2*t + 1", 2, ctx)
     points = list(itertools.product(range(p), repeat=2))
-    want = []
-    for pt in points:
-        coeffs = F.specialize_dense(pt)
-        parts = _gfp.gf_spec_type(coeffs, ctx.red, ctx.q) if len(coeffs) > d else ()
-        want.append(DEGREE_DROP if parts == () else NON_SQUAREFREE if parts is None else parts)
+    want = [_scalar(F, pt) for pt in points]
     assert any(_gfp.gf_type_key(w, d) >= 1 << 63 for w in want if isinstance(w, tuple))
     fits = mock.patch.object(_gfp, "gf_batch_fits", return_value=batched)
     spy = mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types)
     with fits, spy as kernel:
         assert list(classify_points(F, points)) == want
         dist = empirical_distribution(F, FullSpace(2))
-    assert kernel.called == batched
+    assert _dtypes(kernel) == {np.dtype(np.int64 if batched else object)}
     assert dist.counts == Counter(w for w in want if isinstance(w, tuple))
     assert (dist.non_squarefree, dist.total) == (want.count(NON_SQUAREFREE), len(points))
 
@@ -306,6 +326,20 @@ def test_inseparable_family_is_never_squarefree(ctx):
     assert _blocked(F, points, 4) == [NON_SQUAREFREE] * ctx.q
 
 
+ONE_ROW_FIELDS = EXTENSIONS + [FieldCtx(p) for p in (2, 13, 2**31 - 1, 2**89 - 1)] + [FieldCtx(2**61 - 1, 2, seed=1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ONE_ROW_FIELDS), st.data())
+def test_one_row_reading_matches_the_scalar_splitting(ctx, data):
+    d = data.draw(st.integers(1, 6), label="d")
+    element = st.integers(0, ctx.q - 1)
+    coeffs = data.draw(st.lists(element, min_size=d, max_size=d), label="tail")
+    coeffs.append(data.draw(st.integers(1, ctx.q - 1), label="lead"))
+    got = _gfp.gf_spec_type(ctx.decode(np.array(coeffs, object)), ctx.vec)
+    assert got == spec_type([ctx.pack(c) for c in coeffs], ctx.red, ctx.q)
+
+
 EDGE = FieldCtx(1073741789, 2, seed=1)  # the largest prime below 2^30: 4 p^2 < 2^62
 
 
@@ -322,15 +356,47 @@ def test_extension_at_the_edge_of_the_int64_bound(expr):
     assert _blocked(F, points, 5) == [_scalar(F, pt) for pt in points]
 
 
-def test_extension_patched_bound_takes_the_scalar_path():
+def test_extension_patched_bound_takes_the_object_path():
     F = parse("t^4 + A1*t^2 + A2*t + 1", 2, FieldCtx(3, 2, seed=1))
     points = list(itertools.product(range(9), repeat=2))
     batched = _blocked(F, points, 5)
     with mock.patch.object(_gfp, "_INT64_LIMIT", 0), mock.patch.object(
-        _gfp, "gf_spec_types", _refuse
-    ):
+        _gfp, "gf_spec_types", wraps=_gfp.gf_spec_types
+    ) as spy:
         assert not _gfp.gf_batch_fits(4, 2, 3)
         assert list(classify_points(F, points)) == batched
+    assert _dtypes(spy) == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(7), FieldCtx(5, 2, seed=1), FieldCtx(2, 3, seed=1)], ids=repr)
+@pytest.mark.parametrize("expr", ["t^3 + A1*t + A2", "A1*t^4 + A2*t^2 + 1", "t^6 + A1*t^3 + A2*t + A1"])
+def test_a_block_gives_the_same_keys_on_both_dtypes(ctx, expr):
+    F = parse(expr, 2, ctx)
+    codes = ctx.encodings(list(itertools.product(range(ctx.q), repeat=2)), 2)
+    keys = {}
+    for fits in (True, False):
+        with mock.patch.object(_gfp, "gf_batch_fits", return_value=fits), mock.patch.object(
+            mpoly, "_SPEC_BLOCK", 1 << 30
+        ):
+            (keys[fits],) = mpoly.spec_keys(F, codes)
+    assert keys[True].dtype == np.int64 and keys[False].dtype == np.int64
+    assert keys[True].tolist() == keys[False].tolist()
+
+
+# GF(p^2) past the int64 bound: 2^31 - 1 at 4 p^2 >= 2^62, 2^61 - 1 with
+# q >= 2^62, and 2^89 - 1 with a multiplication tensor past int64
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 2**89 - 1])
+@pytest.mark.parametrize("expr", ["t^3 + A1*t + A2", "(t - A1)^2*(t - A2)", "A1*t^4 + A2*t + 1"])
+def test_extension_object_path_matches_the_scalar_splitting(p, expr):
+    ctx = FieldCtx(p, 2, seed=1)
+    F = parse(expr, 2, ctx)
+    rng = random.Random(expr)
+    values = [0, 1, p, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(2)]
+    points = [(a, b) for a in values for b in values[::2]]
+    with mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as spy:
+        got = list(classify_points(F, points))
+    assert _dtypes(spy) == {np.dtype(object)}
+    assert got == [_scalar(F, pt) for pt in points]
 
 
 def test_bound_counts_the_tensor_and_the_encodings():

@@ -10,7 +10,10 @@ import pytest
 
 from ffstats import cli, sets, stats
 from ffstats.cli import main
+from ffstats.field import FieldCtx
+from ffstats.mpoly import NON_SQUAREFREE, parse
 from ffstats.stats import cyclic_shift_group
+from scalar_splitting import classify_one
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +37,28 @@ def test_dist_quadratic_f13(capsys):
     assert report["config"]["p"] == 13
     assert report["version"]
     assert "elapsed_s" in report["timings"]
+
+
+def test_composite_past_the_deterministic_bases_is_an_input_error(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin to the 12 prime bases
+    code, _ = run_cli(capsys, "dist", "--p", "318665857834031151167461", "--poly", "t^2 - A1", "--set", "grid:int(0,5)")
+    assert code == 2
+
+
+def test_sweep_over_gf_p2_past_int64(capsys, tmp_path):
+    # p = 2^89 - 1: the multiplication tensor of GF(p^2) holds entries past 2^63
+    p = 2**89 - 1
+    coords = [(1, 0), (2, 0), (5, 0), (0, 1), (p - 1, 7), (12345, p - 2)]
+    path = tmp_path / "points"
+    path.write_text("".join(f"[{a},{b}]\n" for a, b in coords))
+    report = run_json(capsys, "dist", "--p", str(p), "--k", "2", "--poly", "t^3 - A1*t + 1", "--set", f"file:{path}")
+    ctx = FieldCtx(p, 2, seed=0)
+    F = parse("t^3 - A1*t + 1", 1, ctx)
+    outcomes = [classify_one(F, (ctx.from_coords(c),)) for c in coords]
+    counts = {",".join(map(str, o)).join("[]"): outcomes.count(o) for o in outcomes if isinstance(o, tuple)}
+    assert report["result"]["counts"] == counts
+    assert report["result"]["non_squarefree"] == outcomes.count(NON_SQUAREFREE)
+    assert report["result"]["total"] == 6
 
 
 def test_irreg_interval_f101(capsys):

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffstats import field
 from ffstats.errors import (
     DegreeMismatchError,
     NotPrimeError,
@@ -25,6 +27,42 @@ def test_is_prime_small():
     assert not is_prime(0)
     assert not is_prime(561)  # Carmichael
     assert is_prime(2**61 - 1)
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+# prime bases, past which those bases alone accept composites
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refuses_the_pseudoprimes_past_the_deterministic_bases():
+    assert PSI_12 == 318665857834031151167461
+    assert not sympy.isprime(PSI_13)
+    assert not is_prime(PSI_12) and not is_prime(PSI_13)
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1)) and not is_prime((2**89 - 1) ** 2)
+    with pytest.raises(NotPrimeError):
+        FieldCtx(PSI_12)
+
+
+def test_strong_lucas_pseudoprimes_are_the_known_ones():
+    # the strong Lucas test alone, with Selfridge's parameters, accepts
+    # every prime and exactly these composites below 10^5 (OEIS A217255)
+    known = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+    odd = [n for n in range(41, 10**5, 2) if all(n % b for b in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))]
+    passing = [n for n in odd if field._strong_lucas(n)]
+    assert [n for n in passing if not sympy.isprime(n)] == known
+    assert all(field._strong_lucas(n) for n in odd if sympy.isprime(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2**64, 2**200), st.sampled_from(["any", "prime", "product"]))
+def test_is_prime_past_64_bits_matches_sympy(n, kind):
+    if kind != "any":
+        n = sympy.nextprime(n)
+    if kind == "product":  # of two primes, one of them below 2^40
+        n *= sympy.nextprime(n % 2**40)
+    assert is_prime(n) == sympy.isprime(n)
 
 
 def test_ctx_create_prime_field():

@@ -35,6 +35,7 @@ from ffstats.sets import (
     split_top_level,
     verify_plancherel_decomposition,
 )
+from scalar_splitting import classify_one
 
 # ---------------------------------------------------------------------------
 # brute-force spectral oracle: literal complex DFT from the definition
@@ -177,7 +178,7 @@ def test_point_codes_are_the_enumerated_points_in_order(case, data):
     assert codes.dtype == np.int64 and codes.shape == (cardinality(s, ctx), sets.dimension(s))
     assert list(map(tuple, codes.tolist())) == _listed(s, ctx) == enumerate_points(s, ctx)
     # a sweep over the codes, with block boundaries inside the set, counts
-    # what the scalar path counts point by point
+    # what the scalar splitting counts point by point
     n = sets.dimension(s)
     F = parse("t^2 + A1*t + " + (" + ".join(f"A{i}" for i in range(2, n + 1)) or "1"), n, ctx)
     size = data.draw(st.integers(1, len(codes)), label="block")
@@ -187,7 +188,7 @@ def test_point_codes_are_the_enumerated_points_in_order(case, data):
         dist = empirical_distribution(F, s)
     counts = {}
     for pt in enumerate_points(s, ctx):
-        outcome = mpoly._classify_one(F, pt)
+        outcome = classify_one(F, pt)
         counts[outcome] = counts.get(outcome, 0) + 1
     assert dist.non_squarefree == counts.pop(mpoly.NON_SQUAREFREE, 0)
     assert dist.degree_drop == counts.pop(mpoly.DEGREE_DROP, 0)
@@ -197,7 +198,7 @@ def test_point_codes_are_the_enumerated_points_in_order(case, data):
 @pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
 def test_point_codes_of_a_grid_past_int64_products(p):
     # alpha*j passes int64 once p^2 does; encodings pass it once q >= 2^62,
-    # where the codes are Python ints and the sweep takes the scalar path
+    # where the codes are Python ints; the sweep classifies on object arrays
     s = GridProduct([APSpec(-(10**30), p + 5, 4), APSpec(3, -1, 3)])
     ctx = FieldCtx(p)
     codes = point_codes(s, ctx)
