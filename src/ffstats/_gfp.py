@@ -285,9 +285,9 @@ class VecField:
         return self.reduce(self.prod(a, b))
 
     def reduce(self, x):
-        """x mod p, elementwise: numpy strength-reduces // by a scalar (to
-        a multiply and shifts) but not %, which divides."""
-        return x - x // self.p * self.p
+        """x mod p, elementwise: x - x // p * p on int64, as numpy strength-reduces
+        // by a scalar but divides for %; x % p on objects, one Python-int call."""
+        return x % self.p if x.dtype == object else x - x // self.p * self.p
 
     def pow(self, a, e):
         """a**e elementwise, for a block of reduced elements."""

@@ -155,7 +155,7 @@ def _cmd_charsum(args, ctx, F):
             "rows": [
                 {
                     "q": q,
-                    "b": ",".join(str(x) for x in b),
+                    "b": ",".join(map(str, b)),
                     "magnitude": mag,
                     "ratio": ratio,
                 }

@@ -32,7 +32,9 @@ Character sums psi(u) = e^(2*pi*i*tr(u)/p) are never evaluated in floating
 point inside loops.  On the histogram path of ``sets.phase_sums`` a block of
 them arrives here as integer count vectors (slot j holds the coefficient of
 e^(2*pi*i*j/p)), and :func:`cyclotomic_rows` takes their complex values once,
-summing without BLAS, whose order depends on the CPU.  Adding a constant to
+summing without BLAS, whose order depends on the CPU; the spectrum kernel
+calls its two halves apart, :func:`cyclotomic_invariants` once per row of its
+line table and :func:`cyclotomic_sums` per frequency.  Adding a constant to
 every slot leaves the represented number unchanged, since the p-th roots of
 unity sum to zero; the evaluation exploits this to return sums on one root
 exactly.
@@ -145,18 +147,28 @@ def _unity_roots(p: int):
 
 
 def cyclotomic_rows(counts, p: int):
-    """Real parts, imaginary parts and magnitudes of
-    sum_j counts[i, j] * e^(2*pi*i*j/p), one per row of an (m, p) int64 array.
-    Rows are shifted off their minimum (a constant row represents zero);
-    those left on at most one slot get their magnitude exactly, the rest
-    sqrt(re^2 + im^2) from ``np.add.reduce`` sums in an order fixed by p."""
+    """Real parts, imaginary parts and magnitudes of sum_j counts[i, j] * e^(2*pi*i*j/p),
+    one per row of an (m, p) int64 array: :func:`cyclotomic_sums` of its invariants."""
+    return cyclotomic_sums(*cyclotomic_invariants(counts), p)
+
+
+def cyclotomic_invariants(counts):
+    """Each row shifted off its minimum (a constant row represents zero),
+    whether the shifted row has at most one nonzero slot, and its top count.
+    A permutation of a row's slots leaves its flag and top count unchanged."""
     arr = counts - counts.min(axis=1, keepdims=True)
+    return arr, np.count_nonzero(arr, axis=1) <= 1, arr.max(axis=1)
+
+
+def cyclotomic_sums(arr, one, top, p: int):
+    """Sums of shifted rows arr against the roots of unity, ``np.add.reduce``
+    in an order fixed by p, and magnitudes sqrt(re^2 + im^2), or exactly the
+    top count for a row on at most one slot (flag ``one``)."""
     cos, sin = _unity_roots(p)
     re = np.add.reduce(arr * cos, axis=1)
     im = np.add.reduce(arr * sin, axis=1)
     mag = np.sqrt(re * re + im * im)
-    one = np.count_nonzero(arr, axis=1) <= 1
-    mag[one] = arr[one].max(axis=1)
+    mag[one] = top[one]
     return re, im, mag
 
 
@@ -289,7 +301,7 @@ class FieldCtx:
         as a new trailing axis of length k in the same dtype: the base-p
         digits, each reduced mod p (on a prime field, the residue of every
         integer)."""
-        return codes[..., None] // self.p ** np.arange(self.k).astype(codes.dtype) % self.p
+        return self.vec.reduce(codes[..., None] // self.p ** np.arange(self.k).astype(codes.dtype))
 
     # -- arithmetic: the kernels' form, reduced by ``red`` -------------------
 

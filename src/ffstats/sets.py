@@ -12,13 +12,17 @@ length: it sums b <= (p-1)/2 only (b and p - b give the same term), takes
 each numerator from H*b mod p reduced exactly in int64 (so p < 2^46), and
 looks every sine up in one table sin(pi*i/p) while (p-1)/2 < 2^17.
 
-Every spectrum comes from one block kernel, :func:`phase_sums`: phases
-tr(a.b) from the trace form (one integer matmul mod p per block of
-frequencies), summed point by point for sets of fewer than p points, else
-binned into root-of-unity counts, one histogram per F_p-line of frequencies.
-Sums on a single root come back exactly, which keeps the landmark values
-(full space, singletons, trace-zero subgroups) free of floating-point noise,
-and no reduction goes through BLAS: the same bits on every machine.
+Every spectrum comes from one block kernel, :func:`phase_sums`, on
+frequencies given as encodings (``point_codes(FullSpace(n))`` for all of
+F_q^n): phases tr(a.b) from the trace form (one integer matmul mod p per
+block of frequencies), summed point by point for sets of fewer than p
+points, else binned into a table of root-of-unity counts, one row per
+F_p-line of frequencies, whose shift, one-slot flag and top count are taken
+once; a frequency reads its row permuted, by one flat gather.  All is
+reduced as x - x // p * p, which numpy strength-reduces (% divides).  Sums
+on a single root come back exactly, which keeps the landmark values (full
+space, singletons, trace-zero subgroups) free of floating-point noise, and
+no reduction goes through BLAS: the same bits on every machine.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import (
     BudgetExceededError,
     DegreeMismatchError,
 )
-from .field import FieldCtx, _unity_roots, cyclotomic_rows
+from .field import FieldCtx, _unity_roots, cyclotomic_invariants, cyclotomic_sums
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -210,12 +214,9 @@ def _codes(s, ctx, budget):
 
 
 def frequencies(ctx: FieldCtx, n: int, budget: int = DEFAULT_BUDGET):
-    """All q^n frequency tuples in lexicographic order, zero first; the
-    budget is checked before any of them is built."""
-    qn = ctx.q**n
-    if qn > budget:
-        raise BudgetExceededError(f"{qn} frequencies exceed the budget {budget}")
-    return list(itertools.product(range(ctx.q), repeat=n))
+    """All q^n frequency tuples in lexicographic order, zero first: the rows
+    of ``point_codes(FullSpace(n))``, the array the spectra take them as."""
+    return enumerate_points(FullSpace(n), ctx, budget)
 
 
 def _functionals(points, freqs, ctx, n, sign):
@@ -224,50 +225,63 @@ def _functionals(points, freqs, ctx, n, sign):
     integer products below n*k*p^2, exact in int64 for any feasible p."""
     pts, coords = (ctx.decode(np.asarray(r, np.int64).reshape(-1, n)) for r in (points, freqs))
     form = np.kron(np.eye(n, dtype=np.int64), ctx.trace_form)
-    return pts.reshape(-1, n * ctx.k), sign * (coords.reshape(-1, n * ctx.k) @ form) % ctx.p
+    return pts.reshape(-1, n * ctx.k), ctx.vec.reduce(sign * (coords.reshape(-1, n * ctx.k) @ form))
 
 
 def _bin(w, pts, p):
     """Slot counts of the phases pts . w mod p, one row per functional."""
-    slots = w @ pts.T % p + p * np.arange(len(w))[:, None]
+    phases = w @ pts.T
+    slots = phases - phases // p * p + p * np.arange(len(w))[:, None]
     return np.bincount(slots.ravel(), minlength=p * len(w)).reshape(len(w), p)
 
 
-def phase_counts(points, freqs, ctx: FieldCtx, n: int, sign: int):
-    """Yield, for each block of frequencies b in order, the (B, p) slot counts
-    of sum_{a in points} psi(sign * a.b).  As tr(a.(l*b)) = l*tr(a.b), each
+def _line_table(points, freqs, ctx, n, sign):
+    """The (lines, p) slot counts of one rep per F_p-line of frequencies, and
+    each frequency's ``line`` and ``inv``.  As tr(a.(l*b)) = l*tr(a.b), each
     w = l*rep (l in F_p^* its first nonzero entry) has counts_w[m] =
-    counts_rep[m/l], so only one rep per F_p-line is binned."""
+    counts_rep[m*inv], inv = 1/l: its line's row permuted.  The reps are
+    found by ``np.unique`` of their base-p digits, and only they are binned."""
     p = ctx.p
     pts, w = _functionals(points, freqs, ctx, n, sign)
     lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
     lead[lead == 0] = 1  # the zero functional is its own line
     inv = _gfp.VecField(p, ()).pow(lead[None], p - 2)[0]
-    w = w * inv[:, None] % p
-    lines = {}  # rep (as its base-p digits) -> row of the table
-    keys = (w @ p ** np.arange(w.shape[1])).tolist()
-    line = np.array([lines.setdefault(key, len(lines)) for key in keys], dtype=np.int64)
-    reps = np.empty((len(lines), w.shape[1]), np.int64)
-    reps[line] = w
+    w = ctx.vec.reduce(w * inv[:, None])
+    keys = w @ p ** np.arange(w.shape[1])
+    _, first, line = np.unique(keys, return_index=True, return_inverse=True)
     step = max(1, _PHASE_BLOCK // max(len(pts), p))
-    bins = (_bin(reps[lo : lo + step], pts, p) for lo in range(0, len(reps), step))
-    table = np.concatenate([np.empty((0, p), np.int64), *bins])
+    bins = (_bin(w[first[lo : lo + step]], pts, p) for lo in range(0, len(first), step))
+    return np.concatenate([np.empty((0, p), np.int64), *bins]), line, inv
+
+
+def _gathers(line, inv, p):
+    """Per block of frequencies, their rows and flat indices line*p + inv*m mod p."""
     step = max(1, _PHASE_BLOCK // p)
-    for lo in range(0, len(w), step):
-        yield table[line[lo : lo + step, None], inv[lo : lo + step, None] * np.arange(p) % p]
+    for lo in range(0, len(line), step):
+        slots = inv[lo : lo + step, None] * np.arange(p)
+        yield line[lo : lo + step], slots - slots // p * p + line[lo : lo + step, None] * p
+
+
+def phase_counts(points, freqs, ctx: FieldCtx, n: int, sign: int):
+    """Yield, for each block of frequencies b in order, the (B, p) slot counts
+    of sum_{a in points} psi(sign * a.b), read from :func:`_line_table`."""
+    table, line, inv = _line_table(points, freqs, ctx, n, sign)
+    for _, idx in _gathers(line, inv, ctx.p):
+        yield table.ravel()[idx]
 
 
 def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DEFAULT_BUDGET):
     """Yield, for each block of frequencies b in order, the real parts,
     imaginary parts and magnitudes of sum_{a in points} psi(sign * a.b).
 
-    With |S| >= p, the counts of :func:`phase_counts` go through
-    :func:`field.cyclotomic_rows`.  With |S| < p, the sparse path sums cos and
-    sin of each (frequency, point) phase, O(|S|) per frequency; as on the
-    histogram path (some slot is empty) a row on one root comes back exactly.
-    Sums are ``np.add.reduce`` along rows, never BLAS dot products (whose
-    order depends on the CPU): the bits depend on neither the machine nor
-    the ``_PHASE_BLOCK`` boundaries.
+    With |S| >= p, :func:`field.cyclotomic_invariants` of the line table of
+    :func:`phase_counts` are taken once, and :func:`field.cyclotomic_sums`
+    of each frequency's gathered row.  With |S| < p, the sparse path sums cos
+    and sin of each (frequency, point) phase, O(|S|) per frequency; as on
+    the histogram path (some slot is empty) a row on one root comes back
+    exactly.  Sums are ``np.add.reduce`` along rows, never BLAS dot products
+    (whose order depends on the CPU): the bits depend on neither the machine
+    nor the ``_PHASE_BLOCK`` boundaries.
 
     The budget bounds the work before any phase or count is built: f*|S|
     phases for f frequencies on the sparse path; on the histogram path
@@ -280,14 +294,18 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DE
     if work > budget:
         raise BudgetExceededError(f"spectrum costs {work} ({f} freqs, {m} points), budget {budget}")
     if m >= p:
-        for counts in phase_counts(points, freqs, ctx, n, sign):
-            yield cyclotomic_rows(counts, p)
+        table, line, inv = _line_table(points, freqs, ctx, n, sign)
+        arr, one, top = cyclotomic_invariants(table)
+        flat = arr.ravel().astype(np.float64)  # the cast of the products, once per row
+        for rows, idx in _gathers(line, inv, p):
+            yield cyclotomic_sums(flat[idx], one[rows], top[rows], p)
         return
     pts, w = _functionals(points, freqs, ctx, n, sign)
     cos, sin = _unity_roots(p)
     step = max(1, _PHASE_BLOCK // max(m, 1))
     for lo in range(0, len(w), step):
-        phases = w[lo : lo + step] @ pts.T % p
+        phases = w[lo : lo + step] @ pts.T
+        phases -= phases // p * p
         re = np.add.reduce(cos[phases], axis=1)
         im = np.add.reduce(sin[phases], axis=1)
         mag = np.sqrt(re * re + im * im)
@@ -422,8 +440,10 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
         return IrregularityReport(irreg, method, bound, size)
     n = dimension(s)
     pts = _codes(s, ctx, budget)
+    if ctx.q**n > budget:
+        raise BudgetExceededError(f"{ctx.q**n} frequencies exceed the budget {budget}")
     # fsum is correctly rounded: the total does not depend on the blocks
-    sums = phase_sums(pts, frequencies(ctx, n, budget), ctx, n, -1, budget)
+    sums = phase_sums(pts, _codes(FullSpace(n), ctx, budget), ctx, n, -1, budget)
     total = math.fsum(itertools.chain.from_iterable(mag.tolist() for _, _, mag in sums))
     return IrregularityReport(total / size, "exact_dft", None, size)
 
@@ -464,14 +484,11 @@ def verify_plancherel_decomposition(
 
 def split_top_level(text: str, sep: str = ","):
     """Split on separators not nested inside () or []."""
-    out = []
-    depth = 0
-    cur = []
+    if "(" not in text and "[" not in text and ")" not in text and "]" not in text:
+        return text.split(sep)  # an unmatched closer would shift the depth
+    out, depth, cur = [], 0, []
     for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
+        depth += (ch in "([") - (ch in ")]")
         if ch == sep and depth == 0:
             out.append("".join(cur))
             cur = []

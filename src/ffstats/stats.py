@@ -420,17 +420,18 @@ def weil_sweep(
     parts = tuple(sorted(parts, reverse=True))
     ctx = F.ctx
     n = F.n
-    if bs is None:
-        bs = _sets.frequencies(ctx, n, budget)[1:]
-    else:
+    if bs is not None:
         bs = [_frequency(b, ctx, n) for b in bs]
     codes = _sweep_points(F, _sets.FullSpace(n), budget, seed)
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
+    bs = codes[1:] if bs is None else bs  # the frequencies of F_q^n are its points
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
     matches = codes[keys == _mp.type_key(parts, F.deg_t)]
-    scale = float(ctx.q) ** n / math.sqrt(ctx.q)
-    sums = zip(bs, _sets.character_sums(matches, bs, ctx, n, -1, budget))
-    rows = [(ctx.q, b, mag, mag / scale) for b, (_, _, mag) in sums]
-    max_ratio = max((r[3] for r in rows), default=0.0)
+    sums = _sets.phase_sums(matches, bs, ctx, n, -1, budget)
+    mags = np.concatenate([np.empty(0), *(mag for _, _, mag in sums)])
+    ratios = (mags / (float(ctx.q) ** n / math.sqrt(ctx.q))).tolist()
+    labels = map(tuple, np.asarray(bs).tolist())
+    rows = [(ctx.q, b, mag, r) for b, mag, r in zip(labels, mags.tolist(), ratios)]
+    max_ratio = max(ratios, default=0.0)
     return WeilSweep(max_ratio, rows, len(matches))

@@ -271,6 +271,22 @@ def test_points_are_reduced_before_int64():
     assert got == [_scalar(F, tuple(a % 101 for a in pt)) for pt in points]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 101, 2**31 - 1, 2**61 - 1, 2**89 - 1]),
+    st.lists(st.integers(-(2**200), 2**200) | st.integers(-300, 300), max_size=40),
+)
+def test_reduce_takes_remainder_on_object_arrays_and_floor_division_on_int64(p, values):
+    field = _gfp.VecField(p, ())
+    x = np.array(values + [-p, -1, 0, p], object)
+    got = field.reduce(x)
+    assert got.dtype == object and got.tolist() == (x - x // p * p).tolist()
+    assert got.tolist() == [v % p for v in x.tolist()]
+    small = np.array([v for v in x.tolist() if abs(v) < 1 << 62], np.int64)
+    if p < 1 << 62:  # p itself fits int64
+        assert field.reduce(small).tolist() == (small % p).tolist()
+
+
 # -- extension fields -------------------------------------------------------------
 
 # GF(4), GF(8), GF(9), GF(16), GF(25), GF(27), GF(49), GF(3^5), GF(2^8)

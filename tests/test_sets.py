@@ -15,7 +15,7 @@ from ffstats import mpoly, sets
 from ffstats.errors import ArityMismatchError, BudgetExceededError
 from ffstats.field import FieldCtx, cyclotomic_rows
 from ffstats.mpoly import parse
-from ffstats.stats import empirical_distribution
+from ffstats.stats import empirical_distribution, weil_sweep
 from ffstats.sets import (
     APSpec,
     ExplicitSet,
@@ -409,6 +409,58 @@ def test_sparse_path_matches_forced_histogram_path(ctx, n, data):
     assert sparse[2][-1] == len(points) and sparse[1][-1] == 0.0
 
 
+_HISTOGRAM_FIELDS = (
+    (FieldCtx(7), 2),
+    (FieldCtx(13), 1),
+    (FieldCtx(2, 2, seed=0), 2),
+    (FieldCtx(3, 2, seed=1), 2),
+    (FieldCtx(2, 3, seed=0), 2),
+)
+
+
+@st.composite
+def histogram_cases(draw):
+    """A set of at least p points (so phase_sums bins it), among them the
+    landmarks whose rows sit on one root or are constant: the full space,
+    the trace-zero subgroup of an extension, and a coset of an F_p-line (on
+    this path what a singleton is on the sparse one)."""
+    ctx, n = draw(st.sampled_from(_HISTOGRAM_FIELDS))
+    space = list(itertools.product(range(ctx.q), repeat=n))
+    kind = draw(st.sampled_from(("random", "full", "line", "tracezero")))
+    if kind == "full":
+        points = space
+    elif kind == "line":  # {a*e : a in F_p} + c for a random c and direction e
+        c, e = draw(st.sampled_from(space)), draw(st.sampled_from(space[1:]))
+        points = sorted({tuple(ctx.add(ci, ctx.mul(a, ei)) for ci, ei in zip(c, e)) for a in range(ctx.p)})
+    elif kind == "tracezero" and ctx.k > 1:
+        points = [(a,) + (0,) * (n - 1) for a in range(ctx.q) if ctx.trace(a) == 0]
+    else:
+        points = draw(st.lists(st.sampled_from(space), min_size=ctx.p, max_size=40, unique=True))
+    freqs = draw(st.one_of(st.just(space), st.lists(st.sampled_from(space), min_size=1, max_size=60)))
+    return ctx, n, points, freqs, draw(st.sampled_from((-1, 1))), draw(st.integers(1, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(histogram_cases())
+def test_histogram_path_gives_cyclotomic_rows_of_phase_counts_bits(case):
+    ctx, n, points, freqs, sign, block = case
+    assert len(points) >= ctx.p  # so phase_sums takes the histogram path
+    with mock.patch.object(sets, "_PHASE_BLOCK", block):
+        got = _joined(phase_sums(points, freqs, ctx, n, sign))
+        counts = np.concatenate(list(phase_counts(points, freqs, ctx, n, sign)))
+    want = cyclotomic_rows(counts, ctx.p)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_spectra_on_the_full_space_never_build_frequency_tuples():
+    ctx = FieldCtx(13)
+    F = parse("t^3 + A1*t + A2", 2, ctx)
+    with mock.patch.object(sets, "frequencies", side_effect=AssertionError("tuple frequencies")):
+        irregularity(ExplicitSet(_sample(ctx, 2, 30, seed=1)), ctx)
+        irregularity(TraceZero(), FieldCtx(3, 2, seed=1))
+        assert len(weil_sweep(F, (3,), None).rows) == 168
+
+
 @pytest.mark.parametrize("blk", range(1, 8))
 @pytest.mark.parametrize(
     "ctx, n, size", [(FieldCtx(101), 2, 40), (FieldCtx(13), 2, 60), (FieldCtx(5, 2, seed=0), 2, 80)]
@@ -470,6 +522,11 @@ def test_spectra_pass_their_budget_to_the_kernel(spectrum):
     with pytest.raises(BudgetExceededError, match="spectrum"):
         spectrum(5)
     spectrum(35)
+
+
+def test_exact_irregularity_names_the_frequencies_past_the_budget():
+    with pytest.raises(BudgetExceededError, match="25 frequencies exceed the budget 24"):
+        irregularity(ExplicitSet([(0, 0), (1, 3)]), FieldCtx(5), budget=24)
 
 
 def test_full_space_of_gf256_squared_fails_the_budget_at_once():
@@ -754,6 +811,26 @@ def test_plancherel_extension_field():
 def test_split_top_level():
     assert split_top_level("3,[1,2],0") == ["3", "[1,2]", "0"]
     assert split_top_level("int(0,10),ap(2,1,5)") == ["int(0,10)", "ap(2,1,5)"]
+
+
+def _scan_split(text, sep=","):
+    """Split on separators at bracket depth 0, one character at a time."""
+    out, depth, cur = [], 0, []
+    for ch in text:
+        depth += (ch in "([") - (ch in ")]")
+        if ch == sep and depth == 0:
+            out.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    return out + ["".join(cur)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text("0123456789, -#"), st.text("0123456789,()[] "), st.text()))
+def test_split_top_level_matches_the_character_scan(text):
+    # an unmatched closer, as in "1),2", leaves the scan below depth 0
+    assert split_top_level(text) == _scan_split(text)
 
 
 def test_parse_set_variants():
