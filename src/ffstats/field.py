@@ -16,12 +16,13 @@ through ``red``: ``add``, ``sub`` and ``mul`` apply ``+``, ``-`` or ``*`` to
 packed operands and reduce with ``% red``, ``pow`` and ``inv`` are the
 ``_gfp`` kernels ``gf_pow`` and ``gf_inv``.
 
-``ctx.vec`` is what the batched classifier takes instead: a
+``ctx.vec`` is what the batched kernels take instead: a
 :class:`_gfp.VecField` holding the multiplication tensor T[i, j] =
 coords(x^(i+j)), built once per context.  Points reach it as arrays of
-element encodings (``sets.point_codes``, or ``ctx.encodings`` of tuples),
-and ``ctx.decode``, the one base-p digit split of an array of encodings,
-turns each block into the int64 coordinate arrays it works on.
+element encodings: ``sets.point_codes`` of a set, or ``ctx.encodings``,
+the one reader of caller-supplied tuples (their arity, range, error and
+dtype), and ``ctx.decode``, the one base-p digit split of an array of
+encodings, turns each block into the coordinate arrays the kernels work on.
 
 The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), derived once per
 context from T: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is
@@ -49,7 +50,7 @@ import random
 import numpy as np
 
 from . import _gfp
-from .errors import DegreeMismatchError, NotPrimeError, ReducibleModulusError
+from .errors import ArityMismatchError, DegreeMismatchError, NotPrimeError, ReducibleModulusError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12, the least strong pseudoprime to all of _MR_BASES (Sorenson and
@@ -282,11 +283,13 @@ class FieldCtx:
         return rng.randrange(self.q)
 
     def encodings(self, points, n: int):
-        """Encodings of the leading points that have n coordinates, each
-        naming an element, as an (m, n) array (int64 while q < 2^62); the
-        point at index m, if there is one, is the first that does not.  On a
-        prime field every integer names its residue mod p; on an extension
-        only an encoding in [0, q) names an element."""
+        """The one reader of caller-supplied points: the encodings of the
+        leading points that name an element of GF(q)^n, as an (m, n) array
+        (int64 while q < 2^62, else Python ints), and the error for the point
+        at index m, the first that does not (None if there is none):
+        ArityMismatchError for a wrong length, ValueError for a coordinate
+        outside [0, q).  On a prime field every integer names its residue
+        mod p; on an extension only an encoding in [0, q) names an element."""
         k, q = self.k, self.q
         m = next(
             (i for i, a in enumerate(points)
@@ -294,7 +297,13 @@ class FieldCtx:
             len(points),
         )
         dtype = np.int64 if q < _gfp._INT64_LIMIT else object
-        return np.fromiter((x % q for a in points[:m] for x in a), dtype, m * n).reshape(m, n)
+        codes = np.fromiter((x % q for a in points[:m] for x in a), dtype, m * n).reshape(m, n)
+        if m == len(points):
+            return codes, None
+        bad = tuple(points[m])
+        if len(bad) != n:
+            return codes, ArityMismatchError(f"point {bad} should have {n} coordinates")
+        return codes, ValueError(f"point {bad} has a coordinate outside [0, {q})")
 
     def decode(self, codes):
         """Power-basis coordinates of an array of encodings, int64 or object,

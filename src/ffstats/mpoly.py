@@ -12,6 +12,10 @@ Integer literals reduce modulo p; bracketed vectors spell out extension
 field coordinates.  Exponents must be nonnegative integer literals.  The
 printer emits a canonical form (descending t-degree, then descending
 parameter exponents) that parses back to the same polynomial.
+
+Specialization has one path, ``MultiPoly.specialize_block`` over
+``ctx.vec``; ``specialize_dense`` and ``specialize`` are its one-row
+reading of a point read by ``ctx.encodings``.
 """
 
 from __future__ import annotations
@@ -249,41 +253,27 @@ class MultiPoly:
     # -- specialization ------------------------------------------------------------
 
     def _prepared(self):
-        # (deg_t, [(e_t, ((var_index, exp), ...), packed coeff, coords), ...])
-        # for tight loops
+        # (deg_t, [(e_t, ((var_index, exp), ...), coords), ...]) for the block loop
         if self._spec is None:
-            ctx = self.ctx
             rows = []
             for e, c in sorted(self.terms.items()):
                 powers = tuple((i, x) for i, x in enumerate(e[1:]) if x)
-                rows.append((e[0], powers, ctx.pack(c), ctx.coords(c)))
+                rows.append((e[0], powers, self.ctx.coords(c)))
             self._spec = (self.deg_t, rows)
         return self._spec
 
     def specialize_dense(self, point):
         """Coefficient list of F(t, point), trimmed and in the kernels' form
-        (``ctx.pack`` of each coefficient), ready for ``ctx.red``: the
-        specialization of one point, for ``specialize`` and the point
-        checks of ``classify_points``.  Raises ArityMismatchError for a point
-        of the wrong length and, on an extension field, ValueError for a
-        coordinate outside [0, q)."""
-        if len(point) != self.n:
-            raise ArityMismatchError(
-                f"expected {self.n} coordinates, got {len(point)}"
-            )
-        d, rows = self._prepared()
+        (``ctx.pack`` of each coefficient): the one-row reading of
+        ``specialize_block``, the point read by ``ctx.encodings``, whose
+        error it raises for a point that names no element of GF(q)^n."""
         ctx = self.ctx
-        red = ctx.red
-        gf_pow = _gfp.gf_pow
-        point = [ctx.pack(a) for a in point]
-        coeffs = [0] * (d + 1)
-        for e_t, powers, c, _ in rows:
-            w = c
-            for i, e in powers:
-                a = point[i]
-                w = w * (a if e == 1 else gf_pow(a, e, red)) % red
-            coeffs[e_t] = (coeffs[e_t] + w) % red
-        return _gfp.gf_trim(coeffs)
+        codes, error = ctx.encodings([point], self.n)
+        if error:
+            raise error
+        block = codes.astype(_gfp.gf_dtype(self.deg_t, ctx.k, ctx.p))
+        coeffs = self.specialize_block(ctx.decode(block))[0].tolist()
+        return _gfp.gf_trim([ctx.pack(ctx.from_coords(c)) for c in coeffs])
 
     def specialize_block(self, points):
         """F(t, a) for a block of points: points is an (N, n, k) array of
@@ -296,7 +286,7 @@ class MultiPoly:
         points = points.transpose(1, 2, 0)
         tables = [{} for _ in range(self.n)]
         out = np.zeros((d + 1, field.k, points.shape[-1]), dtype=points.dtype)
-        for e_t, powers, _, coords in rows:
+        for e_t, powers, coords in rows:
             w = np.array(coords, dtype=points.dtype)[:, None]
             for i, e in powers:
                 if e not in tables[i]:
@@ -571,25 +561,22 @@ def classify_points(F: MultiPoly, points):
     * ``DEGREE_DROP``, when the leading coefficient vanishes at a;
     * ``NON_SQUAREFREE``, when F(t, a) has full degree but a repeated factor.
 
-    The points are read into encodings by ``ctx.encodings`` and classified
-    by ``spec_keys``; each distinct key is decoded once.
-
-    Coordinates of points over a prime field are reduced mod p; over an
-    extension they are element encodings and must lie in [0, q).
+    The points are read by ``ctx.encodings`` (any integers mod p on a prime
+    field, encodings in [0, q) on an extension) and classified by
+    ``spec_keys``; each distinct key is decoded once.
 
     Raises NotAdmissibleError (on the first ``next``) when deg_t < 1, and,
-    after the outcomes of the points before it, ArityMismatchError at the
-    first point of the wrong length or ValueError at the first point over an
-    extension with a coordinate outside [0, q).
+    after the outcomes of the points before it, the reader's error for the
+    first point that names no element (ArityMismatchError or ValueError).
     """
     points = list(points)
-    codes = F.ctx.encodings(points, F.n)
+    codes, error = F.ctx.encodings(points, F.n)
     for keys in spec_keys(F, codes):
         distinct, at = np.unique(keys, return_inverse=True)
         outcomes = [key_outcome(key, F.deg_t) for key in distinct.tolist()]
         yield from map(outcomes.__getitem__, at.tolist())
-    if len(codes) < len(points):
-        F.specialize_dense(points[len(codes)])  # raises ArityMismatchError or ValueError
+    if error:
+        raise error
 
 
 def require_dense_budget(F: MultiPoly, budget: int) -> None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -131,18 +132,19 @@ def validate_set(s, ctx: FieldCtx) -> None:
     if isinstance(s, ExplicitSet):
         if not s.points:
             raise ValueError("explicit set is empty")
-        n = len(s.points[0])
+        # whole-array passes: lengths, then the range [0, q) on every field
+        # (a set lists encodings), then duplicates
+        points, n = s.points, len(s.points[0])
         if n < 1:
             raise ValueError("points must have at least one coordinate")
-        seen = set()
-        for pt in s.points:
-            if len(pt) != n:
-                raise ArityMismatchError(f"point {pt} should have {n} coordinates")
-            if any(not 0 <= c < ctx.q for c in pt):
-                raise ValueError(f"coordinate out of range in {pt}")
-            if pt in seen:
-                raise ValueError(f"duplicate point {pt}")
-            seen.add(pt)
+        lengths = np.fromiter(map(len, points), np.int64, len(points))
+        if (bad := np.flatnonzero(lengths != n)).size:
+            raise ArityMismatchError(f"point {points[bad[0]]} should have {n} coordinates")
+        coords = np.fromiter(itertools.chain.from_iterable(points), object, len(points) * n)
+        if (bad := np.flatnonzero((coords < 0) | (coords >= ctx.q))).size:
+            raise ValueError(f"coordinate out of range in {points[bad[0] // n]}")
+        if len(set(points)) < len(points):
+            raise ValueError(f"duplicate point {Counter(points).most_common(1)[0][0]}")
         return
     if isinstance(s, TraceZero):
         if ctx.k < 2:
@@ -192,20 +194,21 @@ def _codes(s, ctx, budget):
     size = _size(s, ctx)
     if size > budget:
         raise BudgetExceededError(f"set has {size} points, budget is {budget}")
-    dtype = np.int64 if ctx.q < _gfp._INT64_LIMIT else object
-    if isinstance(s, ExplicitSet):
-        return np.array(s.points, dtype)
     if isinstance(s, TraceZero):
         if ctx.q > budget:
             raise BudgetExceededError(f"field has {ctx.q} elements, budget is {budget}")
         # sums of k products below p^2 <= q: exact in int64 for any q within budget
         traces = ctx.decode(np.arange(ctx.q, dtype=np.int64)) @ ctx.trace_form[:, 0] % ctx.p
         return np.flatnonzero(traces == 0)[:, None]
+    # an explicit set's codes, read; the other sets' axes take the read's dtype
+    codes, _ = ctx.encodings(s.points if isinstance(s, ExplicitSet) else (), dimension(s))
+    if isinstance(s, ExplicitSet):
+        return codes
     if isinstance(s, FullSpace):
-        axes = [np.arange(ctx.q, dtype=dtype)] * s.n
-    else:  # (alpha*j + beta) mod p, in Python ints once p^2 passes int64
-        p, wide = ctx.p, np.int64 if ctx.p**2 < _gfp._INT64_LIMIT else object
-        axes = [((np.arange(f.length, dtype=wide) * (f.alpha % p) + f.beta % p) % p).astype(dtype)
+        axes = [np.arange(ctx.q, dtype=codes.dtype)] * s.n
+    else:  # (alpha*j + beta) mod p, in the dtype where a product of residues is exact
+        p, wide = ctx.p, _gfp.gf_dtype(1, 1, ctx.p)
+        axes = [((np.arange(f.length, dtype=wide) * (f.alpha % p) + f.beta % p) % p).astype(codes.dtype)
                 for f in s.factors]
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(size, -1)
 
@@ -315,12 +318,6 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DE
         yield re, im, mag
 
 
-def character_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DEFAULT_BUDGET):
-    """The (re, im, magnitude) floats of :func:`phase_sums`, frequency by frequency."""
-    for re, im, mag in phase_sums(points, freqs, ctx, n, sign, budget):
-        yield from zip(re.tolist(), im.tolist(), mag.tolist())
-
-
 @dataclass
 class FourierSpectrum:
     """Dense indicator transform; values keyed by frequency tuples."""
@@ -337,10 +334,10 @@ def indicator_fourier(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Fourier
     """Full spectrum of the indicator by direct summation over frequencies."""
     n = dimension(s)
     qn = ctx.q**n
-    freqs = frequencies(ctx, n, budget)
-    pts = point_codes(s, ctx, budget)
-    sums = zip(freqs, character_sums(pts, freqs, ctx, n, -1, budget))
-    values = {b: complex(re, im) / qn for b, (re, im, _) in sums}
+    freqs = point_codes(FullSpace(n), ctx, budget)
+    sums = phase_sums(point_codes(s, ctx, budget), freqs, ctx, n, -1, budget)
+    pairs = itertools.chain.from_iterable(zip(re.tolist(), im.tolist()) for re, im, _ in sums)
+    values = {b: complex(re, im) / qn for b, (re, im) in zip(map(tuple, freqs.tolist()), pairs)}
     return FourierSpectrum(ctx, n, values)
 
 
@@ -458,24 +455,26 @@ def verify_plancherel_decomposition(
 
         |S n D| = |S||D|/q^n + sum_{b != 0} 1^_S(b) * sum_{a in D} psi(a.b).
 
-    The left side is counted directly; the right side pairs the indicator
-    transform of S (minus-sign convention) with plus-sign character sums
-    over D, which is what makes the b-sum collapse onto the intersection.
-    Anything above ~1e-12 per point indicates a normalization bug.
+    Both sides work on codes, D (a list, repeats counted) read by
+    ``ctx.encodings``: the left side counts the codes of D in S, the right
+    side pairs the ``phase_sums`` of S (minus sign, over q^n) with those of
+    D (plus sign, which makes the b-sum collapse onto the intersection)
+    over the nonzero rows of ``point_codes(FullSpace(n))``.  Anything above
+    ~1e-12 per point indicates a normalization bug.
     """
     n = dimension(s)
-    d_points = [tuple(pt) for pt in d_points]
-    for pt in d_points:
-        if len(pt) != n:
-            raise ArityMismatchError(f"point {pt} should have {n} coordinates")
-    qn = ctx.q**n
-    nonzero = frequencies(ctx, n, budget)[1:]
-    spts = enumerate_points(s, ctx, budget)
-    lhs = len(set(spts) & set(d_points))
-    spectrum = indicator_fourier(s, ctx, budget)
-    rhs = complex(len(spts) * len(d_points) / qn)
-    for b, (re, im, _) in zip(nonzero, character_sums(d_points, nonzero, ctx, n, +1, budget)):
-        rhs += spectrum.values[b] * complex(re, im)
+    d_codes, error = ctx.encodings(list(d_points), n)
+    if error:
+        raise error
+    nonzero = point_codes(FullSpace(n), ctx, budget)[1:]
+    s_codes = point_codes(s, ctx, budget)
+    in_s = set(map(tuple, s_codes.tolist()))
+    lhs = sum(tuple(a) in in_s for a in d_codes.tolist())
+    s_sums, d_sums = (
+        np.concatenate([re + 1j * im for re, im, _ in phase_sums(pts, nonzero, ctx, n, sign, budget)])
+        for pts, sign in ((s_codes, -1), (d_codes, +1))
+    )
+    rhs = (len(s_codes) * len(d_codes) + (s_sums * d_sums).sum()) / ctx.q**n
     return abs(lhs - rhs)
 
 

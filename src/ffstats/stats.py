@@ -26,6 +26,7 @@ import numpy as np
 from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
+    ArityMismatchError,
     DegreeMismatchError,
     InvalidGroupError,
     PartitionMismatchError,
@@ -370,18 +371,18 @@ class CharSumResult:
     terms: int
 
 
-def _frequency(b, ctx, n) -> tuple:
-    """b as a tuple, once it names a nonzero frequency of GF(q)^n: on a
-    prime field any integers (taken mod p), on an extension element
-    encodings in [0, q)."""
-    b = tuple(b)
-    if len(b) != n:
-        raise ZeroFrequencyError(f"frequency needs {n} coordinates, got {len(b)}")
-    if ctx.k > 1 and not all(0 <= x < ctx.q for x in b):
-        raise ValueError(f"frequency {b} has a coordinate outside [0, {ctx.q})")
-    if all(x % ctx.q == 0 for x in b):
-        raise ZeroFrequencyError(f"frequency {b} is zero")
-    return b
+def _frequencies(bs, ctx, n):
+    """The ``ctx.encodings`` of the tuples bs, once each names a nonzero
+    frequency of GF(q)^n (any integers mod p on a prime field, encodings in
+    [0, q) on an extension); ZeroFrequencyError for a zero or a wrong length."""
+    codes, error = ctx.encodings(bs, n)
+    if (zero := np.flatnonzero((codes == 0).all(axis=1))).size:
+        raise ZeroFrequencyError(f"frequency {bs[zero[0]]} is zero")
+    if isinstance(error, ArityMismatchError):
+        raise ZeroFrequencyError(f"frequency needs {n} coordinates, got {len(bs[len(codes)])}")
+    if error:
+        raise error
+    return codes
 
 
 def restricted_charsum(
@@ -421,17 +422,19 @@ def weil_sweep(
     ctx = F.ctx
     n = F.n
     if bs is not None:
-        bs = [_frequency(b, ctx, n) for b in bs]
+        bs = [tuple(b) for b in bs]
+        freqs = _frequencies(bs, ctx, n)
     codes = _sweep_points(F, _sets.FullSpace(n), budget, seed)
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
-    bs = codes[1:] if bs is None else bs  # the frequencies of F_q^n are its points
+    if bs is None:  # the frequencies of F_q^n are its points
+        freqs = codes[1:]
+        bs = map(tuple, freqs.tolist())
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
     matches = codes[keys == _mp.type_key(parts, F.deg_t)]
-    sums = _sets.phase_sums(matches, bs, ctx, n, -1, budget)
+    sums = _sets.phase_sums(matches, freqs, ctx, n, -1, budget)
     mags = np.concatenate([np.empty(0), *(mag for _, _, mag in sums)])
     ratios = (mags / (float(ctx.q) ** n / math.sqrt(ctx.q))).tolist()
-    labels = map(tuple, np.asarray(bs).tolist())
-    rows = [(ctx.q, b, mag, r) for b, mag, r in zip(labels, mags.tolist(), ratios)]
+    rows = [(ctx.q, b, mag, r) for b, mag, r in zip(bs, mags.tolist(), ratios)]
     max_ratio = max(ratios, default=0.0)
     return WeilSweep(max_ratio, rows, len(matches))

@@ -388,7 +388,7 @@ def test_extension_patched_bound_takes_the_object_path():
 @pytest.mark.parametrize("expr", ["t^3 + A1*t + A2", "A1*t^4 + A2*t^2 + 1", "t^6 + A1*t^3 + A2*t + A1"])
 def test_a_block_gives_the_same_keys_on_both_dtypes(ctx, expr):
     F = parse(expr, 2, ctx)
-    codes = ctx.encodings(list(itertools.product(range(ctx.q), repeat=2)), 2)
+    codes, _ = ctx.encodings(list(itertools.product(range(ctx.q), repeat=2)), 2)
     keys = {}
     for fits in (True, False):
         with mock.patch.object(_gfp, "gf_batch_fits", return_value=fits), mock.patch.object(

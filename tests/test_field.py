@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ffstats import field
 from ffstats.errors import (
+    ArityMismatchError,
     DegreeMismatchError,
     NotPrimeError,
     ReducibleModulusError,
@@ -206,14 +207,25 @@ def test_multiplication_tensor_matches_mul(p, k):
 
 
 def test_coordinates_read_leading_valid_points():
+    # the reader returns the leading points that name elements, and the
+    # error for the first that does not
     f9 = FieldCtx(3, 2, modulus=[1, 0, 1])
     pts = [(0, 8), (5, 3), (9, 1), (1, 1)]
-    assert f9.encodings(pts, 2).tolist() == [[0, 8], [5, 3]]
-    assert f9.decode(f9.encodings(pts, 2)).tolist() == [[[0, 0], [2, 2]], [[2, 1], [0, 1]]]
-    assert f9.encodings([(1,), (-1,)], 1).tolist() == [[1]]
-    assert f9.decode(f9.encodings([(1, 1), (2,)], 2)).shape == (1, 2, 2)
+    codes, error = f9.encodings(pts, 2)
+    assert codes.tolist() == [[0, 8], [5, 3]]
+    assert type(error) is ValueError and "outside" in str(error)
+    assert f9.decode(codes).tolist() == [[[0, 0], [2, 2]], [[2, 1], [0, 1]]]
+    codes, error = f9.encodings([(1,), (-1,)], 1)
+    assert codes.tolist() == [[1]] and "outside" in str(error)
+    codes, error = f9.encodings([(1, 1), (2,)], 2)
+    assert f9.decode(codes).shape == (1, 2, 2) and isinstance(error, ArityMismatchError)
     f7 = FieldCtx(7)
-    assert f7.encodings([(-1, 10**30), (3,)], 2).tolist() == [[6, 10**30 % 7]]
+    codes, error = f7.encodings([(-1, 10**30), (3,)], 2)
+    assert codes.tolist() == [[6, 10**30 % 7]] and isinstance(error, ArityMismatchError)
+    codes, error = f7.encodings([(-1, 10**30), (2**70, -(2**70))], 2)
+    assert codes.tolist() == [[6, 10**30 % 7], [2**70 % 7, -(2**70) % 7]] and error is None
+    codes, error = FieldCtx(2**89 - 1).encodings([(-1,)], 1)
+    assert codes.dtype == object and codes.tolist() == [[2**89 - 2]] and error is None
 
 
 def test_trace_f9_examples():
@@ -399,10 +411,15 @@ def test_pow_inv_match_oracle_products(data):
         assert _oracle_mul(ctx, a, _decode(ctx.inv(x), p, k)) == one
 
 
+# prime fields, and fields past gf_batch_fits, whose points specialize on object arrays
+SPECIALIZE_FIELDS = [FieldCtx(101), FieldCtx(2**61 - 1), FieldCtx(2**31 - 1, 2, seed=3)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_specialize_dense_matches_termwise_oracle(data):
-    ctx = data.draw(st.sampled_from(SMALL_EXTENSIONS + LARGE_EXTENSIONS), label="field")
+    fields = SMALL_EXTENSIONS + LARGE_EXTENSIONS + SPECIALIZE_FIELDS
+    ctx = data.draw(st.sampled_from(fields), label="field")
     p, k = ctx.p, ctx.k
     n = data.draw(st.integers(1, 3), label="n")
     exponents = st.tuples(st.integers(0, 4), *[st.integers(0, 3)] * n)

@@ -110,6 +110,19 @@ def test_explicit_set_validation():
         cardinality(ExplicitSet([(1, 2), (1,)]), ctx)
     with pytest.raises(ValueError):
         cardinality(ExplicitSet([(7,)]), ctx)  # out of range
+    # a set lists encodings, strictly in [0, q) on every field, past int64 too
+    for bad in (-1, 5, 2**64, -(2**64)):
+        with pytest.raises(ValueError, match="out of range"):
+            cardinality(ExplicitSet([(1, 2), (3, bad)]), ctx)
+    # lengths are checked before ranges, ranges before duplicates
+    with pytest.raises(ArityMismatchError):
+        cardinality(ExplicitSet([(1, 2), (1, 2), (9, 9), (1,)]), ctx)
+    with pytest.raises(ValueError, match="out of range"):
+        cardinality(ExplicitSet([(1, 2), (1, 2), (9, 9)]), ctx)
+    big = FieldCtx(2**89 - 1)
+    assert cardinality(ExplicitSet([(2**88, 1), (2**88, 2)]), big) == 2
+    with pytest.raises(ValueError, match="duplicate point \\(309485009821345068724781056, 1\\)"):
+        cardinality(ExplicitSet([(0, 0), (2**88, 1), (2**88, 1)]), big)
 
 
 def test_grid_requires_prime_field():
@@ -801,6 +814,29 @@ def test_plancherel_extension_field():
         s_pts = rng.sample(space, rng.randrange(1, 9))
         d_pts = rng.sample(space, rng.randrange(1, 9))
         assert verify_plancherel_decomposition(ExplicitSet(s_pts), d_pts, ctx) < 1e-6
+
+
+# both sides read D through one reader, ctx.encodings
+
+
+def test_plancherel_reads_a_prime_field_d_mod_p():
+    assert verify_plancherel_decomposition(ExplicitSet([(1,)]), [(12,)], FieldCtx(11)) < 1e-9
+    # both sides count a point of D once per listing, 12 and 1 alike
+    assert verify_plancherel_decomposition(ExplicitSet([(1,)]), [(1,), (12,)], FieldCtx(11)) < 1e-9
+    assert verify_plancherel_decomposition(ExplicitSet([(1,)]), [(1,), (1,)], FieldCtx(11)) < 1e-9
+
+
+def test_plancherel_reads_a_prime_field_d_past_int64_mod_p():
+    d = [(11 * 2**70 + 1,), (-(2**64),)]
+    assert verify_plancherel_decomposition(ExplicitSet([(1,)]), d, FieldCtx(11)) < 1e-9
+
+
+def test_plancherel_refuses_an_extension_d_outside_the_field():
+    gf9 = FieldCtx(3, 2, modulus=[1, 0, 1])
+    with pytest.raises(ValueError, match="outside"):
+        verify_plancherel_decomposition(ExplicitSet([(1,)]), [(10,)], gf9)
+    with pytest.raises(ArityMismatchError):
+        verify_plancherel_decomposition(ExplicitSet([(1,)]), [(1,), (1, 2)], gf9)
 
 
 # ---------------------------------------------------------------------------

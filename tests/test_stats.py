@@ -373,6 +373,19 @@ def test_charsum_zero_frequency_rejected():
     assert restricted_charsum(F, (2,), (7,)) == restricted_charsum(F, (2,), (2,))
 
 
+MAGNITUDES = {
+    "restricted_charsum": lambda F, b: restricted_charsum(F, (3,), b).magnitude,
+    "weil_sweep": lambda F, b: weil_sweep(F, (3,), [b]).rows[0][2],
+}
+
+
+@pytest.mark.parametrize("magnitude", MAGNITUDES.values(), ids=MAGNITUDES.keys())
+def test_prime_field_frequency_past_int64_is_read_mod_p(magnitude):
+    # on a prime field any integers name a frequency, taken mod p
+    F = parse("t^3 + A1*t + A2", 2, FieldCtx(11))
+    assert magnitude(F, (11 * 10**30 + 1, 2)) == magnitude(F, (1, 2))
+
+
 @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
 @pytest.mark.parametrize("b", [(100,), (-8,), (9,)], ids=str)
 def test_extension_frequency_outside_the_field_is_rejected(sweep, b):

@@ -1,9 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ffstats import _gfp
 from ffstats.errors import (
     MorsePreconditionError,
     NotSquarefreeError,
@@ -439,16 +442,19 @@ def test_is_morse_against_oracle():
 
 @pytest.mark.parametrize("p", [13, 31])
 def test_type_frequencies_approach_gamma(p):
+    # every monic cubic over GF(p), classified as one block
     ctx = FieldCtx(p)
-    tallies = {}
-    squarefree = 0
-    for tail in itertools.product(range(p), repeat=3):
-        f = UniPoly.make(ctx, list(tail) + [1])
-        if not is_squarefree(f):
-            continue
-        squarefree += 1
-        t = factorization_type(f)
-        tallies[t] = tallies.get(t, 0) + 1
+    tails = list(itertools.product(range(p), repeat=3))
+    block = np.array([list(tail) + [1] for tail in tails], dtype=np.int64)[..., None]
+    types = [_gfp.gf_key_type(key, 3) for key in _gfp.gf_spec_types(block, ctx.vec).tolist()]
+    tallies = Counter(t for t in types if t is not None)
+    squarefree = sum(tallies.values())
     for parts in ((3,), (2, 1), (1, 1, 1)):
         freq = Fraction(tallies[parts], squarefree)
         assert abs(float(freq) - float(gamma_symmetric(3, parts))) <= 0.5 / p**0.5
+    # the single-polynomial API agrees with the block on a sample
+    for i in random.Random(p).sample(range(len(tails)), 200):
+        f = UniPoly.make(ctx, list(tails[i]) + [1])
+        assert is_squarefree(f) == (types[i] is not None)
+        if types[i] is not None:
+            assert factorization_type(f) == types[i]
