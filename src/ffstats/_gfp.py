@@ -21,28 +21,32 @@ mean the same on both kinds of field.  Callers pass reduced coefficients.
 Every polynomial is classified by :func:`gf_spec_types`, a whole block at
 once: distinct-degree splitting by numpy ranks over GF(q), with GF(q)
 products taken through the multiplication tensor of a :class:`VecField`; a
-prime field is the case k = 1.  Its arrays hold int64 within
-:func:`gf_batch_fits` and Python ints (object arrays) past it, as
-:func:`gf_dtype` chooses, and the algorithm is the same on both;
-:func:`gf_spec_type` is its one-row reading.  The scalar kernels on
-coefficient lists avoid classes and keep their inner loops
-allocation-light.  The module keeps its historical name because the
+prime field is the case k = 1.  Its arrays hold int32 while every sum
+stays below 2^31, int64 within :func:`gf_batch_fits` and Python ints
+(object arrays) past it, as :func:`gf_dtype` chooses, and the algorithm is
+the same on all three; :func:`gf_spec_type` is its one-row reading.  The
+scalar kernels on coefficient lists avoid classes and keep their inner
+loops allocation-light.  The module keeps its historical name because the
 benchmark's traced run wraps ``_gfp.gf_spec_type``.
 """
 
 import numpy as np
 
-# gf_spec_types keeps every int64 sum below 2^63 when max(d, k^2) * p^2 <
-# 2^62.  Every sum of raw coordinate products is reduced mod p before it
-# meets the multiplication tensor, and every tensor contraction is reduced
-# after it: a contraction sums k^2 products of residues; a product mod f sums
-# d products, then its reduced high half meets the table of x^s mod f in sums
-# of d - 1 products and a residue, below d p^2 before % p; an entry of x^(q^j) =
-# x^(q^(j-1)) Q sums d products; an elimination step subtracts two products;
-# a coefficient of f' is a residue times at most d.  Points are read into
-# int64 as encodings below q, so q < 2^62 too.  Past the bound the same
-# kernel runs on object arrays of Python ints; gf_dtype is the one place
-# that chooses between the two.
+# gf_spec_types keeps every sum of a block within its dtype: below 2^31 on
+# int32 when max(d, k^2) * p^2 < 2^30, below 2^63 on int64 when
+# max(d, k^2) * p^2 < 2^62.  Every sum of raw coordinate products is reduced
+# mod p before it meets the multiplication tensor, and every tensor
+# contraction is reduced after it: a contraction sums k^2 products of
+# residues; a product mod f sums d products, then its reduced high half meets
+# the table of x^s mod f in sums of d - 1 products and a residue, below d p^2
+# before % p; an entry of x^(q^j) = x^(q^(j-1)) Q sums d products; an
+# elimination step subtracts two products of entries in (-p, p), below 2 p^2
+# in size; a coefficient of f' is a residue times at most d.  So every sum is
+# below max(d, k^2, 2) p^2 <= 2 max(d, k^2) p^2, under twice the limit.
+# Points are cast into the block's dtype as encodings below q, so q is below
+# the limit too.  Past the int64 bound the same kernel runs on object arrays
+# of Python ints; gf_dtype is the one place that chooses among the three.
+_INT32_LIMIT = 1 << 30
 _INT64_LIMIT = 1 << 62
 
 
@@ -224,8 +228,8 @@ def gf_diff(f, p):
 
 
 class VecField:
-    """GF(q) arithmetic on coordinate arrays, int64 or object, for one
-    field; the per-field constants of the batched kernels.
+    """GF(q) arithmetic on coordinate arrays, int32, int64 or object, for
+    one field; the per-field constants of the batched kernels.
 
     A product a*b of GF(q) elements is bilinear in their coordinates:
     (a*b)_l = sum_ij a_i b_j T[i, j, l], where row T[i, j] holds the
@@ -235,7 +239,8 @@ class VecField:
     (k = 1) ``outer`` is the plain product and ``contract`` does nothing, so
     a product there costs one ``a * b % p`` and no contraction.  The tensor
     is int64 while its entries, below p, fit it, and an object array past
-    that; a product with an object array is one too.
+    that; every method returns arrays in the dtype of its arguments, the
+    constants cast to it.
     """
 
     __slots__ = ("p", "k", "q", "tensor", "frobenius_bits", "one", "_flat")
@@ -274,7 +279,7 @@ class VecField:
         as it is, for the caller to reduce."""
         if self.k == 1:
             return x
-        return self.reduce(np.matmul(self._flat, self.reduce(x)))
+        return self.reduce(np.matmul(self._flat.astype(x.dtype, copy=False), self.reduce(x)))
 
     def prod(self, a, b):
         """a*b, congruent mod p to the reduced product: below p^2 in size
@@ -285,8 +290,9 @@ class VecField:
         return self.reduce(self.prod(a, b))
 
     def reduce(self, x):
-        """x mod p, elementwise: x - x // p * p on int64, as numpy strength-reduces
-        // by a scalar but divides for %; x % p on objects, one Python-int call."""
+        """x mod p, elementwise: x - x // p * p on int32 and int64, as numpy
+        strength-reduces // by a scalar but divides for %; x % p on objects,
+        one Python-int call."""
         return x % self.p if x.dtype == object else x - x // self.p * self.p
 
     def pow(self, a, e):
@@ -302,14 +308,18 @@ class VecField:
 
 def gf_batch_fits(d, k, p):
     """Whether gf_spec_types can classify degree-d polynomials over GF(p^k)
-    in int64, and points over it can be read into int64."""
+    on a fixed width (int64 at the widest), and points over it can be read
+    into int64."""
     return max(d, k * k) * p * p < _INT64_LIMIT and p**k < _INT64_LIMIT
 
 
 def gf_dtype(d, k, p):
     """The dtype in which degree-d polynomials over GF(p^k) are specialized
-    and classified: int64 within gf_batch_fits, else object (Python ints)."""
-    return np.int64 if gf_batch_fits(d, k, p) else object
+    and classified: int32 while max(d, k^2) p^2 < 2^30 and q < 2^30, int64
+    within gf_batch_fits, else object (Python ints)."""
+    if not gf_batch_fits(d, k, p):
+        return object
+    return np.int32 if max(d, k * k) * p * p < _INT32_LIMIT and p**k < _INT32_LIMIT else np.int64
 
 
 def gf_key_dtype(d):
@@ -346,7 +356,8 @@ def _vmulrem(u, v, table, field):
     for i in range(d):
         m[i : i + d] += field.outer(u[i], v)
     m = field.reduce(field.contract(m))
-    return field.reduce(m[:d] + field.contract(field.outer(m[d:, None], table).sum(axis=0)))
+    high = field.outer(m[d:, None], table).sum(axis=0, dtype=m.dtype)
+    return field.reduce(m[:d] + field.contract(high))
 
 
 def _vrank(a, field):
@@ -356,6 +367,7 @@ def _vrank(a, field):
     # right of the current column, are read again.
     d, _, _, n = a.shape
     at = np.arange(n)
+    one = field.one.astype(a.dtype)
     free = np.ones((d, n), dtype=bool)
     for c in range(d):
         col = np.where(free[:, None], a[:, c], 0)
@@ -368,7 +380,7 @@ def _vrank(a, field):
         rest = a[:, c + 1 :]
         prow = np.ascontiguousarray(rest[piv, :, :, at].transpose(1, 2, 0))
         col[piv, :, at] = 0
-        pivot = np.where(has, a[piv, c, :, at].T, field.one)
+        pivot = np.where(has, a[piv, c, :, at].T, one)
         x = field.outer(rest, pivot)
         x -= field.outer(col[:, None], prow)
         rest[...] = field.reduce(field.contract(x))
@@ -411,15 +423,15 @@ def gf_spec_types(c, field):
         f = field.mul(f, field.pow(c[d], field.q - 2))
     monic = np.concatenate((f, np.zeros_like(f[:1])))
     monic[d, 0] = 1
-    gs = [np.arange(1, d + 1)[:, None, None] * monic[1:] % p]  # f'
+    gs = [np.arange(1, d + 1, dtype=f.dtype)[:, None, None] * monic[1:] % p]  # f'
     if d >= 2:
         table = [-f % p]  # x^d mod f, then times x up to x^(2d-2)
         for _ in range(d - 2):
             table.append(_times_x(table[-1], f, field))
         table = np.stack(table)
-        h = np.zeros_like(f)  # x^q mod f
-        h[0, 0] = 1
-        for bit in field.frobenius_bits:
+        h = np.zeros_like(f)  # x^q mod f, from x: the leading bit of q
+        h[1, 0] = 1
+        for bit in field.frobenius_bits[1:]:
             h = _vmulrem(h, h, table, field)
             if bit == "1":
                 h = _times_x(h, f, field)
@@ -431,7 +443,7 @@ def gf_spec_types(c, field):
             q[i] = _vmulrem(q[i - 1], h, table, field)
     for j in range(half):
         if j:  # x^(q^(j+1)) = x^(q^j) Q, d products a coordinate
-            h = field.reduce(field.contract(field.outer(h[:, None], q).sum(axis=0)))
+            h = field.reduce(field.contract(field.outer(h[:, None], q).sum(axis=0, dtype=h.dtype)))
         g = h.copy()
         g[1, 0] -= 1
         gs.append(g)

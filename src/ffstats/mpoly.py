@@ -513,11 +513,13 @@ class SpecializationOutcome:
         return self.kind == TYPE
 
 
-# Points per block of the batched path: the largest temporaries, the raw
-# coordinate products of an elimination step of the stacked rank (1 + d/2
-# d x d matrices over GF(p^k) a point), hold (1 + d/2) d^2 k^2 entries a
-# point, so a block of _SPEC_BLOCK / (d^2 k^2) points holds (1 + d/2) times
-# _SPEC_BLOCK; at least _SPEC_MIN points, as numpy's cost per call dominates below.
+# Points per block of the batched path, sized in bytes: the largest
+# temporaries, the raw coordinate products of an elimination step of the
+# stacked rank (1 + d/2 d x d matrices over GF(p^k) a point), hold
+# (1 + d/2) d^2 k^2 entries a point, so a block of _SPEC_BLOCK * 8 //
+# itemsize // (d^2 k^2) points holds (1 + d/2) times _SPEC_BLOCK 8-byte words
+# on every dtype, and an int32 block twice the points of an int64 one.  At
+# least _SPEC_MIN points, as numpy's cost per call dominates below.
 _SPEC_BLOCK = 1 << 13
 _SPEC_MIN = 32
 
@@ -526,16 +528,18 @@ def spec_keys(F: MultiPoly, codes):
     """Yield, block by block, the keys (``type_key``, read by ``key_outcome``;
     int64 while deg_t <= 27, else Python ints) of F(t, a) for the rows a of
     codes, an (N, n) array of element encodings (``sets.point_codes`` or
-    ``ctx.encodings``).  Blocks of about ``_SPEC_BLOCK / (deg_t^2 k^2)``
-    points, at least ``_SPEC_MIN``, are cast to ``_gfp.gf_dtype`` (int64
-    while max(deg_t, k^2) * p^2 < 2^62 and q < 2^62, Python ints past it)
-    and go through ``ctx.decode``, ``specialize_block`` and
-    ``_gfp.gf_spec_types``, one stacked rank a block."""
+    ``ctx.encodings``).  Each block is cast to ``_gfp.gf_dtype`` (int32
+    while max(deg_t, k^2) * p^2 < 2^30 and q < 2^30, int64 while the same
+    holds below 2^62, Python ints past it) and holds
+    ``_SPEC_BLOCK * 8 // itemsize // (deg_t^2 k^2)`` points, at least
+    ``_SPEC_MIN``, so that its bytes, not its entries, are fixed; it goes
+    through ``ctx.decode``, ``specialize_block`` and ``_gfp.gf_spec_types``,
+    one stacked rank a block."""
     d, ctx = F.deg_t, F.ctx
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
-    size = max(_SPEC_MIN, _SPEC_BLOCK // (d * d * ctx.k * ctx.k))
     dtype = _gfp.gf_dtype(d, ctx.k, ctx.p)
+    size = max(_SPEC_MIN, _SPEC_BLOCK * 8 // np.dtype(dtype).itemsize // (d * d * ctx.k * ctx.k))
     for lo in range(0, len(codes), size):
         block = codes[lo : lo + size].astype(dtype, copy=False)
         yield _gfp.gf_spec_types(F.specialize_block(ctx.decode(block)), ctx.vec)

@@ -4,6 +4,7 @@ object arrays, against the scalar splitting of ``scalar_splitting`` and
 independent oracles."""
 
 import contextlib
+import functools
 import itertools
 import math
 import random
@@ -33,11 +34,11 @@ PRIMES = [2, 3, 5, 7, 13, 101, 10007, 1000003, 759250111]
 
 
 def _blocked(F, points, size):
-    """classify_points with blocks of exactly `size` points; asserts that the
+    """classify_points with blocks of exactly `size` points on every dtype:
+    the byte rule gives no points and the floor `size`; asserts that the
     batched kernel classified every point."""
-    d, k = max(F.deg_t, 1), F.ctx.k
-    with mock.patch.object(mpoly, "_SPEC_BLOCK", size * d * d * k * k), mock.patch.object(
-        mpoly, "_SPEC_MIN", 1
+    with mock.patch.object(mpoly, "_SPEC_BLOCK", 0), mock.patch.object(
+        mpoly, "_SPEC_MIN", size
     ), mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as spy:
         got = list(classify_points(F, points))
     assert sum(len(call.args[0]) for call in spy.call_args_list) == len(points)
@@ -47,6 +48,14 @@ def _blocked(F, points, size):
 def _dtypes(spy):
     """The dtypes of the blocks a spy on gf_spec_types saw."""
     return {call.args[0].dtype for call in spy.call_args_list}
+
+
+def _rung(dtype):
+    """Put every block that fits int32 on `dtype` instead: int32 as it is,
+    int64 past a zero int32 limit, object past a zero int64 limit."""
+    if dtype is np.int32:
+        return contextlib.nullcontext()
+    return mock.patch.object(_gfp, "_INT32_LIMIT" if dtype is np.int64 else "_INT64_LIMIT", 0)
 
 
 @contextlib.contextmanager
@@ -247,20 +256,21 @@ def test_every_type_round_trips_through_its_key(d):
 @pytest.mark.parametrize("d, p", [(28, 7), (30, 7)])
 def test_keys_past_int64_classify_like_the_scalar_splitting(d, p, batched):
     # a factor of degree 14 at d = 28 (13 at d = 30) has a key past 2^63; the
-    # points are classified on int64 arrays when batched, else on object ones
+    # points are classified on each fixed-width rung, int32 and int64, when
+    # batched, else on object arrays
     ctx = FieldCtx(p)
     F = parse(f"t^{d} + A1*t^2 + A2*t + 1", 2, ctx)
     points = list(itertools.product(range(p), repeat=2))
     want = [_scalar(F, pt) for pt in points]
     assert any(_gfp.gf_type_key(w, d) >= 1 << 63 for w in want if isinstance(w, tuple))
-    fits = mock.patch.object(_gfp, "gf_batch_fits", return_value=batched)
-    spy = mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types)
-    with fits, spy as kernel:
-        assert list(classify_points(F, points)) == want
-        dist = empirical_distribution(F, FullSpace(2))
-    assert _dtypes(kernel) == {np.dtype(np.int64 if batched else object)}
-    assert dist.counts == Counter(w for w in want if isinstance(w, tuple))
-    assert (dist.non_squarefree, dist.total) == (want.count(NON_SQUAREFREE), len(points))
+    for rung in (np.int32, np.int64) if batched else (object,):
+        spy = mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types)
+        with _rung(rung), spy as kernel:
+            assert list(classify_points(F, points)) == want
+            dist = empirical_distribution(F, FullSpace(2))
+        assert _dtypes(kernel) == {np.dtype(rung)}
+        assert dist.counts == Counter(w for w in want if isinstance(w, tuple))
+        assert (dist.non_squarefree, dist.total) == (want.count(NON_SQUAREFREE), len(points))
 
 
 def test_points_are_reduced_before_int64():
@@ -480,3 +490,124 @@ def test_blocks_hold_at_least_spec_min_points():
     sizes = [len(call.args[0]) for call in spy.call_args_list]
     assert sum(sizes) == len(points) and min(sizes) >= 32
     assert got == [_scalar(F, pt) for pt in points]
+
+
+# -- the dtype ladder: int32, int64, object ---------------------------------------
+
+
+def _edge_primes(d, k):
+    """The last prime inside and the first outside the int32 bound
+    max(d, k^2) p^2 < _INT32_LIMIT."""
+    top = math.isqrt((_gfp._INT32_LIMIT - 1) // max(d, k * k))
+    return sympy.prevprime(top + 1), sympy.nextprime(top)
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, k):
+    return FieldCtx(p, k, seed=1)
+
+
+def _keys_on_every_rung(rows, ctx):
+    """{dtype: keys} of gf_spec_types over rows of encodings (one polynomial
+    a row, ascending) on the rung gf_dtype picks and on every wider one."""
+    d = len(rows[0]) - 1
+    codes = np.array(rows, dtype=object)
+    got = {}
+    for rung in (np.int32, np.int64, object):
+        with _rung(rung):
+            dtype = np.dtype(_gfp.gf_dtype(d, ctx.k, ctx.p))
+            got[dtype] = _gfp.gf_spec_types(ctx.decode(codes.astype(dtype)), ctx.vec).tolist()
+    return got
+
+
+def _scalar_key(row, ctx):
+    if row[-1] == 0:
+        return -2
+    return _gfp.gf_type_key(spec_type([ctx.pack(c) for c in row], ctx.red, ctx.q), len(row) - 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_every_rung_gives_the_keys_of_the_scalar_splitting(data):
+    # the same blocks on int32 (where it fits), int64 and object, over GF(p)
+    # and GF(p^2), at small primes and on either side of the int32 bound
+    k = data.draw(st.sampled_from([1, 2]), label="k")
+    d = data.draw(st.integers(1, 8), label="d")
+    p = data.draw(st.sampled_from([2, 3, 7, 101, *_edge_primes(d, k)]), label="p")
+    ctx = _field(p, k)
+    element = st.sampled_from([0, 1, p - 1, ctx.q - 1]) | st.integers(0, ctx.q - 1)
+    rows = data.draw(st.lists(st.lists(element, min_size=d + 1, max_size=d + 1), min_size=1, max_size=4))
+    got = _keys_on_every_rung(rows, ctx)
+    wide = {np.dtype(np.int64), np.dtype(object)}
+    narrow = max(d, k * k) * p * p < _gfp._INT32_LIMIT
+    assert set(got) == (wide | {np.dtype(np.int32)} if narrow else wide)
+    want = [_scalar_key(row, ctx) for row in rows]
+    assert all(keys == want for keys in got.values())
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_all_p_minus_1_rows_at_the_int32_bound(d, side):
+    # coefficients p - 1 make every raw product (p - 1)^2, the largest a
+    # block holds, at the last prime inside the int32 bound and the first
+    # prime outside it
+    p = _edge_primes(d, 1)[side == "outside"]
+    assert _gfp.gf_dtype(d, 1, p) is (np.int32 if side == "inside" else np.int64)
+    ctx = _field(p, 1)
+    rng = random.Random(d * p)
+    rows = [[p - 1] * (d + 1)]
+    rows += [[p - 1] * i + [c] + [p - 1] * (d - i) for i in range(d + 1) for c in (0, 1)]
+    rows += [[rng.choice([p - 1, rng.randrange(p)]) for _ in range(d + 1)] for _ in range(20)]
+    got = _keys_on_every_rung(rows, ctx)
+    want = [_scalar_key(row, ctx) for row in rows]
+    assert len(got) == 3 - (side == "outside")
+    assert all(keys == want for keys in got.values())
+
+
+@pytest.mark.parametrize(
+    "ctx, poly",
+    [
+        (FieldCtx(101), "t^3 + A1*t + A2"),
+        (FieldCtx(5, 2, seed=3), "t^3 + A1*t + A2"),
+        (FieldCtx(53), "t^5 + A1*t + A2"),
+    ],
+    ids=repr,
+)
+def test_the_compare_sweep_stays_on_int32(ctx, poly):
+    # a dtype spy on every product, reduction and rank of the benchmark's
+    # compare sweep (the cubic over GF(101)^2) and of its dist sweeps over
+    # GF(25)^2 and, with a Frobenius matrix, GF(53)^2: no temporary widens
+    seen = set()
+
+    def spy(fn, result):
+        def wrapped(*args):
+            out = fn(*args)
+            arrays = [*args, out] if result else args
+            seen.update(a.dtype for a in arrays if isinstance(a, np.ndarray))
+            return out
+
+        return wrapped
+
+    F = parse(poly, 2, ctx)
+    with mock.patch.object(_gfp.VecField, "outer", spy(_gfp.VecField.outer, True)), mock.patch.object(
+        _gfp.VecField, "reduce", spy(_gfp.VecField.reduce, True)
+    ), mock.patch.object(_gfp, "_vrank", spy(_gfp._vrank, False)):
+        dist = empirical_distribution(F, FullSpace(2))
+    assert dist.total == ctx.q**2
+    assert seen == {np.dtype(np.int32)}
+
+
+def test_blocks_are_sized_in_bytes():
+    # an int32 block holds twice the points of an int64 or object one
+    ctx = FieldCtx(101)
+    F = parse("t^3 + A1*t + A2", 2, ctx)
+    codes, _ = ctx.encodings(list(itertools.product(range(101), repeat=2)), 2)
+    sizes = {}
+    for rung in (np.int32, np.int64, object):
+        with _rung(rung), mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as spy:
+            keys = np.concatenate(list(mpoly.spec_keys(F, codes)))
+        sizes[rung] = [len(call.args[0]) for call in spy.call_args_list]
+        assert len(keys) == len(codes)
+    entries = mpoly._SPEC_BLOCK // 9
+    assert set(sizes[np.int32][:-1]) == {2 * entries} and sizes[np.int64] == sizes[object]
+    assert set(sizes[np.int64][:-1]) == {entries}

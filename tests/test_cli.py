@@ -496,6 +496,28 @@ def test_out_file_holds_the_bytes_of_stdout(capsys, monkeypatch, tmp_path, fmt):
     assert path.read_bytes() == out.encode("utf-8")
 
 
+@pytest.mark.parametrize(
+    "field, spec, n",
+    [
+        ("7", "grid:int(0,5),ap(2,1,4)", 2),
+        ("7", "grid:int(0,3),int(1,2),int(0,2)", 3),
+        ("7", "file", 2),
+        ("7,2", "tracezero", 1),
+        ("7", "full", 1),
+    ],
+)
+def test_irreg_echoes_the_dimension_of_the_set(capsys, tmp_path, field, spec, n):
+    # --n sizes only 'full'; every other set carries its own dimension
+    p, k = (field.split(",") + ["1"])[:2]
+    if spec == "file":
+        path = tmp_path / "dense.txt"
+        path.write_text("1,2\n3,4\n5,0\n")
+        spec = f"file:{path}"
+    report = run_json(capsys, "irreg", "--p", p, "--k", k, "--set", spec)
+    assert report["config"]["n"] == n
+    assert run_json(capsys, "irreg", "--p", "7", "--set", "full", "--n", "2")["config"]["n"] == 2
+
+
 # -- config is derived from the parsed options --------------------------------------
 
 COMMAND_ARGV = {
