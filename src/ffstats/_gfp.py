@@ -296,10 +296,14 @@ class VecField:
         return x % self.p if x.dtype == object else x - x // self.p * self.p
 
     def pow(self, a, e):
-        """a**e elementwise, for a block of reduced elements."""
-        r = np.zeros_like(a)
-        r[0] = 1
-        for bit in bin(e)[2:]:
+        """a**e elementwise, for a block of reduced elements: square and
+        multiply from a itself (a**1 is a, no product), or one for e = 0."""
+        if e == 0:
+            r = np.zeros_like(a)
+            r[0] = 1
+            return r
+        r = a
+        for bit in bin(e)[3:]:
             r = self.mul(r, r)
             if bit == "1":
                 r = self.mul(r, a)

@@ -152,18 +152,9 @@ def _cmd_charsum(args, ctx, F):
     parts = stats.parse_type(args.type)
     if args.all_b:
         sweep = stats.weil_sweep(F, parts, None, budget=args.budget, seed=args.seed)
-        return {
-            "max_ratio": sweep.max_ratio,
-            "rows": [
-                {
-                    "q": q,
-                    "b": ",".join(map(str, b)),
-                    "magnitude": mag,
-                    "ratio": ratio,
-                }
-                for q, b, mag, ratio in sweep.rows
-            ],
-        }
+        fmt = ",".join(["%d"] * F.n)  # "%d,%d": one format per row
+        rows = [{"q": q, "b": fmt % b, "magnitude": mag, "ratio": ratio} for q, b, mag, ratio in sweep.rows]
+        return {"max_ratio": sweep.max_ratio, "rows": rows}
     if not args.b:
         raise ValueError("need --b or --all-b")
     b = sets.parse_point(args.b, ctx)

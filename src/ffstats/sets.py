@@ -18,11 +18,12 @@ F_q^n): phases tr(a.b) from the trace form (one integer matmul mod p per
 block of frequencies), summed point by point for sets of fewer than p
 points, else binned into a table of root-of-unity counts, one row per
 F_p-line of frequencies, whose shift, one-slot flag and top count are taken
-once; a frequency reads its row permuted, by one flat gather.  All is
-reduced as x - x // p * p, which numpy strength-reduces (% divides).  Sums
-on a single root come back exactly, which keeps the landmark values (full
-space, singletons, trace-zero subgroups) free of floating-point noise, and
-no reduction goes through BLAS: the same bits on every machine.
+once; a frequency reads its row permuted, a cyclic shift in the log order
+of a generator of F_p^*.  Phases are reduced as x - x // p * p, which numpy
+strength-reduces (% divides).  Sums on a single root come back exactly,
+which keeps the landmark values (full space, singletons, trace-zero
+subgroups) free of floating-point noise, and no reduction goes through
+BLAS: the same bits on every machine.
 """
 
 from __future__ import annotations
@@ -216,12 +217,6 @@ def _codes(s, ctx, budget):
 # -- spectra -------------------------------------------------------------------
 
 
-def frequencies(ctx: FieldCtx, n: int, budget: int = DEFAULT_BUDGET):
-    """All q^n frequency tuples in lexicographic order, zero first: the rows
-    of ``point_codes(FullSpace(n))``, the array the spectra take them as."""
-    return enumerate_points(FullSpace(n), ctx, budget)
-
-
 def _functionals(points, freqs, ctx, n, sign):
     """Power-basis coordinates pts of the points and functionals w of the
     frequencies with sign*tr(a.b) = pts[a] . w[b] mod p, by the trace form:
@@ -238,39 +233,64 @@ def _bin(w, pts, p):
     return np.bincount(slots.ravel(), minlength=p * len(w)).reshape(len(w), p)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_table(p):
+    """Powers g^e, e < p, of the least generator g of F_p^* (by doublings),
+    and the log of each residue, log[0] = 0; read-only, as the cache shares them."""
+    for g in range(1, p):
+        power = np.ones(1, np.int64)
+        while len(power) < p:
+            power = np.concatenate([power, power * pow(g, len(power), p) % p])
+        if not (power[1 : p - 1] == 1).any():  # g^e = 1 first at e = p - 1
+            break
+    log = np.zeros(p, np.int64)  # a scatter, not np.argsort, whose SIMD sort code adds to the RSS
+    log[power[: p - 1]] = np.arange(p - 1)
+    power.flags.writeable = log.flags.writeable = False
+    return power[:p], log
+
+
 def _line_table(points, freqs, ctx, n, sign):
     """The (lines, p) slot counts of one rep per F_p-line of frequencies, and
-    each frequency's ``line`` and ``inv``.  As tr(a.(l*b)) = l*tr(a.b), each
+    each frequency's ``line`` and ``rot``.  As tr(a.(l*b)) = l*tr(a.b), each
     w = l*rep (l in F_p^* its first nonzero entry) has counts_w[m] =
-    counts_rep[m*inv], inv = 1/l: its line's row permuted.  The reps are
-    found by ``np.unique`` of their base-p digits, and only they are binned."""
+    counts_rep[m*inv], inv = 1/l = g^rot with rot = p - 1 - log(l) from
+    :func:`_log_table`: its line's row permuted.  The reps are found by
+    ``np.unique`` of their base-p digits, and only they are binned."""
     p = ctx.p
     pts, w = _functionals(points, freqs, ctx, n, sign)
+    power, log = _log_table(p)
     lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
-    lead[lead == 0] = 1  # the zero functional is its own line
-    inv = _gfp.VecField(p, ()).pow(lead[None], p - 2)[0]
-    w = ctx.vec.reduce(w * inv[:, None])
+    rot = p - 1 - log[lead]  # the zero functional (lead 0) is its own line, inv = g^(p-1) = 1
+    w = ctx.vec.reduce(w * power[rot][:, None])
     keys = w @ p ** np.arange(w.shape[1])
     _, first, line = np.unique(keys, return_index=True, return_inverse=True)
     step = max(1, _PHASE_BLOCK // max(len(pts), p))
     bins = (_bin(w[first[lo : lo + step]], pts, p) for lo in range(0, len(first), step))
-    return np.concatenate([np.empty((0, p), np.int64), *bins]), line, inv
+    return np.concatenate([np.empty((0, p), np.int64), *bins]), line, rot
 
 
-def _gathers(line, inv, p):
-    """Per block of frequencies, their rows and flat indices line*p + inv*m mod p."""
+def _gathers(table, line, rot, p):
+    """Per block of frequencies, their lines and rows table[line, (inv*m) mod p],
+    m = 0..p-1, inv = g^rot.  A ring row holds the table row in log order
+    twice, then slot 0: inv*g^d sits at rot + d, so a block is one gather of
+    windows at rot and one of columns at log[m], with no index per slot."""
+    power, log = _log_table(p)
+    ring = np.take(table, np.concatenate([power[:-1], power[:-1], [0]]), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(ring[:, :-1], p - 1, axis=1)
     step = max(1, _PHASE_BLOCK // p)
     for lo in range(0, len(line), step):
-        slots = inv[lo : lo + step, None] * np.arange(p)
-        yield line[lo : lo + step], slots - slots // p * p + line[lo : lo + step, None] * p
+        rows = line[lo : lo + step]
+        # np.take keeps each row contiguous ([:, log] would not): np.add.reduce's order
+        block = np.take(windows[rows, rot[lo : lo + step]], log, axis=1)
+        block[:, 0] = ring[rows, -1]
+        yield rows, block
 
 
 def phase_counts(points, freqs, ctx: FieldCtx, n: int, sign: int):
     """Yield, for each block of frequencies b in order, the (B, p) slot counts
     of sum_{a in points} psi(sign * a.b), read from :func:`_line_table`."""
-    table, line, inv = _line_table(points, freqs, ctx, n, sign)
-    for _, idx in _gathers(line, inv, ctx.p):
-        yield table.ravel()[idx]
+    table, line, rot = _line_table(points, freqs, ctx, n, sign)
+    yield from (block for _, block in _gathers(table, line, rot, ctx.p))
 
 
 def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DEFAULT_BUDGET):
@@ -279,12 +299,12 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DE
 
     With |S| >= p, :func:`field.cyclotomic_invariants` of the line table of
     :func:`phase_counts` are taken once, and :func:`field.cyclotomic_sums`
-    of each frequency's gathered row.  With |S| < p, the sparse path sums cos
-    and sin of each (frequency, point) phase, O(|S|) per frequency; as on
-    the histogram path (some slot is empty) a row on one root comes back
-    exactly.  Sums are ``np.add.reduce`` along rows, never BLAS dot products
-    (whose order depends on the CPU): the bits depend on neither the machine
-    nor the ``_PHASE_BLOCK`` boundaries.
+    of each frequency's row as :func:`_gathers` reads it.  With |S| < p, the
+    sparse path sums cos and sin of each (frequency, point) phase, O(|S|)
+    per frequency; as on the histogram path (some slot is empty) a row on
+    one root comes back exactly.  Sums are ``np.add.reduce`` along rows,
+    never BLAS dot products (whose order depends on the CPU): the bits
+    depend on neither the machine nor the ``_PHASE_BLOCK`` boundaries.
 
     The budget bounds the work before any phase or count is built: f*|S|
     phases for f frequencies on the sparse path; on the histogram path
@@ -297,11 +317,11 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DE
     if work > budget:
         raise BudgetExceededError(f"spectrum costs {work} ({f} freqs, {m} points), budget {budget}")
     if m >= p:
-        table, line, inv = _line_table(points, freqs, ctx, n, sign)
-        arr, one, top = cyclotomic_invariants(table)
-        flat = arr.ravel().astype(np.float64)  # the cast of the products, once per row
-        for rows, idx in _gathers(line, inv, p):
-            yield cyclotomic_sums(flat[idx], one[rows], top[rows], p)
+        table, line, rot = _line_table(points, freqs, ctx, n, sign)
+        arr, one, top = cyclotomic_invariants(table.astype(np.float64))  # one cast per line
+        del table  # exact in float64; the counts are not read again
+        for rows, block in _gathers(arr, line, rot, p):
+            yield cyclotomic_sums(block, one[rows], top[rows], p)
         return
     pts, w = _functionals(points, freqs, ctx, n, sign)
     cos, sin = _unity_roots(p)
@@ -483,8 +503,6 @@ def verify_plancherel_decomposition(
 
 def split_top_level(text: str, sep: str = ","):
     """Split on separators not nested inside () or []."""
-    if "(" not in text and "[" not in text and ")" not in text and "]" not in text:
-        return text.split(sep)  # an unmatched closer would shift the depth
     out, depth, cur = [], 0, []
     for ch in text:
         depth += (ch in "([") - (ch in ")]")
@@ -513,14 +531,17 @@ def parse_point(text: str, ctx: FieldCtx):
 
 
 def load_points_file(path: str, ctx: FieldCtx) -> ExplicitSet:
-    """One point per line, comma-separated element literals; '#' comments."""
-    points = []
+    """One point per line, comma-separated element literals; '#' comments.
+    Plain integers are ``int(c) % p``; a line with any other literal goes to
+    :func:`parse_point`, which reads it or raises the parser's error."""
+    p, points = ctx.p, []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            points.append(parse_point(line, ctx))
+        for line in map(str.strip, fh):
+            if line and not line.startswith("#"):
+                try:
+                    points.append(tuple([int(c) % p for c in line.split(",")]))
+                except ValueError:
+                    points.append(parse_point(line, ctx))
     return ExplicitSet(points)
 
 

@@ -297,6 +297,21 @@ def test_reduce_takes_remainder_on_object_arrays_and_floor_division_on_int64(p, 
         assert field.reduce(small).tolist() == (small % p).tolist()
 
 
+@pytest.mark.parametrize("p, dtype", [(101, np.int32), (2**31 - 1, np.int64), (2**89 - 1, object)])
+def test_vec_pow_squares_from_a_and_matches_python_pow(p, dtype):
+    # square and multiply from a: a**1 makes no product, a**e makes
+    # bit_length(e) - 1 squarings and popcount(e) - 1 multiplies
+    field = _gfp.VecField(p, ())
+    rng = random.Random(p)
+    xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(20)]
+    a = np.array([xs], dtype=dtype)
+    for e in (0, 1, 2, 3, p - 2):
+        with mock.patch.object(_gfp.VecField, "mul", autospec=True, side_effect=_gfp.VecField.mul) as spy:
+            got = field.pow(a, e)
+        assert spy.call_count == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+        assert got.dtype == a.dtype and got.tolist() == [[pow(x, e, p) for x in xs]]
+
+
 # -- extension fields -------------------------------------------------------------
 
 # GF(4), GF(8), GF(9), GF(16), GF(25), GF(27), GF(49), GF(3^5), GF(2^8)

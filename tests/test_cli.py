@@ -518,6 +518,14 @@ def test_irreg_echoes_the_dimension_of_the_set(capsys, tmp_path, field, spec, n)
     assert run_json(capsys, "irreg", "--p", "7", "--set", "full", "--n", "2")["config"]["n"] == 2
 
 
+@pytest.mark.parametrize("text", ["1,2\n3\n", "1,2\n# note\n3, 4x\n", "[1,2],0\n3,4\n"])
+def test_points_file_with_a_ragged_line_or_a_malformed_literal_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "P"
+    path.write_text(text)
+    code, out = run_cli(capsys, "irreg", "--p", "7", "--set", f"file:{path}")
+    assert code == 2 and out == ""
+
+
 # -- config is derived from the parsed options --------------------------------------
 
 COMMAND_ARGV = {

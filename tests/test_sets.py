@@ -28,6 +28,7 @@ from ffstats.sets import (
     interval_irreg_bound,
     irregularity,
     load_points_file,
+    parse_point,
     parse_set,
     phase_counts,
     phase_sums,
@@ -465,10 +466,55 @@ def test_histogram_path_gives_cyclotomic_rows_of_phase_counts_bits(case):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+def _leads(points, freqs, ctx, n, sign):
+    """The first nonzero entry of each frequency's functional (1 for zero)."""
+    _, w = sets._functionals(points, freqs, ctx, n, sign)
+    return [next((c for c in row if c), 1) for row in w.tolist()]
+
+
+@pytest.mark.parametrize(
+    "ctx, n",
+    [
+        (FieldCtx(7), 1),
+        (FieldCtx(7), 2),
+        (FieldCtx(13), 2),  # rows past 8 slots, which np.add.reduce sums pairwise
+        (FieldCtx(5), 3),
+        (FieldCtx(3, 2, seed=1), 1),
+        (FieldCtx(3, 2, seed=1), 2),
+    ],
+)
+@pytest.mark.parametrize("sign", (-1, 1))
+def test_gathered_rows_match_rows_built_per_frequency(ctx, n, sign):
+    # frequencies in runs of equal leading entry, the runs and the frequencies
+    # within each in shuffled order, cut by blocks of 3 that end inside runs;
+    # every row against table[line, (inv*m) % p] built from Python ints
+    p, rng = ctx.p, random.Random(ctx.q**n * sign)
+    space = list(itertools.product(range(ctx.q), repeat=n))
+    points = rng.sample(space, max(p, len(space) // 3))
+    rank = rng.sample(range(1, p), p - 1)
+    keyed = sorted((rank.index(lead), rng.random(), b) for lead, b in zip(_leads(points, space, ctx, n, sign), space))
+    freqs = [b for _, _, b in keyed]
+    leads = _leads(points, freqs, ctx, n, sign)
+    if ctx.q**n > p:  # runs longer than one frequency: some block edge cuts one
+        assert any(leads[i - 1] == leads[i] for i in range(3, len(freqs), 3))
+    table, line, _ = sets._line_table(points, freqs, ctx, n, sign)
+    want = np.array(
+        [[table[line[i], pow(lead, p - 2, p) * m % p] for m in range(p)] for i, lead in enumerate(leads)], np.int64
+    )
+    assert want.tolist() == _scalar_counts(points, freqs, ctx, sign)
+    with mock.patch.object(sets, "_PHASE_BLOCK", 3 * p):
+        blocks = list(phase_counts(points, freqs, ctx, n, sign))
+        sums = _joined(phase_sums(points, freqs, ctx, n, sign))
+    assert {len(b) for b in blocks[:-1]} == {3}
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    assert [a.tobytes() for a in sums] == [a.tobytes() for a in cyclotomic_rows(want, p)]
+
+
 def test_spectra_on_the_full_space_never_build_frequency_tuples():
     ctx = FieldCtx(13)
     F = parse("t^3 + A1*t + A2", 2, ctx)
-    with mock.patch.object(sets, "frequencies", side_effect=AssertionError("tuple frequencies")):
+    # frequencies are the rows of point_codes(FullSpace(n)), never its tuples
+    with mock.patch.object(sets, "enumerate_points", side_effect=AssertionError("tuple frequencies")):
         irregularity(ExplicitSet(_sample(ctx, 2, 30, seed=1)), ctx)
         irregularity(TraceZero(), FieldCtx(3, 2, seed=1))
         assert len(weil_sweep(F, (3,), None).rows) == 168
@@ -879,6 +925,36 @@ def test_parse_set_variants():
         parse_set("full", ctx)
     with pytest.raises(ValueError):
         parse_set("grid:box(1,2)", ctx)
+
+
+def test_points_file_reads_each_line_as_parse_point(tmp_path):
+    # plain and bracketed literals mixed over GF(3^2), with comments, blank
+    # lines, surrounding spaces, negatives and a literal past 2^63
+    ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
+    lines = [
+        "# a comment",
+        "",
+        "  1, 2 ",
+        "-4,[2,1]",
+        "   ",
+        f"{2**64 + 5},  [ 0 , 2 ]",
+        "  # indented comment",
+        "[1,1],-9223372036854775809",
+        "\t8,0\t",
+    ]
+    path = tmp_path / "points.txt"
+    path.write_text("\n".join(lines) + "\n")
+    want = [parse_point(line.strip(), ctx) for line in lines if line.strip() and not line.strip().startswith("#")]
+    assert load_points_file(str(path), ctx).points == tuple(want)
+    assert want[2] == (ctx.from_int(2**64 + 5), ctx.from_coords((0, 2)))
+    # a malformed literal fails with the element parser's own error
+    for bad in ("1, 2x", "1,,2", "[1,2", "[1],3", "(1),2"):
+        path.write_text(f"0,0\n {bad} \n")
+        with pytest.raises(ValueError) as parsed:
+            parse_point(bad, ctx)
+        with pytest.raises(ValueError) as loaded:
+            load_points_file(str(path), ctx)
+        assert (type(loaded.value), str(loaded.value)) == (type(parsed.value), str(parsed.value))
 
 
 def test_points_file_roundtrip(tmp_path):
