@@ -2,21 +2,13 @@
 algorithms in the package, for prime fields and extension fields alike.
 
 Polynomials are plain lists of coefficients, index = degree, with no
-trailing zeros; ``[]`` is the zero polynomial.  The kernels touch a
-coefficient only through ``+``, ``-``, ``*`` on ints and ``% p``, so the
-argument ``p`` decides the field:
-
-* for GF(p), ``p`` is the prime itself and coefficients are residues in
-  [0, p);
-* for GF(p^k), ``p`` is the field's :class:`Packed` reducer and each
-  coefficient is an element packed into one int (Kronecker substitution):
-  coordinate i of the power basis sits in bits [W*i, W*(i+1)).  An integer
-  product of two packed elements is then their polynomial product with
-  signed lanes, and ``x % reducer`` turns any such sum back into a reduced
-  packed element.
-
-Zero packs to 0 and one packs to 1, so ``if c``, ``c == 1`` and trimming
-mean the same on both kinds of field.  Callers pass reduced coefficients.
+trailing zeros; ``[]`` is the zero polynomial.  Coefficients are element
+encodings (``field``), and the list kernels touch them only through the
+scalar operations of the field ``F`` they take (``F.add``, ``F.sub``,
+``F.mul``, ``F.neg``, ``F.pow``, ``F.inv``), so one definition serves every
+field, and a test can pass a field of its own.  Zero encodes as 0 and one
+as 1, so ``if c``, ``c == 1`` and trimming mean the same on every field.
+Callers pass reduced coefficients.
 
 Every polynomial is classified by :func:`gf_spec_types`, a whole block at
 once: distinct-degree splitting by numpy ranks over GF(q), with GF(q)
@@ -25,10 +17,11 @@ prime field is the case k = 1.  Its arrays hold int32 while every sum
 stays below 2^31, int64 within :func:`gf_batch_fits` and Python ints
 (object arrays) past it, as :func:`gf_dtype` chooses, and the algorithm is
 the same on all three; :func:`gf_spec_type` is its one-row reading.  The
-scalar kernels on coefficient lists avoid classes and keep their inner
-loops allocation-light.  The module keeps its historical name because the
-benchmark's traced run wraps ``_gfp.gf_spec_type``.
+module keeps its historical name because the benchmark's traced run wraps
+``_gfp.gf_spec_type``.
 """
+
+from itertools import zip_longest
 
 import numpy as np
 
@@ -50,141 +43,40 @@ _INT32_LIMIT = 1 << 30
 _INT64_LIMIT = 1 << 62
 
 
-class Packed:
-    """Reducer of GF(p^k) whose elements are packed into signed W-bit lanes.
-
-    W = 2*bitlen(p) + bitlen(k) + 41, so one lane holds, with its sign, the
-    sum of up to 2^40 products of packed elements (each lane of one product
-    is a sum of at most k products of reduced coordinates, each below p^2):
-    every kernel sum is far shorter, since no coefficient list that fits in
-    memory has 2^40 terms.  ``x % reducer`` reads the signed lanes of x,
-    reduces each lane mod p, reduces by the field modulus and repacks; it is
-    the only place that reduces by the modulus.
-    """
-
-    __slots__ = ("p", "k", "q", "width", "mask", "half", "tail")
-
-    def __init__(self, p, modulus):
-        k = len(modulus) - 1
-        self.p = p
-        self.k = k
-        self.q = p**k
-        self.width = 2 * p.bit_length() + k.bit_length() + 41
-        self.mask = (1 << self.width) - 1
-        self.half = 1 << (self.width - 1)
-        # x^k = sum tail[j] x^j modulo the monic modulus
-        self.tail = [-c % p for c in modulus[:k]]
-
-    def pack(self, a):
-        """Packed form of an element encoded as c0 + c1*p + ... (base p);
-        ValueError unless 0 <= a < q."""
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} does not encode an element of GF({self.q})")
-        p, width = self.p, self.width
-        x = 0
-        shift = 0
-        while a:
-            a, c = divmod(a, p)
-            x |= c << shift
-            shift += width
-        return x
-
-    def unpack(self, x):
-        """Base-p encoding of a reduced packed element."""
-        p, width, mask = self.p, self.width, self.mask
-        a = 0
-        m = 1
-        while x:
-            a += (x & mask) * m
-            x >>= width
-            m *= p
-        return a
-
-    def __rmod__(self, x):
-        p, k, width, mask, half = self.p, self.k, self.width, self.mask, self.half
-        cs = []
-        while x:
-            v = x & mask
-            x >>= width
-            if v >= half:
-                v -= mask + 1
-                x += 1
-            cs.append(v % p)
-        for i in range(len(cs) - 1, k - 1, -1):
-            c = cs[i] % p
-            if c:
-                off = i - k
-                for j, t in enumerate(self.tail):
-                    cs[off + j] += c * t
-        out = 0
-        for c in reversed(cs[:k]):
-            out = (out << width) | (c % p)
-        return out
-
-
-def gf_pow(a, e, p):
-    """a**e for one coefficient."""
-    if isinstance(p, int):
-        return pow(a, e, p)
-    r = 1
-    for bit in bin(e)[2:]:
-        r = r * r % p
-        if bit == "1":
-            r = r * a % p
-    return r
-
-
-def gf_inv(a, p):
-    """Inverse of one nonzero coefficient, a^(q-2)."""
-    if isinstance(p, int):
-        return pow(a, p - 2, p)
-    return gf_pow(a, p.q - 2, p)
-
-
 def gf_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
 
 
-def gf_add(f, g, p):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return gf_trim(out)
+def gf_add(f, g, F):
+    return gf_trim([F.add(a, b) for a, b in zip_longest(f, g, fillvalue=0)])
 
 
-def gf_sub(f, g, p):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return gf_trim(out)
+def gf_sub(f, g, F):
+    return gf_trim([F.sub(a, b) for a, b in zip_longest(f, g, fillvalue=0)])
 
 
-def gf_mul(f, g, p):
+def gf_mul(f, g, F):
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] += a * b
-    return gf_trim([c % p for c in out])
+                out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return gf_trim(out)
 
 
-def gf_monic(f, p):
+def gf_monic(f, F):
     f = gf_trim(list(f))
     if not f or f[-1] == 1:
         return f
-    inv = gf_inv(f[-1], p)
-    return [c * inv % p for c in f]
+    inv = F.inv(f[-1])
+    return [F.mul(c, inv) for c in f]
 
 
-def gf_divmod(f, g, p):
+def gf_divmod(f, g, F):
     dg = len(g) - 1
     if dg < 0:
         raise ZeroDivisionError("polynomial division by zero")
@@ -192,32 +84,32 @@ def gf_divmod(f, g, p):
     if len(r) - 1 < dg:
         return [], gf_trim(r)
     q = [0] * (len(r) - dg)
-    inv = 1 if g[-1] == 1 else gf_inv(g[-1], p)
+    inv = 1 if g[-1] == 1 else F.inv(g[-1])
     for i in range(len(r) - 1, dg - 1, -1):
         c = r[i]
         if c:
             if inv != 1:
-                c = c * inv % p
+                c = F.mul(c, inv)
             q[i - dg] = c
             for j in range(dg):
-                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+                r[i - dg + j] = F.sub(r[i - dg + j], F.mul(c, g[j]))
             r[i] = 0
     return gf_trim(q), gf_trim(r[:dg])
 
 
-def gf_rem(f, g, p):
-    return gf_divmod(f, g, p)[1]
+def gf_rem(f, g, F):
+    return gf_divmod(f, g, F)[1]
 
 
-def gf_gcd(f, g, p):
+def gf_gcd(f, g, F):
     a, b = list(f), list(g)
     while b:
-        a, b = b, gf_rem(a, b, p)
-    return gf_monic(a, p)
+        a, b = b, gf_rem(a, b, F)
+    return gf_monic(a, F)
 
 
-def gf_diff(f, p):
-    return gf_trim([i * c % p for i, c in enumerate(f)][1:])
+def gf_diff(f, F):
+    return gf_trim([F.mul(i % F.p, c) for i, c in enumerate(f)][1:])
 
 
 # -- batched classification ----------------------------------------------------
@@ -231,7 +123,9 @@ class VecField:
     """GF(q) arithmetic on coordinate arrays, int32, int64 or object, for
     one field; the per-field constants of the batched kernels.
 
-    A product a*b of GF(q) elements is bilinear in their coordinates:
+    Built from ``tail``, the coordinates of x^k mod the modulus
+    (``FieldCtx.tail``; () or (0,) for a prime field, modulus x).  A
+    product a*b of GF(q) elements is bilinear in their coordinates:
     (a*b)_l = sum_ij a_i b_j T[i, j, l], where row T[i, j] holds the
     coordinates of x^(i+j) reduced by the modulus.  ``outer`` forms the
     coordinate products a_i b_j and ``contract`` applies T, so that sums of
@@ -474,7 +368,7 @@ def gf_spec_type(c, field):
     return gf_key_type(int(key), d)
 
 
-def gf_resultant(f, g, p):
+def gf_resultant(f, g, F):
     """res(f, g) by a remainder sequence tracking leading coefficients."""
     a, b = list(f), list(g)
     if not a or not b:
@@ -483,17 +377,17 @@ def gf_resultant(f, g, p):
     while True:
         m, n = len(a) - 1, len(b) - 1
         if n == 0:
-            return acc * gf_pow(b[0], m, p) % p
-        r = gf_rem(a, b, p)
+            return F.mul(acc, F.pow(b[0], m))
+        r = gf_rem(a, b, F)
         if not r:
             return 0
-        acc = acc * gf_pow(b[-1], m - (len(r) - 1), p) % p
+        acc = F.mul(acc, F.pow(b[-1], m - (len(r) - 1)))
         if (m * n) % 2:
-            acc = -acc % p
+            acc = F.neg(acc)
         a, b = b, r
 
 
-def gf_interpolate(xs, ys, p):
+def gf_interpolate(xs, ys, F):
     """Lagrange interpolation through (xs[i], ys[i]); xs distinct."""
     acc = []
     for i, xi in enumerate(xs):
@@ -501,8 +395,8 @@ def gf_interpolate(xs, ys, p):
         den = 1
         for j, xj in enumerate(xs):
             if j != i:
-                num = gf_mul(num, [-xj % p, 1], p)
-                den = den * ((xi - xj) % p) % p
-        scale = ys[i] * gf_inv(den, p) % p
-        acc = gf_add(acc, [c * scale % p for c in num], p)
+                num = gf_mul(num, [F.neg(xj), 1], F)
+                den = F.mul(den, F.sub(xi, xj))
+        scale = F.mul(ys[i], F.inv(den))
+        acc = gf_add(acc, [F.mul(c, scale) for c in num], F)
     return acc

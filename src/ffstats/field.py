@@ -8,21 +8,23 @@ c0 + c1*p + ... + c_{k-1}*p^(k-1), so for k == 1 the encoding is the
 residue itself.  Contexts are immutable after construction and safe to
 share between threads; elements are plain ints.
 
-``ctx.red`` is what the polynomial kernels of :mod:`ffstats._gfp` take as
-their modulus: the prime itself, or for k > 1 the field's packed-integer
-reducer.  ``ctx.pack`` and ``ctx.unpack`` carry one element into and out of
-the kernels' form (the identity on a prime field), and all arithmetic goes
-through ``red``: ``add``, ``sub`` and ``mul`` apply ``+``, ``-`` or ``*`` to
-packed operands and reduce with ``% red``, ``pow`` and ``inv`` are the
-``_gfp`` kernels ``gf_pow`` and ``gf_inv``.
+The scalar operations have one definition for every field: a prime field
+is the case k = 1 with modulus x.  ``ctx.tail`` holds the coordinates of
+x^k mod the modulus; ``add``, ``sub`` and ``neg`` act on coordinates,
+``mul`` is a schoolbook product of coordinates reduced by ``tail`` from the
+top, ``pow`` squares and multiplies and ``inv(a)`` is a^(q-2).  Each reads
+its operands through ``coords``, which refuses on an extension an encoding
+outside [0, q).  The list kernels of :mod:`ffstats._gfp` take the context
+itself and touch coefficients only through these operations.
 
 ``ctx.vec`` is what the batched kernels take instead: a
-:class:`_gfp.VecField` holding the multiplication tensor T[i, j] =
-coords(x^(i+j)), built once per context.  Points reach it as arrays of
-element encodings: ``sets.point_codes`` of a set, or ``ctx.encodings``,
-the one reader of caller-supplied tuples (their arity, range, error and
-dtype), and ``ctx.decode``, the one base-p digit split of an array of
-encodings, turns each block into the coordinate arrays the kernels work on.
+:class:`_gfp.VecField` built from the same ``tail``, holding the
+multiplication tensor T[i, j] = coords(x^(i+j)), built once per context.
+Points reach it as arrays of element encodings: ``sets.point_codes`` of a
+set, or ``ctx.encodings``, the one reader of caller-supplied values (their
+arity, range, error and dtype), and ``ctx.decode``, the one base-p digit
+split of an array of encodings, turns each block into the coordinate arrays
+the kernels work on.
 
 The trace is the F_p-bilinear trace form M_ij = tr(x^(i+j)), derived once per
 context from T: tr(a*b) = coords(a)^T M coords(b) mod p, so tr(a) is
@@ -163,11 +165,13 @@ def cyclotomic_invariants(counts):
 
 def cyclotomic_sums(arr, one, top, p: int):
     """Sums of shifted rows arr against the roots of unity, ``np.add.reduce``
-    in an order fixed by p, and magnitudes sqrt(re^2 + im^2), or exactly the
-    top count for a row on at most one slot (flag ``one``)."""
+    in an order fixed by p, the two products taken in one buffer, and
+    magnitudes sqrt(re^2 + im^2), or exactly the top count for a row on at
+    most one slot (flag ``one``)."""
     cos, sin = _unity_roots(p)
-    re = np.add.reduce(arr * cos, axis=1)
-    im = np.add.reduce(arr * sin, axis=1)
+    buf = np.multiply(arr, cos)
+    re = np.add.reduce(buf, axis=1)
+    im = np.add.reduce(np.multiply(arr, sin, out=buf), axis=1)
     mag = np.sqrt(re * re + im * im)
     mag[one] = top[one]
     return re, im, mag
@@ -195,7 +199,7 @@ def _poly_str(coeffs, var="x"):
 class FieldCtx:
     """Immutable description of GF(p^k); elements are ints in [0, q)."""
 
-    __slots__ = ("p", "k", "q", "modulus", "red", "trace_form", "vec")
+    __slots__ = ("p", "k", "q", "modulus", "tail", "trace_form", "vec")
 
     def __init__(self, p: int, k: int = 1, modulus=None, seed: int = 0):
         if not isinstance(p, int) or not is_prime(p):
@@ -209,7 +213,7 @@ class FieldCtx:
             if modulus is not None:
                 raise DegreeMismatchError("a prime field takes no modulus")
             self.modulus = None
-            self.red = p
+            mod = (0, 1)  # the case k = 1 with modulus x
         else:
             if modulus is None:
                 mod = self._random_irreducible(p, k, seed)
@@ -224,11 +228,12 @@ class FieldCtx:
                         f"{_poly_str(mod)} is reducible over GF({p})"
                     )
             self.modulus = tuple(mod)
-            self.red = _gfp.Packed(p, mod)
+        # x^k = sum tail[j] x^j modulo the monic modulus
+        self.tail = tuple(-c % p for c in mod[:k])
         # The multiplication tensor T[i, j] = coords(x^(i+j)), read-only,
         # built once per context: the batched kernels' arithmetic, and the
         # source of the trace form.
-        self.vec = _gfp.VecField(p, self.red.tail if k > 1 else ())
+        self.vec = _gfp.VecField(p, self.tail)
         # tr(x^m) is the trace of multiplication by x^m, t_m = sum_l T[m, l, l],
         # so M_ij = tr(x^(i+j)) = sum_l T[i, j, l] t_l, taken in Python ints:
         # the products pass int64 for large p.
@@ -254,22 +259,26 @@ class FieldCtx:
     # -- element encoding -------------------------------------------------
 
     def coords(self, a: int):
-        """Coordinate vector of an element in the power basis, length k."""
-        p = self.p
-        out = []
+        """Coordinate vector of an element in the power basis, length k: on
+        a prime field the residue of any integer, on an extension the
+        base-p digits of an encoding, ValueError outside [0, q)."""
+        if self.k > 1 and not 0 <= a < self.q:
+            raise ValueError(f"{a} does not encode an element of GF({self.q})")
+        p, out = self.p, []
         for _ in range(self.k):
             out.append(a % p)
             a //= p
-        return tuple(out)
+        return out
 
     def from_coords(self, cs) -> int:
         if len(cs) != self.k:
             raise DegreeMismatchError(
                 f"expected {self.k} coordinates, got {len(cs)}"
             )
+        p = self.p
         a = 0
-        for c in reversed(list(cs)):
-            a = a * self.p + (c % self.p)
+        for c in reversed(cs):
+            a = a * p + c % p
         return a
 
     def from_int(self, c: int) -> int:
@@ -312,38 +321,49 @@ class FieldCtx:
         integer)."""
         return self.vec.reduce(codes[..., None] // self.p ** np.arange(self.k).astype(codes.dtype))
 
-    # -- arithmetic: the kernels' form, reduced by ``red`` -------------------
-
-    def pack(self, a: int) -> int:
-        """Kernel form of an element: the residue itself on a prime field,
-        the packed int of ``red`` on an extension."""
-        return a if self.k == 1 else self.red.pack(a)
-
-    def unpack(self, x: int) -> int:
-        """Encoding of a reduced element in kernel form."""
-        return x if self.k == 1 else self.red.unpack(x)
+    # -- arithmetic on coordinates ------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return self.unpack((self.pack(a) + self.pack(b)) % self.red)
+        return self.from_coords([x + y for x, y in zip(self.coords(a), self.coords(b))])
 
     def sub(self, a: int, b: int) -> int:
-        return self.unpack((self.pack(a) - self.pack(b)) % self.red)
+        return self.from_coords([x - y for x, y in zip(self.coords(a), self.coords(b))])
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        return self.from_coords([-x for x in self.coords(a)])
 
     def mul(self, a: int, b: int) -> int:
-        return self.unpack(self.pack(a) * self.pack(b) % self.red)
+        """The schoolbook product of the coordinates, its terms of degree
+        >= k reduced by ``tail`` from the top."""
+        k, p, tail = self.k, self.p, self.tail
+        y = self.coords(b)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(self.coords(a)):
+            if x:
+                for j, c in enumerate(y, i):
+                    prod[j] += x * c
+        for top in range(k - 2, -1, -1):  # x^(k+top) = x^top tail
+            c = prod.pop() % p
+            if c:
+                for j, t in enumerate(tail, top):
+                    prod[j] += c * t
+        return self.from_coords(prod)
 
     def pow(self, a: int, e: int) -> int:
+        """a**e by square and multiply from a itself; one for e = 0."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        return self.unpack(_gfp.gf_pow(self.pack(a), e, self.red))
+        r = a = self.from_coords(self.coords(a))
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r if e else 1
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if not any(self.coords(a)):
             raise ZeroDivisionError("inverse of zero field element")
-        return self.unpack(_gfp.gf_inv(self.pack(a), self.red))
+        return self.pow(a, self.q - 2)
 
     # -- trace and character ------------------------------------------------
 

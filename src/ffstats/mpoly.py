@@ -14,8 +14,10 @@ printer emits a canonical form (descending t-degree, then descending
 parameter exponents) that parses back to the same polynomial.
 
 Specialization has one path, ``MultiPoly.specialize_block`` over
-``ctx.vec``; ``specialize_dense`` and ``specialize`` are its one-row
-reading of a point read by ``ctx.encodings``.
+``ctx.vec``; ``specialize_dense`` (coefficient encodings) and ``specialize``
+(a ``UniPoly`` of them) are its one-row reading of a point read by
+``ctx.encodings``, which also reads the coefficients a ``MultiPoly`` is
+given.
 """
 
 from __future__ import annotations
@@ -156,19 +158,20 @@ class MultiPoly:
     def __init__(self, ctx: FieldCtx, n: int, terms):
         if n < 0:
             raise ValueError("parameter count must be >= 0")
-        clean = {}
-        for e, c in terms.items():
+        for e in terms:
             if len(e) != n + 1:
                 raise ArityMismatchError(
                     f"exponent vector {e} should have length {n + 1}"
                 )
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            if c:
-                clean[tuple(e)] = c
+        # the coefficients are read by ctx.encodings, whose error is raised
+        codes, error = ctx.encodings([list(terms.values())], len(terms))
+        if error:
+            raise error
         self.ctx = ctx
         self.n = n
-        self.terms = clean
+        self.terms = {tuple(e): c for e, c in zip(terms, codes[0].tolist()) if c}
         self._spec = None
 
     # -- constructors ---------------------------------------------------------
@@ -263,17 +266,16 @@ class MultiPoly:
         return self._spec
 
     def specialize_dense(self, point):
-        """Coefficient list of F(t, point), trimmed and in the kernels' form
-        (``ctx.pack`` of each coefficient): the one-row reading of
-        ``specialize_block``, the point read by ``ctx.encodings``, whose
-        error it raises for a point that names no element of GF(q)^n."""
+        """Coefficient encodings of F(t, point), trimmed: the one-row
+        reading of ``specialize_block``, the point read by ``ctx.encodings``,
+        whose error it raises for a point that names no element of GF(q)^n."""
         ctx = self.ctx
         codes, error = ctx.encodings([point], self.n)
         if error:
             raise error
         block = codes.astype(_gfp.gf_dtype(self.deg_t, ctx.k, ctx.p))
         coeffs = self.specialize_block(ctx.decode(block))[0].tolist()
-        return _gfp.gf_trim([ctx.pack(ctx.from_coords(c)) for c in coeffs])
+        return _gfp.gf_trim([ctx.from_coords(c) for c in coeffs])
 
     def specialize_block(self, points):
         """F(t, a) for a block of points: points is an (N, n, k) array of
@@ -297,8 +299,7 @@ class MultiPoly:
 
     def specialize(self, point) -> UniPoly:
         """Substitute A_i := point[i]; the degree may drop below deg_t."""
-        coeffs = self.specialize_dense(point)
-        return UniPoly.make(self.ctx, [self.ctx.unpack(c) for c in coeffs])
+        return UniPoly(self.ctx, tuple(self.specialize_dense(point)))
 
     # -- printing ---------------------------------------------------------------
 

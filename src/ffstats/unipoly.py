@@ -9,9 +9,9 @@ criterion (simple critical points with pairwise distinct critical values).
 Only the *degrees* of the irreducible factors are ever computed, by the
 batched classifier of :mod:`ffstats._gfp` on a block of one polynomial
 (``ctx.decode`` carries the coefficients into its coordinate arrays).
-Every other operation runs on the scalar kernels of :mod:`ffstats._gfp`,
-for every field: ``ctx.pack`` and ``ctx.unpack`` carry each coefficient
-across that boundary.
+Every other operation runs on the list kernels of :mod:`ffstats._gfp`,
+for every field: they take the coefficient encodings as they are, and the
+context, whose scalar operations they call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,14 @@ class UniPoly:
 
     @classmethod
     def make(cls, ctx, elems):
-        return cls(ctx, tuple(_gfp.gf_trim(list(elems))))
+        """Coefficients read by ``ctx.encodings``, whose error it raises:
+        any integers mod p on a prime field, encodings in [0, q) on an
+        extension; trailing zeros dropped."""
+        elems = list(elems)
+        codes, error = ctx.encodings([elems], len(elems))
+        if error:
+            raise error
+        return cls(ctx, tuple(_gfp.gf_trim(codes[0].tolist())))
 
     @classmethod
     def from_ints(cls, ctx, ints):
@@ -79,33 +86,27 @@ class UniPoly:
         if self.ctx != other.ctx:
             raise ValueError("polynomials over different field contexts")
 
-    def _packed(self):
-        return [self.ctx.pack(c) for c in self.coeffs]
-
     def _kernel(self, fn, *others):
-        """The ``_gfp`` kernel fn on self and others, as kernel lists."""
+        """The ``_gfp`` kernel fn on the coefficient lists of self and others."""
         for g in others:
             self._same_field(g)
-        return fn(self._packed(), *[g._packed() for g in others], self.ctx.red)
-
-    def _from_kernel(self, cs):
-        return UniPoly.make(self.ctx, [self.ctx.unpack(c) for c in cs])
+        return fn(list(self.coeffs), *[list(g.coeffs) for g in others], self.ctx)
 
     def __add__(self, other):
-        return self._from_kernel(self._kernel(_gfp.gf_add, other))
+        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_add, other)))
 
     def __sub__(self, other):
-        return self._from_kernel(self._kernel(_gfp.gf_sub, other))
+        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_sub, other)))
 
     def __neg__(self):
-        return UniPoly.make(self.ctx, [self.ctx.neg(c) for c in self.coeffs])
+        return UniPoly(self.ctx, tuple(self.ctx.neg(c) for c in self.coeffs))
 
     def __mul__(self, other):
-        return self._from_kernel(self._kernel(_gfp.gf_mul, other))
+        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_mul, other)))
 
     def __divmod__(self, other):
         q, r = self._kernel(_gfp.gf_divmod, other)
-        return self._from_kernel(q), self._from_kernel(r)
+        return UniPoly(self.ctx, tuple(q)), UniPoly(self.ctx, tuple(r))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -114,21 +115,17 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def monic(self) -> "UniPoly":
-        if self.is_zero or self.lc == 1:
-            return self
-        return self._from_kernel(self._kernel(_gfp.gf_monic))
+        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_monic)))
 
     def derivative(self) -> "UniPoly":
-        return self._from_kernel(self._kernel(_gfp.gf_diff))
+        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_diff)))
 
     def evaluate(self, a: int) -> int:
         ctx = self.ctx
-        red = ctx.red
-        x = ctx.pack(a)
         y = 0
-        for c in reversed(self._packed()):
-            y = (y * x + c) % red
-        return ctx.unpack(y)
+        for c in reversed(self.coeffs):
+            y = ctx.add(ctx.mul(y, a), c)
+        return y
 
     def __str__(self):
         ctx = self.ctx
@@ -157,17 +154,16 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor via the Euclidean algorithm."""
     if f.is_zero and g.is_zero:
         raise ZeroPolynomialError("gcd(0, 0) is undefined")
-    return f._from_kernel(f._kernel(_gfp.gf_gcd, g))
+    return UniPoly(f.ctx, tuple(f._kernel(_gfp.gf_gcd, g)))
 
 
 def is_squarefree(f: UniPoly) -> bool:
     """True iff gcd(f, f') = 1; false in particular whenever f' = 0."""
     if f.degree < 1:
         raise ZeroPolynomialError("squarefreeness needs degree >= 1")
-    red = f.ctx.red
-    fc = f._packed()
-    fp = _gfp.gf_diff(fc, red)
-    return bool(fp) and len(_gfp.gf_gcd(fc, fp, red)) == 1
+    ctx, fc = f.ctx, list(f.coeffs)
+    fp = _gfp.gf_diff(fc, ctx)
+    return bool(fp) and len(_gfp.gf_gcd(fc, fp, ctx)) == 1
 
 
 def _spec_type(f: UniPoly):
@@ -198,12 +194,11 @@ def discriminant(f: UniPoly) -> int:
     d = f.degree
     if d < 1:
         raise ZeroPolynomialError("discriminant needs degree >= 1")
-    red = f.ctx.red
-    fc = f._packed()
-    res = _gfp.gf_resultant(fc, _gfp.gf_diff(fc, red), red)
+    ctx, fc = f.ctx, list(f.coeffs)
+    res = _gfp.gf_resultant(fc, _gfp.gf_diff(fc, ctx), ctx)
     if (d * (d - 1) // 2) % 2:
-        res = -res % red
-    return f.ctx.unpack(res * _gfp.gf_inv(fc[-1], red) % red)
+        res = ctx.neg(res)
+    return ctx.mul(res, ctx.inv(fc[-1]))
 
 
 def is_morse(f: UniPoly) -> bool:
@@ -223,18 +218,17 @@ def is_morse(f: UniPoly) -> bool:
         raise MorsePreconditionError(
             f"Morse test needs p > deg f, got p={ctx.p}, deg={d}"
         )
-    red = ctx.red
-    fc = f._packed()
+    fc = list(f.coeffs)
     # p > d keeps deg f' = d - 1 >= 1 and f'' nonzero
-    fp = _gfp.gf_diff(fc, red)
-    if len(_gfp.gf_gcd(fp, _gfp.gf_diff(fp, red), red)) != 1:
+    fp = _gfp.gf_diff(fc, ctx)
+    if len(_gfp.gf_gcd(fp, _gfp.gf_diff(fp, ctx), ctx)) != 1:
         return False
-    # c(X) has degree deg(f') = d - 1; interpolate from d evaluations.  The
-    # points 0..d-1 lie in the prime subfield, where packing changes nothing.
+    # c(X) has degree deg(f') = d - 1; interpolate from d evaluations at the
+    # points 0..d-1 of the prime subfield, each encoded as itself
     xs = list(range(d))
-    ys = [_gfp.gf_resultant(fp, _gfp.gf_sub([x0], fc, red), red) for x0 in xs]
-    c = _gfp.gf_interpolate(xs, ys, red)
-    cp = _gfp.gf_diff(c, red)
+    ys = [_gfp.gf_resultant(fp, _gfp.gf_sub([x0], fc, ctx), ctx) for x0 in xs]
+    c = _gfp.gf_interpolate(xs, ys, ctx)
+    cp = _gfp.gf_diff(c, ctx)
     if not cp:
         return len(c) - 1 == 0
-    return len(_gfp.gf_gcd(c, cp, red)) == 1
+    return len(_gfp.gf_gcd(c, cp, ctx)) == 1

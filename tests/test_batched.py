@@ -378,7 +378,7 @@ def test_one_row_reading_matches_the_scalar_splitting(ctx, data):
     coeffs = data.draw(st.lists(element, min_size=d, max_size=d), label="tail")
     coeffs.append(data.draw(st.integers(1, ctx.q - 1), label="lead"))
     got = _gfp.gf_spec_type(ctx.decode(np.array(coeffs, object)), ctx.vec)
-    assert got == spec_type([ctx.pack(c) for c in coeffs], ctx.red, ctx.q)
+    assert got == spec_type(coeffs, ctx)
 
 
 EDGE = FieldCtx(1073741789, 2, seed=1)  # the largest prime below 2^30: 4 p^2 < 2^62
@@ -538,7 +538,7 @@ def _keys_on_every_rung(rows, ctx):
 def _scalar_key(row, ctx):
     if row[-1] == 0:
         return -2
-    return _gfp.gf_type_key(spec_type([ctx.pack(c) for c in row], ctx.red, ctx.q), len(row) - 1)
+    return _gfp.gf_type_key(spec_type(row, ctx), len(row) - 1)
 
 
 @settings(max_examples=120, deadline=None)

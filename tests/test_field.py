@@ -153,6 +153,28 @@ def test_inv_zero_raises():
         FieldCtx(3, 2, modulus=[1, 0, 1]).inv(0)
 
 
+def test_scalar_operations_read_each_operand_through_coords():
+    # on GF(7) every integer names its residue: 7 and -14 name zero
+    ctx = FieldCtx(7)
+    for zero in (0, 7, -14):
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(zero)
+    assert ctx.mul(100, 3) == 6
+    assert (ctx.add(100, 3), ctx.sub(3, 100), ctx.neg(100), ctx.pow(100, 3), ctx.inv(100)) == (5, 1, 5, 1, 4)
+    # on GF(9) only an encoding in [0, 9) names an element
+    gf9 = FieldCtx(3, 2, modulus=[1, 0, 1])
+    for bad in (9, -1, 100):
+        ops = [
+            lambda: gf9.pow(bad, 0), lambda: gf9.pow(bad, 2), lambda: gf9.mul(bad, 1),
+            lambda: gf9.mul(1, bad), lambda: gf9.add(bad, 0), lambda: gf9.add(0, bad),
+            lambda: gf9.sub(bad, 0), lambda: gf9.sub(0, bad), lambda: gf9.neg(bad),
+            lambda: gf9.inv(bad),
+        ]
+        for op in ops:
+            with pytest.raises(ValueError, match=rf"{bad} does not encode an element of GF\(9\)"):
+                op()
+
+
 def test_coords_roundtrip():
     ctx = FieldCtx(3, 3, seed=2)
     for a in ctx.elements():
@@ -190,8 +212,8 @@ def test_trace_form_matches_frobenius_sum(p, k):
 
 @pytest.mark.parametrize("p,k", [(5, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8)])
 def test_multiplication_tensor_matches_mul(p, k):
-    # the batched kernels multiply through T[i, j] = coords(x^i * x^j); mul
-    # through the packed reducer is the oracle, also on whole coordinate blocks
+    # the batched kernels multiply through T[i, j] = coords(x^i * x^j); the
+    # scalar mul on coordinates is the oracle, also on whole coordinate blocks
     ctx = FieldCtx(p, k, seed=0)
     vec = ctx.vec
     basis = [ctx.from_coords(tuple(int(i == j) for j in range(k))) for i in range(k)]
@@ -300,7 +322,7 @@ def test_cyclotomic_value_matches_magnitude():
     assert abs(abs(complex(re[0], im[0])) - cyclotomic_magnitude(counts, 7)) < 1e-12
 
 
-# -- packed elements against a schoolbook oracle ----------------------------------
+# -- encodings against a schoolbook oracle ----------------------------------------
 
 SMALL_EXTENSIONS = [FieldCtx(p, k, seed=3) for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3))]
 LARGE_EXTENSIONS = [FieldCtx(p, k, seed=3) for p, k in ((3, 5), (7, 3), (65537, 2), (100003, 2))]
@@ -335,9 +357,10 @@ def _coords(ctx):
 
 @pytest.mark.parametrize("ctx", SMALL_EXTENSIONS, ids=repr)
 def test_packed_roundtrip_every_element(ctx):
-    red = ctx.red
+    # an encoding packs the coordinates as base-p digits, lowest first
     for a in ctx.elements():
-        assert red.unpack(red.pack(a)) == a
+        assert tuple(ctx.coords(a)) == _decode(a, ctx.p, ctx.k)
+        assert ctx.from_coords(ctx.coords(a)) == a
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,19 +375,22 @@ def test_mul_matches_schoolbook_oracle(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_packed_signed_sum_reduces_once(data):
-    # negative lanes and borrows between lanes, one reduction at the end
+    # add and sub act on each coordinate mod p, with no borrow between digits
+    # of the encoding: a signed sum of products in the field equals the
+    # oracle's integer sums of coordinates, reduced once at the end
     ctx = data.draw(st.sampled_from(SMALL_EXTENSIONS + LARGE_EXTENSIONS), label="field")
-    p, k, red = ctx.p, ctx.k, ctx.red
+    p, k = ctx.p, ctx.k
     terms = data.draw(
         st.lists(st.tuples(st.sampled_from((1, -1)), _coords(ctx), _coords(ctx)), min_size=1, max_size=200)
     )
     total = 0
     expect = [0] * k
     for sign, a, b in terms:
-        total += sign * red.pack(_encode(a, p)) * red.pack(_encode(b, p))
+        prod = ctx.mul(_encode(a, p), _encode(b, p))
+        total = ctx.add(total, prod) if sign == 1 else ctx.sub(total, prod)
         for i, c in enumerate(_schoolbook_mul(a, b, ctx.modulus, p)):
             expect[i] += sign * c
-    assert _decode(red.unpack(total % red), p, k) == tuple(c % p for c in expect)
+    assert _decode(total, p, k) == tuple(c % p for c in expect)
 
 
 # -- every operation against the oracle, prime fields included ---------------------
@@ -436,4 +462,4 @@ def test_specialize_dense_matches_termwise_oracle(data):
         expect.pop()
     F = MultiPoly(ctx, n, {e: _encode(c, p) for e, c in terms.items()})
     got = F.specialize_dense([_encode(a, p) for a in point])
-    assert [_decode(ctx.unpack(c), p, k) for c in got] == expect
+    assert [_decode(c, p, k) for c in got] == expect

@@ -132,7 +132,7 @@ CLI_RUNS = [
     (("demo", "morse", "--p", "31", "--shifts", "0,1"), "d537ddefa44e96da2dee41a614b74a89a6048d0a2cd8e8bc625c90658a5356b2"),
     (("demo", "artin-schreier", "--p", "3", "--k", "2"), "86a58f77059e7c818cbf73afd332e4c0f79461e5475c90c814e24cf92ba4ec46"),
     (("dist", "--p", "2", "--k", "3", "--poly", CUBIC, "--set", "full"), "a010f4321f681f855d84fce9e03175b4285ee041021183cb68a08b9c58afbbc4"),
-    # parameter powers above 1 run gf_pow inside the specialization loop
+    # parameter powers above 1 run VecField.pow inside the specialization loop
     (
         ("factor-type", "--p", "3", "--k", "2", "--poly", "t^2 + A1^3*t + A2^2",
          "--point", "[1,2],[2,2]"),

@@ -415,6 +415,25 @@ def test_admissibility_reports():
     assert repconst.deg_t < 1 and not repconst.classifiable
 
 
+def test_an_unreduced_prime_field_coefficient_names_its_residue():
+    # 7 names zero in GF(7): the term 7*t^2 is no term at all
+    ctx = FieldCtx(7)
+    F = MultiPoly(ctx, 1, {(2, 0): 7, (1, 0): 1, (0, 1): 1})
+    assert F == parse("t + A1", 1, ctx)
+    assert (F.deg_t, str(F)) == (1, "t + A1")
+    assert classify_specialization(F, (3,)) == classify_specialization(parse("t + A1", 1, ctx), (3,))
+    assert admissibility(F).admissible
+    G = MultiPoly(ctx, 1, {(1, 0): -6, (0, 1): 15})
+    assert G.terms == {(1, 0): 1, (0, 1): 1}
+
+
+def test_an_extension_coefficient_outside_the_field_is_refused():
+    ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
+    for bad in (9, 100, -1):
+        with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+            MultiPoly(ctx, 1, {(1, 0): bad, (0, 1): 1})
+
+
 def test_require_classifiable():
     require_classifiable(parse("t^3 - t - A1", 1, FieldCtx(3)))  # p = d is fine
     with pytest.raises(NotAdmissibleError):

@@ -117,8 +117,12 @@ def oracle_type(ctx, f, irr):
     return tuple(sorted(parts, reverse=True))
 
 
-def sylvester_resultant(p, f, g):
-    """det of the Sylvester matrix over GF(p) by Gaussian elimination."""
+def oderiv(ctx, f):
+    return otrim([ctx.mul(ctx.from_int(i), c) for i, c in enumerate(f)][1:])
+
+
+def sylvester_resultant(ctx, f, g):
+    """det of the Sylvester matrix over ctx by Gaussian elimination."""
     m, n = len(f) - 1, len(g) - 1
     if m < 0 or n < 0:
         return 0
@@ -143,17 +147,17 @@ def sylvester_resultant(p, f, g):
             return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det % p
-        det = det * rows[col][col] % p
-        inv = pow(rows[col][col], p - 2, p)
+            det = ctx.neg(det)
+        det = ctx.mul(det, rows[col][col])
+        inv = ctx.inv(rows[col][col])
         for r in range(col + 1, size):
             if rows[r][col]:
-                factor = rows[r][col] * inv % p
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[col])]
+                factor = ctx.mul(rows[r][col], inv)
+                rows[r] = [ctx.sub(a, ctx.mul(factor, b)) for a, b in zip(rows[r], rows[col])]
     return det
 
 
-def olagrange(p, xs, ys):
+def olagrange(ctx, xs, ys):
     acc = [0]
     for i, xi in enumerate(xs):
         num = [1]
@@ -162,23 +166,40 @@ def olagrange(p, xs, ys):
             if j != i:
                 num = otrim(
                     [
-                        ((num[k - 1] if k else 0) - xj * (num[k] if k < len(num) else 0))
-                        % p
+                        ctx.sub(num[k - 1] if k else 0, ctx.mul(xj, num[k] if k < len(num) else 0))
                         for k in range(len(num) + 1)
                     ]
                 )
-                den = den * (xi - xj) % p
-        scale = ys[i] * pow(den, p - 2, p) % p
-        term = [c * scale % p for c in num]
-        acc = otrim(
-            [(a + b) % p for a, b in itertools.zip_longest(acc, term, fillvalue=0)]
-        )
+                den = ctx.mul(den, ctx.sub(xi, xj))
+        scale = ctx.mul(ys[i], ctx.inv(den))
+        term = [ctx.mul(c, scale) for c in num]
+        acc = otrim([ctx.add(a, b) for a, b in itertools.zip_longest(acc, term, fillvalue=0)])
     return acc
 
 
 # ---------------------------------------------------------------------------
 # gcd / squarefree / discriminant
 # ---------------------------------------------------------------------------
+
+
+def test_make_reduces_prime_field_coefficients_before_trimming():
+    ctx = FieldCtx(7)
+    f = UniPoly.make(ctx, [1, 7])  # 7 names zero: the constant 1
+    assert (f.degree, f.coeffs) == (0, (1,))
+    assert UniPoly.make(ctx, [-1, 15, -14]).coeffs == (6, 1)
+
+
+def test_monic_of_a_made_polynomial_with_a_multiple_of_p():
+    ctx = FieldCtx(7)
+    assert UniPoly.make(ctx, [1, 7]).monic() == UniPoly.one(ctx)
+    assert UniPoly.make(ctx, [3, 9]).monic().coeffs == (5, 1)
+
+
+def test_make_refuses_an_extension_coefficient_outside_the_field():
+    ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
+    for bad in (9, 100, -1):
+        with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+            UniPoly.make(ctx, [1, bad])
 
 
 def test_gcd_with_zero_is_monic():
@@ -260,16 +281,14 @@ def test_discriminant_quadratic_and_cubic_formulas():
 
 def test_discriminant_matches_sylvester_oracle():
     rng = random.Random(8)
-    for p in (5, 13):
-        ctx = FieldCtx(p)
+    for ctx in (FieldCtx(5), FieldCtx(13), FieldCtx(2, 3), FieldCtx(3, 2), FieldCtx(5, 2)):
         for _ in range(60):
             d = rng.randrange(2, 6)
-            coeffs = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
-            f = UniPoly.from_ints(ctx, coeffs)
-            fp = [(i * c) % p for i, c in enumerate(coeffs)][1:]
-            res = sylvester_resultant(p, coeffs, otrim(fp))
-            want = res if (d * (d - 1) // 2) % 2 == 0 else -res % p
-            want = want * pow(coeffs[-1], p - 2, p) % p
+            coeffs = [rng.randrange(ctx.q) for _ in range(d)] + [rng.randrange(1, ctx.q)]
+            f = UniPoly.make(ctx, coeffs)
+            res = sylvester_resultant(ctx, coeffs, oderiv(ctx, coeffs))
+            want = res if (d * (d - 1) // 2) % 2 == 0 else ctx.neg(res)
+            want = ctx.mul(want, ctx.inv(coeffs[-1]))
             assert discriminant(f) == want
 
 
@@ -405,34 +424,35 @@ def test_is_morse_precondition():
         is_morse(UniPoly.from_ints(FieldCtx(7), [1, 1]))
 
 
-def oracle_morse(p, coeffs):
+def oracle_morse(ctx, coeffs):
     d = len(coeffs) - 1
-    fp = otrim([(i * c) % p for i, c in enumerate(coeffs)][1:])
-    fpp = otrim([(i * c) % p for i, c in enumerate(fp)][1:])
-    if len(ogcd(FieldCtx(p), fp, fpp)) != 1:
+    fp = oderiv(ctx, coeffs)
+    fpp = oderiv(ctx, fp)
+    if len(ogcd(ctx, fp, fpp)) != 1:
         return False
     xs = list(range(d))
-    ys = [sylvester_resultant(p, fp, otrim([(x0 - coeffs[0]) % p] + [(-c) % p for c in coeffs[1:]])) for x0 in xs]
-    c = olagrange(p, xs, ys)
-    cp = otrim([(i * cc) % p for i, cc in enumerate(c)][1:])
+    ys = [sylvester_resultant(ctx, fp, otrim([ctx.sub(x0, coeffs[0])] + [ctx.neg(c) for c in coeffs[1:]])) for x0 in xs]
+    c = olagrange(ctx, xs, ys)
+    cp = oderiv(ctx, c)
     if not cp:
         return len(c) - 1 == 0
-    return len(ogcd(FieldCtx(p), c, cp)) == 1
+    return len(ogcd(ctx, c, cp)) == 1
 
 
 def test_is_morse_against_oracle():
     rng = random.Random(21)
-    for p in (7, 11, 13):
-        ctx = FieldCtx(p)
+    # p > d: GF(2^3) has no degree to test, and GF(3^2) only d = 2
+    for ctx in (FieldCtx(7), FieldCtx(11), FieldCtx(13), FieldCtx(3, 2), FieldCtx(5, 2)):
         seen_true = seen_false = 0
         for _ in range(80):
-            d = rng.randrange(2, 5)
-            coeffs = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+            d = rng.randrange(2, min(5, ctx.p))
+            coeffs = [rng.randrange(ctx.q) for _ in range(d)] + [rng.randrange(1, ctx.q)]
             got = is_morse(UniPoly.make(ctx, coeffs))
-            assert got == oracle_morse(p, coeffs), coeffs
+            assert got == oracle_morse(ctx, coeffs), coeffs
             seen_true += got
             seen_false += not got
-        assert seen_true and seen_false  # both branches exercised
+        # both branches exercised; every quadratic is Morse, so GF(3^2) has no False
+        assert seen_true and (seen_false or ctx.p == 3)
 
 
 # ---------------------------------------------------------------------------
