@@ -21,8 +21,9 @@ itself and touch coefficients only through these operations.
 :class:`_gfp.VecField` built from the same ``tail``, holding the
 multiplication tensor T[i, j] = coords(x^(i+j)), built once per context.
 Points reach it as arrays of element encodings: ``sets.point_codes`` of a
-set, or ``ctx.encodings``, the one reader of caller-supplied values (their
-arity, range, error and dtype), and ``ctx.decode``, the one base-p digit
+set, or ``ctx.encodings``, the one reader of caller-supplied points (their
+arity, range, error and dtype; ``ctx.coefficients`` reads coefficients
+through it, one value a row), and ``ctx.decode``, the one base-p digit
 split of an array of encodings, turns each block into the coordinate arrays
 the kernels work on.
 
@@ -182,18 +183,29 @@ def cyclotomic_magnitude(counts, p: int) -> float:
     return float(cyclotomic_rows(np.asarray(counts, dtype=np.int64).reshape(1, -1), p)[2][0])
 
 
-def _poly_str(coeffs, var="x"):
+def _poly_str(coeffs, var="x", write=str):
+    """The one univariate printer: descending terms, each coefficient c
+    written by write(c), a unit coefficient left out before its monomial."""
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
         if not c:
             continue
         if i == 0:
-            parts.append(str(c))
+            parts.append(write(c))
         else:
             mono = var if i == 1 else f"{var}^{i}"
-            parts.append(mono if c == 1 else f"{c}*{mono}")
+            parts.append(mono if c == 1 else f"{write(c)}*{mono}")
     return " + ".join(parts) if parts else "0"
+
+
+def _irreducible(p, block):
+    """Which of a block of monic degree-k polynomials over GF(p), as
+    ascending coefficient lists below p, are irreducible: one
+    ``_gfp.gf_spec_types`` call, the key of (k,) marking each."""
+    k = len(block[0]) - 1
+    cands = np.array(block, _gfp.gf_dtype(k, 1, p))[..., None]
+    return _gfp.gf_spec_types(cands, _gfp.VecField(p, ())) == _gfp.gf_type_key((k,), k)
 
 
 class FieldCtx:
@@ -223,7 +235,7 @@ class FieldCtx:
                     raise DegreeMismatchError(
                         f"modulus must be monic of degree {k}, got {_poly_str(mod)}"
                     )
-                if _gfp.gf_spec_type(np.array(mod, object)[:, None], _gfp.VecField(p, ())) != (k,):
+                if not _irreducible(p, [mod])[0]:
                     raise ReducibleModulusError(
                         f"{_poly_str(mod)} is reducible over GF({p})"
                     )
@@ -248,11 +260,9 @@ class FieldCtx:
         # so blocks of 2k candidates are classified at once, drawn in order,
         # and the first irreducible one is taken.
         rng = random.Random(seed)
-        prime, irreducible = _gfp.VecField(p, ()), _gfp.gf_type_key((k,), k)
         while True:
             block = [[rng.randrange(p) for _ in range(k)] + [1] for _ in range(2 * k)]
-            cands = np.array(block, _gfp.gf_dtype(k, 1, p))[..., None]
-            found = np.flatnonzero(_gfp.gf_spec_types(cands, prime) == irreducible)
+            found = np.flatnonzero(_irreducible(p, block))
             if len(found):
                 return block[found[0]]
 
@@ -313,6 +323,21 @@ class FieldCtx:
         if len(bad) != n:
             return codes, ArityMismatchError(f"point {bad} should have {n} coordinates")
         return codes, ValueError(f"point {bad} has a coordinate outside [0, {q})")
+
+    def coefficients(self, values):
+        """The one reader of caller-supplied coefficients: their encodings as
+        a list, one value a row of ``encodings``, or ValueError naming the
+        first value that names no element of GF(q)."""
+        values = list(values)
+        codes, error = self.encodings([[c] for c in values], 1)
+        if error:
+            raise ValueError(f"coefficient {values[len(codes)]} is outside [0, {self.q})")
+        return codes[:, 0].tolist()
+
+    def element_str(self, a: int) -> str:
+        """The text of an element: its residue on a prime field, its
+        coordinates [c0,c1,...] on an extension."""
+        return str(a) if self.k == 1 else "[" + ",".join(map(str, self.coords(a))) + "]"
 
     def decode(self, codes):
         """Power-basis coordinates of an array of encodings, int64 or object,

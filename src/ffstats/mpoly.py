@@ -16,8 +16,8 @@ parameter exponents) that parses back to the same polynomial.
 Specialization has one path, ``MultiPoly.specialize_block`` over
 ``ctx.vec``; ``specialize_dense`` (coefficient encodings) and ``specialize``
 (a ``UniPoly`` of them) are its one-row reading of a point read by
-``ctx.encodings``, which also reads the coefficients a ``MultiPoly`` is
-given.
+``ctx.encodings``; ``ctx.coefficients`` reads the coefficients a
+``MultiPoly`` is given.
 """
 
 from __future__ import annotations
@@ -165,13 +165,10 @@ class MultiPoly:
                 )
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-        # the coefficients are read by ctx.encodings, whose error is raised
-        codes, error = ctx.encodings([list(terms.values())], len(terms))
-        if error:
-            raise error
+        codes = ctx.coefficients(terms.values())
         self.ctx = ctx
         self.n = n
-        self.terms = {tuple(e): c for e, c in zip(terms, codes[0].tolist()) if c}
+        self.terms = {tuple(e): c for e, c in zip(terms, codes) if c}
         self._spec = None
 
     # -- constructors ---------------------------------------------------------
@@ -237,11 +234,6 @@ class MultiPoly:
     def __mul__(self, other):
         self._compatible(other)
         return MultiPoly(self.ctx, self.n, _tmul(self.ctx, self.terms, other.terms))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        return MultiPoly(self.ctx, self.n, _tpow(self.ctx, self.terms, e, self.n))
 
     def __eq__(self, other):
         return (
@@ -309,10 +301,9 @@ class MultiPoly:
             if c <= ctx.p // 2:
                 return "+", str(c), c == 1
             return "-", str(ctx.p - c), ctx.p - c == 1
-        cs = ctx.coords(c)
-        if not any(cs[1:]):
-            return "+", str(cs[0]), cs[0] == 1
-        return "+", "[" + ",".join(map(str, cs)) + "]", False
+        if c < ctx.p:  # the prime subfield
+            return "+", str(c), c == 1
+        return "+", ctx.element_str(c), False
 
     def __str__(self):
         if not self.terms:
@@ -525,6 +516,12 @@ _SPEC_BLOCK = 1 << 13
 _SPEC_MIN = 32
 
 
+def _spec_block(d, ctx):
+    """The dtype of a ``spec_keys`` block for deg_t = d >= 1, and its points."""
+    dtype = _gfp.gf_dtype(d, ctx.k, ctx.p)
+    return dtype, max(_SPEC_MIN, _SPEC_BLOCK * 8 // np.dtype(dtype).itemsize // (d * d * ctx.k * ctx.k))
+
+
 def spec_keys(F: MultiPoly, codes):
     """Yield, block by block, the keys (``type_key``, read by ``key_outcome``;
     int64 while deg_t <= 27, else Python ints) of F(t, a) for the rows a of
@@ -539,8 +536,7 @@ def spec_keys(F: MultiPoly, codes):
     d, ctx = F.deg_t, F.ctx
     if d < 1:
         raise NotAdmissibleError("polynomial has no t term to factor")
-    dtype = _gfp.gf_dtype(d, ctx.k, ctx.p)
-    size = max(_SPEC_MIN, _SPEC_BLOCK * 8 // np.dtype(dtype).itemsize // (d * d * ctx.k * ctx.k))
+    dtype, size = _spec_block(d, ctx)
     for lo in range(0, len(codes), size):
         block = codes[lo : lo + size].astype(dtype, copy=False)
         yield _gfp.gf_spec_types(F.specialize_block(ctx.decode(block)), ctx.vec)
@@ -584,12 +580,20 @@ def classify_points(F: MultiPoly, points):
         raise error
 
 
-def require_dense_budget(F: MultiPoly, budget: int) -> None:
-    """Raise BudgetExceededError unless one specialization of F, a list of
-    deg_t + 1 coefficients, fits the budget; call it before specializing."""
-    if F.deg_t + 1 > budget:
+def require_dense_budget(F: MultiPoly, budget: int, points: int = 1) -> None:
+    """Raise BudgetExceededError unless classifying F at that many points
+    fits the budget: one ``spec_keys`` block of min(points, block size)
+    points stacks (1 + deg_t // 2) deg_t x deg_t matrices over GF(p^k) a
+    point, whose elimination holds deg_t^2 k^2 products a matrix.  Call it
+    before admissibility and specialization."""
+    d, k = F.deg_t, F.ctx.k
+    if d < 1:
+        return
+    m = min(points, _spec_block(d, F.ctx)[1])
+    work = m * (1 + d // 2) * d * d * k * k
+    if work > budget:
         raise BudgetExceededError(
-            f"degree {F.deg_t} in t needs {F.deg_t + 1} coefficients, budget is {budget}"
+            f"classifying {m} points of degree {d} in t stacks {work} rank entries, budget is {budget}"
         )
 
 

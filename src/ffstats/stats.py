@@ -240,10 +240,10 @@ class ClassDistribution:
 
 
 def _sweep_points(F: MultiPoly, S, budget, seed):
-    """``sets.point_codes`` of S, once S and deg_t fit the budget and F is
-    classifiable: both budget checks run before any dense specialization."""
+    """``sets.point_codes`` of S, once S and its classification fit the
+    budget and F is classifiable: both budget checks run before admissibility."""
     codes = _sets.point_codes(S, F.ctx, budget)
-    _mp.require_dense_budget(F, budget)
+    _mp.require_dense_budget(F, budget, len(codes))
     _mp.require_classifiable(F, seed=seed)
     return codes
 
@@ -332,6 +332,8 @@ def compare(
         raise DegreeMismatchError(
             f"group acts on {group.d} letters but F has degree {F.deg_t} in t"
         )
+    # first, so that a spectrum past the budget exits before classifying
+    rep = _sets.irregularity(S, F.ctx, budget)
     dist = empirical_distribution(F, S, budget=budget, seed=seed)
     pred = prediction_from_group(group)
     total = dist.total
@@ -345,7 +347,6 @@ def compare(
         per_type[parts] = (float(fr), float(pr), float(abs(fr - pr)))
     gap += Fraction(dist.non_squarefree + dist.degree_drop, total)
     tv = gap / 2
-    rep = _sets.irregularity(S, F.ctx, budget)
     q = F.ctx.q
     norm = float(tv) * math.sqrt(q) / rep.irreg
     return ComparisonReport(

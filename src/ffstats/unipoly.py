@@ -26,7 +26,7 @@ from .errors import (
     NotSquarefreeError,
     ZeroPolynomialError,
 )
-from .field import FieldCtx
+from .field import FieldCtx, _poly_str
 
 # A factorization type is the multiset of irreducible-factor degrees,
 # stored as a tuple of positive ints sorted descending, e.g. (3, 2, 2, 1).
@@ -42,14 +42,10 @@ class UniPoly:
 
     @classmethod
     def make(cls, ctx, elems):
-        """Coefficients read by ``ctx.encodings``, whose error it raises:
+        """Coefficients read by ``ctx.coefficients``, whose error it raises:
         any integers mod p on a prime field, encodings in [0, q) on an
         extension; trailing zeros dropped."""
-        elems = list(elems)
-        codes, error = ctx.encodings([elems], len(elems))
-        if error:
-            raise error
-        return cls(ctx, tuple(_gfp.gf_trim(codes[0].tolist())))
+        return cls(ctx, tuple(_gfp.gf_trim(ctx.coefficients(elems))))
 
     @classmethod
     def from_ints(cls, ctx, ints):
@@ -63,10 +59,6 @@ class UniPoly:
     @classmethod
     def one(cls, ctx):
         return cls(ctx, (1,))
-
-    @classmethod
-    def x(cls, ctx):
-        return cls(ctx, (0, 1))
 
     @property
     def degree(self) -> int:
@@ -104,21 +96,8 @@ class UniPoly:
     def __mul__(self, other):
         return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_mul, other)))
 
-    def __divmod__(self, other):
-        q, r = self._kernel(_gfp.gf_divmod, other)
-        return UniPoly(self.ctx, tuple(q)), UniPoly(self.ctx, tuple(r))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def monic(self) -> "UniPoly":
         return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_monic)))
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_diff)))
 
     def evaluate(self, a: int) -> int:
         ctx = self.ctx
@@ -128,23 +107,7 @@ class UniPoly:
         return y
 
     def __str__(self):
-        ctx = self.ctx
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = str(c) if ctx.k == 1 else "[" + ",".join(map(str, ctx.coords(c))) + "]"
-            mono = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            if not mono:
-                parts.append(cs)
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts)
+        return _poly_str(self.coeffs, "t", self.ctx.element_str)
 
 
 # -- public operations -------------------------------------------------------
@@ -219,16 +182,13 @@ def is_morse(f: UniPoly) -> bool:
             f"Morse test needs p > deg f, got p={ctx.p}, deg={d}"
         )
     fc = list(f.coeffs)
-    # p > d keeps deg f' = d - 1 >= 1 and f'' nonzero
+    # p > d keeps deg f' = d - 1 >= 1
     fp = _gfp.gf_diff(fc, ctx)
-    if len(_gfp.gf_gcd(fp, _gfp.gf_diff(fp, ctx), ctx)) != 1:
+    if not is_squarefree(UniPoly(ctx, tuple(fp))):
         return False
-    # c(X) has degree deg(f') = d - 1; interpolate from d evaluations at the
+    # c(X) = lc(f')^d prod (X - f(theta)) over the roots theta of f' has
+    # degree d - 1, in [1, p); interpolate it from d evaluations at the
     # points 0..d-1 of the prime subfield, each encoded as itself
     xs = list(range(d))
     ys = [_gfp.gf_resultant(fp, _gfp.gf_sub([x0], fc, ctx), ctx) for x0 in xs]
-    c = _gfp.gf_interpolate(xs, ys, ctx)
-    cp = _gfp.gf_diff(c, ctx)
-    if not cp:
-        return len(c) - 1 == 0
-    return len(_gfp.gf_gcd(c, cp, ctx)) == 1
+    return is_squarefree(UniPoly(ctx, tuple(_gfp.gf_interpolate(xs, ys, ctx))))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffstats import _gfp, mpoly
-from ffstats.errors import ArityMismatchError, NotAdmissibleError
+from ffstats.errors import ArityMismatchError, BudgetExceededError, NotAdmissibleError
 from ffstats.field import FieldCtx
 from ffstats.mpoly import DEGREE_DROP, NON_SQUAREFREE, MultiPoly, classify_points, parse
 from ffstats.sets import FullSpace
@@ -237,6 +237,23 @@ def test_a_block_takes_one_rank_and_one_more_per_degree_up_to_half(ctx, d):
     shapes = [call.args[0].shape for call in ranks.call_args_list]
     assert shapes == [(d, d, ctx.k, (1 + d // 2) * m) for m in sizes]
     assert got == [_scalar(F, pt) for pt in points]
+
+
+@pytest.mark.parametrize(
+    "ctx, size", [(FieldCtx(7), 10), (FieldCtx(7), 5000), (FieldCtx(5, 2, seed=0), 100)], ids=str
+)
+def test_dense_budget_counts_the_products_of_the_first_rank(ctx, size):
+    # the budget counts k^2 coordinate products for every entry of the rank
+    # stack of the first spec_keys block, the largest: no more, no less
+    F = parse("t^5 + A1*t + 1", 1, ctx)
+    codes = (np.arange(size) % ctx.q)[:, None]
+    with mock.patch.object(_gfp, "_vrank", wraps=_gfp._vrank) as ranks:
+        next(mpoly.spec_keys(F, codes))
+    d, _, k, n = ranks.call_args.args[0].shape
+    work = d * d * k * k * n
+    mpoly.require_dense_budget(F, work, size)
+    with pytest.raises(BudgetExceededError):
+        mpoly.require_dense_budget(F, work - 1, size)
 
 
 @pytest.mark.parametrize("d", [*range(1, 9), 27, 28, 30])

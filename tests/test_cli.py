@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from ffstats import cli, sets, stats
+from ffstats import _gfp, cli, mpoly, sets, stats
 from ffstats.cli import main
 from ffstats.field import FieldCtx
 from ffstats.mpoly import NON_SQUAREFREE, parse
@@ -695,3 +695,50 @@ def test_charsum_type_of_another_degree_is_input_error(capsys):
 def test_budget_and_interval_length_below_one_are_input_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", "3"),
+        ("demo", "morse", "--p", "31", "--shifts", "2,33"),
+        ("compare", "--p", "7", "--poly", "A1 + 1"),
+    ],
+    ids=["charsum-without-b", "morse-shifts-equal-mod-p", "symmetric-group-on-no-letters"],
+)
+def test_option_input_errors_exit_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_dist_over_a_given_modulus(capsys):
+    report = run_json(capsys, "dist", "--p", "3", "--k", "2", "--modulus", "1,0,1", "--poly", "t^3 + A1*t + A2", "--set", "full")
+    assert report["result"]["total"] == 81
+    assert report["config"]["modulus"] == "1,0,1"
+
+
+def test_compare_refuses_a_spectrum_past_the_budget_before_classifying(capsys, monkeypatch):
+    # the 3^8 points of the trace-zero set of GF(3^9) against its 3^9
+    # frequencies pass the default budget: nothing is classified first
+    def refuse(*args, **kwargs):
+        raise AssertionError("classified before the spectrum budget was checked")
+
+    monkeypatch.setattr(mpoly, "spec_keys", refuse)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "compare", "--p", "3", "--k", "9", "--poly", "t^3 + A1*t + 1", "--set", "tracezero")
+    assert code == 3 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_classification_budget_counts_the_rank_stack(capsys, monkeypatch):
+    # three points of degree 40 stack 3 * (1 + 40 // 2) * 40^2 = 100,800
+    # rank entries: past a budget of 20,000 though each has 41 coefficients
+    def refuse(*args, **kwargs):
+        raise AssertionError("ranks taken past the budget")
+
+    monkeypatch.setattr(_gfp, "_vrank", refuse)
+    argv = ("--p", "101", "--poly", "t^40 + A1*t + 1", "--budget", "20000")
+    code, out = run_cli(capsys, "dist", *argv, "--set", "grid:int(0,3)")
+    assert code == 3 and out == ""
+    code, out = run_cli(capsys, "factor-type", "--p", "10007", "--poly", "t^3000 + A1", "--point", "1")
+    assert code == 3 and out == ""

@@ -15,6 +15,7 @@ from ffstats.errors import (
     ReducibleModulusError,
 )
 from ffstats.field import FieldCtx, cyclotomic_magnitude, cyclotomic_rows, is_prime
+from ffstats.cli import main
 from ffstats.mpoly import MultiPoly
 
 
@@ -463,3 +464,31 @@ def test_specialize_dense_matches_termwise_oracle(data):
     F = MultiPoly(ctx, n, {e: _encode(c, p) for e, c in terms.items()})
     got = F.specialize_dense([_encode(a, p) for a in point])
     assert [_decode(c, p, k) for c in got] == expect
+
+
+# Each check of a given modulus: the call that trips it, its error, and the
+# options that reach it from the command line.
+_FIELD_ERRORS = [
+    (lambda: FieldCtx(3, 2, modulus=[2, 0, 1]), ReducibleModulusError, ("--k", "2", "--modulus", "2,0,1")),
+    (lambda: FieldCtx(3, 2, modulus=[1, 0, 2]), DegreeMismatchError, ("--k", "2", "--modulus", "1,0,2")),
+    (lambda: FieldCtx(3, 2, modulus=[1, 0, 0, 1]), DegreeMismatchError, ("--k", "2", "--modulus", "1,0,0,1")),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, options", _FIELD_ERRORS, ids=["reducible", "not-monic", "wrong-degree"]
+)
+def test_field_input_errors_raise_their_type_and_exit_2(capsys, call, error, options):
+    with pytest.raises(error):
+        call()
+    assert main(["dist", "--p", "3", *options, "--poly", "t^3 + A1*t + A2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_coefficients_name_the_first_value_outside_the_field():
+    ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
+    assert ctx.coefficients([0, 8, 3]) == [0, 8, 3]
+    with pytest.raises(ValueError, match=r"^coefficient 100 is outside \[0, 9\)$"):
+        ctx.coefficients([1, 100, 9])
+    # a prime field takes the residue of any integer
+    assert FieldCtx(7).coefficients([-1, 7, 2**70]) == [6, 0, 2**70 % 7]

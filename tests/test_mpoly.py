@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffstats import _gfp, mpoly
+from ffstats.cli import main
 from ffstats.errors import (
     ArityMismatchError,
     BudgetExceededError,
@@ -430,7 +431,7 @@ def test_an_unreduced_prime_field_coefficient_names_its_residue():
 def test_an_extension_coefficient_outside_the_field_is_refused():
     ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
     for bad in (9, 100, -1):
-        with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+        with pytest.raises(ValueError, match=rf"^coefficient {bad} is outside \[0, 9\)$"):
             MultiPoly(ctx, 1, {(1, 0): bad, (0, 1): 1})
 
 
@@ -514,3 +515,33 @@ def test_subfield_root_is_a_root_of_the_base_modulus(p, k, m):
     root = mpoly._find_subfield_root(base, ext)
     assert UniPoly.from_ints(ext, base.modulus).evaluate(root) == 0
     assert mpoly._find_subfield_root(base, ext) == root
+
+
+_F7 = FieldCtx(7)
+
+# Each input check of the polynomial layer: the call that trips it, its error,
+# and a --poly that reaches it from the command line (None: no text spells it).
+_POLY_ERRORS = [
+    (lambda: mpoly._tokenize("t^2 $ A1"), PolynomialSyntaxError, "t^2 $ A1"),
+    (lambda: MultiPoly(_F7, -1, {}), ValueError, None),
+    (lambda: MultiPoly(_F7, 1, {(1,): 1}), ArityMismatchError, None),
+    (lambda: MultiPoly(_F7, 1, {(1, -1): 1}), ValueError, None),
+    (lambda: MultiPoly.parameter(_F7, 1, 2), ValueError, None),
+    (lambda: MultiPoly.variable_t(_F7, 1) + MultiPoly.variable_t(_F7, 2), ValueError, None),
+    (lambda: MultiPoly.variable_t(_F7, 1) * MultiPoly.variable_t(FieldCtx(5), 1), ValueError, None),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, poly",
+    _POLY_ERRORS,
+    ids=["character", "negative-arity", "exponent-length", "exponent-sign", "parameter-index",
+         "arity-mismatch", "field-mismatch"],
+)
+def test_poly_input_errors_raise_their_type_and_exit_2(capsys, call, error, poly):
+    with pytest.raises(error):
+        call()
+    if poly is not None:
+        assert main(["dist", "--p", "7", "--poly", poly]) == 2
+        assert capsys.readouterr().out == ""
+

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffstats import mpoly, sets
-from ffstats.errors import ArityMismatchError, BudgetExceededError
+from ffstats.cli import main
+from ffstats.errors import ArityMismatchError, BudgetExceededError, DegreeMismatchError
 from ffstats.field import FieldCtx, cyclotomic_rows
 from ffstats.mpoly import parse
 from ffstats.stats import empirical_distribution, weil_sweep
@@ -968,3 +969,43 @@ def test_points_file_roundtrip(tmp_path):
     )
     via_parse = parse_set(f"file:{path}", ctx)
     assert via_parse == loaded
+
+
+# Each input check of the set layer: the call that trips it, its error, and a
+# run that reaches it from the command line ({empty} is an empty points file),
+# or None where no option can spell the input.
+_SET_ERRORS = [
+    (lambda ctx: parse_set("grid:int(3)", ctx), ValueError, ("irreg", "--set", "grid:int(3)")),
+    (lambda ctx: parse_set("grid:ap(1,2)", ctx), ValueError, ("irreg", "--set", "grid:ap(1,2)")),
+    (
+        lambda ctx: parse_set("grid:int(0,3)", ctx, n=2),
+        DegreeMismatchError,
+        ("dist", "--poly", "t^2 - A1 - A2", "--set", "grid:int(0,3)"),
+    ),
+    (lambda ctx: parse_set("box(1,2)", ctx), ValueError, ("irreg", "--set", "box(1,2)")),
+    (lambda ctx: sets.validate_set(GridProduct([APSpec(7, 1, 3)]), ctx), ValueError, ("irreg", "--set", "grid:ap(7,1,3)")),
+    (lambda ctx: sets.validate_set(GridProduct([APSpec(1, 0, 0)]), ctx), ValueError, ("irreg", "--set", "grid:int(0,0)")),
+    (lambda ctx: sets.validate_set(GridProduct([APSpec(1, 0, 8)]), ctx), ValueError, ("irreg", "--set", "grid:int(0,8)")),
+    (lambda ctx: sets.validate_set(GridProduct([]), ctx), ValueError, None),
+    (lambda ctx: sets.validate_set(ExplicitSet([]), ctx), ValueError, ("irreg", "--set", "file:{empty}")),
+    (lambda ctx: sets.validate_set(ExplicitSet([()]), ctx), ValueError, None),
+    (lambda ctx: sets.validate_set(FullSpace(0), ctx), ValueError, ("irreg", "--set", "full", "--n", "0")),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, argv",
+    _SET_ERRORS,
+    ids=["int-arity", "ap-arity", "factors-vs-n", "unknown", "zero-step", "length-0", "length-past-p",
+         "empty-grid", "empty-file", "no-coordinates", "full-0"],
+)
+def test_set_input_errors_raise_their_type_and_exit_2(capsys, tmp_path, call, error, argv):
+    ctx = FieldCtx(7)
+    with pytest.raises(error):
+        call(ctx)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no points\n")
+    if argv is not None:
+        argv = [a.format(empty=empty) for a in argv]
+        assert main([*argv, "--p", "7"]) == 2
+        assert capsys.readouterr().out == ""

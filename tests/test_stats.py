@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 
 from ffstats import _gfp
+from ffstats.cli import main
 from ffstats.errors import (
     BudgetExceededError,
     DegreeMismatchError,
@@ -158,6 +159,43 @@ def test_group_file_rejects_garbage(tmp_path):
     path.write_text("d=2 nu=1\n2 2 | 0\n")
     with pytest.raises(InvalidGroupError):
         GroupSpec.from_file(str(path))
+
+
+# Each input check of GroupSpec: a group file that trips it (read by
+# from_file, and by compare --group, which exits 2) or, where no file spells
+# the input, the call that does.
+_GROUP_ERRORS = [
+    "",
+    "d=x nu=1\n",
+    "d=0 nu=1\n",
+    "d=2 nu=0\n1 2 | 0\n",
+    "d=2 nu=1\n",
+    "d=2 nu=1\n1 2 0\n",
+    "d=2 nu=2\n1 2 | 0\n1 2 | 1\n",
+    "d=2 nu=1\n1 2 | 0\n1 2 | 0\n",
+    lambda: GroupSpec.symmetric(0),
+    lambda: GroupSpec.explicit(2, 1, [((0, 0), 0)]),
+    lambda: GroupSpec.symmetric(3).to_file("unused"),
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    _GROUP_ERRORS,
+    ids=["empty-file", "bad-header", "degree-0", "nu-0", "no-elements", "no-bar", "conflicting-labels",
+         "duplicates", "symmetric-0", "not-a-permutation", "symmetric-to-file"],
+)
+def test_group_input_errors_raise_their_type_and_exit_2(capsys, tmp_path, case):
+    if callable(case):
+        with pytest.raises(InvalidGroupError):
+            case()
+        return
+    path = tmp_path / "group.txt"
+    path.write_text(case)
+    with pytest.raises(InvalidGroupError):
+        GroupSpec.from_file(str(path))
+    assert main(["compare", "--p", "7", "--poly", "t^2 - A1", "--group", str(path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

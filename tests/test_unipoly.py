@@ -198,8 +198,8 @@ def test_monic_of_a_made_polynomial_with_a_multiple_of_p():
 def test_make_refuses_an_extension_coefficient_outside_the_field():
     ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
     for bad in (9, 100, -1):
-        with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
-            UniPoly.make(ctx, [1, bad])
+        with pytest.raises(ValueError, match=rf"^coefficient {bad} is outside \[0, 9\)$"):
+            UniPoly.make(ctx, [1, bad, 2])
 
 
 def test_gcd_with_zero_is_monic():
