@@ -16,9 +16,10 @@ products taken through the multiplication tensor of a :class:`VecField`; a
 prime field is the case k = 1.  Its arrays hold int32 while every sum
 stays below 2^31, int64 within :func:`gf_batch_fits` and Python ints
 (object arrays) past it, as :func:`gf_dtype` chooses, and the algorithm is
-the same on all three; :func:`gf_spec_type` is its one-row reading.  The
-module keeps its historical name because the benchmark's traced run wraps
-``_gfp.gf_spec_type``.
+the same on all three; :func:`gf_spec_type` is its one-row reading.  Its
+keys have one codec, :func:`gf_type_key` and its inverse
+:func:`gf_key_type`, which name each outcome by its parts (a descending
+tuple), :data:`DEGREE_DROP` or :data:`NON_SQUAREFREE`.
 """
 
 from itertools import zip_longest
@@ -225,19 +226,25 @@ def gf_key_dtype(d):
     return np.int64 if (d + 1) ** (d // 2) <= 1 << 63 else object
 
 
-def gf_type_key(parts, d):
-    """The gf_spec_types key of a degree-d polynomial whose gf_spec_type is
-    parts: -2 for (), -1 for None, else the sum of e (d+1)^(e-1) over parts
-    e <= d/2, whose base-(d+1) digits are e c_e (c_e parts equal to e)."""
-    if parts is None:
+NON_SQUAREFREE = "non_squarefree"
+DEGREE_DROP = "degree_drop"
+
+
+def gf_type_key(outcome, d):
+    """The gf_spec_types key of a degree-d outcome: -2 for DEGREE_DROP, -1 for
+    NON_SQUAREFREE, for parts the sum of e (d+1)^(e-1) over parts e <= d/2,
+    whose base-(d+1) digits are e c_e (c_e parts equal to e)."""
+    if outcome == DEGREE_DROP:
+        return -2
+    if outcome == NON_SQUAREFREE:
         return -1
-    return sum(e * (d + 1) ** (e - 1) for e in parts if 2 * e <= d) if parts else -2
+    return sum(e * (d + 1) ** (e - 1) for e in outcome if 2 * e <= d)
 
 
 def gf_key_type(key, d):
-    """The gf_spec_type of a degree-d key: the inverse of gf_type_key."""
+    """The outcome of a degree-d key: the inverse of gf_type_key."""
     if key < 0:
-        return None if key == -1 else ()
+        return DEGREE_DROP if key == -2 else NON_SQUAREFREE
     small = []
     for e in range(1, d // 2 + 1):
         key, digit = divmod(key, d + 1)
@@ -357,15 +364,13 @@ def gf_spec_types(c, field):
     return keys
 
 
-def gf_spec_type(c, field):
-    """One row of :func:`gf_spec_types`, read back by :func:`gf_key_type`: c
-    is the (d+1, k) coordinate array of one polynomial over ``field``, d >=
-    1.  Returns its factor-degree multiset (a descending tuple), None when it
-    has a repeated factor, () when its degree-d coefficient is zero; it is
-    irreducible iff this returns (d,)."""
-    d = len(c) - 1
-    key = gf_spec_types(np.asarray(c).astype(gf_dtype(d, field.k, field.p))[None], field)[0]
-    return gf_key_type(int(key), d)
+def gf_spec_type(f, F):
+    """The :func:`gf_spec_types` key of one polynomial f of degree >= 1 over
+    the field F: its encodings, on the dtype :func:`gf_dtype` picks, are
+    read into coordinates by ``F.decode`` and classified on ``F.vec``.  The
+    benchmark's traced run wraps it by this name."""
+    codes = np.array(f, gf_dtype(len(f) - 1, F.k, F.p))
+    return int(gf_spec_types(F.decode(codes)[None], F.vec)[0])
 
 
 def gf_resultant(f, g, F):

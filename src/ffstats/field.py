@@ -386,9 +386,14 @@ class FieldCtx:
         return r if e else 1
 
     def inv(self, a: int) -> int:
-        if not any(self.coords(a)):
+        """1/a = a^(r-1) / N(a), where N(a) = a^r, r = (q - 1)/(p - 1), is
+        the norm of a, in GF(p), and is zero only for a = 0; r = 1 on a
+        prime field."""
+        b = self.pow(a, (self.q - 1) // (self.p - 1) - 1)
+        norm = self.mul(b, a)
+        if not norm:
             raise ZeroDivisionError("inverse of zero field element")
-        return self.pow(a, self.q - 2)
+        return self.mul(b, pow(norm, -1, self.p))
 
     # -- trace and character ------------------------------------------------
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _gfp
+from ._gfp import DEGREE_DROP, NON_SQUAREFREE  # re-exported: outcomes of classify_points
 from .errors import (
     ArityMismatchError,
     BudgetExceededError,
@@ -296,14 +297,12 @@ class MultiPoly:
     # -- printing ---------------------------------------------------------------
 
     def _render_coeff(self, c):
-        ctx = self.ctx
-        if ctx.k == 1:
-            if c <= ctx.p // 2:
-                return "+", str(c), c == 1
-            return "-", str(ctx.p - c), ctx.p - c == 1
-        if c < ctx.p:  # the prime subfield
+        p = self.ctx.p
+        if c <= p // 2:
             return "+", str(c), c == 1
-        return "+", ctx.element_str(c), False
+        if c < p:  # the rest of the prime subfield, as a negative
+            return "-", str(p - c), p - c == 1
+        return "+", self.ctx.element_str(c), False
 
     def __str__(self):
         if not self.terms:
@@ -488,8 +487,6 @@ def infer_parameter_count(expr: str) -> int:
 # -- specialization outcomes -----------------------------------------------------
 
 TYPE = "type"
-NON_SQUAREFREE = "non_squarefree"
-DEGREE_DROP = "degree_drop"
 
 
 @dataclass(frozen=True)
@@ -523,8 +520,8 @@ def _spec_block(d, ctx):
 
 
 def spec_keys(F: MultiPoly, codes):
-    """Yield, block by block, the keys (``type_key``, read by ``key_outcome``;
-    int64 while deg_t <= 27, else Python ints) of F(t, a) for the rows a of
+    """Yield, block by block, the keys (read by ``_gfp.gf_key_type``; int64
+    while deg_t <= 27, else Python ints) of F(t, a) for the rows a of
     codes, an (N, n) array of element encodings (``sets.point_codes`` or
     ``ctx.encodings``).  Each block is cast to ``_gfp.gf_dtype`` (int32
     while max(deg_t, k^2) * p^2 < 2^30 and q < 2^30, int64 while the same
@@ -540,15 +537,6 @@ def spec_keys(F: MultiPoly, codes):
     for lo in range(0, len(codes), size):
         block = codes[lo : lo + size].astype(dtype, copy=False)
         yield _gfp.gf_spec_types(F.specialize_block(ctx.decode(block)), ctx.vec)
-
-
-type_key = _gfp.gf_type_key  # the spec_keys key of a type: type_key(parts, deg_t)
-
-
-def key_outcome(key: int, d: int):
-    """The ``classify_points`` outcome a ``spec_keys`` key names; d = deg_t."""
-    parts = _gfp.gf_key_type(key, d)
-    return DEGREE_DROP if parts == () else NON_SQUAREFREE if parts is None else parts
 
 
 def classify_points(F: MultiPoly, points):
@@ -574,7 +562,7 @@ def classify_points(F: MultiPoly, points):
     codes, error = F.ctx.encodings(points, F.n)
     for keys in spec_keys(F, codes):
         distinct, at = np.unique(keys, return_inverse=True)
-        outcomes = [key_outcome(key, F.deg_t) for key in distinct.tolist()]
+        outcomes = [_gfp.gf_key_type(key, F.deg_t) for key in distinct.tolist()]
         yield from map(outcomes.__getitem__, at.tolist())
     if error:
         raise error

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _gfp
 from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
@@ -262,11 +263,11 @@ def empirical_distribution(
     for keys in _mp.spec_keys(F, codes):
         values, times = np.unique(keys, return_counts=True)
         tally.update(dict(zip(values.tolist(), times.tolist())))
-    counts = {_mp.key_outcome(key, F.deg_t): c for key, c in tally.items()}
+    counts = {_gfp.gf_key_type(key, F.deg_t): c for key, c in tally.items()}
     return ClassDistribution(
         counts,
-        counts.pop(_mp.NON_SQUAREFREE, 0),
-        counts.pop(_mp.DEGREE_DROP, 0),
+        counts.pop(_gfp.NON_SQUAREFREE, 0),
+        counts.pop(_gfp.DEGREE_DROP, 0),
         len(codes),
     )
 
@@ -432,7 +433,7 @@ def weil_sweep(
         freqs = codes[1:]
         bs = map(tuple, freqs.tolist())
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
-    matches = codes[keys == _mp.type_key(parts, F.deg_t)]
+    matches = codes[keys == _gfp.gf_type_key(parts, F.deg_t)]
     sums = _sets.phase_sums(matches, freqs, ctx, n, -1, budget)
     mags = np.concatenate([np.empty(0), *(mag for _, _, mag in sums)])
     ratios = (mags / (float(ctx.q) ** n / math.sqrt(ctx.q))).tolist()

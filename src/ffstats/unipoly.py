@@ -8,17 +8,15 @@ criterion (simple critical points with pairwise distinct critical values).
 
 Only the *degrees* of the irreducible factors are ever computed, by the
 batched classifier of :mod:`ffstats._gfp` on a block of one polynomial
-(``ctx.decode`` carries the coefficients into its coordinate arrays).
-Every other operation runs on the list kernels of :mod:`ffstats._gfp`,
-for every field: they take the coefficient encodings as they are, and the
-context, whose scalar operations they call.
+(``_gfp.gf_spec_type``, whose key ``_gfp.gf_key_type`` reads).  Every
+operation runs on the kernels of :mod:`ffstats._gfp`, for every field:
+they take the coefficient encodings as they are, and the context, whose
+scalar operations they call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _gfp
 from .errors import (
@@ -129,17 +127,12 @@ def is_squarefree(f: UniPoly) -> bool:
     return bool(fp) and len(_gfp.gf_gcd(fc, fp, ctx)) == 1
 
 
-def _spec_type(f: UniPoly):
-    # the factor-degree multiset of f, or None for a repeated factor
-    return _gfp.gf_spec_type(f.ctx.decode(np.array(f.coeffs, object)), f.ctx.vec)
-
-
 def factorization_type(f: UniPoly) -> FactorizationType:
     """Multiset of irreducible-factor degrees of a squarefree f, descending."""
     if f.degree < 1:
         raise ZeroPolynomialError("factorization type needs degree >= 1")
-    parts = _spec_type(f)
-    if parts is None:
+    parts = _gfp.gf_key_type(f._kernel(_gfp.gf_spec_type), f.degree)
+    if parts == _gfp.NON_SQUAREFREE:
         raise NotSquarefreeError(f"{f} has a repeated factor")
     return parts
 
@@ -148,7 +141,7 @@ def is_irreducible(f: UniPoly) -> bool:
     """True iff f has degree d >= 1 and factor-degree multiset (d,); an
     inseparable f is reducible.  Constants count as reducible."""
     d = f.degree
-    return d >= 1 and _spec_type(f) == (d,)
+    return d >= 1 and f._kernel(_gfp.gf_spec_type) == _gfp.gf_type_key((d,), d)
 
 
 def discriminant(f: UniPoly) -> int:

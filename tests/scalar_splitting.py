@@ -72,8 +72,8 @@ def ddf_type(f, F):
 
 def spec_type(f, F):
     """Factor-degree multiset of f over the field F (descending tuple), or
-    None when f has a repeated factor.  f must have degree >= 1 and a
-    nonzero leading term."""
+    NON_SQUAREFREE when f has a repeated factor.  f must have degree >= 1
+    and a nonzero leading term."""
     if f[-1] != 1:
         inv = F.inv(f[-1])
         f = [F.mul(c, inv) for c in f]
@@ -81,14 +81,11 @@ def spec_type(f, F):
         return (1,)
     fp = _gfp.gf_diff(f, F)
     if not fp or len(_gfp.gf_gcd(f, fp, F)) != 1:
-        return None
+        return NON_SQUAREFREE
     return ddf_type(f, F)
 
 
 def classify_one(F, point):
     """The ``classify_points`` outcome of F(t, point), point by point."""
     coeffs = F.specialize_dense(point)
-    if len(coeffs) <= F.deg_t:
-        return DEGREE_DROP
-    parts = spec_type(coeffs, F.ctx)
-    return NON_SQUAREFREE if parts is None else parts
+    return spec_type(coeffs, F.ctx) if len(coeffs) > F.deg_t else DEGREE_DROP

@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffstats import _gfp, mpoly
-from ffstats.errors import ArityMismatchError, BudgetExceededError, NotAdmissibleError
+from ffstats.errors import ArityMismatchError, BudgetExceededError, NotAdmissibleError, NotSquarefreeError
 from ffstats.field import FieldCtx
 from ffstats.mpoly import DEGREE_DROP, NON_SQUAREFREE, MultiPoly, classify_points, parse
 from ffstats.sets import FullSpace
 from ffstats.stats import empirical_distribution, partitions
-from ffstats.unipoly import discriminant
+from ffstats.unipoly import UniPoly, discriminant, factorization_type, is_irreducible
 from scalar_splitting import classify_one as _scalar
 from scalar_splitting import spec_type
 
@@ -265,8 +265,8 @@ def test_every_type_round_trips_through_its_key(d):
         keys.add(key)
     assert len(keys) == len(partitions(d))
     assert (max(keys) < 1 << 63) == (_gfp.gf_key_dtype(d) is np.int64)
-    for parts, key in ((None, -1), ((), -2)):
-        assert _gfp.gf_type_key(parts, d) == key and _gfp.gf_key_type(key, d) == parts
+    for outcome, key in ((NON_SQUAREFREE, -1), (DEGREE_DROP, -2)):
+        assert _gfp.gf_type_key(outcome, d) == key and _gfp.gf_key_type(key, d) == outcome
 
 
 @pytest.mark.parametrize("batched", [True, False])
@@ -390,12 +390,18 @@ ONE_ROW_FIELDS = EXTENSIONS + [FieldCtx(p) for p in (2, 13, 2**31 - 1, 2**89 - 1
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(ONE_ROW_FIELDS), st.data())
 def test_one_row_reading_matches_the_scalar_splitting(ctx, data):
+    # unipoly's factorization_type and is_irreducible classify one row
     d = data.draw(st.integers(1, 6), label="d")
     element = st.integers(0, ctx.q - 1)
     coeffs = data.draw(st.lists(element, min_size=d, max_size=d), label="tail")
     coeffs.append(data.draw(st.integers(1, ctx.q - 1), label="lead"))
-    got = _gfp.gf_spec_type(ctx.decode(np.array(coeffs, object)), ctx.vec)
-    assert got == spec_type(coeffs, ctx)
+    f, want = UniPoly.make(ctx, coeffs), spec_type(coeffs, ctx)
+    if want == NON_SQUAREFREE:
+        with pytest.raises(NotSquarefreeError):
+            factorization_type(f)
+    else:
+        assert factorization_type(f) == want
+    assert is_irreducible(f) == (want == (d,))
 
 
 EDGE = FieldCtx(1073741789, 2, seed=1)  # the largest prime below 2^30: 4 p^2 < 2^62
@@ -553,9 +559,7 @@ def _keys_on_every_rung(rows, ctx):
 
 
 def _scalar_key(row, ctx):
-    if row[-1] == 0:
-        return -2
-    return _gfp.gf_type_key(spec_type(row, ctx), len(row) - 1)
+    return _gfp.gf_type_key(spec_type(row, ctx) if row[-1] else DEGREE_DROP, len(row) - 1)
 
 
 @settings(max_examples=120, deadline=None)

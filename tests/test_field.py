@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ def test_is_prime_small():
 # prime bases, past which those bases alone accept composites
 PSI_12 = 399165290221 * 798330580441
 PSI_13 = 3317044064679887385961981
+
+
+def test_strong_lucas_refuses_an_n_sharing_a_factor_with_d():
+    # (5/205) = 0: D = 5 divides n before any D with (D/n) = -1 is found
+    assert not field._strong_lucas(5 * 41)
 
 
 def test_is_prime_refuses_the_pseudoprimes_past_the_deterministic_bases():
@@ -119,6 +125,12 @@ def test_f9_x_squared_is_two():
     assert ctx.mul(x, x) == ctx.from_coords((2, 0)) == 2
 
 
+def test_pow_refuses_a_negative_exponent():
+    for ctx in (FieldCtx(7), FieldCtx(3, 2, modulus=[1, 0, 1])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ctx.pow(2, -1)
+
+
 def test_pow_zero_is_one():
     for ctx in (FieldCtx(7), FieldCtx(3, 2, modulus=[1, 0, 1])):
         for a in ctx.elements():
@@ -152,6 +164,31 @@ def test_inv_zero_raises():
         FieldCtx(5).inv(0)
     with pytest.raises(ZeroDivisionError):
         FieldCtx(3, 2, modulus=[1, 0, 1]).inv(0)
+
+
+INV_FIELDS = [FieldCtx(101), FieldCtx(2**61 - 1), FieldCtx(3, 5, seed=0), FieldCtx(2**89 - 1, 2, seed=1)]
+
+
+@pytest.mark.parametrize("ctx", INV_FIELDS, ids=["GF101", "GF2^61-1", "GF3^5", "GF(2^89-1)^2"])
+def test_inv_takes_two_products_a_bit_of_the_norm_exponent(ctx):
+    # a^(r-1) by square and multiply, then N(a) = a^(r-1) a and the scaling
+    # by 1/N(a) in GF(p): at most 2 bitlen(r - 1) + 2 products, r = (q-1)/(p-1)
+    bound = 2 * ((ctx.q - 1) // (ctx.p - 1) - 1).bit_length() + 2
+    rng = random.Random(ctx.p)
+    with mock.patch.object(FieldCtx, "mul", autospec=True, side_effect=FieldCtx.mul) as spy:
+        for a in [1, ctx.q - 1] + [rng.randrange(1, ctx.q) for _ in range(8)]:
+            spy.reset_mock()
+            ctx.inv(a)
+            assert spy.call_count <= bound, a
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(INV_FIELDS), st.data())
+def test_an_element_times_its_inverse_is_one(ctx, data):
+    a = data.draw(st.integers(1, ctx.q - 1), label="a")
+    assert ctx.mul(a, ctx.inv(a)) == 1
 
 
 def test_scalar_operations_read_each_operand_through_coords():

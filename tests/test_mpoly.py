@@ -98,6 +98,8 @@ def test_print_uses_minus_for_large_residues():
     ctx = FieldCtx(5)
     assert str(parse("t^2 - A1", 1, ctx)) == "t^2 - A1"
     assert str(parse("-t^2 + 2", 1, ctx)) == "-t^2 + 2"
+    # the prime subfield of an extension prints by the same rule
+    assert str(parse("t^3 - t - A1", 1, FieldCtx(3, 5, seed=0))) == "t^3 - t - A1"
 
 
 def _random_poly(ctx, n, rng, max_terms=6, max_exp=4):
@@ -119,6 +121,17 @@ def test_print_parse_roundtrip(ctx):
         n = rng.randrange(1, 4)
         F = _random_poly(ctx, n, rng)
         assert parse(str(F), n, ctx) == F, str(F)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([FieldCtx(7), FieldCtx(3, 2, modulus=[1, 0, 1]), FieldCtx(5, 2, seed=1)]), st.data())
+def test_print_parse_roundtrip_with_prime_subfield_coefficients(ctx, data):
+    # coefficients drawn from the prime subfield as often as from the field
+    n = data.draw(st.integers(1, 3), label="n")
+    exponents = st.tuples(*[st.integers(0, 3)] * (n + 1))
+    coeffs = st.integers(1, ctx.p - 1) | st.integers(1, ctx.q - 1)
+    F = MultiPoly(ctx, n, data.draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=5)))
+    assert parse(str(F), n, ctx) == F, str(F)
 
 
 def test_specialize_examples():
@@ -529,6 +542,9 @@ _POLY_ERRORS = [
     (lambda: MultiPoly.parameter(_F7, 1, 2), ValueError, None),
     (lambda: MultiPoly.variable_t(_F7, 1) + MultiPoly.variable_t(_F7, 2), ValueError, None),
     (lambda: MultiPoly.variable_t(_F7, 1) * MultiPoly.variable_t(FieldCtx(5), 1), ValueError, None),
+    (lambda: parse("[1,2", 1, FieldCtx(3, 2, modulus=[1, 0, 1])), PolynomialSyntaxError, "[1,2"),
+    (lambda: parse("t^A1", 1, _F7), PolynomialSyntaxError, "t^A1"),
+    (lambda: parse("t +", 1, _F7), PolynomialSyntaxError, "t +"),
 ]
 
 
@@ -536,7 +552,8 @@ _POLY_ERRORS = [
     "call, error, poly",
     _POLY_ERRORS,
     ids=["character", "negative-arity", "exponent-length", "exponent-sign", "parameter-index",
-         "arity-mismatch", "field-mismatch"],
+         "arity-mismatch", "field-mismatch", "unclosed-bracket", "exponent-not-literal",
+         "end-of-expression"],
 )
 def test_poly_input_errors_raise_their_type_and_exit_2(capsys, call, error, poly):
     with pytest.raises(error):
@@ -545,3 +562,10 @@ def test_poly_input_errors_raise_their_type_and_exit_2(capsys, call, error, poly
         assert main(["dist", "--p", "7", "--poly", poly]) == 2
         assert capsys.readouterr().out == ""
 
+
+
+def test_a_polynomial_without_t_needs_no_classification_budget_and_has_no_discriminant():
+    F = parse("A1 + 1", 1, _F7)
+    mpoly.require_dense_budget(F, 0)  # nothing to classify
+    with pytest.raises(ValueError, match="positive degree in t"):
+        mpoly.disc_nonzero_probabilistic(F)

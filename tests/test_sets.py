@@ -990,6 +990,8 @@ _SET_ERRORS = [
     (lambda ctx: sets.validate_set(ExplicitSet([]), ctx), ValueError, ("irreg", "--set", "file:{empty}")),
     (lambda ctx: sets.validate_set(ExplicitSet([()]), ctx), ValueError, None),
     (lambda ctx: sets.validate_set(FullSpace(0), ctx), ValueError, ("irreg", "--set", "full", "--n", "0")),
+    (lambda ctx: sets.validate_set("full", ctx), TypeError, None),
+    (lambda ctx: sets.dimension("full"), TypeError, None),
 ]
 
 
@@ -997,7 +999,8 @@ _SET_ERRORS = [
     "call, error, argv",
     _SET_ERRORS,
     ids=["int-arity", "ap-arity", "factors-vs-n", "unknown", "zero-step", "length-0", "length-past-p",
-         "empty-grid", "empty-file", "no-coordinates", "full-0"],
+         "empty-grid", "empty-file", "no-coordinates", "full-0", "validate-non-descriptor",
+         "dimension-of-non-descriptor"],
 )
 def test_set_input_errors_raise_their_type_and_exit_2(capsys, tmp_path, call, error, argv):
     ctx = FieldCtx(7)

@@ -46,6 +46,7 @@ def test_partition_counts():
     assert len(partitions(7)) == 15
     assert len(partitions(12)) == 77
     assert partitions(3) == [(3,), (2, 1), (1, 1, 1)]
+    assert partitions(0) == [()]
 
 
 def test_cycle_type_examples():

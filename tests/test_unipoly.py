@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -253,6 +254,38 @@ def test_is_squarefree_examples():
         is_squarefree(UniPoly.one(ctx))
 
 
+def test_degree_below_one_and_the_zero_polynomial_are_refused():
+    ctx = FieldCtx(7)
+    for f in (UniPoly.zero(ctx), UniPoly.one(ctx)):
+        for op in (factorization_type, discriminant):
+            with pytest.raises(ZeroPolynomialError):
+                op(f)
+    with pytest.raises(ZeroPolynomialError):
+        UniPoly.zero(ctx).lc
+    with pytest.raises(ZeroDivisionError):
+        _gfp.gf_divmod([1, 1], [], ctx)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(5), FieldCtx(3, 2, modulus=[1, 0, 1])], ids=["F5", "F9"])
+def test_subtraction_and_negation(ctx):
+    rng = random.Random(ctx.q)
+    for _ in range(50):
+        f, g = (UniPoly.make(ctx, [rng.randrange(ctx.q) for _ in range(rng.randrange(5))]) for _ in range(2))
+        assert f - g == f + (-g)
+        assert (f - f).is_zero and -(-f) == f
+        assert (g - f) == -(f - g)
+    f = UniPoly.from_ints(ctx, [1, 2, 3])
+    assert f - UniPoly.from_ints(ctx, [4, 0, 3]) == UniPoly.from_ints(ctx, [-3, 2])
+    assert -f == UniPoly.from_ints(ctx, [-1, -2, -3])
+
+
+def test_ring_operations_refuse_two_fields():
+    f, g = UniPoly.from_ints(FieldCtx(5), [1, 1]), UniPoly.from_ints(FieldCtx(7), [1, 1])
+    for op in (operator.add, operator.sub, operator.mul, poly_gcd):
+        with pytest.raises(ValueError, match="different field contexts"):
+            op(f, g)
+
+
 def test_inseparable_is_not_squarefree():
     ctx = FieldCtx(3)
     assert not is_squarefree(UniPoly.from_ints(ctx, [1, 0, 0, 1]))  # t^3 + 1 = (t+1)^3
@@ -467,7 +500,7 @@ def test_type_frequencies_approach_gamma(p):
     tails = list(itertools.product(range(p), repeat=3))
     block = np.array([list(tail) + [1] for tail in tails], dtype=np.int64)[..., None]
     types = [_gfp.gf_key_type(key, 3) for key in _gfp.gf_spec_types(block, ctx.vec).tolist()]
-    tallies = Counter(t for t in types if t is not None)
+    tallies = Counter(t for t in types if t != _gfp.NON_SQUAREFREE)
     squarefree = sum(tallies.values())
     for parts in ((3,), (2, 1), (1, 1, 1)):
         freq = Fraction(tallies[parts], squarefree)
@@ -475,6 +508,6 @@ def test_type_frequencies_approach_gamma(p):
     # the single-polynomial API agrees with the block on a sample
     for i in random.Random(p).sample(range(len(tails)), 200):
         f = UniPoly.make(ctx, list(tails[i]) + [1])
-        assert is_squarefree(f) == (types[i] is not None)
-        if types[i] is not None:
+        assert is_squarefree(f) == (types[i] != _gfp.NON_SQUAREFREE)
+        if types[i] != _gfp.NON_SQUAREFREE:
             assert factorization_type(f) == types[i]
