@@ -150,6 +150,8 @@ def _cmd_compare(args, ctx, F):
 
 def _cmd_charsum(args, ctx, F):
     parts = stats.parse_type(args.type)
+    if args.all_b and args.b:
+        raise ValueError("--b names one frequency and --all-b every one: give one of them")
     if args.all_b:
         sweep = stats.weil_sweep(F, parts, None, budget=args.budget, seed=args.seed)
         fmt = ",".join(["%d"] * F.n)  # "%d,%d": one format per row

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -522,8 +523,9 @@ def _spec_block(d, ctx):
 def spec_keys(F: MultiPoly, codes):
     """Yield, block by block, the keys (read by ``_gfp.gf_key_type``; int64
     while deg_t <= 27, else Python ints) of F(t, a) for the rows a of
-    codes, an (N, n) array of element encodings (``sets.point_codes`` or
-    ``ctx.encodings``).  Each block is cast to ``_gfp.gf_dtype`` (int32
+    codes, an (N, n) array of element encodings (``sets.point_codes``,
+    ``ctx.encodings`` or the orbit representatives of
+    ``sets.TorusOrbits``).  Each block is cast to ``_gfp.gf_dtype`` (int32
     while max(deg_t, k^2) * p^2 < 2^30 and q < 2^30, int64 while the same
     holds below 2^62, Python ints past it) and holds
     ``_SPEC_BLOCK * 8 // itemsize // (deg_t^2 k^2)`` points, at least
@@ -583,6 +585,47 @@ def require_dense_budget(F: MultiPoly, budget: int, points: int = 1) -> None:
         raise BudgetExceededError(
             f"classifying {m} points of degree {d} in t stacks {work} rank entries, budget is {budget}"
         )
+
+
+def torus_weights(F: MultiPoly):
+    """Integers (L, (w_1, ..., w_n), D), not all zero, with L*e + sum m_i*w_i
+    = D on every monomial t^e A^m of F, so that F(c^L t, c^w a) = c^D F(t, a)
+    and F(t, a) has the class of F(t, (c^(w_1) a_1, ..., c^(w_n) a_n)) for
+    every c != 0; None when only zero solves it.
+
+    The exponent vectors, columns (D, w_1, ..., w_n, L), have the kernel of
+    their Gram matrix, (n + 2)^2 integers whatever the number of terms (a
+    numpy product, int64 while it cannot overflow).  Gauss-Jordan elimination
+    on it in integers (each new row divided by the gcd of its entries) sets
+    every column without a pivot to 1, so L = 1 whenever a solution has
+    L != 0 (its column is then free), and the solution is scaled by the lcm
+    of its denominators (``t^2 + A1^3`` gives L = 3, w = 2, D = 6)."""
+    big = len(F.terms) * max([1, *map(max, F.terms)]) ** 2 >= 2**62
+    M = np.array([[-1, *e[1:], e[0]] for e in F.terms], object if big else np.int64).reshape(-1, F.n + 2)
+    rows = (M.T @ M).tolist()
+    pivots = []
+    for col in range(F.n + 2):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                a, b = top[col], row[col]
+                row = [a * x - b * y for x, y in zip(row, top)]
+                g = math.gcd(*row) or 1
+                rows[i] = [x // g for x in row]
+        pivots.append(col)
+    if len(pivots) == F.n + 2:
+        return None
+    x = [Fraction(1)] * (F.n + 2)
+    for row, col in zip(rows, pivots):  # 0 at the other pivots
+        x[col] = Fraction(row[col] - sum(row), row[col])
+    scale = math.lcm(*(v.denominator for v in x))
+    D, *w, L = (int(v * scale) for v in x)
+    return L, tuple(w), D
 
 
 def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:

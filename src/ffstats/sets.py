@@ -214,6 +214,87 @@ def _codes(s, ctx, budget):
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(size, -1)
 
 
+# -- torus orbits --------------------------------------------------------------
+
+
+class TorusOrbits:
+    """The orbits of c.a = (c^(w_1) a_1, ..., c^(w_n) a_n), c in GF(q)^*, on
+    GF(q)^n, the weights (``mpoly.torus_weights``) read mod q - 1.
+
+    Write the nonzero coordinates of a point, its support T, as a_i = g^(e_i)
+    for the generator g of :func:`_log_table`: c = g^k moves e_i to
+    e_i + k w_i mod q - 1, so the orbit has (q - 1)/gcd(q - 1, w_T) points.
+    One point stands for each orbit: for the coordinates i_1 < i_2 < ... of
+    T in turn, e_(i_j) is taken mod g_j = gcd(s_j w_(i_j), q - 1), where the
+    shifts that fix the coordinates before it are the multiples of s_j:
+    s_1 = 1 and s_(j+1) = lcm(s_j, (q - 1)/gcd(w_(i_j), q - 1)).  So a
+    support has prod_j g_j representatives.
+
+    Construction checks the n 2^n entries of the support tables, the q
+    entries of the power table and the ``count`` representatives against the
+    budget before any of them is built; for q > 2 each is at most q^n."""
+
+    def __init__(self, weights, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
+        n, q = len(weights), ctx.q
+        for what, size in (("support-table entries", n << n), ("powers", q)):
+            if size > budget:
+                raise BudgetExceededError(f"orbits take {size} {what}, budget is {budget}")
+        weights = [w % (q - 1) for w in weights]
+        # count, without listing the supports: after each coordinate, the
+        # representatives of the supports so far, summed by their shift s_j
+        # (a divisor of q - 1, so there are few)
+        shifts = {1: 1}
+        for w in weights:
+            step, grown = (q - 1) // math.gcd(w, q - 1), Counter(shifts)
+            for s, c in shifts.items():
+                grown[math.lcm(s, step)] += c * math.gcd(s * w, q - 1)
+            shifts = grown
+        self.count = sum(shifts.values())
+        if self.count > budget:
+            raise BudgetExceededError(f"{self.count} orbit representatives, budget is {budget}")
+        self.ctx = ctx
+        self.weights = np.array(weights, np.int64)
+        # one row per support, bit i of its index for coordinate i: the moduli
+        # g_j (1 off the support), then the orbit size, s = (q - 1)/gcd(q - 1, w_T)
+        self.inside = np.arange(1 << n)[:, None] >> np.arange(n) & 1 == 1
+        self.moduli = np.ones((1 << n, n), np.int64)
+        self.sizes = np.ones(1 << n, np.int64)
+        for i, w in enumerate(weights):
+            on = self.inside[:, i]
+            self.moduli[on, i] = np.gcd(self.sizes[on] * w, q - 1)
+            self.sizes[on] = np.lcm(self.sizes[on], (q - 1) // math.gcd(w, q - 1))
+        self.counts = self.moduli.prod(axis=1)  # each at most count
+
+    def representatives(self):
+        """The (count, n) int64 codes of one point per orbit, support by
+        support (the exponents in mixed radix, the last coordinate fastest),
+        and the size of each one's orbit."""
+        power, _ = _log_table(self.ctx.p, self.ctx.tail)
+        support = np.repeat(np.arange(len(self.counts)), self.counts)
+        moduli = self.moduli[support]
+        place = np.cumprod(moduli[:, ::-1], axis=1)[:, ::-1] // moduli
+        exps = _ranks(self.counts)[:, None] // place % moduli
+        return np.where(self.inside[support], power[exps], 0), self.sizes[support]
+
+    def points(self, codes, sizes):
+        """Every point of the orbits of the representatives codes, whose orbit
+        sizes are sizes, as codes in the order of ``point_codes`` of the full
+        space: (e_i + k w_i) for k below the orbit size, in index order."""
+        q, n = self.ctx.q, len(self.weights)
+        power, log = _log_table(self.ctx.p, self.ctx.tail)
+        reps = np.repeat(codes, sizes, axis=0)
+        moved = np.where(reps != 0, power[(log[reps] + _ranks(sizes)[:, None] * self.weights) % (q - 1)], 0)
+        place = q ** np.arange(n - 1, -1, -1)
+        seen = np.zeros(q**n, bool)  # sorted by a scatter: a sort's SIMD code adds to the RSS
+        seen[moved @ place] = True
+        return np.flatnonzero(seen)[:, None] // place % q
+
+
+def _ranks(counts):
+    """0, 1, ..., c - 1 for each count c in turn."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 # -- spectra -------------------------------------------------------------------
 
 
@@ -234,19 +315,32 @@ def _bin(w, pts, p):
 
 
 @functools.lru_cache(maxsize=None)
-def _log_table(p):
-    """Powers g^e, e < p, of the least generator g of F_p^* (by doublings),
-    and the log of each residue, log[0] = 0; read-only, as the cache shares them."""
-    for g in range(1, p):
-        power = np.ones(1, np.int64)
-        while len(power) < p:
-            power = np.concatenate([power, power * pow(g, len(power), p) % p])
-        if not (power[1 : p - 1] == 1).any():  # g^e = 1 first at e = p - 1
+def _log_table(p, tail):
+    """Powers g^e, e < q, of the least generator g (by encoding) of GF(q)^*
+    for the field whose ``FieldCtx.tail`` is tail (F_p for (0,)), as
+    encodings, and the log of each element, log[0] = 0; read-only, as the
+    cache shares them.  The powers double in the arithmetic of ``FieldCtx.vec``,
+    on the ``gf_dtype`` of a product, and a candidate is dropped at the
+    first doubling that meets a 1 before g^(q-1)."""
+    vec = _gfp.VecField(p, tail)
+    q, digits, dtype = vec.q, p ** np.arange(vec.k), _gfp.gf_dtype(1, vec.k, p)
+    one = vec.one.astype(dtype)
+    for g in range(1, q):
+        base = (g // digits % p).astype(dtype)[:, None]
+        coords, step = one, base  # g^0 .. g^(len-1), and g^len
+        while coords.shape[1] < q:
+            new = vec.mul(coords, step)
+            if (new[:, : q - 1 - coords.shape[1]] == one).all(axis=0).any():
+                break
+            coords = np.concatenate([coords, new], axis=1)
+            step = vec.mul(new[:, -1:], base)
+        else:  # no 1 before g^(q-1): g generates
             break
-    log = np.zeros(p, np.int64)  # a scatter, not np.argsort, whose SIMD sort code adds to the RSS
-    log[power[: p - 1]] = np.arange(p - 1)
+    power = (coords * digits[:, None]).sum(axis=0)
+    log = np.zeros(q, np.int64)  # a scatter, not np.argsort, whose SIMD sort code adds to the RSS
+    log[power[: q - 1]] = np.arange(q - 1)
     power.flags.writeable = log.flags.writeable = False
-    return power[:p], log
+    return power[:q], log
 
 
 def _line_table(points, freqs, ctx, n, sign):
@@ -258,7 +352,7 @@ def _line_table(points, freqs, ctx, n, sign):
     ``np.unique`` of their base-p digits, and only they are binned."""
     p = ctx.p
     pts, w = _functionals(points, freqs, ctx, n, sign)
-    power, log = _log_table(p)
+    power, log = _log_table(p, (0,))
     lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
     rot = p - 1 - log[lead]  # the zero functional (lead 0) is its own line, inv = g^(p-1) = 1
     w = ctx.vec.reduce(w * power[rot][:, None])
@@ -274,7 +368,7 @@ def _gathers(table, line, rot, p):
     m = 0..p-1, inv = g^rot.  A ring row holds the table row in log order
     twice, then slot 0: inv*g^d sits at rot + d, so a block is one gather of
     windows at rot and one of columns at log[m], with no index per slot."""
-    power, log = _log_table(p)
+    power, log = _log_table(p, (0,))
     ring = np.take(table, np.concatenate([power[:-1], power[:-1], [0]]), axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(ring[:, :-1], p - 1, axis=1)
     step = max(1, _PHASE_BLOCK // p)

@@ -2,7 +2,14 @@
 
 Empirical side: classify F(t, a) for every a in S (``mpoly.spec_keys`` of
 ``sets.point_codes``) and tally the factor-degree multisets, with separate
-buckets for degree drops and repeated factors.
+buckets for degree drops and repeated factors.  When S is the full space
+and F is weighted-homogeneous, F(c^L t, c^w a) = c^D F(t, a) with the
+integers of ``mpoly.torus_weights``, so every class and both buckets are
+unions of the orbits a -> (c^(w_1) a_1, ..., c^(w_n) a_n), c != 0.  When
+some w_i is nonzero mod q - 1, so that some orbit has more than one point,
+one point per orbit (``sets.TorusOrbits``) is classified and tallied with
+its orbit size as an integer weight, and the budget charges the orbits,
+not the q^n points.
 Predicted side: either the random-permutation cycle-type law gamma, or the
 density nu*|C n pi^-1(target)|/|G| read off an explicitly listed permutation
 group whose elements carry labels in Z/nu (label 1 marks the coset the
@@ -11,7 +18,8 @@ statistics concentrate on; nu = 1 admits every element).
 The comparison report normalizes the total-variation gap by sqrt(q)/irreg(S),
 the scale on which a well-distributed set keeps the gap bounded.  Restricted
 character sums over {a : class(F(t,a)) = lambda} come from ``sets.phase_sums``
-and are reported with their magnitude / q^(n - 1/2) ratio.
+and are reported with their magnitude / q^(n - 1/2) ratio; on the orbit
+path the matching orbits are expanded back into their points first.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
     ArityMismatchError,
+    BudgetExceededError,
     DegreeMismatchError,
     InvalidGroupError,
     PartitionMismatchError,
@@ -241,12 +250,29 @@ class ClassDistribution:
 
 
 def _sweep_points(F: MultiPoly, S, budget, seed):
-    """``sets.point_codes`` of S, once S and its classification fit the
-    budget and F is classifiable: both budget checks run before admissibility."""
-    codes = _sets.point_codes(S, F.ctx, budget)
-    _mp.require_dense_budget(F, budget, len(codes))
+    """The rows to classify for S, how many points of S each stands for, and
+    the ``sets.TorusOrbits`` they represent (None when each is one point).
+    For the full space of a weighted-homogeneous F (``mpoly.torus_weights``)
+    with a weight nonzero mod q - 1 these are one representative per orbit
+    and its orbit size, so q^n is never charged; otherwise ``sets.point_codes``
+    of S, one point each.  The budget checks (of the set or the orbits, then
+    the rank stack of one block) run before admissibility, and on the orbit
+    path before any row is built."""
+    q, n = F.ctx.q, F.n
+    # past q or n 2^n the orbit tables do not fit, and for q > 2 neither do the
+    # q^n points: the point path refuses them before the weights are solved
+    orbital = S == _sets.FullSpace(n) and 2 < q and max(q, n << n) <= budget
+    torus = _mp.torus_weights(F) if orbital else None
+    if torus is None or not any(w % (q - 1) for w in torus[1]):  # else every orbit is one point
+        codes = _sets.point_codes(S, F.ctx, budget)
+        _mp.require_dense_budget(F, budget, len(codes))
+        _mp.require_classifiable(F, seed=seed)
+        return codes, np.broadcast_to(np.int64(1), len(codes)), None
+    _sets.validate_set(S, F.ctx)
+    orbits = _sets.TorusOrbits(torus[1], F.ctx, budget)
+    _mp.require_dense_budget(F, budget, orbits.count)
     _mp.require_classifiable(F, seed=seed)
-    return codes
+    return *orbits.representatives(), orbits
 
 
 def empirical_distribution(
@@ -256,19 +282,31 @@ def empirical_distribution(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> ClassDistribution:
-    """Classify every point of S in one in-order pass: ``np.unique`` counts the
-    keys of each ``mpoly.spec_keys`` block, and each distinct key is decoded once."""
-    codes = _sweep_points(F, S, budget, seed)
-    tally = Counter()
+    """Classify S in one in-order pass of ``mpoly.spec_keys`` over the rows
+    of :func:`_sweep_points`: one point per torus orbit, weighted by its
+    orbit size, for the full space of a weighted-homogeneous F whose orbits
+    are not all single points, else every point, weight 1.  Each distinct
+    key of a block adds up its rows' weights in one int64 pass over the
+    keys' places among ``np.unique``'s values (never as float weights: q^n
+    may pass 2^53), and each distinct key is decoded once."""
+    codes, weights, _ = _sweep_points(F, S, budget, seed)
+    tally, at = Counter(), 0
     for keys in _mp.spec_keys(F, codes):
-        values, times = np.unique(keys, return_counts=True)
-        tally.update(dict(zip(values.tolist(), times.tolist())))
+        w = weights[at : at + len(keys)]
+        at += len(keys)
+        # return_counts keeps np.unique on its sort path (its hash path, for
+        # the values alone, peaks about 0.15 MB higher over the prime-dist
+        # jobs); its inverse would take an argsort, several times this search
+        values = np.unique(keys, return_counts=True)[0]
+        sums = np.zeros(len(values), np.int64)
+        np.add.at(sums, np.searchsorted(values, keys), w)
+        tally.update(dict(zip(values.tolist(), sums.tolist())))
     counts = {_gfp.gf_key_type(key, F.deg_t): c for key, c in tally.items()}
     return ClassDistribution(
         counts,
         counts.pop(_gfp.NON_SQUAREFREE, 0),
         counts.pop(_gfp.DEGREE_DROP, 0),
-        len(codes),
+        sum(tally.values()),
     )
 
 
@@ -419,21 +457,30 @@ def weil_sweep(
 ) -> WeilSweep:
     """Character-sum magnitudes over a family of nonzero frequencies
     (every nonzero frequency when bs is None), sharing one classification
-    pass over the full space.  The parts must sum to deg_t."""
+    pass over the full space.  The parts must sum to deg_t.
+
+    The q^n points (and frequencies) are charged first.  The pass classifies
+    the rows of :func:`_sweep_points`; on the orbit path the orbits of the
+    matching representatives are expanded back into their points, in
+    ``sets.point_codes`` order, so the points summed over are the same array
+    on both paths, and so is every bit of ``sets.phase_sums``."""
     parts = tuple(sorted(parts, reverse=True))
     ctx = F.ctx
     n = F.n
     if bs is not None:
         bs = [tuple(b) for b in bs]
         freqs = _frequencies(bs, ctx, n)
-    codes = _sweep_points(F, _sets.FullSpace(n), budget, seed)
+    if ctx.q**n > budget:
+        raise BudgetExceededError(f"{ctx.q**n} points of the full space, budget is {budget}")
+    codes, sizes, orbits = _sweep_points(F, _sets.FullSpace(n), budget, seed)
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
     if bs is None:  # the frequencies of F_q^n are its points
-        freqs = codes[1:]
+        freqs = (codes if orbits is None else _sets.point_codes(_sets.FullSpace(n), ctx, budget))[1:]
         bs = map(tuple, freqs.tolist())
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
-    matches = codes[keys == _gfp.gf_type_key(parts, F.deg_t)]
+    hit = keys == _gfp.gf_type_key(parts, F.deg_t)
+    matches = codes[hit] if orbits is None else orbits.points(codes[hit], sizes[hit])
     sums = _sets.phase_sums(matches, freqs, ctx, n, -1, budget)
     mags = np.concatenate([np.empty(0), *(mag for _, _, mag in sums)])
     ratios = (mags / (float(ctx.q) ** n / math.sqrt(ctx.q))).tolist()

@@ -168,6 +168,17 @@ def test_criterion_3_exact_full_space_law():
     assert ok
 
 
+def test_criterion_3_cubic_law_past_the_point_budget():
+    # 10^10 points, past the default budget of 2^24; the cubic is
+    # weighted-homogeneous, so its 100,008 torus orbits are classified
+    q = 100003
+    dist = empirical_distribution(parse("t^3 + A1*t + A2", 2, FieldCtx(q)), FullSpace(2))
+    law = {(3,): (q * q - 1) // 3, (2, 1): (q * q - q) // 2, (1, 1, 1): (q - 1) * (q - 2) // 6}
+    ok = (dist.counts, dist.non_squarefree, dist.degree_drop, dist.total) == (law, q, 0, q * q)
+    _line(3, ok, f"exact depressed-cubic counts over GF({q})^2, {q * q} points")
+    assert ok
+
+
 # -- criterion 4: permutation cycle-type law vs. enumeration --------------------------
 
 

@@ -701,10 +701,16 @@ def test_budget_and_interval_length_below_one_are_input_errors(capsys, argv):
     "argv",
     [
         ("charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", "3"),
+        ("charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", "3", "--b", "1,2", "--all-b"),
         ("demo", "morse", "--p", "31", "--shifts", "2,33"),
         ("compare", "--p", "7", "--poly", "A1 + 1"),
     ],
-    ids=["charsum-without-b", "morse-shifts-equal-mod-p", "symmetric-group-on-no-letters"],
+    ids=[
+        "charsum-without-b",
+        "charsum-b-with-all-b",
+        "morse-shifts-equal-mod-p",
+        "symmetric-group-on-no-letters",
+    ],
 )
 def test_option_input_errors_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)

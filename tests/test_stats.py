@@ -18,8 +18,8 @@ from ffstats.errors import (
     ZeroFrequencyError,
 )
 from ffstats.field import FieldCtx
-from ffstats.mpoly import parse
-from ffstats.sets import APSpec, FullSpace, GridProduct, TraceZero
+from ffstats.mpoly import parse, torus_weights
+from ffstats.sets import APSpec, FullSpace, GridProduct, TorusOrbits, TraceZero
 from ffstats.stats import (
     ClassDistribution,
     GroupSpec,
@@ -266,10 +266,14 @@ def test_distribution_of_all_monic_polynomials_is_necklace_counts(p, k, d):
     ctx = FieldCtx(p, k)
     q = ctx.q
     poly = " + ".join([f"t^{d}"] + [f"A{i}*t^{d - i}" for i in range(1, d)] + [f"A{d}"])
+    F = parse(poly, d, ctx)
     with mock.patch.object(_gfp, "gf_spec_types", wraps=_gfp.gf_spec_types) as batched:
-        dist = empirical_distribution(parse(poly, d, ctx), FullSpace(d))
-    # the sweep's blocks; the modulus search of the admissibility field calls the kernel too
-    assert sum(len(call.args[0]) for call in batched.call_args_list if call.args[1] is ctx.vec) == q**d
+        dist = empirical_distribution(F, FullSpace(d))
+    # the sweep's blocks, one row per orbit of the weights (1, 2, ..., d); the
+    # modulus search of the admissibility field calls the kernel too
+    assert torus_weights(F) == (1, tuple(range(1, d + 1)), d)
+    orbits = TorusOrbits(torus_weights(F)[1], ctx).count
+    assert sum(len(call.args[0]) for call in batched.call_args_list if call.args[1] is ctx.vec) == orbits < q**d
     expected = {}
     for parts in partitions(d):
         count = 1
@@ -506,6 +510,71 @@ def test_set_budget_is_checked_before_admissibility(monkeypatch):
         empirical_distribution(F, FullSpace(2), budget=100)
     with pytest.raises(BudgetExceededError):
         restricted_charsum(F, (3,), (1, 0), budget=100)
+
+
+def test_the_orbit_path_charges_its_own_work_before_building_it(monkeypatch):
+    import ffstats.mpoly
+    import ffstats.sets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or sampled before the budget check")
+
+    # the cubic over GF(13)^2: 2 * 2^2 support-table entries, 13 powers, 18
+    # representatives, and one block of them stacks 18 * (1 + 3 // 2) * 3^2 =
+    # 324 rank entries; below 13 the tables do not fit, nor do the 169 points
+    F = parse("t^3 + A1*t + A2", 2, FieldCtx(13))
+    full = empirical_distribution(F, FullSpace(2))
+    with monkeypatch.context() as m:
+        m.setattr(ffstats.mpoly, "require_classifiable", refuse)
+        m.setattr(ffstats.sets, "_log_table", refuse)
+        m.setattr(ffstats.mpoly, "torus_weights", refuse)
+        for budget in (7, 12):  # the weights are not solved either
+            with pytest.raises(BudgetExceededError, match="169 points"):
+                empirical_distribution(F, FullSpace(2), budget=budget)
+        m.undo()
+        m.setattr(ffstats.mpoly, "require_classifiable", refuse)
+        m.setattr(ffstats.sets, "_log_table", refuse)
+        for budget, what in ((17, "representatives"), (323, "rank entries")):
+            with pytest.raises(BudgetExceededError, match=what):
+                empirical_distribution(F, FullSpace(2), budget=budget)
+    for budget, what in ((7, "support-table entries"), (12, "powers")):
+        with pytest.raises(BudgetExceededError, match=what):
+            TorusOrbits((2, 3), FieldCtx(13), budget)
+    # the 169 points would stack 169 * 18 rank entries: past this budget
+    assert empirical_distribution(F, FullSpace(2), budget=324) == full
+
+
+@pytest.mark.parametrize(
+    "poly, n, p",
+    [
+        # not weighted-homogeneous: 4099^2 > 2^24 points, as before
+        ("t^3 + A1*t + A2 + A1^2", 2, 4099),
+        # weighted-homogeneous, but its power table has 2^31 - 1 entries
+        ("t^2 - A1", 1, 2**31 - 1),
+        # 20 * 2^20 support-table entries; and every weight is 0 mod 2
+        (" + ".join(["t^2", *(f"A{i}" for i in range(1, 21))]), 20, 3),
+        # 18 * 2^18 entries fit, but not the (5^18 - 1)/2 + 1 representatives
+        (" + ".join(["t^2", *(f"A{i}" for i in range(1, 19))]), 18, 5),
+    ],
+)
+def test_a_full_space_past_the_budget_fails_before_any_allocation(monkeypatch, poly, n, p):
+    import ffstats.mpoly
+    import ffstats.sets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or classified past the budget")
+
+    monkeypatch.setattr(ffstats.mpoly, "spec_keys", refuse)
+    monkeypatch.setattr(ffstats.sets, "_log_table", refuse)
+    F = parse(poly, n, FieldCtx(p))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            empirical_distribution(F, FullSpace(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize(
