@@ -154,8 +154,11 @@ def _cmd_charsum(args, ctx, F):
         raise ValueError("--b names one frequency and --all-b every one: give one of them")
     if args.all_b:
         sweep = stats.weil_sweep(F, parts, None, budget=args.budget, seed=args.seed)
-        fmt = ",".join(["%d"] * F.n)  # "%d,%d": one format per row
-        rows = [{"q": q, "b": fmt % b, "magnitude": mag, "ratio": ratio} for q, b, mag, ratio in sweep.rows]
+        q, texts = ctx.q, map(",".join, stats.nonzero_frequencies(list(map(str, range(ctx.q))), F.n))
+        rows = [
+            {"q": q, "b": b, "magnitude": mag, "ratio": ratio}
+            for b, mag, ratio in zip(texts, sweep.magnitudes, sweep.ratios)
+        ]
         return {"max_ratio": sweep.max_ratio, "rows": rows}
     if not args.b:
         raise ValueError("need --b or --all-b")

@@ -230,6 +230,11 @@ class TorusOrbits:
     s_1 = 1 and s_(j+1) = lcm(s_j, (q - 1)/gcd(w_(i_j), q - 1)).  So a
     support has prod_j g_j representatives.
 
+    The orbits of frequencies are the same: as (c.a).b = a.(c.b), a set A
+    that is a union of orbits has the same phases tr(a.b), a in A, at every
+    b of an orbit, so its spectrum is read at the representatives and
+    spread over their orbits by :meth:`labels`.
+
     Construction checks the n 2^n entries of the support tables, the q
     entries of the power table and the ``count`` representatives against the
     budget before any of them is built; for q > 2 each is at most q^n."""
@@ -276,18 +281,26 @@ class TorusOrbits:
         exps = _ranks(self.counts)[:, None] // place % moduli
         return np.where(self.inside[support], power[exps], 0), self.sizes[support]
 
-    def points(self, codes, sizes):
-        """Every point of the orbits of the representatives codes, whose orbit
-        sizes are sizes, as codes in the order of ``point_codes`` of the full
-        space: (e_i + k w_i) for k below the orbit size, in index order."""
+    def labels(self, codes, sizes):
+        """For every point of GF(q)^n, in the order of ``point_codes`` of the
+        full space, the index of the row of codes whose orbit holds it, where
+        codes and sizes are :meth:`representatives` (every orbit): one
+        scatter of each orbit's points, (e_i + k w_i) for k below its size,
+        not a sort, whose SIMD code adds to the RSS."""
         q, n = self.ctx.q, len(self.weights)
         power, log = _log_table(self.ctx.p, self.ctx.tail)
         reps = np.repeat(codes, sizes, axis=0)
         moved = np.where(reps != 0, power[(log[reps] + _ranks(sizes)[:, None] * self.weights) % (q - 1)], 0)
-        place = q ** np.arange(n - 1, -1, -1)
-        seen = np.zeros(q**n, bool)  # sorted by a scatter: a sort's SIMD code adds to the RSS
-        seen[moved @ place] = True
-        return np.flatnonzero(seen)[:, None] // place % q
+        labels = np.empty(q**n, np.int64)
+        labels[moved @ q ** np.arange(n - 1, -1, -1)] = np.repeat(np.arange(len(sizes)), sizes)
+        return labels
+
+    def points(self, labels, hit):
+        """Every point of the orbits whose representatives hit marks, as codes
+        in the order of ``point_codes`` of the full space; labels are
+        :meth:`labels`."""
+        q, n = self.ctx.q, len(self.weights)
+        return np.flatnonzero(hit[labels])[:, None] // q ** np.arange(n - 1, -1, -1) % q
 
 
 def _ranks(counts):
@@ -398,7 +411,11 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DE
     per frequency; as on the histogram path (some slot is empty) a row on
     one root comes back exactly.  Sums are ``np.add.reduce`` along rows,
     never BLAS dot products (whose order depends on the CPU): the bits
-    depend on neither the machine nor the ``_PHASE_BLOCK`` boundaries.
+    depend on neither the machine nor the ``_PHASE_BLOCK`` boundaries.  On
+    the histogram path they depend only on the frequency's count row, so two
+    frequencies with the same phase multiset (one torus orbit, for a set of
+    whole orbits) get the same bits; the sparse path sums in point order,
+    which such frequencies do not share.
 
     The budget bounds the work before any phase or count is built: f*|S|
     phases for f frequencies on the sparse path; on the histogram path

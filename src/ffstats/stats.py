@@ -19,11 +19,13 @@ The comparison report normalizes the total-variation gap by sqrt(q)/irreg(S),
 the scale on which a well-distributed set keeps the gap bounded.  Restricted
 character sums over {a : class(F(t,a)) = lambda} come from ``sets.phase_sums``
 and are reported with their magnitude / q^(n - 1/2) ratio; on the orbit
-path the matching orbits are expanded back into their points first.
+path the matching orbits are expanded back into their points first, and a
+sweep over every frequency takes one frequency per orbit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -90,9 +92,13 @@ def parse_type(text: str) -> tuple:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    parts = tuple(sorted((int(x) for x in body.split(",") if x.strip()), reverse=True))
+    error = ValueError(f"cycle-type parts must be positive integers: {text!r}")
+    try:
+        parts = tuple(sorted((int(x) for x in body.split(",") if x.strip()), reverse=True))
+    except ValueError:
+        raise error from None
     if any(x < 1 for x in parts):
-        raise ValueError(f"cycle-type parts must be positive: {text!r}")
+        raise error
     return parts
 
 
@@ -436,15 +442,31 @@ def restricted_charsum(
     """The sum of psi(-a.b) over {a : class(F(t,a)) = parts}: the one row of
     ``weil_sweep(F, parts, [b])``."""
     sweep = weil_sweep(F, parts, [b], budget=budget, seed=seed)
-    _, _, mag, ratio = sweep.rows[0]
-    return CharSumResult(mag, ratio, sweep.terms)
+    return CharSumResult(sweep.magnitudes[0], sweep.ratios[0], sweep.terms)
+
+
+def nonzero_frequencies(symbols, n):
+    """Every nonzero frequency of GF(q)^n, spelled with symbols[c] for the
+    encoding c (symbols lists all q), in the order of ``sets.point_codes``
+    of the full space: the last coordinate fastest, zero skipped."""
+    return itertools.islice(itertools.product(symbols, repeat=n), 1, None)
 
 
 @dataclass
 class WeilSweep:
     max_ratio: float
-    rows: list  # (q, b, magnitude, ratio)
+    magnitudes: list  # one per frequency, in order
+    ratios: list  # magnitude / q^(n - 1/2)
     terms: int  # points in the class
+    q: int
+    n: int
+    bs: list | None  # the frequency tuples; None for every nonzero one
+
+    @property
+    def rows(self):
+        """(q, b, magnitude, ratio) for each frequency b in order."""
+        bs = nonzero_frequencies(range(self.q), self.n) if self.bs is None else self.bs
+        return list(zip(itertools.repeat(self.q), bs, self.magnitudes, self.ratios))
 
 
 def weil_sweep(
@@ -456,14 +478,24 @@ def weil_sweep(
     seed: int = 0,
 ) -> WeilSweep:
     """Character-sum magnitudes over a family of nonzero frequencies
-    (every nonzero frequency when bs is None), sharing one classification
-    pass over the full space.  The parts must sum to deg_t.
+    (every nonzero frequency when bs is None, in :func:`nonzero_frequencies`
+    order), sharing one classification pass over the full space.  The parts
+    must sum to deg_t.
 
     The q^n points (and frequencies) are charged first.  The pass classifies
     the rows of :func:`_sweep_points`; on the orbit path the orbits of the
     matching representatives are expanded back into their points, in
-    ``sets.point_codes`` order, so the points summed over are the same array
-    on both paths, and so is every bit of ``sets.phase_sums``."""
+    ``sets.point_codes`` order, by ``sets.TorusOrbits.labels``, so the points
+    summed over are the same array on both paths, and so is every bit of
+    ``sets.phase_sums``.
+
+    Every frequency of an orbit then sees the same phases, so on the orbit
+    path with bs None the spectrum is taken at the nonzero representatives
+    alone (one frequency per orbit, charged as such) and spread to their
+    orbits by the same labels.  Only for a class of at least p points, whose
+    ``phase_sums`` bits depend on the phases alone: its sparse path sums in
+    point order, which differs inside an orbit (by 1 ulp for ``t^2 + A1^3``
+    over GF(13)), so a smaller class sweeps every frequency."""
     parts = tuple(sorted(parts, reverse=True))
     ctx = F.ctx
     n = F.n
@@ -475,15 +507,19 @@ def weil_sweep(
     codes, sizes, orbits = _sweep_points(F, _sets.FullSpace(n), budget, seed)
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
-    if bs is None:  # the frequencies of F_q^n are its points
-        freqs = (codes if orbits is None else _sets.point_codes(_sets.FullSpace(n), ctx, budget))[1:]
-        bs = map(tuple, freqs.tolist())
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
     hit = keys == _gfp.gf_type_key(parts, F.deg_t)
-    matches = codes[hit] if orbits is None else orbits.points(codes[hit], sizes[hit])
+    if orbits is None:
+        matches = codes[hit]
+    else:
+        labels = orbits.labels(codes, sizes)
+        matches = orbits.points(labels, hit)
+    dual = bs is None and orbits is not None and len(matches) >= ctx.p
+    if bs is None:  # the frequencies of F_q^n are its points; representatives stand for their orbits
+        freqs = (codes if orbits is None or dual else _sets.point_codes(_sets.FullSpace(n), ctx, budget))[1:]
     sums = _sets.phase_sums(matches, freqs, ctx, n, -1, budget)
     mags = np.concatenate([np.empty(0), *(mag for _, _, mag in sums)])
-    ratios = (mags / (float(ctx.q) ** n / math.sqrt(ctx.q))).tolist()
-    rows = [(ctx.q, b, mag, r) for b, mag, r in zip(bs, mags.tolist(), ratios)]
-    max_ratio = max(ratios, default=0.0)
-    return WeilSweep(max_ratio, rows, len(matches))
+    if dual:  # the zero point is the zero representative's orbit, row 0 of both
+        mags = mags[labels[1:] - 1]
+    ratios = mags / (float(ctx.q) ** n / math.sqrt(ctx.q))
+    return WeilSweep(float(ratios.max(initial=0.0)), mags.tolist(), ratios.tolist(), len(matches), ctx.q, n, bs)

@@ -2,9 +2,13 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,19 @@ def test_charsum_sweep(capsys):
     )
     assert len(report["result"]["rows"]) == 12
     assert report["result"]["max_ratio"] <= 1.0
+
+
+@pytest.mark.parametrize("text", ["x", "2.5"])
+def test_charsum_type_with_a_part_that_is_no_integer_is_an_input_error(text):
+    # in a process of its own, whose stderr carries the logged message
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", text, "--all-b"]
+    run = subprocess.run(
+        [sys.executable, "-m", "ffstats.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert f"cycle-type parts must be positive integers: {text!r}" in run.stderr
 
 
 def test_demo_artin_schreier(capsys):

@@ -164,7 +164,52 @@ def test_orbit_sizes_sum_to_the_space_and_expand_to_it(ctx, weights):
         support = [w for w, a in zip(weights, row) if a]
         assert size == (ctx.q - 1) // math.gcd(ctx.q - 1, *support)
     # the orbits of the representatives cover the space once, in point_codes order
-    assert np.array_equal(orbits.points(codes, sizes), point_codes(FullSpace(n), ctx))
+    assert np.array_equal(orbits.points(orbits.labels(codes, sizes), sizes > 0), point_codes(FullSpace(n), ctx))
+
+
+def _expand(orbits, codes, sizes):
+    """The reference expansion: every point of the orbits of codes, a scatter
+    into a mask of GF(q)^n, read back in point_codes order."""
+    q, n = orbits.ctx.q, len(orbits.weights)
+    power, log = sets._log_table(orbits.ctx.p, orbits.ctx.tail)
+    reps = np.repeat(codes, sizes, axis=0)
+    moved = np.where(reps != 0, power[(log[reps] + sets._ranks(sizes)[:, None] * orbits.weights) % (q - 1)], 0)
+    place = q ** np.arange(n - 1, -1, -1)
+    seen = np.zeros(q**n, bool)
+    seen[moved @ place] = True
+    return np.flatnonzero(seen)[:, None] // place % q
+
+
+@st.composite
+def _orbits_and_a_choice(draw):
+    """Orbits over GF(p), GF(4), GF(9) or GF(8)^2, for weights with zeros and
+    weights sharing factors with q - 1, and a subset of the representatives."""
+    ctx = draw(st.sampled_from([FieldCtx(p) for p in (3, 5, 7, 13)] + [FieldCtx(2, 2), FieldCtx(3, 2), GF8]))
+    n = 2 if ctx is GF8 else draw(st.integers(1, 3))
+    weight = st.sampled_from([0, 0, 2, 3, 4, 6, 8, 12, -2, -3]) | st.integers(-30, 30)
+    orbits = TorusOrbits(draw(st.lists(weight, min_size=n, max_size=n)), ctx)
+    hit = np.array(draw(st.lists(st.booleans(), min_size=orbits.count, max_size=orbits.count)))
+    return orbits, hit
+
+
+@settings(max_examples=100, deadline=None)
+@given(_orbits_and_a_choice())
+def test_labels_name_the_orbit_of_each_point(case):
+    orbits, hit = case
+    ctx, weights = orbits.ctx, orbits.weights.tolist()
+    codes, sizes = orbits.representatives()
+    labels = orbits.labels(codes, sizes)
+    assert len(labels) == ctx.q ** len(weights)
+    assert np.array_equal(np.bincount(labels, minlength=orbits.count), sizes)
+    # each point is c.rep for some c != 0, by scalar field arithmetic
+    orbit = [
+        {tuple(ctx.mul(ctx.pow(c, w), a) for w, a in zip(weights, rep)) for c in range(1, ctx.q)}
+        for rep in codes.tolist()
+    ]
+    points = point_codes(FullSpace(len(weights)), ctx).tolist()
+    assert all(tuple(x) in orbit[r] for x, r in zip(points, labels.tolist()))
+    # points() on the labels is the reference expansion of the chosen orbits
+    assert np.array_equal(orbits.points(labels, hit), _expand(orbits, codes[hit], sizes[hit]))
 
 
 def test_torus_weights():
@@ -209,6 +254,11 @@ def _bits(sweep):
         ("t^3 + A1*A2*t + 1", FieldCtx(7)),
         ("A1*t^3 + t^2 + A2", FieldCtx(11)),
         ("t^2 - A1", FieldCtx(31)),
+        # a class of at least p points takes the spectrum at one frequency per
+        # orbit; [1,1,1,1] over GF(7) has 5 points and sweeps every frequency
+        ("t^3 + A1*t + A2", FieldCtx(53)),
+        ("t^4 + A1*t^2 + A2*t + A3", FieldCtx(7)),
+        ("t^3 + A1*t + A2", GF8),
     ],
 )
 def test_weil_sweep_rows_are_bit_equal_to_the_direct_sweep(poly, ctx):
@@ -219,3 +269,33 @@ def test_weil_sweep_rows_are_bit_equal_to_the_direct_sweep(poly, ctx):
         with mock.patch.object(mpoly, "torus_weights", lambda F: None):
             sweeps.append(weil_sweep(F, parts))
         assert _bits(sweeps[0]) == _bits(sweeps[1])
+
+
+@pytest.mark.parametrize(
+    "poly, ctx, parts, dual",
+    [
+        ("t^3 + A1*t + A2", FieldCtx(53), (3,), True),
+        ("t^3 + A1*t + A2", FieldCtx(53), (2, 1), True),
+        ("t^4 + A1*t^2 + A2*t + A3", FieldCtx(7), (4,), True),
+        ("t^3 + A1*t + A2", GF8, (3,), True),
+        # 15 squares, 15 non-squares: fewer than p points, the sparse path
+        ("t^2 - A1", FieldCtx(31), (2,), False),
+        ("t^2 + A1^3", FieldCtx(13), (1, 1), False),
+    ],
+)
+def test_the_spectrum_is_taken_once_per_orbit_on_the_histogram_path(poly, ctx, parts, dual):
+    F = parse(poly, mpoly.infer_parameter_count(poly), ctx)
+    calls = []
+
+    def spy(points, freqs, *args, **kwargs):
+        calls.append((len(points), len(freqs)))
+        return phase_sums(points, freqs, *args, **kwargs)
+
+    phase_sums = sets.phase_sums
+    with mock.patch.object(sets, "phase_sums", spy):
+        sweep = weil_sweep(F, parts)
+    [(terms, freqs)] = calls
+    qn = ctx.q**F.n
+    assert terms == sweep.terms and (terms >= ctx.p) == dual
+    assert freqs == (TorusOrbits(torus_weights(F)[1], ctx).count - 1 if dual else qn - 1)
+    assert len(sweep.rows) == len(sweep.magnitudes) == len(sweep.ratios) == qn - 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -61,6 +62,10 @@ def test_format_parse_type():
     assert parse_type("1,2,1") == (2, 1, 1)
     with pytest.raises(ValueError):
         parse_type("0,2")
+    # a part that is no integer names itself, not Python's int() literal
+    for text in ("x", "2.5", "[2,y]", "0,2"):
+        with pytest.raises(ValueError, match=re.escape(f"parts must be positive integers: {text!r}")):
+            parse_type(text)
 
 
 def test_gamma_small_cases():
@@ -592,18 +597,21 @@ def test_restricted_charsum_gives_weil_sweep_bits(poly, n, parts, p):
 
 
 @pytest.mark.parametrize(
-    "sweep, work",
+    "poly, sweep, work",
     [
         # all 5 points of GF(5) have type [1], so the sums take the histogram
         # path; the frequencies of GF(5) lie on 2 lines (zero's included), so
         # 4 frequencies cost 2*5 phases and 4*5 count slots, one costs 5 + 5
-        (lambda F, budget: weil_sweep(F, (1,), None, budget=budget), 30),
-        (lambda F, budget: restricted_charsum(F, (1,), (1,), budget=budget), 10),
+        ("t + A1 + 1", lambda F, budget: weil_sweep(F, (1,), None, budget=budget), 30),
+        ("t + A1", lambda F, budget: restricted_charsum(F, (1,), (1,), budget=budget), 10),
+        # t + A1 has weight 1: GF(5)^* is one orbit, and its representative
+        # is the one frequency charged
+        ("t + A1", lambda F, budget: weil_sweep(F, (1,), None, budget=budget), 10),
     ],
-    ids=["weil_sweep", "restricted_charsum"],
+    ids=["weil_sweep", "restricted_charsum", "weil_sweep-orbits"],
 )
-def test_character_sums_pass_their_budget_to_the_kernel(sweep, work):
-    F = parse("t + A1", 1, FieldCtx(5))
+def test_character_sums_pass_their_budget_to_the_kernel(poly, sweep, work):
+    F = parse(poly, 1, FieldCtx(5))
     with pytest.raises(BudgetExceededError, match="spectrum"):
         sweep(F, work - 1)
     sweep(F, work)
