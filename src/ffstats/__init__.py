@@ -12,7 +12,6 @@ from .mpoly import (
     admissibility,
     classify_points,
     classify_specialization,
-    disc_nonzero_probabilistic,
     parse,
 )
 from .sets import (
@@ -71,7 +70,6 @@ __all__ = [
     "classify_points",
     "classify_specialization",
     "compare",
-    "disc_nonzero_probabilistic",
     "discriminant",
     "empirical_distribution",
     "factorization_type",

@@ -10,7 +10,8 @@ Every run prints one JSON document on one line: ``{"version", "config",
 the subcommand's handler for ``result``, and derives ``config`` from the
 parsed options: every one but ``--out``, with ``q`` and the canonical
 polynomial added.  The ``result`` subtree is byte-identical for a fixed
-(config, seed); wall-clock times live only under ``timings``.  Every run
+config, whose ``--seed`` chooses only the extension modulus; wall-clock
+times live only under ``timings``.  Every run
 works in the calling thread: ``--threads`` is accepted for compatibility.
 ``--format csv`` writes a table instead, nested results as dotted keys.
 Logs go to stderr, reports to stdout or ``--out``.  Exit codes: 0 ok,
@@ -57,7 +58,7 @@ def _shared_parsers():
         default=None,
         help="extension modulus as ascending coefficients, e.g. '1,0,1' for x^2+1",
     )
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=0, help="extension-modulus choice")
     common.add_argument(
         "--threads",
         type=_positive_int,
@@ -131,7 +132,7 @@ def _cmd_irreg(args, ctx, F):
 
 def _cmd_dist(args, ctx, F):
     descriptor = sets.parse_set(args.set, ctx, n=F.n)
-    dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
+    dist = stats.empirical_distribution(F, descriptor, budget=args.budget)
     return dist.to_json_dict()
 
 
@@ -144,7 +145,7 @@ def _load_group(spec_text, d):
 def _cmd_compare(args, ctx, F):
     descriptor = sets.parse_set(args.set, ctx, n=F.n)
     group = _load_group(args.group, F.deg_t)
-    report = stats.compare(F, descriptor, group, budget=args.budget, seed=args.seed)
+    report = stats.compare(F, descriptor, group, budget=args.budget)
     return report.to_json_dict()
 
 
@@ -153,7 +154,7 @@ def _cmd_charsum(args, ctx, F):
     if args.all_b and args.b:
         raise ValueError("--b names one frequency and --all-b every one: give one of them")
     if args.all_b:
-        sweep = stats.weil_sweep(F, parts, None, budget=args.budget, seed=args.seed)
+        sweep = stats.weil_sweep(F, parts, None, budget=args.budget)
         q, texts = ctx.q, map(",".join, stats.nonzero_frequencies(list(map(str, range(ctx.q))), F.n))
         rows = [
             {"q": q, "b": b, "magnitude": mag, "ratio": ratio}
@@ -163,7 +164,7 @@ def _cmd_charsum(args, ctx, F):
     if not args.b:
         raise ValueError("need --b or --all-b")
     b = sets.parse_point(args.b, ctx)
-    res = stats.restricted_charsum(F, parts, b, budget=args.budget, seed=args.seed)
+    res = stats.restricted_charsum(F, parts, b, budget=args.budget)
     return {
         "b": args.b,
         "magnitude": res.magnitude,
@@ -187,7 +188,7 @@ def _demo_pv(args, ctx, F):
     F = mpoly.parse("t^2 - A1", 1, ctx)
     # first, so that a closed form past the budget exits before classifying
     rep = sets.irregularity(descriptor, ctx, budget=args.budget)
-    dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
+    dist = stats.empirical_distribution(F, descriptor, budget=args.budget)
     split = dist.counts.get((1, 1), 0)
     return {
         "H": H,
@@ -213,7 +214,7 @@ def _demo_power_residues(args, ctx, F):
         m //= ctx.p
     H, descriptor = _interval(args, ctx)
     F = mpoly.parse(f"t^{m} - A1", 1, ctx)
-    dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
+    dist = stats.empirical_distribution(F, descriptor, budget=args.budget)
     with_root = dist.non_squarefree + sum(c for parts, c in dist.counts.items() if 1 in parts)
     g = math.gcd(ctx.p - 1, k)
     return {
@@ -239,7 +240,7 @@ def _demo_trinomial(args, ctx, F):
     else:
         descriptor = sets.FullSpace(2)
     group = stats.GroupSpec.symmetric(3)
-    report = stats.compare(F, descriptor, group, budget=args.budget, seed=args.seed)
+    report = stats.compare(F, descriptor, group, budget=args.budget)
     return report.to_json_dict()
 
 
@@ -260,7 +261,7 @@ def _demo_morse(args, ctx, F):
         F = F * (base + A + mpoly.MultiPoly.constant(ctx, 1, ctx.from_int(h)))
     H, descriptor = _interval(args, ctx)
     rep = sets.irregularity(descriptor, ctx, budget=args.budget)
-    dist = stats.empirical_distribution(F, descriptor, budget=args.budget, seed=args.seed)
+    dist = stats.empirical_distribution(F, descriptor, budget=args.budget)
     m = len(shifts)
     all_irreducible = dist.counts.get((d,) * m, 0)
     target = H / d**m
@@ -285,7 +286,7 @@ def _demo_artin_schreier(args, ctx, F):
     F = mpoly.parse(f"t^{p} - t - A1", 1, ctx)
     descriptor = sets.TraceZero()
     group = stats.cyclic_shift_group(p)
-    comparison = stats.compare(F, descriptor, group, budget=args.budget, seed=args.seed)
+    comparison = stats.compare(F, descriptor, group, budget=args.budget)
     dist = comparison.distribution
     split_all = dist.counts.get((1,) * p, 0)
     return {

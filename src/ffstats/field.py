@@ -298,9 +298,6 @@ class FieldCtx:
     def elements(self):
         return range(self.q)
 
-    def random_element(self, rng: random.Random) -> int:
-        return rng.randrange(self.q)
-
     def encodings(self, points, n: int):
         """The one reader of caller-supplied points: the encodings of the
         leading points that name an element of GF(q)^n, as an (m, n) array

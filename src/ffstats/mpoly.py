@@ -23,7 +23,6 @@ Specialization has one path, ``MultiPoly.specialize_block`` over
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -209,10 +208,6 @@ class MultiPoly:
     @property
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
-
-    @property
-    def deg_params(self) -> int:
-        return max((sum(e[1:]) for e in self.terms), default=0)
 
     # -- ring operations ---------------------------------------------------------
 
@@ -642,11 +637,11 @@ def classify_specialization(F: MultiPoly, point) -> SpecializationOutcome:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Degree data plus the sampled discriminant verdict.
+    """Degree data plus the exact discriminant verdict.
 
-    ``disc_nonzero`` is one-sided: True is certain, False is wrong with
-    probability at most 2^-trials when the discriminant is not identically
-    zero.  ``admissible`` additionally demands p > deg_t; statistics can
+    ``disc_nonzero`` tells whether the discriminant of F in t is not
+    identically zero, and ``trials_used`` counts the points classified to
+    decide it.  ``admissible`` additionally demands p > deg_t; statistics can
     still be computed without that (the comparison report flags it), but
     classification itself needs ``classifiable``.
     """
@@ -666,21 +661,13 @@ class AdmissibilityReport:
         return self.disc_nonzero and self.deg_t >= 1
 
 
-def _disc_degree_bound(F: MultiPoly) -> int:
-    # res_t(F, F_t) is a determinant of size < 2*deg_t with entries of
-    # parameter degree <= deg_params.
-    return max(0, (2 * F.deg_t - 1) * F.deg_params)
-
-
 def _find_subfield_root(base: FieldCtx, ext: FieldCtx):
-    """A root in ext of the modulus of base.  The trace z + z^q + ... +
-    z^(q^(m-1)) down to the copy of GF(q) in ext, m = [ext : base], is
-    uniform there for a uniform z, and k of its q elements are roots, so
-    about q/k draws find one; the draws are seeded by the two fields."""
+    """A root in ext of the modulus of base: the first trace z + z^q + ...
+    + z^(q^(m-1)), m = [ext : base], over z = 0, 1, 2, ... that is one.  The
+    trace maps ext onto its copy of GF(q), k of whose q elements are roots."""
     mod = UniPoly.from_ints(ext, base.modulus)
-    rng = random.Random(f"{base!r} in {ext!r}")
-    while True:
-        w = z = ext.random_element(rng)
+    for z in ext.elements():
+        w = z
         for _ in range(ext.k // base.k - 1):
             z = ext.pow(z, base.q)
             w = ext.add(w, z)
@@ -698,47 +685,52 @@ def _lift_terms(F: MultiPoly, ext: FieldCtx):
     return {e: UniPoly.from_ints(ext, base.coords(c)).evaluate(root) for e, c in F.terms.items()}
 
 
-def disc_nonzero_probabilistic(F: MultiPoly, trials: int = 32, seed: int = 0):
-    """Sampled check that the discriminant of F in t is not identically zero.
+def admissibility(F: MultiPoly, budget: int = DEFAULT_BUDGET) -> AdmissibilityReport:
+    """Decide exactly whether the discriminant R(a) of F(t, a) in t is not
+    identically zero.  R = res_t(F, F_t) has degree at most B_i = (2 deg_t -
+    1) deg_(A_i) F in each A_i, so R = 0 exactly when it vanishes on a grid
+    T_1 x ... x T_n with |T_i| = B_i + 1 (Alon's Combinatorial
+    Nullstellensatz, Lemma 2.1).  T_i is the encodings 0..B_i, in GF(q) when
+    q > max B_i, else in GF(q^m) for the first m with q^m > max B_i, F lifted
+    there.  A full-degree specialization has R(a) != 0 exactly when it is
+    squarefree.  The grid's last point (B_1, ..., B_n) is tried alone first;
+    past it the grid is charged against the budget (BudgetExceededError)
+    and walked in ``spec_keys`` blocks up to the first witness."""
+    d, n, base = F.deg_t, F.n, F.ctx
 
-    Points are drawn from an extension large enough that a nonzero
-    discriminant vanishes on at most half of it, so each failing trial
-    halves the false-negative probability.  Returns (verdict, trials_used);
-    a True verdict is exact.
-    """
-    if F.deg_t < 1:
-        raise ValueError("needs positive degree in t")
-    base = F.ctx
-    bound = _disc_degree_bound(F)
-    m = 1
-    while base.q**m <= 2 * bound:
-        m += 1
-    if m == 1:
-        sample = F
-    else:
-        sctx = FieldCtx(base.p, base.k * m, seed=seed + 1)
-        sample = MultiPoly(sctx, F.n, _lift_terms(F, sctx))
-    rng = random.Random(seed)
-    for trial in range(trials):
-        point = [sample.ctx.random_element(rng) for _ in range(F.n)]
-        # a full-degree specialization has a nonzero discriminant exactly
-        # when it is squarefree
-        f = sample.specialize(point)
-        if f.degree == F.deg_t and is_squarefree(f):
-            return True, trial + 1
-    return False, trials
+    def report(ok, used):
+        return AdmissibilityReport(d, F.total_degree, ok, base.p > d, used)
 
-
-def admissibility(F: MultiPoly, trials: int = 32, seed: int = 0) -> AdmissibilityReport:
-    d = F.deg_t
     if d < 1:
-        return AdmissibilityReport(d, F.total_degree, False, F.ctx.p > d, 0)
-    ok, used = disc_nonzero_probabilistic(F, trials=trials, seed=seed)
-    return AdmissibilityReport(d, F.total_degree, ok, F.ctx.p > d, used)
+        return report(False, 0)
+    sides = [(2 * d - 1) * max(e[i] for e in F.terms) + 1 for i in range(1, n + 1)]
+    m = 1
+    while base.q**m < max(sides, default=1):
+        m += 1
+    G = F
+    if m > 1:
+        ext = FieldCtx(base.p, base.k * m)
+        G = MultiPoly(ext, n, _lift_terms(F, ext))
+    f = G.specialize([s - 1 for s in sides])
+    if f.degree == d and is_squarefree(f):
+        return report(True, 1)
+    count = math.prod(sides)
+    if count > budget:
+        raise BudgetExceededError(
+            f"deciding the discriminant walks a grid of {count} points, budget is {budget}"
+        )
+    require_dense_budget(G, budget, count)
+    used = 1
+    for keys in spec_keys(G, np.indices(sides).reshape(n, count).T):
+        hits = np.flatnonzero(keys >= 0)
+        if len(hits):
+            return report(True, used + int(hits[0]) + 1)
+        used += len(keys)
+    return report(False, used)
 
 
-def require_classifiable(F: MultiPoly, trials: int = 32, seed: int = 0) -> AdmissibilityReport:
-    rep = admissibility(F, trials=trials, seed=seed)
+def require_classifiable(F: MultiPoly, budget: int = DEFAULT_BUDGET) -> AdmissibilityReport:
+    rep = admissibility(F, budget)
     if not rep.classifiable:
         raise NotAdmissibleError(
             "polynomial has no usable specializations: "

@@ -175,9 +175,10 @@ class GroupSpec:
     @classmethod
     def from_file(cls, path: str) -> "GroupSpec":
         """Header ``d=<int> nu=<int>``, then one line per element: the images
-        of 1..d in one-line notation, a ``|``, and the label."""
+        of 1..d in one-line notation, a ``|``, and the label.  Lines whose
+        first non-blank character is ``#`` are comments."""
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
         if not lines:
             raise InvalidGroupError(f"empty group file {path}")
         header = dict(
@@ -193,10 +194,13 @@ class GroupSpec:
             if "|" not in ln:
                 raise InvalidGroupError(f"element line needs '|': {ln!r}")
             left, right = ln.split("|", 1)
-            images = [int(x) for x in left.split()]
+            try:
+                images, label = [int(x) for x in left.split()], int(right)
+            except ValueError as exc:
+                raise InvalidGroupError(f"element line needs integers: {ln!r}") from exc
             if sorted(images) != list(range(1, d + 1)):
                 raise InvalidGroupError(f"not a permutation of 1..{d}: {ln!r}")
-            elements.append((tuple(x - 1 for x in images), int(right)))
+            elements.append((tuple(x - 1 for x in images), label))
         return cls.explicit(d, nu, elements)
 
     def to_file(self, path: str) -> None:
@@ -255,7 +259,7 @@ class ClassDistribution:
         }
 
 
-def _sweep_points(F: MultiPoly, S, budget, seed):
+def _sweep_points(F: MultiPoly, S, budget):
     """The rows to classify for S, how many points of S each stands for, and
     the ``sets.TorusOrbits`` they represent (None when each is one point).
     For the full space of a weighted-homogeneous F (``mpoly.torus_weights``)
@@ -272,12 +276,12 @@ def _sweep_points(F: MultiPoly, S, budget, seed):
     if torus is None or not any(w % (q - 1) for w in torus[1]):  # else every orbit is one point
         codes = _sets.point_codes(S, F.ctx, budget)
         _mp.require_dense_budget(F, budget, len(codes))
-        _mp.require_classifiable(F, seed=seed)
+        _mp.require_classifiable(F, budget)
         return codes, np.broadcast_to(np.int64(1), len(codes)), None
     _sets.validate_set(S, F.ctx)
     orbits = _sets.TorusOrbits(torus[1], F.ctx, budget)
     _mp.require_dense_budget(F, budget, orbits.count)
-    _mp.require_classifiable(F, seed=seed)
+    _mp.require_classifiable(F, budget)
     return *orbits.representatives(), orbits
 
 
@@ -286,7 +290,6 @@ def empirical_distribution(
     S,
     *,
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> ClassDistribution:
     """Classify S in one in-order pass of ``mpoly.spec_keys`` over the rows
     of :func:`_sweep_points`: one point per torus orbit, weighted by its
@@ -295,7 +298,7 @@ def empirical_distribution(
     key of a block adds up its rows' weights in one int64 pass over the
     keys' places among ``np.unique``'s values (never as float weights: q^n
     may pass 2^53), and each distinct key is decoded once."""
-    codes, weights, _ = _sweep_points(F, S, budget, seed)
+    codes, weights, _ = _sweep_points(F, S, budget)
     tally, at = Counter(), 0
     for keys in _mp.spec_keys(F, codes):
         w = weights[at : at + len(keys)]
@@ -363,7 +366,6 @@ def compare(
     group: GroupSpec,
     *,
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> ComparisonReport:
     """Empirical distribution vs. group prediction, with the total-variation
     gap and its sqrt(q)/irreg normalization.
@@ -379,7 +381,7 @@ def compare(
         )
     # first, so that a spectrum past the budget exits before classifying
     rep = _sets.irregularity(S, F.ctx, budget)
-    dist = empirical_distribution(F, S, budget=budget, seed=seed)
+    dist = empirical_distribution(F, S, budget=budget)
     pred = prediction_from_group(group)
     total = dist.total
     universe = sorted(set(dist.counts) | set(pred), reverse=True)
@@ -437,11 +439,10 @@ def restricted_charsum(
     b,
     *,
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> CharSumResult:
     """The sum of psi(-a.b) over {a : class(F(t,a)) = parts}: the one row of
     ``weil_sweep(F, parts, [b])``."""
-    sweep = weil_sweep(F, parts, [b], budget=budget, seed=seed)
+    sweep = weil_sweep(F, parts, [b], budget=budget)
     return CharSumResult(sweep.magnitudes[0], sweep.ratios[0], sweep.terms)
 
 
@@ -475,7 +476,6 @@ def weil_sweep(
     bs=None,
     *,
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> WeilSweep:
     """Character-sum magnitudes over a family of nonzero frequencies
     (every nonzero frequency when bs is None, in :func:`nonzero_frequencies`
@@ -504,7 +504,7 @@ def weil_sweep(
         freqs = _frequencies(bs, ctx, n)
     if ctx.q**n > budget:
         raise BudgetExceededError(f"{ctx.q**n} points of the full space, budget is {budget}")
-    codes, sizes, orbits = _sweep_points(F, _sets.FullSpace(n), budget, seed)
+    codes, sizes, orbits = _sweep_points(F, _sets.FullSpace(n), budget)
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -6,7 +7,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffstats import _gfp, mpoly
@@ -29,12 +30,11 @@ from ffstats.mpoly import (
     admissibility,
     classify_points,
     classify_specialization,
-    disc_nonzero_probabilistic,
     infer_parameter_count,
     parse,
     require_classifiable,
 )
-from ffstats.unipoly import UniPoly, discriminant, factorization_type, is_irreducible
+from ffstats.unipoly import UniPoly, discriminant, factorization_type, is_irreducible, is_squarefree
 
 
 def test_parse_quadratic_family():
@@ -320,14 +320,14 @@ def test_extension_classification_matches_splitting_rule(case):
 
 def test_exceptional_points_are_rare():
     # for admissible F the non-generic a form at most deg(disc) * q^(n-1)
-    # many points, with deg(disc) <= (2 deg_t - 1) * deg_params
+    # many points, with deg(disc) <= (2 deg_t - 1) * (the degree in A)
     rng = random.Random(37)
     ctx = FieldCtx(11)
     tested = 0
     while tested < 12:
         n = rng.randrange(1, 3)
         F = _random_poly(ctx, n, rng, max_terms=4, max_exp=3)
-        if F.deg_t < 1 or not disc_nonzero_probabilistic(F)[0]:
+        if not admissibility(F).classifiable:
             continue
         tested += 1
         bad = sum(
@@ -335,37 +335,33 @@ def test_exceptional_points_are_rare():
             for a in itertools.product(range(ctx.q), repeat=n)
             if classify_specialization(F, a).kind != TYPE
         )
-        bound = (2 * F.deg_t - 1) * F.deg_params * ctx.q ** (n - 1)
+        bound = (2 * F.deg_t - 1) * max(sum(e[1:]) for e in F.terms) * ctx.q ** (n - 1)
         assert bad <= bound, (str(F), bad, bound)
 
 
 def test_disc_nonzero_examples():
     ctx = FieldCtx(5)
-    ok, used = disc_nonzero_probabilistic(parse("t^2 - A1", 1, ctx))
-    assert ok and used >= 1
-    bad, used = disc_nonzero_probabilistic(parse("(t - A1)^2", 1, ctx), trials=16)
-    assert not bad and used == 16
+    rep = admissibility(parse("t^2 - A1", 1, ctx))
+    assert rep.disc_nonzero and rep.trials_used >= 1
+    # the first point, then the grid 0..6 of B_1 = 3 * deg_A1 = 6
+    rep = admissibility(parse("(t - A1)^2", 1, ctx))
+    assert not rep.disc_nonzero and rep.trials_used == 1 + 7
 
 
 def test_disc_nonzero_artin_schreier_small_p():
-    # t^3 - t - A1 over F_3: separable for every a, needs an extension to
-    # sample from since the base field is smaller than the degree bound
+    # t^3 - t - A1 over F_3: separable for every a, decided in an extension
+    # since the base field is smaller than the degree bound
     ctx = FieldCtx(3)
-    ok, _ = disc_nonzero_probabilistic(parse("t^3 - t - A1", 1, ctx))
-    assert ok
+    assert admissibility(parse("t^3 - t - A1", 1, ctx)).disc_nonzero
 
 
 def test_disc_nonzero_extension_tower():
     # base field already an extension and too small: lifts through a bigger one
     ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
-    F = parse("t^2 - A1^5", 1, ctx)
-    ok, _ = disc_nonzero_probabilistic(F)
-    assert ok
-    bad, _ = disc_nonzero_probabilistic(parse("(t - A1^3)^2", 1, ctx), trials=12)
-    assert not bad
+    assert admissibility(parse("t^2 - A1^5", 1, ctx)).disc_nonzero
+    assert not admissibility(parse("(t - A1^3)^2", 1, ctx)).disc_nonzero
 
 
-DISC_FIELDS = [FieldCtx(p) for p in (2, 3, 5, 13)] + [FieldCtx(2, 2, seed=1), FieldCtx(3, 2, seed=1)]
 DISC_FAMILIES = [
     "t^2 - A1",
     "t^3 + A1*t + A2",
@@ -374,39 +370,111 @@ DISC_FAMILIES = [
     "(t - A1)^2",
     "t^p - A1",  # inseparable
     "(t - A1)^2*(t - A2)",
+    "(t^2 + A1)*(t^2 + A1*A2)",  # the factors meet where A1 = 0 or A2 = 1
+    "t^2 - A1^3 + A1",  # over GF(3) not squarefree at any point of GF(3)
 ]
 
 
-def _discriminant_trials(F, trials, seed):
-    """The draws of disc_nonzero_probabilistic, each decided by discriminant."""
-    bound = (2 * F.deg_t - 1) * F.deg_params
-    m = 1
-    while F.ctx.q**m <= 2 * bound:
-        m += 1
-    sample = F
-    if m > 1:
-        sctx = FieldCtx(F.ctx.p, F.ctx.k * m, seed=seed + 1)
-        sample = MultiPoly(sctx, F.n, mpoly._lift_terms(F, sctx))
-    rng = random.Random(seed)
-    for trial in range(trials):
-        f = sample.specialize([sample.ctx.random_element(rng) for _ in range(F.n)])
-        if f.degree == F.deg_t and discriminant(f) != 0:
-            return True, trial + 1
-    return False, trials
+@st.composite
+def _families(draw, ctx):
+    """F in t, A1, A2 of degree 1..4 in t: a named family, or a product of
+    one or two random factors, each squared at will, so that squares, shared
+    factors and degree drops come often."""
+    if draw(st.booleans()):
+        return parse(draw(st.sampled_from(DISC_FAMILIES)).replace("p", str(ctx.p)), 2, ctx)
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
+    F = MultiPoly.constant(ctx, 2, 1)
+    for _ in range(draw(st.integers(1, 2))):
+        f = MultiPoly(ctx, 2, draw(st.dictionaries(exponents, st.integers(1, ctx.q - 1), min_size=1, max_size=3)))
+        F = F * f * f if draw(st.booleans()) else F * f
+    assume(1 <= F.deg_t <= 4)
+    return F
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    st.sampled_from(DISC_FIELDS),
-    st.sampled_from(DISC_FAMILIES),
-    st.integers(1, 6),
-    st.integers(0, 10**6),
-)
-def test_disc_nonzero_matches_discriminant_on_the_same_draws(ctx, family, trials, seed):
-    expr = family.replace("p", str(ctx.p))
-    F = parse(expr, infer_parameter_count(expr), ctx)
-    want = _discriminant_trials(F, trials, seed)
-    assert disc_nonzero_probabilistic(F, trials=trials, seed=seed) == want
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([FieldCtx(p) for p in (2, 3, 5, 13)]).flatmap(_families))
+def test_disc_nonzero_matches_the_resultant_over_prime_fields(F):
+    t, *params = sympy.symbols("t A1 A2")
+    P = sympy.sympify(str(F).replace("^", "**"))
+    res = sympy.resultant(P, P.diff(t), t, *params, modulus=F.ctx.p)
+    assert admissibility(F).disc_nonzero == (res != 0), str(F)
+
+
+def _brute_force_disc_nonzero(F):
+    """Whether F(t, a) has full degree and a nonzero scalar discriminant at
+    some a in K^n, K = GF(q^m) for the first m with q^m > max B_i: then and
+    only then is the discriminant of F not identically zero.  K has its own
+    modulus, and GF(q) goes in through a root of the modulus of F's field."""
+    base, d = F.ctx, F.deg_t
+    bound = max((2 * d - 1) * max(e[i] for e in F.terms) for i in range(1, F.n + 1))
+    m = next(m for m in itertools.count(1) if base.q**m > bound)
+    K = FieldCtx(base.p, base.k * m, seed=2)
+    modulus = UniPoly.from_ints(K, base.modulus)
+    root = next(z for z in K.elements() if modulus.evaluate(z) == 0)
+    terms = [(e, UniPoly.from_ints(K, base.coords(c)).evaluate(root)) for e, c in F.terms.items()]
+    powers = [[K.pow(x, k) for k in range(max(map(max, F.terms)) + 1)] for x in K.elements()]
+    for a in itertools.product(K.elements(), repeat=F.n):
+        coeffs = [0] * (d + 1)
+        for e, c in terms:
+            for x, k in zip(a, e[1:]):
+                c = K.mul(c, powers[x][k])
+            coeffs[e[0]] = K.add(coeffs[e[0]], c)
+        if coeffs[d] and discriminant(UniPoly(K, tuple(coeffs))) != 0:
+            return True
+    return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([FieldCtx(2, 2, seed=1), FieldCtx(3, 2, seed=1)]).flatmap(_families), st.integers(1, 2))
+def test_disc_nonzero_matches_a_brute_force_over_gf4_and_gf9(F, n):
+    if n == 1:  # A2 := A1
+        F = sum((MultiPoly(F.ctx, 1, {(e, a + b): c}) for (e, a, b), c in F.terms.items()), MultiPoly(F.ctx, 1, {}))
+        assume(F.deg_t >= 1)
+    assert admissibility(F).disc_nonzero == _brute_force_disc_nonzero(F), str(F)
+
+
+def test_a_family_vanishing_on_its_own_field_is_decided_in_the_lift(capsys):
+    # a^3 = a on GF(3), so t^2 - A1^3 + A1 is t^2 at every point of GF(3)
+    F = parse("t^2 - A1^3 + A1", 1, FieldCtx(3))
+    assert all(not is_squarefree(F.specialize((a,))) for a in range(3))
+    assert admissibility(F).classifiable
+    assert main(["dist", "--p", "3", "--poly", "t^2 - A1^3 + A1", "--set", "full"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["non_squarefree"] == 3
+
+
+def test_the_grid_finds_a_witness_the_first_point_misses():
+    F = parse("t^2 - (A1 - A2)^2", 2, FieldCtx(7))
+    assert not is_squarefree(F.specialize((6, 6)))
+    rep = admissibility(F)
+    assert (rep.disc_nonzero, rep.trials_used) == (True, 3)  # (6, 6), then (0, 0) and (0, 1)
+
+
+def test_an_unused_parameter_takes_a_side_of_one_point(capsys):
+    rep = admissibility(parse("(t - A1)^2", 12, FieldCtx(5)))
+    assert (rep.disc_nonzero, rep.trials_used) == (False, 1 + 7)
+    cube = "grid:" + ",".join(["int(0,2)"] * 12)
+    assert main(["dist", "--p", "5", "--poly", "(t - A1)^2", "--n", "12", "--set", cube]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_a_family_without_parameters_has_one_grid_point():
+    ctx = FieldCtx(5)
+    rep = admissibility(parse("t^2 + 1", 0, ctx))
+    assert (rep.disc_nonzero, rep.trials_used) == (True, 1)
+    rep = admissibility(parse("(t + 1)^2", 0, ctx))
+    assert (rep.disc_nonzero, rep.trials_used) == (False, 1 + 1)
+
+
+def test_a_grid_past_the_budget_is_refused_before_any_block_is_classified(capsys):
+    # 7^9 grid points for the square of a linear form in nine parameters
+    poly = "(t + " + " + ".join(f"A{i}" for i in range(1, 10)) + ")^2"
+    cube = "grid:" + ",".join(["int(0,2)"] * 9)
+    with mock.patch.object(mpoly, "spec_keys", wraps=mpoly.spec_keys) as blocks:
+        assert main(["dist", "--p", "10007", "--poly", poly, "--set", cube]) == 3
+    blocks.assert_not_called()
+    assert capsys.readouterr().out == ""
+    with pytest.raises(BudgetExceededError, match="grid of 40353607 points"):
+        admissibility(parse(poly, 9, FieldCtx(10007)))
 
 
 def test_admissibility_reports():
@@ -567,5 +635,5 @@ def test_poly_input_errors_raise_their_type_and_exit_2(capsys, call, error, poly
 def test_a_polynomial_without_t_needs_no_classification_budget_and_has_no_discriminant():
     F = parse("A1 + 1", 1, _F7)
     mpoly.require_dense_budget(F, 0)  # nothing to classify
-    with pytest.raises(ValueError, match="positive degree in t"):
-        mpoly.disc_nonzero_probabilistic(F)
+    rep = admissibility(F)
+    assert not rep.classifiable and rep.trials_used == 0

@@ -167,6 +167,14 @@ def test_group_file_rejects_garbage(tmp_path):
         GroupSpec.from_file(str(path))
 
 
+def test_group_file_comments_may_be_indented(capsys, tmp_path):
+    path = tmp_path / "group.txt"
+    path.write_text("# the cyclic group of order 2\nd=2 nu=1\n  # identity\n1 2 | 0\n\t# the swap\n2 1 | 0\n")
+    assert GroupSpec.from_file(str(path)) == cyclic_shift_group(2)
+    assert main(["compare", "--p", "7", "--poly", "t^2 - A1", "--group", str(path)]) == 0
+    capsys.readouterr()
+
+
 # Each input check of GroupSpec: a group file that trips it (read by
 # from_file, and by compare --group, which exits 2) or, where no file spells
 # the input, the call that does.
@@ -179,6 +187,8 @@ _GROUP_ERRORS = [
     "d=2 nu=1\n1 2 0\n",
     "d=2 nu=2\n1 2 | 0\n1 2 | 1\n",
     "d=2 nu=1\n1 2 | 0\n1 2 | 0\n",
+    "d=2 nu=1\n1 2 | 0\n2 1 | 0 # x\n",
+    "d=2 nu=1\n1 2 | 0\n2 one | 0\n",
     lambda: GroupSpec.symmetric(0),
     lambda: GroupSpec.explicit(2, 1, [((0, 0), 0)]),
     lambda: GroupSpec.symmetric(3).to_file("unused"),
@@ -189,7 +199,7 @@ _GROUP_ERRORS = [
     "case",
     _GROUP_ERRORS,
     ids=["empty-file", "bad-header", "degree-0", "nu-0", "no-elements", "no-bar", "conflicting-labels",
-         "duplicates", "symmetric-0", "not-a-permutation", "symmetric-to-file"],
+         "duplicates", "label-not-an-integer", "image-not-an-integer", "symmetric-0", "not-a-permutation", "symmetric-to-file"],
 )
 def test_group_input_errors_raise_their_type_and_exit_2(capsys, tmp_path, case):
     if callable(case):
@@ -198,8 +208,10 @@ def test_group_input_errors_raise_their_type_and_exit_2(capsys, tmp_path, case):
         return
     path = tmp_path / "group.txt"
     path.write_text(case)
-    with pytest.raises(InvalidGroupError):
+    with pytest.raises(InvalidGroupError) as err:
         GroupSpec.from_file(str(path))
+    if "x" in case or "one" in case:  # the message names the line, not int()'s literal
+        assert repr(case.splitlines()[-1]) in str(err.value)
     assert main(["compare", "--p", "7", "--poly", "t^2 - A1", "--group", str(path)]) == 2
     assert capsys.readouterr().out == ""
 
