@@ -693,9 +693,12 @@ def admissibility(F: MultiPoly, budget: int = DEFAULT_BUDGET) -> AdmissibilityRe
     Nullstellensatz, Lemma 2.1).  T_i is the encodings 0..B_i, in GF(q) when
     q > max B_i, else in GF(q^m) for the first m with q^m > max B_i, F lifted
     there.  A full-degree specialization has R(a) != 0 exactly when it is
-    squarefree.  The grid's last point (B_1, ..., B_n) is tried alone first;
-    past it the grid is charged against the budget (BudgetExceededError)
-    and walked in ``spec_keys`` blocks up to the first witness."""
+    squarefree.  Two grid points are tried alone first, by ``specialize``
+    and ``is_squarefree``: the last, (B_1, ..., B_n), then ((B_i - i) mod
+    (B_i + 1))_i, off the diagonal A_1 = ... = A_n.  Past them the grid is
+    charged against the budget (BudgetExceededError) and walked in
+    ``spec_keys`` blocks, built one at a time, up to the first witness;
+    ``trials_used`` counts the distinct points classified."""
     d, n, base = F.deg_t, F.n, F.ctx
 
     def report(ok, used):
@@ -711,17 +714,24 @@ def admissibility(F: MultiPoly, budget: int = DEFAULT_BUDGET) -> AdmissibilityRe
     if m > 1:
         ext = FieldCtx(base.p, base.k * m)
         G = MultiPoly(ext, n, _lift_terms(F, ext))
-    f = G.specialize([s - 1 for s in sides])
-    if f.degree == d and is_squarefree(f):
-        return report(True, 1)
+    corner, off = tuple(s - 1 for s in sides), tuple((s - 1 - i) % s for i, s in enumerate(sides, 1))
+    points = list(dict.fromkeys([corner, off]))
+    for used, a in enumerate(points, 1):
+        f = G.specialize(a)
+        if f.degree == d and is_squarefree(f):
+            return report(True, used)
     count = math.prod(sides)
     if count > budget:
-        raise BudgetExceededError(
-            f"deciding the discriminant walks a grid of {count} points, budget is {budget}"
-        )
+        raise BudgetExceededError(f"deciding the discriminant walks a grid of {count} points, budget is {budget}")
     require_dense_budget(G, budget, count)
-    used = 1
-    for keys in spec_keys(G, np.indices(sides).reshape(n, count).T):
+    skip = [np.ravel_multi_index(a, sides) for a in points]  # left out of the walk
+    used, size = len(points), _spec_block(d, G.ctx)[1]
+    for lo in range(0, count, size):
+        hi = min(lo + size, count)
+        rows = np.delete(np.arange(lo, hi), [i - lo for i in skip if lo <= i < hi])
+        if not len(rows):
+            continue
+        keys = next(spec_keys(G, np.stack(np.unravel_index(rows, sides), axis=1)))
         hits = np.flatnonzero(keys >= 0)
         if len(hits):
             return report(True, used + int(hits[0]) + 1)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -343,9 +344,9 @@ def test_disc_nonzero_examples():
     ctx = FieldCtx(5)
     rep = admissibility(parse("t^2 - A1", 1, ctx))
     assert rep.disc_nonzero and rep.trials_used >= 1
-    # the first point, then the grid 0..6 of B_1 = 3 * deg_A1 = 6
+    # the grid 0..6 of B_1 = 3 * deg_A1 = 6, each point once
     rep = admissibility(parse("(t - A1)^2", 1, ctx))
-    assert not rep.disc_nonzero and rep.trials_used == 1 + 7
+    assert not rep.disc_nonzero and rep.trials_used == 7
 
 
 def test_disc_nonzero_artin_schreier_small_p():
@@ -442,16 +443,58 @@ def test_a_family_vanishing_on_its_own_field_is_decided_in_the_lift(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["non_squarefree"] == 3
 
 
-def test_the_grid_finds_a_witness_the_first_point_misses():
+def test_the_point_off_the_diagonal_finds_a_witness_the_first_point_misses():
     F = parse("t^2 - (A1 - A2)^2", 2, FieldCtx(7))
     assert not is_squarefree(F.specialize((6, 6)))
     rep = admissibility(F)
-    assert (rep.disc_nonzero, rep.trials_used) == (True, 3)  # (6, 6), then (0, 0) and (0, 1)
+    assert (rep.disc_nonzero, rep.trials_used) == (True, 2)  # (6, 6), then (5, 4)
+
+
+def test_the_grid_finds_a_witness_both_fixed_points_miss():
+    # A1 - A2 is 0 at (12, 12) and 1 at (11, 10), so both give t^2
+    F = parse("t^2 - (A1 - A2)^2*(A1 - A2 - 1)^2", 2, FieldCtx(13))
+    assert not any(is_squarefree(F.specialize(a)) for a in [(12, 12), (11, 10)])
+    rep = admissibility(F)
+    assert (rep.disc_nonzero, rep.trials_used) == (True, 4)  # then (0, 0) and (0, 1)
+
+
+def test_an_admissible_family_whose_fixed_points_miss_is_refused_past_the_budget(capsys):
+    # its grid has 13^2 = 169 points: admissible, but deciding it needs the grid
+    poly = "t^2 - (A1 - A2)^2*(A1 - A2 - 1)^2"
+    with pytest.raises(BudgetExceededError, match="grid of 169 points, budget is 168"):
+        admissibility(parse(poly, 2, FieldCtx(13)), budget=168)
+    # then the rank budget of a block of 169 points: 169 * 2 * 2^2
+    assert admissibility(parse(poly, 2, FieldCtx(13)), budget=169 * 8).disc_nonzero
+    assert main(["dist", "--p", "13", "--poly", poly, "--set", "grid:int(0,2),int(0,2)", "--budget", "168"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_the_grid_walk_holds_one_block_at_a_time():
+    # 7^6 grid points, 6 coordinates each: 5.6 MB of int64 codes at once
+    poly = "(t + " + " + ".join(f"A{i}" for i in range(1, 7)) + ")^2"
+    F = parse(poly, 6, FieldCtx(10007))
+    size = mpoly._spec_block(F.deg_t, F.ctx)[1]
+    rows, spec_keys = [], mpoly.spec_keys  # lengths only: a mock would keep every block alive
+
+    def spy(G, codes):
+        rows.append(len(codes))
+        return spec_keys(G, codes)
+
+    with mock.patch.object(mpoly, "spec_keys", spy):
+        tracemalloc.start()
+        try:
+            rep = admissibility(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (rep.disc_nonzero, rep.trials_used) == (False, 7**6)
+    assert sum(rows) == 7**6 - 2 and max(rows) <= size < 7**6
+    assert peak < 7**6 * 6 * 8 // 2
 
 
 def test_an_unused_parameter_takes_a_side_of_one_point(capsys):
     rep = admissibility(parse("(t - A1)^2", 12, FieldCtx(5)))
-    assert (rep.disc_nonzero, rep.trials_used) == (False, 1 + 7)
+    assert (rep.disc_nonzero, rep.trials_used) == (False, 7)
     cube = "grid:" + ",".join(["int(0,2)"] * 12)
     assert main(["dist", "--p", "5", "--poly", "(t - A1)^2", "--n", "12", "--set", cube]) == 2
     assert capsys.readouterr().out == ""
@@ -462,7 +505,7 @@ def test_a_family_without_parameters_has_one_grid_point():
     rep = admissibility(parse("t^2 + 1", 0, ctx))
     assert (rep.disc_nonzero, rep.trials_used) == (True, 1)
     rep = admissibility(parse("(t + 1)^2", 0, ctx))
-    assert (rep.disc_nonzero, rep.trials_used) == (False, 1 + 1)
+    assert (rep.disc_nonzero, rep.trials_used) == (False, 1)
 
 
 def test_a_grid_past_the_budget_is_refused_before_any_block_is_classified(capsys):
