@@ -122,10 +122,8 @@ def _cmd_factor_type(args, ctx, F):
 
 
 def _cmd_irreg(args, ctx, F):
-    # --n sizes the full space; any other descriptor carries its own
-    # dimension, which config echoes as n
-    n = args.n if args.set.strip() == "full" else None
-    descriptor = sets.parse_set(args.set, ctx, n=n)
+    # --n sizes the full space; config echoes the dimension of the set as built
+    descriptor = sets.parse_set(args.set, ctx, n=args.n)
     args.n = sets.dimension(descriptor)
     return sets.irregularity(descriptor, ctx, budget=args.budget).to_json_dict()
 

@@ -687,18 +687,20 @@ def _lift_terms(F: MultiPoly, ext: FieldCtx):
 
 def admissibility(F: MultiPoly, budget: int = DEFAULT_BUDGET) -> AdmissibilityReport:
     """Decide exactly whether the discriminant R(a) of F(t, a) in t is not
-    identically zero.  R = res_t(F, F_t) has degree at most B_i = (2 deg_t -
-    1) deg_(A_i) F in each A_i, so R = 0 exactly when it vanishes on a grid
-    T_1 x ... x T_n with |T_i| = B_i + 1 (Alon's Combinatorial
-    Nullstellensatz, Lemma 2.1).  T_i is the encodings 0..B_i, in GF(q) when
-    q > max B_i, else in GF(q^m) for the first m with q^m > max B_i, F lifted
-    there.  A full-degree specialization has R(a) != 0 exactly when it is
-    squarefree.  Two grid points are tried alone first, by ``specialize``
-    and ``is_squarefree``: the last, (B_1, ..., B_n), then ((B_i - i) mod
-    (B_i + 1))_i, off the diagonal A_1 = ... = A_n.  Past them the grid is
-    charged against the budget (BudgetExceededError) and walked in
-    ``spec_keys`` blocks, built one at a time, up to the first witness;
-    ``trials_used`` counts the distinct points classified."""
+    identically zero.  R = res_t(F, F_t), the determinant of deg_t - 1 rows
+    of F's coefficients and deg_t rows of F_t's (c t^e A^m gives e c t^(e-1)
+    A^m when p does not divide e), has degree at most B_i = (deg_t - 1)
+    deg_(A_i) F + deg_t deg_(A_i) F_t in A_i, so R = 0 exactly when it
+    vanishes on a grid T_1 x ... x T_n with |T_i| = B_i + 1 (Alon's
+    Combinatorial Nullstellensatz, Lemma 2.1).  T_i is the encodings 0..B_i,
+    in GF(q) when q > max B_i, else in GF(q^m) for the first m with q^m >
+    max B_i, F lifted there.  A full-degree specialization has R(a) != 0
+    exactly when it is squarefree.  Two grid points are tried alone first,
+    by ``specialize`` and ``is_squarefree``: the last, (B_1, ..., B_n), then
+    ((B_i - i) mod (B_i + 1))_i, off the diagonal A_1 = ... = A_n.  Past
+    them the grid is charged against the budget (BudgetExceededError) and
+    walked in ``spec_keys`` blocks, built one at a time, up to the first
+    witness; ``trials_used`` counts the distinct points classified."""
     d, n, base = F.deg_t, F.n, F.ctx
 
     def report(ok, used):
@@ -706,7 +708,9 @@ def admissibility(F: MultiPoly, budget: int = DEFAULT_BUDGET) -> AdmissibilityRe
 
     if d < 1:
         return report(False, 0)
-    sides = [(2 * d - 1) * max(e[i] for e in F.terms) + 1 for i in range(1, n + 1)]
+    derivative = [e for e in F.terms if e[0] % base.p]  # the terms that F_t keeps
+    sides = [(d - 1) * max(e[i] for e in F.terms) + d * max((e[i] for e in derivative), default=0) + 1
+             for i in range(1, n + 1)]
     m = 1
     while base.q**m < max(sides, default=1):
         m += 1

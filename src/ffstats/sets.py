@@ -38,11 +38,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _gfp
-from .errors import (
-    ArityMismatchError,
-    BudgetExceededError,
-    DegreeMismatchError,
-)
+from .errors import ArityMismatchError, BudgetExceededError
 from .field import FieldCtx, _unity_roots, cyclotomic_invariants, cyclotomic_sums
 
 DEFAULT_BUDGET = 1 << 24
@@ -294,13 +290,6 @@ class TorusOrbits:
         labels = np.empty(q**n, np.int64)
         labels[moved @ q ** np.arange(n - 1, -1, -1)] = np.repeat(np.arange(len(sizes)), sizes)
         return labels
-
-    def points(self, labels, hit):
-        """Every point of the orbits whose representatives hit marks, as codes
-        in the order of ``point_codes`` of the full space; labels are
-        :meth:`labels`."""
-        q, n = self.ctx.q, len(self.weights)
-        return np.flatnonzero(hit[labels])[:, None] // q ** np.arange(n - 1, -1, -1) % q
 
 
 def _ranks(counts):
@@ -658,7 +647,9 @@ def load_points_file(path: str, ctx: FieldCtx) -> ExplicitSet:
 
 def parse_set(text: str, ctx: FieldCtx, n: int | None = None):
     """Set grammar: ``full`` | ``grid:SPEC(,SPEC)*`` with SPEC one of
-    ``int(beta,H)`` or ``ap(alpha,beta,H)`` | ``tracezero`` | ``file:PATH``."""
+    ``int(beta,H)`` or ``ap(alpha,beta,H)`` | ``tracezero`` | ``file:PATH``.
+    n is the dimension of ``full``; every other set carries its own, which
+    the statistics pair with F."""
     text = text.strip()
     if text == "full":
         if n is None or n < 1:
@@ -682,12 +673,7 @@ def parse_set(text: str, ctx: FieldCtx, n: int | None = None):
                 factors.append(APSpec(args[0], args[1], args[2]))
             else:
                 raise ValueError(f"bad grid factor {chunk!r}")
-        descriptor = GridProduct(factors)
-        if n is not None and n != len(factors):
-            raise DegreeMismatchError(
-                f"grid has {len(factors)} factors but n={n} parameters"
-            )
-        return descriptor
+        return GridProduct(factors)
     if text.startswith("file:"):
         return load_points_file(text[len("file:"):], ctx)
     raise ValueError(f"unrecognized set descriptor {text!r}")

@@ -19,8 +19,9 @@ The comparison report normalizes the total-variation gap by sqrt(q)/irreg(S),
 the scale on which a well-distributed set keeps the gap bounded.  Restricted
 character sums over {a : class(F(t,a)) = lambda} come from ``sets.phase_sums``
 and are reported with their magnitude / q^(n - 1/2) ratio; on the orbit
-path the matching orbits are expanded back into their points first, and a
-sweep over every frequency takes one frequency per orbit.
+path each point takes the key of its orbit's representative, and a sweep
+over every frequency takes one frequency per orbit.  Every statistic first
+pairs F with S (:func:`_require_paired`).
 """
 
 from __future__ import annotations
@@ -259,15 +260,24 @@ class ClassDistribution:
         }
 
 
+def _require_paired(F: MultiPoly, S) -> None:
+    """The one check, before any other work, that S is a valid set of the
+    dimension n of F; else the set's error or ArityMismatchError."""
+    _sets.validate_set(S, F.ctx)
+    if dimension(S) != F.n:
+        raise ArityMismatchError(f"the set has dimension {dimension(S)} but F has n={F.n} parameters")
+
+
 def _sweep_points(F: MultiPoly, S, budget):
     """The rows to classify for S, how many points of S each stands for, and
     the ``sets.TorusOrbits`` they represent (None when each is one point).
     For the full space of a weighted-homogeneous F (``mpoly.torus_weights``)
     with a weight nonzero mod q - 1 these are one representative per orbit
     and its orbit size, so q^n is never charged; otherwise ``sets.point_codes``
-    of S, one point each.  The budget checks (of the set or the orbits, then
-    the rank stack of one block) run before admissibility, and on the orbit
-    path before any row is built."""
+    of S, one point each.  After :func:`_require_paired`, the budget checks
+    (of the set or the orbits, then the rank stack of one block) run before
+    admissibility, and on the orbit path before any row is built."""
+    _require_paired(F, S)
     q, n = F.ctx.q, F.n
     # past q or n 2^n the orbit tables do not fit, and for q > 2 neither do the
     # q^n points: the point path refuses them before the weights are solved
@@ -278,7 +288,6 @@ def _sweep_points(F: MultiPoly, S, budget):
         _mp.require_dense_budget(F, budget, len(codes))
         _mp.require_classifiable(F, budget)
         return codes, np.broadcast_to(np.int64(1), len(codes)), None
-    _sets.validate_set(S, F.ctx)
     orbits = _sets.TorusOrbits(torus[1], F.ctx, budget)
     _mp.require_dense_budget(F, budget, orbits.count)
     _mp.require_classifiable(F, budget)
@@ -372,9 +381,10 @@ def compare(
 
     Degree drops and repeated-factor points count fully against the
     prediction (they sit in S but in no class), so tv_distance is
-    (1/2) * [sum_lambda |freq - prob| + freq_exceptional].  A group acting
-    on other than deg_t letters is a DegreeMismatchError.
+    (1/2) * [sum_lambda |freq - prob| + freq_exceptional].  S is paired with
+    F first; a group acting on other than deg_t letters is a DegreeMismatchError.
     """
+    _require_paired(F, S)
     if group.d != F.deg_t:
         raise DegreeMismatchError(
             f"group acts on {group.d} letters but F has degree {F.deg_t} in t"
@@ -404,7 +414,7 @@ def compare(
         irregularity=rep,
         normalized_error=norm,
         q=q,
-        n=dimension(S),
+        n=F.n,
         p_gt_d=F.ctx.p > F.deg_t,
     )
 
@@ -483,11 +493,11 @@ def weil_sweep(
     must sum to deg_t.
 
     The q^n points (and frequencies) are charged first.  The pass classifies
-    the rows of :func:`_sweep_points`; on the orbit path the orbits of the
-    matching representatives are expanded back into their points, in
-    ``sets.point_codes`` order, by ``sets.TorusOrbits.labels``, so the points
-    summed over are the same array on both paths, and so is every bit of
-    ``sets.phase_sums``.
+    the rows of :func:`_sweep_points`; on the orbit path each point of
+    ``sets.point_codes`` of the full space takes its representative's key
+    through ``sets.TorusOrbits.labels``, so the matches are selected from
+    the same array on both paths, and every bit of ``sets.phase_sums`` is
+    the same.
 
     Every frequency of an orbit then sees the same phases, so on the orbit
     path with bs None the spectrum is taken at the nonzero representatives
@@ -508,15 +518,14 @@ def weil_sweep(
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
-    hit = keys == _gfp.gf_type_key(parts, F.deg_t)
-    if orbits is None:
-        matches = codes[hit]
-    else:
+    points = codes
+    if orbits is not None:  # each point takes its representative's key
         labels = orbits.labels(codes, sizes)
-        matches = orbits.points(labels, hit)
+        keys, points = keys[labels], _sets.point_codes(_sets.FullSpace(n), ctx, budget)
+    matches = points[keys == _gfp.gf_type_key(parts, F.deg_t)]
     dual = bs is None and orbits is not None and len(matches) >= ctx.p
     if bs is None:  # the frequencies of F_q^n are its points; representatives stand for their orbits
-        freqs = (codes if orbits is None or dual else _sets.point_codes(_sets.FullSpace(n), ctx, budget))[1:]
+        freqs = (codes if dual else points)[1:]
     sums = _sets.phase_sums(matches, freqs, ctx, n, -1, budget)
     mags = np.concatenate([np.empty(0), *(mag for _, _, mag in sums)])
     if dual:  # the zero point is the zero representative's orbit, row 0 of both

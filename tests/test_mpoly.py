@@ -344,9 +344,9 @@ def test_disc_nonzero_examples():
     ctx = FieldCtx(5)
     rep = admissibility(parse("t^2 - A1", 1, ctx))
     assert rep.disc_nonzero and rep.trials_used >= 1
-    # the grid 0..6 of B_1 = 3 * deg_A1 = 6, each point once
+    # the grid 0..4 of B_1 = 1 * deg_A1 F + 2 * deg_A1 F_t = 2 + 2, each point once
     rep = admissibility(parse("(t - A1)^2", 1, ctx))
-    assert not rep.disc_nonzero and rep.trials_used == 7
+    assert not rep.disc_nonzero and rep.trials_used == 5
 
 
 def test_disc_nonzero_artin_schreier_small_p():
@@ -443,6 +443,21 @@ def test_a_family_vanishing_on_its_own_field_is_decided_in_the_lift(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["non_squarefree"] == 3
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        # B_1 = 1 * 3 + 2 * 0: the grid 0..3 lies in GF(9)
+        "t^2 - A1^3 + A1",
+        # F_t = t^3 + 1, as 3 kills 3 A1^2 t^2: B_1 = 3 * 2 + 4 * 0 = 6, not 3 * 2 + 4 * 2
+        "t^4 + A1^2*t^3 + t + A1",
+    ],
+)
+def test_the_grid_is_bounded_by_the_rows_of_the_sylvester_matrix(poly):
+    with mock.patch.object(mpoly, "FieldCtx", wraps=FieldCtx) as lift:
+        admissibility(parse(poly, 1, FieldCtx(3)))
+    assert [call.args for call in lift.call_args_list] == [(3, 2)]
+
+
 def test_the_point_off_the_diagonal_finds_a_witness_the_first_point_misses():
     F = parse("t^2 - (A1 - A2)^2", 2, FieldCtx(7))
     assert not is_squarefree(F.specialize((6, 6)))
@@ -451,28 +466,29 @@ def test_the_point_off_the_diagonal_finds_a_witness_the_first_point_misses():
 
 
 def test_the_grid_finds_a_witness_both_fixed_points_miss():
-    # A1 - A2 is 0 at (12, 12) and 1 at (11, 10), so both give t^2
+    # B_i = 1 * 4 + 2 * 0: A1 - A2 is 0 at (4, 4) and 1 at (3, 2), so both give t^2
     F = parse("t^2 - (A1 - A2)^2*(A1 - A2 - 1)^2", 2, FieldCtx(13))
-    assert not any(is_squarefree(F.specialize(a)) for a in [(12, 12), (11, 10)])
+    assert not any(is_squarefree(F.specialize(a)) for a in [(4, 4), (3, 2)])
     rep = admissibility(F)
     assert (rep.disc_nonzero, rep.trials_used) == (True, 4)  # then (0, 0) and (0, 1)
 
 
 def test_an_admissible_family_whose_fixed_points_miss_is_refused_past_the_budget(capsys):
-    # its grid has 13^2 = 169 points: admissible, but deciding it needs the grid
+    # its grid has 5^2 = 25 points: admissible, but deciding it needs the grid
     poly = "t^2 - (A1 - A2)^2*(A1 - A2 - 1)^2"
-    with pytest.raises(BudgetExceededError, match="grid of 169 points, budget is 168"):
-        admissibility(parse(poly, 2, FieldCtx(13)), budget=168)
-    # then the rank budget of a block of 169 points: 169 * 2 * 2^2
-    assert admissibility(parse(poly, 2, FieldCtx(13)), budget=169 * 8).disc_nonzero
-    assert main(["dist", "--p", "13", "--poly", poly, "--set", "grid:int(0,2),int(0,2)", "--budget", "168"]) == 3
+    with pytest.raises(BudgetExceededError, match="grid of 25 points, budget is 24"):
+        admissibility(parse(poly, 2, FieldCtx(13)), budget=24)
+    # then the rank budget of a block of 25 points: 25 * 2 * 2^2
+    assert admissibility(parse(poly, 2, FieldCtx(13)), budget=25 * 8).disc_nonzero
+    # one point, whose rank stack (8 entries) fits the budget: the grid does not
+    assert main(["dist", "--p", "13", "--poly", poly, "--set", "grid:int(0,1),int(0,1)", "--budget", "24"]) == 3
     assert capsys.readouterr().out == ""
 
 
 def test_the_grid_walk_holds_one_block_at_a_time():
-    # 7^6 grid points, 6 coordinates each: 5.6 MB of int64 codes at once
-    poly = "(t + " + " + ".join(f"A{i}" for i in range(1, 7)) + ")^2"
-    F = parse(poly, 6, FieldCtx(10007))
+    # 5^8 grid points, 8 coordinates each: 25 MB of int64 codes at once
+    poly = "(t + " + " + ".join(f"A{i}" for i in range(1, 9)) + ")^2"
+    F = parse(poly, 8, FieldCtx(10007))
     size = mpoly._spec_block(F.deg_t, F.ctx)[1]
     rows, spec_keys = [], mpoly.spec_keys  # lengths only: a mock would keep every block alive
 
@@ -487,14 +503,14 @@ def test_the_grid_walk_holds_one_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert (rep.disc_nonzero, rep.trials_used) == (False, 7**6)
-    assert sum(rows) == 7**6 - 2 and max(rows) <= size < 7**6
-    assert peak < 7**6 * 6 * 8 // 2
+    assert (rep.disc_nonzero, rep.trials_used) == (False, 5**8)
+    assert sum(rows) == 5**8 - 2 and max(rows) <= size < 5**8
+    assert peak < 5**8 * 8 * 8 // 2
 
 
 def test_an_unused_parameter_takes_a_side_of_one_point(capsys):
     rep = admissibility(parse("(t - A1)^2", 12, FieldCtx(5)))
-    assert (rep.disc_nonzero, rep.trials_used) == (False, 7)
+    assert (rep.disc_nonzero, rep.trials_used) == (False, 5)
     cube = "grid:" + ",".join(["int(0,2)"] * 12)
     assert main(["dist", "--p", "5", "--poly", "(t - A1)^2", "--n", "12", "--set", cube]) == 2
     assert capsys.readouterr().out == ""
@@ -509,15 +525,15 @@ def test_a_family_without_parameters_has_one_grid_point():
 
 
 def test_a_grid_past_the_budget_is_refused_before_any_block_is_classified(capsys):
-    # 7^9 grid points for the square of a linear form in nine parameters
-    poly = "(t + " + " + ".join(f"A{i}" for i in range(1, 10)) + ")^2"
-    cube = "grid:" + ",".join(["int(0,2)"] * 9)
+    # 5^11 grid points for the square of a linear form in eleven parameters
+    poly = "(t + " + " + ".join(f"A{i}" for i in range(1, 12)) + ")^2"
+    cube = "grid:" + ",".join(["int(0,2)"] * 11)
     with mock.patch.object(mpoly, "spec_keys", wraps=mpoly.spec_keys) as blocks:
         assert main(["dist", "--p", "10007", "--poly", poly, "--set", cube]) == 3
     blocks.assert_not_called()
     assert capsys.readouterr().out == ""
-    with pytest.raises(BudgetExceededError, match="grid of 40353607 points"):
-        admissibility(parse(poly, 9, FieldCtx(10007)))
+    with pytest.raises(BudgetExceededError, match="grid of 48828125 points"):
+        admissibility(parse(poly, 11, FieldCtx(10007)))
 
 
 def test_admissibility_reports():

@@ -164,7 +164,8 @@ def test_orbit_sizes_sum_to_the_space_and_expand_to_it(ctx, weights):
         support = [w for w, a in zip(weights, row) if a]
         assert size == (ctx.q - 1) // math.gcd(ctx.q - 1, *support)
     # the orbits of the representatives cover the space once, in point_codes order
-    assert np.array_equal(orbits.points(orbits.labels(codes, sizes), sizes > 0), point_codes(FullSpace(n), ctx))
+    points = point_codes(FullSpace(n), ctx)
+    assert np.array_equal(points[(sizes > 0)[orbits.labels(codes, sizes)]], points)
 
 
 def _expand(orbits, codes, sizes):
@@ -206,10 +207,10 @@ def test_labels_name_the_orbit_of_each_point(case):
         {tuple(ctx.mul(ctx.pow(c, w), a) for w, a in zip(weights, rep)) for c in range(1, ctx.q)}
         for rep in codes.tolist()
     ]
-    points = point_codes(FullSpace(len(weights)), ctx).tolist()
-    assert all(tuple(x) in orbit[r] for x, r in zip(points, labels.tolist()))
-    # points() on the labels is the reference expansion of the chosen orbits
-    assert np.array_equal(orbits.points(labels, hit), _expand(orbits, codes[hit], sizes[hit]))
+    points = point_codes(FullSpace(len(weights)), ctx)
+    assert all(tuple(x) in orbit[r] for x, r in zip(points.tolist(), labels.tolist()))
+    # the points that the labels give the chosen orbits are their reference expansion
+    assert np.array_equal(points[hit[labels]], _expand(orbits, codes[hit], sizes[hit]))
 
 
 def test_torus_weights():

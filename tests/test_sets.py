@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ffstats import mpoly, sets
 from ffstats.cli import main
-from ffstats.errors import ArityMismatchError, BudgetExceededError, DegreeMismatchError
+from ffstats.errors import ArityMismatchError, BudgetExceededError
 from ffstats.field import FieldCtx, cyclotomic_rows
 from ffstats.mpoly import parse
 from ffstats.stats import empirical_distribution, weil_sweep
@@ -978,8 +978,8 @@ _SET_ERRORS = [
     (lambda ctx: parse_set("grid:int(3)", ctx), ValueError, ("irreg", "--set", "grid:int(3)")),
     (lambda ctx: parse_set("grid:ap(1,2)", ctx), ValueError, ("irreg", "--set", "grid:ap(1,2)")),
     (
-        lambda ctx: parse_set("grid:int(0,3)", ctx, n=2),
-        DegreeMismatchError,
+        lambda ctx: empirical_distribution(parse("t^2 - A1 - A2", 2, ctx), parse_set("grid:int(0,3)", ctx)),
+        ArityMismatchError,
         ("dist", "--poly", "t^2 - A1 - A2", "--set", "grid:int(0,3)"),
     ),
     (lambda ctx: parse_set("box(1,2)", ctx), ValueError, ("irreg", "--set", "box(1,2)")),

@@ -1,16 +1,21 @@
 import itertools
 import math
+import os
 import re
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffstats import _gfp
+from ffstats import _gfp, mpoly, sets
 from ffstats.cli import main
 from ffstats.errors import (
+    ArityMismatchError,
     BudgetExceededError,
     DegreeMismatchError,
     InvalidGroupError,
@@ -20,7 +25,7 @@ from ffstats.errors import (
 )
 from ffstats.field import FieldCtx
 from ffstats.mpoly import parse, torus_weights
-from ffstats.sets import APSpec, FullSpace, GridProduct, TorusOrbits, TraceZero
+from ffstats.sets import APSpec, ExplicitSet, FullSpace, GridProduct, TorusOrbits, TraceZero
 from ffstats.stats import (
     ClassDistribution,
     GroupSpec,
@@ -388,6 +393,49 @@ def test_compare_rejects_group_of_wrong_degree():
         compare(F, FullSpace(2), GroupSpec.symmetric(2))
     with pytest.raises(DegreeMismatchError):
         compare(F, FullSpace(2), cyclic_shift_group(2))
+
+
+@st.composite
+def _mismatched(draw):
+    """A family F in n parameters, a set S of another dimension (an explicit
+    set, a grid over GF(7), or the trace-zero set of GF(9)), and the --set
+    text that names S (for an explicit set, the lines of its points file)."""
+    kind = draw(st.sampled_from(["explicit", "grid", "tracezero"]))
+    ctx, dim = (FieldCtx(3, 2), 1) if kind == "tracezero" else (FieldCtx(7), draw(st.integers(1, 3)))
+    n = draw(st.sampled_from([m for m in (1, 2, 3) if m != dim]))
+    F = parse("t^2 - " + " - ".join(f"A{i}" for i in range(1, n + 1)), n, ctx)
+    if kind == "tracezero":
+        return F, TraceZero(), "tracezero"
+    if kind == "grid":
+        factors = draw(st.lists(st.builds(APSpec, st.integers(1, 6), st.integers(0, 6), st.integers(1, 7)),
+                                min_size=dim, max_size=dim))
+        text = ",".join(f"ap({f.alpha},{f.beta},{f.length})" for f in factors)
+        return F, GridProduct(factors), f"grid:{text}"
+    points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=5, unique=True))
+    return F, ExplicitSet(points), "\n".join(",".join(map(str, a)) for a in points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mismatched())
+def test_every_statistic_refuses_a_set_of_another_dimension_before_any_work(case):
+    F, S, text = case
+    ctx = F.ctx
+    argv = ["--p", str(ctx.p), "--k", str(ctx.k), "--poly", str(F), "--n", str(F.n)]
+    refuse = mock.Mock(side_effect=AssertionError("ran before the set was paired with F"))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(mpoly, "spec_keys", refuse), \
+            mock.patch.object(sets, "irregularity", refuse), mock.patch.object(sets, "TorusOrbits", refuse):
+        if isinstance(S, ExplicitSet):
+            path = os.path.join(tmp, "points.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            text = f"file:{path}"
+        for statistic in (empirical_distribution, lambda F, S: compare(F, S, GroupSpec.symmetric(2))):
+            with pytest.raises(ArityMismatchError, match=f"dimension {sets.dimension(S)} but F has n={F.n}"):
+                statistic(F, S)
+        for command in ("dist", "compare"):
+            assert main([command, *argv, "--set", text, "--out", os.path.join(tmp, "out.json")]) == 2
+            assert not os.path.exists(os.path.join(tmp, "out.json"))
+    refuse.assert_not_called()
 
 
 def test_compare_json_shape():
