@@ -6,13 +6,14 @@ residues, the trinomial family, shifted Morse polynomials, and the
 Artin-Schreier trace-zero counterexample).
 
 Every run prints one JSON document on one line: ``{"version", "config",
-"result", "timings"}``.  ``main`` builds the field and any ``--poly``, calls
-the subcommand's handler for ``result``, and derives ``config`` from the
-parsed options: every one but ``--out``, with ``q`` and the canonical
-polynomial added.  The ``result`` subtree is byte-identical for a fixed
-config, whose ``--seed`` chooses only the extension modulus; wall-clock
-times live only under ``timings``.  Every run
-works in the calling thread: ``--threads`` is accepted for compatibility.
+"result", "timings"}``.  ``main`` builds the parser of the invoked
+subcommand alone (all six only for help and errors), then the field and any
+``--poly``, calls the subcommand's handler for ``result``, and derives
+``config`` from the parsed options: every one but ``--out``, with ``q`` and
+the canonical polynomial added.  The ``result`` subtree is byte-identical
+for a fixed config, whose ``--seed`` chooses only the extension modulus;
+wall-clock times live only under ``timings``.  Every run works in the
+calling thread: ``--threads`` is accepted for compatibility.
 ``--format csv`` writes a table instead, nested results as dotted keys.
 Logs go to stderr, reports to stdout or ``--out``.  Exit codes: 0 ok,
 2 input error, 3 budget error.
@@ -47,36 +48,36 @@ def _positive_int(text):
     return value
 
 
-def _shared_parsers():
-    """The options every subcommand takes, and those of the subcommands that
-    take a polynomial, as argparse parents."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
-    common.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
-    common.add_argument(
+def _add_shared(sp):
+    """The options every subcommand takes."""
+    sp.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
+    sp.add_argument("--k", type=int, default=1, help="extension degree (default 1)")
+    sp.add_argument(
         "--modulus",
         default=None,
         help="extension modulus as ascending coefficients, e.g. '1,0,1' for x^2+1",
     )
-    common.add_argument("--seed", type=int, default=0, help="extension-modulus choice")
-    common.add_argument(
+    sp.add_argument("--seed", type=int, default=0, help="extension-modulus choice")
+    sp.add_argument(
         "--threads",
         type=_positive_int,
         default=1,
         help="accepted for compatibility; every run uses one thread",
     )
-    common.add_argument("--budget", type=_positive_int, default=sets.DEFAULT_BUDGET)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="write the report here instead of stdout")
-    poly = argparse.ArgumentParser(add_help=False)
-    poly.add_argument("--poly", required=True, help="polynomial in t, A1..An")
-    poly.add_argument(
+    sp.add_argument("--budget", type=_positive_int, default=sets.DEFAULT_BUDGET)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--out", default=None, help="write the report here instead of stdout")
+
+
+def _add_poly(sp):
+    """The options of the subcommands that take a polynomial."""
+    sp.add_argument("--poly", required=True, help="polynomial in t, A1..An")
+    sp.add_argument(
         "--n",
         type=int,
         default=None,
         help="parameter count (default: highest A-index in --poly)",
     )
-    return common, poly
 
 
 def _ctx_from(args) -> FieldCtx:
@@ -305,6 +306,9 @@ _DEMOS = {
     "artin-schreier": _demo_artin_schreier,
 }
 
+# the subcommands, in the order of their parsers
+_COMMANDS = ("factor-type", "irreg", "dist", "compare", "charsum", "demo")
+
 
 # -- output ----------------------------------------------------------------------
 
@@ -367,56 +371,69 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ffstats parser.  When ``command`` names a subcommand, only that
+    subcommand's parser is built, as a run parses with no other; otherwise
+    (None, an option, an unknown name) all of them, for help and errors."""
+    one = command in _COMMANDS
     ap = argparse.ArgumentParser(
         prog="ffstats",
         description="Factorization statistics of polynomial specializations over finite fields",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    common, poly = _shared_parsers()
+    # the usage line names every subcommand, also when one is built
+    metavar = "{" + ",".join(_COMMANDS) + "}" if one else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    sp = sub.add_parser("factor-type", parents=[common, poly], help="classify one specialization")
-    sp.add_argument("--point", default="", help="comma-separated element literals")
-    sp.set_defaults(handler=_cmd_factor_type)
+    def add(name, summary, poly=True):
+        if one and name != command:
+            return None
+        sp = sub.add_parser(name, help=summary)
+        _add_shared(sp)
+        if poly:
+            _add_poly(sp)
+        return sp
 
-    sp = sub.add_parser("irreg", parents=[common], help="irregularity of a set")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--n", type=int, default=1, help="dimension for 'full'")
-    sp.set_defaults(handler=_cmd_irreg)
+    if sp := add("factor-type", "classify one specialization"):
+        sp.add_argument("--point", default="", help="comma-separated element literals")
+        sp.set_defaults(handler=_cmd_factor_type)
 
-    sp = sub.add_parser(
-        "dist", parents=[common, poly], help="empirical class distribution over a set"
-    )
-    sp.add_argument("--set", default="full")
-    sp.set_defaults(handler=_cmd_dist)
+    if sp := add("irreg", "irregularity of a set", poly=False):
+        sp.add_argument("--set", required=True)
+        sp.add_argument("--n", type=int, default=1, help="dimension for 'full'")
+        sp.set_defaults(handler=_cmd_irreg)
 
-    sp = sub.add_parser("compare", parents=[common, poly], help="distribution vs. group prediction")
-    sp.add_argument("--set", default="full")
-    sp.add_argument("--group", default="symmetric", help="'symmetric' or a group file")
-    sp.set_defaults(handler=_cmd_compare)
+    if sp := add("dist", "empirical class distribution over a set"):
+        sp.add_argument("--set", default="full")
+        sp.set_defaults(handler=_cmd_dist)
 
-    sp = sub.add_parser("charsum", parents=[common, poly], help="restricted character sums")
-    sp.add_argument("--type", required=True, help="factorization type, e.g. '2,1'")
-    sp.add_argument("--b", default="", help="frequency vector")
-    sp.add_argument("--all-b", action="store_true", help="sweep every nonzero frequency")
-    sp.set_defaults(handler=_cmd_charsum)
+    if sp := add("compare", "distribution vs. group prediction"):
+        sp.add_argument("--set", default="full")
+        sp.add_argument("--group", default="symmetric", help="'symmetric' or a group file")
+        sp.set_defaults(handler=_cmd_compare)
 
-    sp = sub.add_parser("demo", parents=[common], help="named reproductions")
-    sp.add_argument("demo", choices=sorted(_DEMOS))
-    sp.add_argument("--H", type=_positive_int, default=None, help="interval length")
-    sp.add_argument("--beta", type=int, default=0, help="interval start")
-    sp.add_argument("--power", type=_positive_int, default=2, help="k for power residues")
-    sp.add_argument("--f", default="t^3 - 3*t", help="Morse base polynomial in t")
-    sp.add_argument("--shifts", default="0", help="comma-separated shifts h_i")
+    if sp := add("charsum", "restricted character sums"):
+        sp.add_argument("--type", required=True, help="factorization type, e.g. '2,1'")
+        sp.add_argument("--b", default="", help="frequency vector")
+        sp.add_argument("--all-b", action="store_true", help="sweep every nonzero frequency")
+        sp.set_defaults(handler=_cmd_charsum)
+
+    if sp := add("demo", "named reproductions", poly=False):
+        sp.add_argument("demo", choices=sorted(_DEMOS))
+        sp.add_argument("--H", type=_positive_int, default=None, help="interval length")
+        sp.add_argument("--beta", type=int, default=0, help="interval start")
+        sp.add_argument("--power", type=_positive_int, default=2, help="k for power residues")
+        sp.add_argument("--f", default="t^3 - 3*t", help="Morse base polynomial in t")
+        sp.add_argument("--shifts", default="0", help="comma-separated shifts h_i")
 
     return ap
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
+    if argv is None:  # read here, so that the console script builds one subparser too
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_INPUT
     handler = _DEMOS[args.demo] if args.command == "demo" else args.handler

@@ -538,6 +538,11 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
     once.
     """
     validate_set(s, ctx)
+    return _irregularity(s, ctx, budget)
+
+
+def _irregularity(s, ctx, budget):
+    """:func:`irregularity` of a set already validated."""
     size = _size(s, ctx)
     if isinstance(s, GridProduct) or (isinstance(s, FullSpace) and ctx.k == 1):
         if isinstance(s, GridProduct):

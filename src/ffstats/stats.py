@@ -21,7 +21,7 @@ character sums over {a : class(F(t,a)) = lambda} come from ``sets.phase_sums``
 and are reported with their magnitude / q^(n - 1/2) ratio; on the orbit
 path each point takes the key of its orbit's representative, and a sweep
 over every frequency takes one frequency per orbit.  Every statistic first
-pairs F with S (:func:`_require_paired`).
+pairs F with S (:func:`_require_paired`), the one check of S it makes.
 """
 
 from __future__ import annotations
@@ -274,17 +274,17 @@ def _sweep_points(F: MultiPoly, S, budget):
     For the full space of a weighted-homogeneous F (``mpoly.torus_weights``)
     with a weight nonzero mod q - 1 these are one representative per orbit
     and its orbit size, so q^n is never charged; otherwise ``sets.point_codes``
-    of S, one point each.  After :func:`_require_paired`, the budget checks
-    (of the set or the orbits, then the rank stack of one block) run before
-    admissibility, and on the orbit path before any row is built."""
-    _require_paired(F, S)
+    of S, one point each.  S is one already paired with F
+    (:func:`_require_paired`); the budget checks (of the set or the orbits,
+    then the rank stack of one block) run before admissibility, and on the
+    orbit path before any row is built."""
     q, n = F.ctx.q, F.n
     # past q or n 2^n the orbit tables do not fit, and for q > 2 neither do the
     # q^n points: the point path refuses them before the weights are solved
     orbital = S == _sets.FullSpace(n) and 2 < q and max(q, n << n) <= budget
     torus = _mp.torus_weights(F) if orbital else None
     if torus is None or not any(w % (q - 1) for w in torus[1]):  # else every orbit is one point
-        codes = _sets.point_codes(S, F.ctx, budget)
+        codes = _sets._codes(S, F.ctx, budget)
         _mp.require_dense_budget(F, budget, len(codes))
         _mp.require_classifiable(F, budget)
         return codes, np.broadcast_to(np.int64(1), len(codes)), None
@@ -307,6 +307,12 @@ def empirical_distribution(
     key of a block adds up its rows' weights in one int64 pass over the
     keys' places among ``np.unique``'s values (never as float weights: q^n
     may pass 2^53), and each distinct key is decoded once."""
+    _require_paired(F, S)
+    return _distribution(F, S, budget)
+
+
+def _distribution(F, S, budget):
+    """:func:`empirical_distribution` of an S already paired with F."""
     codes, weights, _ = _sweep_points(F, S, budget)
     tally, at = Counter(), 0
     for keys in _mp.spec_keys(F, codes):
@@ -390,8 +396,8 @@ def compare(
             f"group acts on {group.d} letters but F has degree {F.deg_t} in t"
         )
     # first, so that a spectrum past the budget exits before classifying
-    rep = _sets.irregularity(S, F.ctx, budget)
-    dist = empirical_distribution(F, S, budget=budget)
+    rep = _sets._irregularity(S, F.ctx, budget)
+    dist = _distribution(F, S, budget)
     pred = prediction_from_group(group)
     total = dist.total
     universe = sorted(set(dist.counts) | set(pred), reverse=True)
@@ -514,14 +520,16 @@ def weil_sweep(
         freqs = _frequencies(bs, ctx, n)
     if ctx.q**n > budget:
         raise BudgetExceededError(f"{ctx.q**n} points of the full space, budget is {budget}")
-    codes, sizes, orbits = _sweep_points(F, _sets.FullSpace(n), budget)
+    full = _sets.FullSpace(n)
+    _require_paired(F, full)
+    codes, sizes, orbits = _sweep_points(F, full, budget)
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
     points = codes
     if orbits is not None:  # each point takes its representative's key
         labels = orbits.labels(codes, sizes)
-        keys, points = keys[labels], _sets.point_codes(_sets.FullSpace(n), ctx, budget)
+        keys, points = keys[labels], _sets._codes(full, ctx, budget)
     matches = points[keys == _gfp.gf_type_key(parts, F.deg_t)]
     dual = bs is None and orbits is not None and len(matches) >= ctx.p
     if bs is None:  # the frequencies of F_q^n are its points; representatives stand for their orbits

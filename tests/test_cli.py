@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -289,15 +290,16 @@ def test_power_residues_count_matches_brute_force(capsys, p):
 
 @pytest.fixture
 def distribution_calls(monkeypatch):
-    """The positional arguments of every stats.empirical_distribution call."""
+    """The positional arguments of every classification pass: each call of
+    stats._distribution, which empirical_distribution and compare make."""
     calls = []
-    classify = stats.empirical_distribution
+    classify = stats._distribution
 
     def counted(*args, **kwargs):
         calls.append(args)
         return classify(*args, **kwargs)
 
-    monkeypatch.setattr(stats, "empirical_distribution", counted)
+    monkeypatch.setattr(stats, "_distribution", counted)
     return calls
 
 
@@ -318,14 +320,15 @@ def test_artin_schreier_demo_classifies_its_set_once(capsys, distribution_calls)
 
 
 def test_artin_schreier_demo_computes_its_irregularity_once(capsys, monkeypatch):
+    # sets.irregularity and stats.compare both compute it in sets._irregularity
     calls = []
-    irregularity = sets.irregularity
+    irregularity = sets._irregularity
 
     def counted(*args, **kwargs):
         calls.append(args)
         return irregularity(*args, **kwargs)
 
-    monkeypatch.setattr(sets, "irregularity", counted)
+    monkeypatch.setattr(sets, "_irregularity", counted)
     report = run_json(capsys, "demo", "artin-schreier", "--p", "3", "--k", "5")
     assert len(calls) == 1
     result = report["result"]
@@ -561,12 +564,15 @@ DEMO_ARGV = {
 }
 
 
+def _subparsers(parser):
+    """{name: subparser} of a parser built by ``cli.build_parser``."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _every_run():
     """One argv per subcommand and per demo of the parser, with the
     subparser that parses it."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, sp in sub.choices.items():
+    for name, sp in _subparsers(cli.build_parser()).items():
         if name == "demo":
             demos = next(a for a in sp._actions if not a.option_strings).choices
             yield from ((sp, ("demo", d, *DEMO_ARGV[d])) for d in demos)
@@ -588,7 +594,8 @@ def test_config_holds_every_parsed_option(capsys, argv):
     dests = {a.dest for a in sp._actions if a.dest != "help"} | {"command"}
     args = cli.build_parser().parse_args(list(argv))
     config = run_json(capsys, *argv)["config"]
-    assert dests - {"out"} <= config.keys()
+    # in the full parser's order, the field's q last
+    assert list(config) == ["command", *(a.dest for a in sp._actions if a.dest not in ("help", "out")), "q"]
     assert "out" not in config and "handler" not in config
     # the field and polynomial as built stand in for modulus, poly and n
     built = {"modulus", "poly", "n"}
@@ -596,6 +603,48 @@ def test_config_holds_every_parsed_option(capsys, argv):
         k: v for k, v in vars(args).items() if k in dests - built - {"out"}
     }
     assert config["q"] == config["p"] ** config["k"]
+
+
+@pytest.mark.parametrize("name", [*COMMAND_ARGV, "demo"])
+def test_a_run_builds_its_subcommand_parser_as_the_full_parser_does(name):
+    full, one = cli.build_parser(), cli.build_parser(name)
+    assert list(_subparsers(one)) == [name]
+    assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+    # an unrecognized argument after the command prints this usage line
+    assert one.format_usage() == full.format_usage()
+
+
+def test_console_script_builds_one_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.setattr(sys, "argv", ["ffstats", "dist", "--p", "5", "--poly", "t^2 - A1"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["result"]["total"] == 5
+    assert built == ["dist"]
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^    (\S+)", out, re.M) == [*COMMAND_ARGV, "demo"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("nosuch",), ("--p", "5", "dist", "--poly", "t^2 - A1")],
+    ids=["missing", "unknown", "option-before-command"],
+)
+def test_a_run_without_a_subcommand_first_is_input_error(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ffstats [-h] {factor-type,irreg,dist,compare,charsum,demo} ...\n")
 
 
 @pytest.mark.parametrize(

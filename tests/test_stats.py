@@ -423,7 +423,7 @@ def test_every_statistic_refuses_a_set_of_another_dimension_before_any_work(case
     argv = ["--p", str(ctx.p), "--k", str(ctx.k), "--poly", str(F), "--n", str(F.n)]
     refuse = mock.Mock(side_effect=AssertionError("ran before the set was paired with F"))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(mpoly, "spec_keys", refuse), \
-            mock.patch.object(sets, "irregularity", refuse), mock.patch.object(sets, "TorusOrbits", refuse):
+            mock.patch.object(sets, "_irregularity", refuse), mock.patch.object(sets, "TorusOrbits", refuse):
         if isinstance(S, ExplicitSet):
             path = os.path.join(tmp, "points.txt")
             with open(path, "w", encoding="utf-8") as fh:
@@ -436,6 +436,34 @@ def test_every_statistic_refuses_a_set_of_another_dimension_before_any_work(case
             assert main([command, *argv, "--set", text, "--out", os.path.join(tmp, "out.json")]) == 2
             assert not os.path.exists(os.path.join(tmp, "out.json"))
     refuse.assert_not_called()
+
+
+def test_every_statistic_validates_its_set_once(monkeypatch):
+    calls = []
+    validate = sets.validate_set
+
+    def spy(s, ctx):
+        calls.append(s)
+        validate(s, ctx)
+
+    monkeypatch.setattr(sets, "validate_set", spy)
+    F = parse("t^3 + A1*t + A2", 2, FieldCtx(13))
+    S = ExplicitSet([(a, (3 * a + 1) % 13) for a in range(9)])
+    statistics = {
+        "empirical_distribution": lambda **kw: empirical_distribution(F, S, **kw),
+        "compare": lambda **kw: compare(F, S, GroupSpec.symmetric(3), **kw),
+        "weil_sweep": lambda **kw: weil_sweep(F, (3,), **kw),  # the orbit path
+        "restricted_charsum": lambda **kw: restricted_charsum(F, (3,), (1, 2), **kw),
+    }
+    for name, statistic in statistics.items():
+        calls.clear()
+        statistic()
+        assert len(calls) == 1, name
+    # that one check refuses a bad set, before any budget is charged
+    S = ExplicitSet([(1, 2), (1, 2)])
+    for name in ("empirical_distribution", "compare"):
+        with pytest.raises(ValueError, match="duplicate point"):
+            statistics[name](budget=1)
 
 
 def test_compare_json_shape():
