@@ -15,6 +15,8 @@ for a fixed config, whose ``--seed`` chooses only the extension modulus;
 wall-clock times live only under ``timings``.  Every run works in the
 calling thread: ``--threads`` is accepted for compatibility.
 ``--format csv`` writes a table instead, nested results as dotted keys.
+The ``charsum --all-b`` rows, one per frequency, are written by ``_json``
+and the CSV writer from one text per distinct float, with json's bytes.
 Logs go to stderr, reports to stdout or ``--out``.  Exit codes: 0 ok,
 2 input error, 3 budget error.
 """
@@ -154,11 +156,8 @@ def _cmd_charsum(args, ctx, F):
         raise ValueError("--b names one frequency and --all-b every one: give one of them")
     if args.all_b:
         sweep = stats.weil_sweep(F, parts, None, budget=args.budget)
-        q, texts = ctx.q, map(",".join, stats.nonzero_frequencies(list(map(str, range(ctx.q))), F.n))
-        rows = [
-            {"q": q, "b": b, "magnitude": mag, "ratio": ratio}
-            for b, mag, ratio in zip(texts, sweep.magnitudes, sweep.ratios)
-        ]
+        bs = map(",".join, stats.nonzero_frequencies(list(map(str, range(ctx.q))), F.n))
+        rows = _SweepTable(ctx.q, list(zip(bs, sweep.magnitudes, sweep.ratios)))
         return {"max_ratio": sweep.max_ratio, "rows": rows}
     if not args.b:
         raise ValueError("need --b or --all-b")
@@ -313,6 +312,36 @@ _COMMANDS = ("factor-type", "irreg", "dist", "compare", "charsum", "demo")
 # -- output ----------------------------------------------------------------------
 
 
+class _SweepTable:
+    """The rows of ``charsum --all-b``: q, and a (b text, magnitude, ratio)
+    per frequency.  ``texts`` maps each distinct float to float.__repr__,
+    what json's C encoder writes for a finite float, so each is rendered
+    once.  Keyed by value, exact for any float but -0.0 (== 0.0) and NaN
+    (== none): a magnitude is sqrt(re^2 + im^2) or a count, so finite and
+    >= +0.0, and each ratio divides one by a positive constant."""
+
+    def __init__(self, q, rows):
+        self.q, self.rows = q, rows
+        floats = dict.fromkeys([m for _, m, _ in rows] + [r for _, _, r in rows])
+        self.texts = dict(zip(floats, map(float.__repr__, floats)))
+
+
+def _json(report):
+    """json.dumps(report), a sweep table at result.rows written from its texts
+    as {"q", "b", "magnitude", "ratio"} dicts, and the two dicts above it item by item."""
+    table = report["result"].get("rows")
+    if not isinstance(table, _SweepTable):
+        return json.dumps(report)
+    head, t = f'{{"q": {table.q}, "b": "', table.texts  # b is digits and commas: json writes them as is
+    rows = ", ".join([f'{head}{b}", "magnitude": {t[m]}, "ratio": {t[r]}}}' for b, m, r in table.rows])
+
+    def items(tree, key, text):
+        pairs = (f"{json.dumps(k)}: {text if k == key else json.dumps(v)}" for k, v in tree.items())
+        return "{" + ", ".join(pairs) + "}"
+
+    return items(report, "result", items(report["result"], "rows", f"[{rows}]"))
+
+
 def _csv_rows(result):
     header = ["type", "count", "frequency", "prediction", "deviation"]
     if "per_type" in result:  # comparison report
@@ -337,9 +366,9 @@ def _csv_rows(result):
         rows.append(["non_squarefree", result["non_squarefree"], "", "", ""])
         rows.append(["degree_drop", result["degree_drop"], "", "", ""])
         return header, rows
-    if "rows" in result:  # charsum --all-b
-        rows = [[r["q"], r["b"], r["magnitude"], r["ratio"]] for r in result["rows"]]
-        return ["q", "b", "magnitude", "ratio"], rows
+    if isinstance(table := result.get("rows"), _SweepTable):  # charsum --all-b
+        t = table.texts
+        return ["q", "b", "magnitude", "ratio"], [(table.q, b, t[m], t[r]) for b, m, r in table.rows]
     return ["key", "value"], list(_flatten(result))
 
 
@@ -355,7 +384,7 @@ def _flatten(tree, prefix=""):
 def _emit(report, args):
     if args.format == "json":
         # no indent: json's C encoder only runs without one
-        text = json.dumps(report) + "\n"
+        text = _json(report) + "\n"
     else:
         header, rows = _csv_rows(report["result"])
         buf = io.StringIO()

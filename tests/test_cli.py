@@ -451,41 +451,59 @@ def test_csv_charsum_quotes_the_frequency(capsys):
     assert out.startswith("key,value\noutcome,non_squarefree\ntype,None\n")
 
 
+# charsum --all-b runs: the orbit path, a family without torus weights, an
+# extension field, n = 1 and 3, and a class with no point (every magnitude 0.0)
+SWEEP_ARGV = {
+    "orbit": ("--p", "53", "--poly", "t^3 + A1*t + A2", "--type", "3"),
+    "no-torus-weights": ("--p", "13", "--poly", "t^3 + A1*t + A2 + A1^2", "--type", "2,1"),
+    "extension": ("--p", "3", "--k", "2", "--poly", "t^3 + A1*t + A2", "--type", "3"),
+    "n=1": ("--p", "13", "--poly", "t^2 - A1", "--type", "2"),
+    "n=3": ("--p", "5", "--poly", "t^3 + A1*t + A2", "--n", "3", "--type", "1,1,1"),
+    "empty-class": ("--p", "13", "--poly", "t^2 - A1^2", "--type", "2"),
+}
+
+
+def _sweep_result(argv):
+    """The result of a charsum --all-b argv as a plain JSON tree, built from
+    the rows of stats.weil_sweep."""
+    args = cli.build_parser("charsum").parse_args(list(argv))
+    ctx = FieldCtx(args.p, args.k, seed=args.seed)
+    F = parse(args.poly, args.n or mpoly.infer_parameter_count(args.poly), ctx)
+    sweep = stats.weil_sweep(F, stats.parse_type(args.type), None)
+    rows = [{"q": q, "b": ",".join(map(str, b)), "magnitude": m, "ratio": r} for q, b, m, r in sweep.rows]
+    return {"max_ratio": sweep.max_ratio, "rows": rows}
+
+
 def test_csv_charsum_sweep_has_one_row_per_frequency(capsys):
-    argv = ("charsum", *CUBIC_F7, "--type", "3", "--all-b")
-    expected = run_json(capsys, *argv)["result"]["rows"]
-    code, out = run_cli(capsys, *argv, "--format", "csv")
-    assert code == 0
-    header, *rows = csv.reader(out.splitlines())
-    assert header == ["q", "b", "magnitude", "ratio"]
-    assert len(rows) == 48 == len(expected)
-    for (q, b, magnitude, ratio), want in zip(rows, expected):
-        assert (int(q), b, float(magnitude), float(ratio)) == (
-            want["q"], want["b"], want["magnitude"], want["ratio"],
-        )
+    for options, count in [
+        ((*CUBIC_F7, "--type", "3"), 48),
+        (SWEEP_ARGV["no-torus-weights"], 168),
+        (SWEEP_ARGV["extension"], 80),
+    ]:
+        argv = ("charsum", *options, "--all-b")
+        expected = run_json(capsys, *argv)["result"]["rows"]
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(out.splitlines())
+        assert header == ["q", "b", "magnitude", "ratio"]
+        assert len(rows) == count == len(expected)
+        for (q, b, magnitude, ratio), want in zip(rows, expected):
+            assert (int(q), b, float(magnitude), float(ratio)) == (
+                want["q"], want["b"], want["magnitude"], want["ratio"],
+            )
 
 
 def test_json_report_is_one_line_from_the_c_encoder(capsys, monkeypatch):
-    reports = []
-    emit = cli._emit
-
-    def spy(report, args):
-        reports.append(report)
-        emit(report, args)
-
     def refuse(*args, **kwargs):
         raise AssertionError("pure-Python json encoder")
 
-    monkeypatch.setattr(cli, "_emit", spy)
+    argv = ("charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", "3", "--all-b")
     with monkeypatch.context() as m:
         m.setattr(json.encoder, "_make_iterencode", refuse)
-        code, out = run_cli(
-            capsys, "charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", "3", "--all-b"
-        )
+        code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out.endswith("\n") and out.count("\n") == 1
-    indented = json.loads(json.dumps(reports[0], indent=2))
-    assert json.loads(out)["result"] == indented["result"]
+    assert json.loads(out)["result"] == _sweep_result(argv)
 
 
 def test_out_file(capsys, tmp_path):
@@ -603,6 +621,31 @@ def test_config_holds_every_parsed_option(capsys, argv):
         k: v for k, v in vars(args).items() if k in dests - built - {"out"}
     }
     assert config["q"] == config["p"] ** config["k"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *EVERY_RUN,
+        *(("charsum", *options, "--all-b") for options in SWEEP_ARGV.values()),
+        ("charsum", *SWEEP_ARGV["orbit"], "--all-b", "--out"),
+    ],
+    ids=" ".join,
+)
+def test_report_is_laid_out_as_json_dumps_lays_it_out(capsys, tmp_path, argv):
+    # a charsum --all-b table is written by cli itself: its rows must be the
+    # bytes json.dumps writes for the rows of stats.weil_sweep
+    path = tmp_path / "report.json"
+    if argv[-1] == "--out":
+        argv = (*argv, str(path))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    text = path.read_text() if "--out" in argv else out
+    report = json.loads(text)
+    assert text == json.dumps(report) + "\n"
+    if "--all-b" in argv:
+        report["result"] = _sweep_result(argv)
+        assert text == json.dumps(report) + "\n"
 
 
 @pytest.mark.parametrize("name", [*COMMAND_ARGV, "demo"])
