@@ -17,12 +17,10 @@ from .mpoly import (
 from .sets import (
     APSpec,
     ExplicitSet,
-    FourierSpectrum,
     FullSpace,
     GridProduct,
     IrregularityReport,
     TraceZero,
-    indicator_fourier,
     interval_irreg_bound,
     irregularity,
     parse_set,
@@ -57,7 +55,6 @@ __all__ = [
     "ComparisonReport",
     "ExplicitSet",
     "FieldCtx",
-    "FourierSpectrum",
     "FullSpace",
     "GridProduct",
     "GroupSpec",
@@ -74,7 +71,6 @@ __all__ = [
     "empirical_distribution",
     "factorization_type",
     "gamma_symmetric",
-    "indicator_fourier",
     "interval_irreg_bound",
     "irregularity",
     "is_irreducible",

@@ -344,27 +344,16 @@ def _json(report):
 
 def _csv_rows(result):
     header = ["type", "count", "frequency", "prediction", "deviation"]
-    if "per_type" in result:  # comparison report
-        dist = result["distribution"]
-        rows = []
-        for t, cell in result["per_type"].items():
-            rows.append(
-                [
-                    t,
-                    dist["counts"].get(t, 0),
-                    cell["frequency"],
-                    cell["prediction"],
-                    cell["deviation"],
-                ]
-            )
-        return header, rows
-    if "counts" in result:  # plain distribution
-        rows = [
-            [t, c, c / result["total"], "", ""]
-            for t, c in result["counts"].items()
-        ]
-        rows.append(["non_squarefree", result["non_squarefree"], "", "", ""])
-        rows.append(["degree_drop", result["degree_drop"], "", "", ""])
+    if "per_type" in result or "counts" in result:  # comparison or plain distribution
+        dist = result.get("distribution", result)
+        if "per_type" in result:
+            rows = [
+                [t, dist["counts"].get(t, 0), cell["frequency"], cell["prediction"], cell["deviation"]]
+                for t, cell in result["per_type"].items()
+            ]
+        else:
+            rows = [[t, c, c / dist["total"], "", ""] for t, c in dist["counts"].items()]
+        rows += [[bucket, dist[bucket], "", "", ""] for bucket in ("non_squarefree", "degree_drop")]
         return header, rows
     if isinstance(table := result.get("rows"), _SweepTable):  # charsum --all-b
         t = table.texts
@@ -377,8 +366,10 @@ def _flatten(tree, prefix=""):
     for key, value in tree.items():
         if isinstance(value, dict):
             yield from _flatten(value, f"{prefix}{key}.")
-        else:
-            yield [prefix + key, json.dumps(value) if isinstance(value, list) else value]
+        elif isinstance(value, list):
+            yield [prefix + key, json.dumps(value)]
+        else:  # the writer would print None as an empty field
+            yield [prefix + key, "None" if value is None else value]
 
 
 def _emit(report, args):
@@ -390,8 +381,7 @@ def _emit(report, args):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        # str() first: the writer would print None as an empty field
-        writer.writerows([str(x) for x in row] for row in rows)
+        writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

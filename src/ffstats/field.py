@@ -394,17 +394,6 @@ class FieldCtx:
 
     # -- trace and character ------------------------------------------------
 
-    def _trace_raw(self, a: int) -> int:
-        # tr(a) = a + a^p + ... + a^(p^(k-1)); lands in the prime subfield,
-        # whose elements encode as their residue.  Independent of the trace
-        # form, so the tests keep it as its oracle.
-        s = a
-        t = a
-        for _ in range(self.k - 1):
-            t = self.pow(t, self.p)
-            s = self.add(s, t)
-        return s
-
     def trace(self, a: int) -> int:
         """Trace down to GF(p), returned as an integer residue in [0, p):
         tr(a) = tr(a * 1) = coords(a) . M[:, 0] mod p."""

@@ -382,19 +382,12 @@ def _gathers(table, line, rot, p):
         yield rows, block
 
 
-def phase_counts(points, freqs, ctx: FieldCtx, n: int, sign: int):
-    """Yield, for each block of frequencies b in order, the (B, p) slot counts
-    of sum_{a in points} psi(sign * a.b), read from :func:`_line_table`."""
-    table, line, rot = _line_table(points, freqs, ctx, n, sign)
-    yield from (block for _, block in _gathers(table, line, rot, ctx.p))
-
-
 def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DEFAULT_BUDGET):
     """Yield, for each block of frequencies b in order, the real parts,
     imaginary parts and magnitudes of sum_{a in points} psi(sign * a.b).
 
-    With |S| >= p, :func:`field.cyclotomic_invariants` of the line table of
-    :func:`phase_counts` are taken once, and :func:`field.cyclotomic_sums`
+    With |S| >= p, :func:`field.cyclotomic_invariants` of the rows of
+    :func:`_line_table` are taken once, and :func:`field.cyclotomic_sums`
     of each frequency's row as :func:`_gathers` reads it.  With |S| < p, the
     sparse path sums cos and sin of each (frequency, point) phase, O(|S|)
     per frequency; as on the histogram path (some slot is empty) a row on
@@ -436,29 +429,6 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DE
         one = root == phases.max(axis=1, initial=-1)
         re[one], im[one], mag[one] = m * cos[root[one]], m * sin[root[one]], m
         yield re, im, mag
-
-
-@dataclass
-class FourierSpectrum:
-    """Dense indicator transform; values keyed by frequency tuples."""
-
-    ctx: FieldCtx
-    n: int
-    values: dict
-
-    def __getitem__(self, b):
-        return self.values[tuple(b)]
-
-
-def indicator_fourier(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> FourierSpectrum:
-    """Full spectrum of the indicator by direct summation over frequencies."""
-    n = dimension(s)
-    qn = ctx.q**n
-    freqs = point_codes(FullSpace(n), ctx, budget)
-    sums = phase_sums(point_codes(s, ctx, budget), freqs, ctx, n, -1, budget)
-    pairs = itertools.chain.from_iterable(zip(re.tolist(), im.tolist()) for re, im, _ in sums)
-    values = {b: complex(re, im) / qn for b, (re, im) in zip(map(tuple, freqs.tolist()), pairs)}
-    return FourierSpectrum(ctx, n, values)
 
 
 # -- irregularity ----------------------------------------------------------------

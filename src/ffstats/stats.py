@@ -204,14 +204,6 @@ class GroupSpec:
             elements.append((tuple(x - 1 for x in images), label))
         return cls.explicit(d, nu, elements)
 
-    def to_file(self, path: str) -> None:
-        if self.mode != "explicit":
-            raise InvalidGroupError("only explicit groups have a file form")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"d={self.d} nu={self.nu}\n")
-            for perm, label in self.elements:
-                fh.write(" ".join(str(i + 1) for i in perm) + f" | {label}\n")
-
 
 def cyclic_shift_group(d: int) -> GroupSpec:
     """The order-d group generated by the d-cycle, labels all zero (nu=1)."""

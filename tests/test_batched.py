@@ -25,6 +25,7 @@ from ffstats.mpoly import DEGREE_DROP, NON_SQUAREFREE, MultiPoly, classify_point
 from ffstats.sets import FullSpace
 from ffstats.stats import empirical_distribution, partitions
 from ffstats.unipoly import UniPoly, discriminant, factorization_type, is_irreducible
+import parity_oracle
 from scalar_splitting import classify_one as _scalar
 from scalar_splitting import spec_type
 
@@ -598,6 +599,55 @@ def test_all_p_minus_1_rows_at_the_int32_bound(d, side):
     want = [_scalar_key(row, ctx) for row in rows]
     assert len(got) == 3 - (side == "outside")
     assert all(keys == want for keys in got.values())
+
+
+# leading coefficients in t that vanish mod no odd p: constants, and A1 and
+# A1 + 1, which vanish at one value of A1 (a degree drop there)
+_LEADS = [{(): 1}, {(): -1}, {(): 2}, {(1,): 1}, {(1,): 1, (): 1}]
+
+
+@st.composite
+def _integer_families(draw):
+    """Random F(t, A1..An) of degree d = 2..6 in t with integer coefficients
+    in [-4, 4], each lower coefficient a sum of up to two monomials in A of
+    degree <= 2; the terms as {(e_t, e_1..e_n): c}, with n and d."""
+    n, d = draw(st.integers(1, 2), label="n"), draw(st.integers(2, 6), label="d")
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    terms = {}
+    lead = draw(st.sampled_from(_LEADS))
+    for e, c in lead.items():
+        terms[(d, *e, *(0,) * (n - len(e)))] = c
+    for i in range(d):
+        for e in draw(st.lists(exponent, max_size=2, unique=True)):
+            terms[(i, *e)] = terms.get((i, *e), 0) + draw(st.integers(-4, 4).filter(bool))
+    return n, d, terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (5, 1), (7, 1), (13, 1), (101, 1), (3, 2), (5, 2), (3, 3)]),
+    _integer_families(),
+    st.data(),
+)
+def test_keys_obey_stickelbergers_parity_law(field, family, data):
+    # chi(disc F(t, a)) = (-1)^(d - r) for r irreducible factors, and
+    # disc F(t, a) = 0 exactly at the non-squarefree points, on every rung
+    ctx, (n, d, terms) = _field(*field), family
+    F = MultiPoly(ctx, n, {e: c % ctx.p for e, c in terms.items()})
+    assert F.deg_t == d
+    D = parity_oracle.discriminant_terms(terms, n)
+    element = st.integers(0, ctx.q - 1)
+    points = data.draw(st.lists(st.tuples(*[element] * n), min_size=10, max_size=30), label="points")
+    want = [parity_oracle.character(ctx, parity_oracle.evaluate(D, ctx, a)) for a in points]
+    dtypes = set()
+    for rung in (np.int32, np.int64, object):
+        with _rung(rung):
+            dtypes.add(_gfp.gf_dtype(d, ctx.k, ctx.p))
+            outcomes = list(classify_points(F, points))
+        for a, outcome, chi in zip(points, outcomes, want):
+            if outcome != DEGREE_DROP:
+                assert parity_oracle.predicted_character(outcome, d) == chi, (rung, a, outcome)
+    assert dtypes == {np.int32, np.int64, object}
 
 
 @pytest.mark.parametrize(

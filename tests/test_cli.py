@@ -18,6 +18,7 @@ from ffstats.cli import main
 from ffstats.field import FieldCtx
 from ffstats.mpoly import NON_SQUAREFREE, parse
 from ffstats.stats import cyclic_shift_group
+from oracles import write_group_file
 from scalar_splitting import classify_one
 
 
@@ -110,7 +111,7 @@ def test_compare_symmetric(capsys):
 
 def test_compare_with_group_file(capsys, tmp_path):
     path = tmp_path / "z3.txt"
-    cyclic_shift_group(3).to_file(str(path))
+    write_group_file(cyclic_shift_group(3), path)
     report = run_json(
         capsys,
         "compare",
@@ -126,7 +127,7 @@ def test_compare_with_group_file(capsys, tmp_path):
 
 def test_compare_group_file_of_wrong_degree_is_input_error(capsys, tmp_path):
     path = tmp_path / "g2.txt"
-    cyclic_shift_group(2).to_file(str(path))
+    write_group_file(cyclic_shift_group(2), path)
     code, out = run_cli(
         capsys,
         "compare",
@@ -439,6 +440,20 @@ def test_csv_rows_have_as_many_fields_as_the_header(capsys, argv):
     assert code == 0
     header, *rows = csv.reader(out.splitlines())
     assert rows and all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("argv", [("dist", *CUBIC_F7), ("compare", *CUBIC_F7), ("demo", "trinomial", "--p", "7")])
+def test_csv_type_counts_sum_to_the_total(capsys, argv):
+    # both table shapes end in the exception buckets: 7 of the 49 points of
+    # the cubic over GF(7)^2 are not squarefree
+    result = run_json(capsys, *argv)["result"]
+    total = result.get("distribution", result)["total"]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert header[:2] == ["type", "count"]
+    assert sum(int(row[1]) for row in rows) == total == 49
+    assert rows[-2:] == [["non_squarefree", "7", "", "", ""], ["degree_drop", "0", "", "", ""]]
 
 
 def test_csv_charsum_quotes_the_frequency(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ffstats
 from ffstats import mpoly, sets
 from ffstats.cli import main
 from ffstats.errors import ArityMismatchError, BudgetExceededError
@@ -25,18 +26,17 @@ from ffstats.sets import (
     TraceZero,
     cardinality,
     enumerate_points,
-    indicator_fourier,
     interval_irreg_bound,
     irregularity,
     load_points_file,
     parse_point,
     parse_set,
-    phase_counts,
     phase_sums,
     point_codes,
     split_top_level,
     verify_plancherel_decomposition,
 )
+from oracles import indicator_spectrum, phase_counts, trace_raw
 from scalar_splitting import classify_one
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def brute_spectrum(points, ctx, n):
             dot = 0
             for ai, bi in zip(a, b):
                 dot = ctx.add(dot, ctx.mul(ai, bi))
-            acc += cmath.exp(-2j * cmath.pi * ctx._trace_raw(dot) / p)
+            acc += cmath.exp(-2j * cmath.pi * trace_raw(ctx, dot) / p)
         values[b] = acc / q**n
     return values
 
@@ -248,9 +248,16 @@ def test_point_codes_refuse_past_the_budget_before_building_an_array():
 # ---------------------------------------------------------------------------
 
 
+def test_every_public_name_resolves():
+    # a star import raises AttributeError on a name of __all__ that is gone
+    names = {}
+    exec("from ffstats import *", names)
+    assert set(ffstats.__all__) <= set(names)
+
+
 def test_fourier_full_space_is_delta():
     ctx = FieldCtx(5)
-    spec = indicator_fourier(FullSpace(1), ctx)
+    spec = indicator_spectrum(FullSpace(1), ctx)
     assert abs(spec[(0,)] - 1) < 1e-12
     for b in range(1, 5):
         assert abs(spec[(b,)]) < 1e-12
@@ -258,7 +265,7 @@ def test_fourier_full_space_is_delta():
 
 def test_fourier_singleton_is_flat():
     ctx = FieldCtx(7)
-    spec = indicator_fourier(ExplicitSet([(3,)]), ctx)
+    spec = indicator_spectrum(ExplicitSet([(3,)]), ctx)
     for b in range(7):
         assert abs(abs(spec[(b,)]) - 1 / 7) < 1e-12
 
@@ -267,7 +274,7 @@ def test_fourier_zero_frequency_is_density():
     ctx = FieldCtx(5)
     rng = random.Random(1)
     pts = [(a, b) for a in range(5) for b in range(5) if rng.random() < 0.5]
-    spec = indicator_fourier(ExplicitSet(pts), ctx)
+    spec = indicator_spectrum(ExplicitSet(pts), ctx)
     assert abs(spec[(0, 0)] - len(pts) / 25) < 1e-12
 
 
@@ -279,15 +286,15 @@ def test_fourier_parseval():
             for a in itertools.product(range(ctx.q), repeat=n)
             if rng.random() < 0.4
         ] or [(0,) * n]
-        spec = indicator_fourier(ExplicitSet(pts), ctx)
-        total = sum(abs(v) ** 2 for v in spec.values.values())
+        spec = indicator_spectrum(ExplicitSet(pts), ctx)
+        total = sum(abs(v) ** 2 for v in spec.values())
         assert abs(total - len(pts) / ctx.q**n) < 1e-9
 
 
 def test_fourier_tracezero_f9():
     ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
-    spec = indicator_fourier(TraceZero(), ctx)
-    live = {b for b, v in spec.values.items() if abs(v) > 1e-12}
+    spec = indicator_spectrum(TraceZero(), ctx)
+    live = {b for b, v in spec.items() if abs(v) > 1e-12}
     assert live == {(0,), (1,), (2,)}  # the prime subfield annihilates tr-zero
     for b in live:
         assert abs(spec[b] - 1 / 3) < 1e-12
@@ -310,7 +317,7 @@ def test_fourier_matches_brute_oracle():
             for a in itertools.product(range(ctx.q), repeat=n)
             if rng.random() < 0.5
         ] or [(0,) * n]
-        spec = indicator_fourier(ExplicitSet(pts), ctx)
+        spec = indicator_spectrum(ExplicitSet(pts), ctx)
         oracle = brute_spectrum(pts, ctx, n)
         for b, v in oracle.items():
             assert abs(spec[b] - v) < 1e-9
@@ -360,7 +367,7 @@ def _scalar_counts(points, freqs, ctx, sign):
             dot = 0
             for ai, bi in zip(a, b):
                 dot = ctx.add(dot, ctx.mul(ai, bi))
-            counts[sign * ctx._trace_raw(dot) % ctx.p] += 1
+            counts[sign * trace_raw(ctx, dot) % ctx.p] += 1
         want.append(counts)
     return want
 
@@ -569,13 +576,12 @@ _LINE = ExplicitSet([(a,) for a in range(5)])
     "spectrum",
     [
         lambda budget: irregularity(_LINE, FieldCtx(5), budget),
-        lambda budget: indicator_fourier(_LINE, FieldCtx(5), budget),
         # the singleton's spectrum fits; the plus-sign sums over D do not
         lambda budget: verify_plancherel_decomposition(
             ExplicitSet([(0,)]), _LINE.points, FieldCtx(5), budget
         ),
     ],
-    ids=["irregularity", "indicator_fourier", "plancherel"],
+    ids=["irregularity", "plancherel"],
 )
 def test_spectra_pass_their_budget_to_the_kernel(spectrum):
     # 5 points and 5 frequencies fit a budget of 5; their spectrum does not
@@ -807,9 +813,7 @@ def test_interval_pointwise_sine_envelope():
     for p in (3, 5, 17, 97):
         ctx = FieldCtx(p)
         for H in range(1, p + 1):
-            spec = indicator_fourier(
-                ExplicitSet([(a,) for a in range(H)]), ctx
-            )
+            spec = indicator_spectrum(ExplicitSet([(a,) for a in range(H)]), ctx)
             for b in range(1, p):
                 bound = 2 / (p * abs(math.sin(math.pi * b / p)))
                 assert abs(spec[(b,)]) <= bound + 1e-12
