@@ -4,13 +4,19 @@ spectra, and the irregularity measure (q^n/|S|) * sum_b |1^_S(b)|.
 The Fourier transform convention is
     1^_S(b) = q^(-n) * sum_{a in S} e^(-2*pi*i*tr(a.b)/p),
 so the full space has irregularity exactly 1 and a singleton has q^n.
-Products of intervals or arithmetic progressions in a prime field factor
-coordinate-wise, each factor reduces affinely to an initial interval
-{0..H-1}, and the factor magnitudes have the closed form
-|sin(pi*H*b/p)| / (p*|sin(pi*b/p)|).  One pass serves every distinct
+
+Each set kind owns its reading: its dimension ``n``, ``check(ctx)``, which
+raises the set's error, ``size(ctx)`` and ``codes(ctx, budget)``, the (|S|, n)
+encodings of its points after a budget check.  Each public function passes
+the one protocol gate, then calls a method.  The full space and grids share
+one product reading of their axes, codes (alpha*j + beta) mod q, j < length:
+a grid's progressions, and (1, 0, q), every code 0..q-1, on each axis of the
+full space.  On a prime field the axis lengths give the closed form: each
+factor of a product reduces affinely to an initial interval {0..H-1}, whose
+magnitudes are |sin(pi*H*b/p)| / (p*|sin(pi*b/p)|).  One pass serves every
 length: it sums b <= (p-1)/2 only (b and p - b give the same term), takes
-each numerator from H*b mod p reduced exactly in int64 (so p < 2^46), and
-looks every sine up in one table sin(pi*i/p) while (p-1)/2 < 2^17.
+each numerator from H*b mod p exactly in int64 (so p < 2^46), and looks
+every sine up in one table sin(pi*i/p) while (p-1)/2 < 2^17.
 
 Every spectrum comes from one block kernel, :func:`phase_sums`, on
 frequencies given as encodings (``point_codes(FullSpace(n))`` for all of
@@ -32,7 +38,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -54,14 +60,32 @@ _INTERVAL_BLOCK = 1 << 17
 _INTERVAL_MAX_P = 1 << 46
 
 
-# -- descriptors ---------------------------------------------------------------
+# -- set kinds -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FullSpace:
-    """All of F_q^n."""
+def _kind(s):
+    """The one gate: s if it has the kind protocol (n, check, size, codes)."""
+    if not all(hasattr(s, name) for name in ("n", "check", "size", "codes")):
+        raise TypeError(f"not a set descriptor: {s!r}")
+    return s
 
-    n: int
+
+class _Product:
+    """A kind read as the product of its ``axes(ctx)``, each an :class:`APSpec`
+    (module docstring), the last coordinate fastest."""
+
+    def size(self, ctx):
+        return math.prod(f.length for f in self.axes(ctx))
+
+    def codes(self, ctx, budget):
+        size = self.size(ctx)
+        if size > budget:
+            raise BudgetExceededError(f"set has {size} points, budget is {budget}")
+        q, wide = ctx.q, _gfp.gf_dtype(1, 1, ctx.q)  # where alpha*j is exact
+        dtype = np.int64 if q < _gfp._INT64_LIMIT else object
+        axes = [((np.arange(f.length, dtype=wide) * (f.alpha % q) + f.beta % q) % q).astype(dtype)
+                for f in self.axes(ctx)]
+        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(size, -1)
 
 
 @dataclass(frozen=True)
@@ -74,13 +98,45 @@ class APSpec:
 
 
 @dataclass(frozen=True)
-class GridProduct:
-    """Cartesian product of 1-D progressions; prime fields only."""
+class FullSpace(_Product):
+    """All of F_q^n: the product of n axes (1, 0, q), every code 0..q-1."""
+
+    n: int
+
+    def check(self, ctx):
+        if self.n < 1:
+            raise ValueError("dimension must be >= 1")
+
+    def axes(self, ctx):
+        return [APSpec(1, 0, ctx.q)] * self.n
+
+
+@dataclass(frozen=True)
+class GridProduct(_Product):
+    """Cartesian product of 1-D progressions, its axes; prime fields only."""
 
     factors: tuple
 
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
+
+    @property
+    def n(self):
+        return len(self.factors)
+
+    def check(self, ctx):
+        if ctx.k != 1:
+            raise ValueError("grid products are defined over prime fields only")
+        if not self.factors:
+            raise ValueError("grid product needs at least one factor")
+        for f in self.factors:
+            if f.alpha % ctx.p == 0:
+                raise ValueError(f"progression step must be nonzero: {f}")
+            if not 1 <= f.length <= ctx.p:
+                raise ValueError(f"progression length out of range: {f}")
+
+    def axes(self, ctx):
+        return self.factors
 
 
 @dataclass(frozen=True)
@@ -92,46 +148,16 @@ class ExplicitSet:
     def __init__(self, points):
         object.__setattr__(self, "points", tuple(tuple(p) for p in points))
 
+    @property
+    def n(self):
+        return len(self.points[0]) if self.points else 0
 
-@dataclass(frozen=True)
-class TraceZero:
-    """{a in F_q : tr(a) = 0}; an additive subgroup of index p, n = 1."""
-
-
-def dimension(s) -> int:
-    if isinstance(s, FullSpace):
-        return s.n
-    if isinstance(s, GridProduct):
-        return len(s.factors)
-    if isinstance(s, ExplicitSet):
-        return len(s.points[0]) if s.points else 0
-    if isinstance(s, TraceZero):
-        return 1
-    raise TypeError(f"not a set descriptor: {s!r}")
-
-
-def validate_set(s, ctx: FieldCtx) -> None:
-    if isinstance(s, FullSpace):
-        if s.n < 1:
-            raise ValueError("dimension must be >= 1")
-        return
-    if isinstance(s, GridProduct):
-        if ctx.k != 1:
-            raise ValueError("grid products are defined over prime fields only")
-        if not s.factors:
-            raise ValueError("grid product needs at least one factor")
-        for f in s.factors:
-            if f.alpha % ctx.p == 0:
-                raise ValueError(f"progression step must be nonzero: {f}")
-            if not 1 <= f.length <= ctx.p:
-                raise ValueError(f"progression length out of range: {f}")
-        return
-    if isinstance(s, ExplicitSet):
-        if not s.points:
+    def check(self, ctx):
+        if not self.points:
             raise ValueError("explicit set is empty")
         # whole-array passes: lengths, then the range [0, q) on every field
         # (a set lists encodings), then duplicates
-        points, n = s.points, len(s.points[0])
+        points, n = self.points, self.n
         if n < 1:
             raise ValueError("points must have at least one coordinate")
         lengths = np.fromiter(map(len, points), np.int64, len(points))
@@ -142,39 +168,57 @@ def validate_set(s, ctx: FieldCtx) -> None:
             raise ValueError(f"coordinate out of range in {points[bad[0] // n]}")
         if len(set(points)) < len(points):
             raise ValueError(f"duplicate point {Counter(points).most_common(1)[0][0]}")
-        return
-    if isinstance(s, TraceZero):
+
+    def size(self, ctx):
+        return len(self.points)
+
+    def codes(self, ctx, budget):
+        if len(self.points) > budget:
+            raise BudgetExceededError(f"set has {len(self.points)} points, budget is {budget}")
+        return ctx.encodings(self.points, self.n)[0]
+
+
+@dataclass(frozen=True)
+class TraceZero:
+    """{a in F_q : tr(a) = 0}; an additive subgroup of index p, n = 1."""
+
+    n = 1
+
+    def check(self, ctx):
         if ctx.k < 2:
             raise ValueError("trace-zero sets need a proper extension (k > 1)")
-        return
-    raise TypeError(f"not a set descriptor: {s!r}")
+
+    def size(self, ctx):
+        return ctx.q // ctx.p
+
+    def codes(self, ctx, budget):
+        if ctx.q // ctx.p > budget:
+            raise BudgetExceededError(f"set has {ctx.q // ctx.p} points, budget is {budget}")
+        if ctx.q > budget:
+            raise BudgetExceededError(f"field has {ctx.q} elements, budget is {budget}")
+        # sums of k products below p^2 <= q: exact in int64 for any q within budget
+        traces = ctx.decode(np.arange(ctx.q, dtype=np.int64)) @ ctx.trace_form[:, 0] % ctx.p
+        return np.flatnonzero(traces == 0)[:, None]
+
+
+def dimension(s) -> int:
+    return _kind(s).n
+
+
+def validate_set(s, ctx: FieldCtx) -> None:
+    _kind(s).check(ctx)
 
 
 def cardinality(s, ctx: FieldCtx) -> int:
     validate_set(s, ctx)
-    return _size(s, ctx)
-
-
-def _size(s, ctx):
-    """|S| of a set already validated."""
-    if isinstance(s, FullSpace):
-        return ctx.q**s.n
-    if isinstance(s, GridProduct):
-        out = 1
-        for f in s.factors:
-            out *= f.length
-        return out
-    if isinstance(s, ExplicitSet):
-        return len(s.points)
-    return ctx.q // ctx.p
+    return s.size(ctx)
 
 
 def enumerate_points(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
     """All points of the set, each exactly once, in a fixed deterministic
     order (lexicographic coordinates / progression index order), as tuples:
     the rows of :func:`point_codes`."""
-    validate_set(s, ctx)
-    return list(map(tuple, _codes(s, ctx, budget).tolist()))
+    return list(map(tuple, point_codes(s, ctx, budget).tolist()))
 
 
 def point_codes(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
@@ -182,32 +226,7 @@ def point_codes(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
     the order of :func:`enumerate_points`: int64 while q < 2^62, Python ints
     past it.  The budget is checked before any array is built."""
     validate_set(s, ctx)
-    return _codes(s, ctx, budget)
-
-
-def _codes(s, ctx, budget):
-    """:func:`point_codes` of a set already validated; the full space and a
-    grid are the Cartesian product of their axes, the last coordinate fastest."""
-    size = _size(s, ctx)
-    if size > budget:
-        raise BudgetExceededError(f"set has {size} points, budget is {budget}")
-    if isinstance(s, TraceZero):
-        if ctx.q > budget:
-            raise BudgetExceededError(f"field has {ctx.q} elements, budget is {budget}")
-        # sums of k products below p^2 <= q: exact in int64 for any q within budget
-        traces = ctx.decode(np.arange(ctx.q, dtype=np.int64)) @ ctx.trace_form[:, 0] % ctx.p
-        return np.flatnonzero(traces == 0)[:, None]
-    # an explicit set's codes, read; the other sets' axes take the read's dtype
-    codes, _ = ctx.encodings(s.points if isinstance(s, ExplicitSet) else (), dimension(s))
-    if isinstance(s, ExplicitSet):
-        return codes
-    if isinstance(s, FullSpace):
-        axes = [np.arange(ctx.q, dtype=codes.dtype)] * s.n
-    else:  # (alpha*j + beta) mod p, in the dtype where a product of residues is exact
-        p, wide = ctx.p, _gfp.gf_dtype(1, 1, ctx.p)
-        axes = [((np.arange(f.length, dtype=wide) * (f.alpha % p) + f.beta % p) % p).astype(codes.dtype)
-                for f in s.factors]
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(size, -1)
+    return s.codes(ctx, budget)
 
 
 # -- torus orbits --------------------------------------------------------------
@@ -442,12 +461,7 @@ class IrregularityReport:
     cardinality: int
 
     def to_json_dict(self):
-        return {
-            "irreg": self.irreg,
-            "method": self.method,
-            "bound_9plogp": self.bound_9plogp,
-            "cardinality": self.cardinality,
-        }
+        return asdict(self)
 
 
 def interval_irreg_bound(p: int, H: int) -> float:
@@ -497,9 +511,9 @@ def _interval_irreg(p: int, lengths: tuple) -> MappingProxyType:
 def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> IrregularityReport:
     """Exact irregularity with the method recorded.
 
-    Grid products (and the full space over a prime field, a grid of full
-    intervals) go through the per-coordinate closed form after the affine
-    reduction of each progression; everything else is a dense transform.
+    The product kinds on a prime field (grids, and the full space as the
+    grid of its full lines) go through the per-coordinate closed form after
+    the affine reduction of each axis; every other set is a dense transform.
     One pass of :func:`_interval_irreg` serves every distinct length: it
     folds b <-> p - b, reduces each sine argument exactly (p < 2^46, else
     a budget error) and, for (p-1)/2 < 2^17, looks every sine up in one
@@ -513,29 +527,25 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
 
 def _irregularity(s, ctx, budget):
     """:func:`irregularity` of a set already validated."""
-    size = _size(s, ctx)
-    if isinstance(s, GridProduct) or (isinstance(s, FullSpace) and ctx.k == 1):
-        if isinstance(s, GridProduct):
-            lengths = [f.length for f in s.factors]
-        else:
-            lengths = [ctx.p] * s.n
+    size = s.size(ctx)
+    if isinstance(s, _Product) and ctx.k == 1:
+        lengths = [f.length for f in s.axes(ctx)]
         work = (ctx.p - 1) * len({H for H in lengths if 1 < H < ctx.p})
         if work > budget:
             raise BudgetExceededError(f"closed form sums {work} terms, budget is {budget}")
         values = _interval_irreg(ctx.p, tuple(sorted(set(lengths))))
-        irreg = 1.0
-        bound = 1.0
+        irreg = bound = 1.0
         for H in lengths:
             irreg *= values[H]
             bound *= interval_irreg_bound(ctx.p, H)
         method = "closed_form_interval" if len(lengths) == 1 else "product_1d"
         return IrregularityReport(irreg, method, bound, size)
-    n = dimension(s)
-    pts = _codes(s, ctx, budget)
+    n = s.n
+    pts = s.codes(ctx, budget)
     if ctx.q**n > budget:
         raise BudgetExceededError(f"{ctx.q**n} frequencies exceed the budget {budget}")
     # fsum is correctly rounded: the total does not depend on the blocks
-    sums = phase_sums(pts, _codes(FullSpace(n), ctx, budget), ctx, n, -1, budget)
+    sums = phase_sums(pts, FullSpace(n).codes(ctx, budget), ctx, n, -1, budget)
     total = math.fsum(itertools.chain.from_iterable(mag.tolist() for _, _, mag in sums))
     return IrregularityReport(total / size, "exact_dft", None, size)
 

@@ -276,7 +276,7 @@ def _sweep_points(F: MultiPoly, S, budget):
     orbital = S == _sets.FullSpace(n) and 2 < q and max(q, n << n) <= budget
     torus = _mp.torus_weights(F) if orbital else None
     if torus is None or not any(w % (q - 1) for w in torus[1]):  # else every orbit is one point
-        codes = _sets._codes(S, F.ctx, budget)
+        codes = S.codes(F.ctx, budget)
         _mp.require_dense_budget(F, budget, len(codes))
         _mp.require_classifiable(F, budget)
         return codes, np.broadcast_to(np.int64(1), len(codes)), None
@@ -521,7 +521,7 @@ def weil_sweep(
     points = codes
     if orbits is not None:  # each point takes its representative's key
         labels = orbits.labels(codes, sizes)
-        keys, points = keys[labels], _sets._codes(full, ctx, budget)
+        keys, points = keys[labels], full.codes(ctx, budget)
     matches = points[keys == _gfp.gf_type_key(parts, F.deg_t)]
     dual = bs is None and orbits is not None and len(matches) >= ctx.p
     if bs is None:  # the frequencies of F_q^n are its points; representatives stand for their orbits

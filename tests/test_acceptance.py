@@ -11,10 +11,12 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
+from ffstats.cli import main
 from ffstats.field import FieldCtx, is_prime
 from ffstats.mpoly import classify_specialization, parse
 from ffstats.sets import (
@@ -83,6 +85,24 @@ def test_criterion_1_polya_vinogradov():
     )
     worst = max(abs(r["deviation"]) / r["tolerance"] for r in rep["rows"])
     _line(1, ok, f"split counts within 5*sqrt(p)*log(p) of H/2 (worst ratio {worst:.3f})")
+    assert ok
+
+
+def test_criterion_1_dist_of_a_quadratic_on_an_interval_is_the_legendre_count(capsys):
+    # the Polya-Vinogradov case the paper generalizes: t^2 - a splits, stays
+    # irreducible or is a square as chi(a) = 1, -1 or 0, by Euler's criterion;
+    # the second interval wraps past p and so holds a = 0
+    rows = []
+    for p, beta, H in ((1009, 17, 179), (10007, 9507, 1001)):
+        assert main(["dist", "--p", str(p), "--poly", "t^2 - A1", "--set", f"grid:int({beta},{H})"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        chi = Counter(pow(a % p, (p - 1) // 2, p) for a in range(beta, beta + H))
+        expected = {"counts": {"[2]": chi[p - 1], "[1,1]": chi[1]}, "non_squarefree": chi[0],
+                    "degree_drop": 0, "total": H}
+        rows.append((p, beta, H, result == expected))
+    ok = all(row[-1] for row in rows)
+    _line(1, ok, f"dist of t^2 - A1 on intervals (p, beta, H) = {[row[:3] for row in rows]} "
+                 "equals the Legendre counts bucket by bucket")
     assert ok
 
 

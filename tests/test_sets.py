@@ -1,9 +1,11 @@
 import cmath
 import itertools
+import json
 import math
 import random
 import time
 import tracemalloc
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from ffstats.cli import main
 from ffstats.errors import ArityMismatchError, BudgetExceededError
 from ffstats.field import FieldCtx, cyclotomic_rows
 from ffstats.mpoly import parse
-from ffstats.stats import empirical_distribution, weil_sweep
+from ffstats.stats import GroupSpec, compare, empirical_distribution, weil_sweep
 from ffstats.sets import (
     APSpec,
     ExplicitSet,
@@ -241,6 +243,58 @@ def test_point_codes_refuse_past_the_budget_before_building_an_array():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "p, k, n", [(p, 1, n) for p in (2, 3, 7, 13) for n in (1, 2, 3)] + [(3, 2, 1), (3, 2, 2), (2, 3, 2)]
+)
+def test_full_space_is_the_grid_of_its_full_lines(p, k, n):
+    # every code 0..q-1 on each axis; on a prime field, the grid of the full lines
+    ctx, full = FieldCtx(p, k, seed=1), FullSpace(n)
+    codes = point_codes(full, ctx)
+    assert list(map(tuple, codes.tolist())) == list(itertools.product(range(ctx.q), repeat=n))
+    if k == 1:
+        grid = GridProduct([APSpec(1, 0, p)] * n)
+        assert np.array_equal(codes, point_codes(grid, ctx))
+        assert cardinality(full, ctx) == cardinality(grid, ctx) == p**n
+        assert irregularity(full, ctx).to_json_dict() == irregularity(grid, ctx).to_json_dict()
+
+
+@dataclass(frozen=True)
+class LineCoset:
+    """{a + t*d : t in F_p} in F_p^2: a set kind defined outside ffstats.sets,
+    with only the protocol's n, check, size and codes."""
+
+    a: tuple
+    d: tuple
+    n = 2
+
+    def check(self, ctx):
+        if ctx.k != 1 or not any(x % ctx.p for x in self.d):
+            raise ValueError("a line needs a prime field and a nonzero direction")
+
+    def size(self, ctx):
+        return ctx.p
+
+    def codes(self, ctx, budget):
+        return (np.array(self.a) + np.arange(ctx.p)[:, None] * np.array(self.d)) % ctx.p
+
+
+@pytest.mark.parametrize("p, a, d", [(5, (1, 2), (0, 1)), (7, (3, 0), (2, 5)), (13, (4, 9), (1, 12))])
+def test_a_kind_defined_outside_the_module_runs_through_every_statistic(p, a, d):
+    ctx = FieldCtx(p)
+    coset = LineCoset(a, d)
+    points = ExplicitSet(map(tuple, coset.codes(ctx, 0).tolist()))
+    F = parse("t^3 + A1*t + A2", 2, ctx)
+    for statistic in (
+        lambda s: empirical_distribution(F, s),
+        lambda s: irregularity(s, ctx),
+        lambda s: compare(F, s, GroupSpec.symmetric(3)),
+    ):
+        assert json.dumps(statistic(coset).to_json_dict()) == json.dumps(statistic(points).to_json_dict())
+    assert cardinality(coset, ctx) == p and sets.dimension(coset) == 2
+    with pytest.raises(TypeError, match="not a set descriptor"):
+        irregularity("full", ctx)
 
 
 # ---------------------------------------------------------------------------
