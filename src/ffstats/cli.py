@@ -17,8 +17,9 @@ calling thread: ``--threads`` is accepted for compatibility.
 ``--format csv`` writes a table instead, nested results as dotted keys.
 The ``charsum --all-b`` rows, one per frequency, are written by ``_json``
 and the CSV writer from one text per distinct float, with json's bytes.
-Logs go to stderr, reports to stdout or ``--out``.  Exit codes: 0 ok,
-2 input error, 3 budget error.
+Reports go to stdout or ``--out``; an error is one ``input error: ...`` or
+``budget error: ...`` line, printed to the stderr of the call (no logging
+is configured).  Exit codes: 0 ok, 2 input error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -27,16 +28,13 @@ import argparse
 import csv
 import io
 import json
-import logging
 import math
 import sys
 import time
 
 from . import __version__, mpoly, sets, stats, unipoly
-from .errors import BudgetExceededError, FFStatsError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, FFStatsError
 from .field import FieldCtx
-
-log = logging.getLogger("ffstats")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,7 +64,7 @@ def _add_shared(sp):
         default=1,
         help="accepted for compatibility; every run uses one thread",
     )
-    sp.add_argument("--budget", type=_positive_int, default=sets.DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -152,15 +150,11 @@ def _cmd_compare(args, ctx, F):
 
 def _cmd_charsum(args, ctx, F):
     parts = stats.parse_type(args.type)
-    if args.all_b and args.b:
-        raise ValueError("--b names one frequency and --all-b every one: give one of them")
     if args.all_b:
         sweep = stats.weil_sweep(F, parts, None, budget=args.budget)
         bs = map(",".join, stats.nonzero_frequencies(list(map(str, range(ctx.q))), F.n))
         rows = _SweepTable(ctx.q, list(zip(bs, sweep.magnitudes, sweep.ratios)))
         return {"max_ratio": sweep.max_ratio, "rows": rows}
-    if not args.b:
-        raise ValueError("need --b or --all-b")
     b = sets.parse_point(args.b, ctx)
     res = stats.restricted_charsum(F, parts, b, budget=args.budget)
     return {
@@ -432,8 +426,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     if sp := add("charsum", "restricted character sums"):
         sp.add_argument("--type", required=True, help="factorization type, e.g. '2,1'")
-        sp.add_argument("--b", default="", help="frequency vector")
-        sp.add_argument("--all-b", action="store_true", help="sweep every nonzero frequency")
+        one_or_all = sp.add_mutually_exclusive_group(required=True)
+        one_or_all.add_argument("--b", default="", help="frequency vector")
+        one_or_all.add_argument("--all-b", action="store_true", help="sweep every nonzero frequency")
         sp.set_defaults(handler=_cmd_charsum)
 
     if sp := add("demo", "named reproductions", poly=False):
@@ -448,7 +443,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     if argv is None:  # read here, so that the console script builds one subparser too
         argv = sys.argv[1:]
     try:
@@ -462,10 +456,10 @@ def main(argv=None) -> int:
         F = _poly_from(args, ctx) if "poly" in args else None
         result = handler(args, ctx, F)
     except BudgetExceededError as exc:
-        log.error("budget error: %s", exc)
+        print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (FFStatsError, ValueError, OSError) as exc:
-        log.error("input error: %s", exc)
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     elapsed = time.perf_counter() - start
     report = {

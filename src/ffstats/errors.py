@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one budget check."""
+
+DEFAULT_BUDGET = 1 << 24
 
 
 class FFStatsError(Exception):
@@ -68,3 +70,10 @@ class NotAdmissibleError(FFStatsError, ValueError):
 
 class BudgetExceededError(FFStatsError, RuntimeError):
     """Requested computation exceeds the configured enumeration budget."""
+
+
+def charge(work: int, budget: int, what: str) -> None:
+    """Refuse work past the budget before it is done: BudgetExceededError
+    with the text ``f"{what}, budget is {budget}"``."""
+    if work > budget:
+        raise BudgetExceededError(f"{what}, budget is {budget}")

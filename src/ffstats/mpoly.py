@@ -31,15 +31,15 @@ import numpy as np
 from . import _gfp
 from ._gfp import DEGREE_DROP, NON_SQUAREFREE  # re-exported: outcomes of classify_points
 from .errors import (
+    DEFAULT_BUDGET,
     ArityMismatchError,
-    BudgetExceededError,
     NegativeExponentError,
     NotAdmissibleError,
     PolynomialSyntaxError,
     UnknownVariableError,
+    charge,
 )
 from .field import FieldCtx
-from .sets import DEFAULT_BUDGET
 from .unipoly import UniPoly, is_squarefree
 
 # -- tokenizer ----------------------------------------------------------------
@@ -177,10 +177,6 @@ class MultiPoly:
     @classmethod
     def constant(cls, ctx, n, c):
         return cls(ctx, n, {(0,) * (n + 1): c})
-
-    @classmethod
-    def variable_t(cls, ctx, n):
-        return cls(ctx, n, {(1,) + (0,) * n: 1})
 
     @classmethod
     def parameter(cls, ctx, n, i):
@@ -335,6 +331,8 @@ _MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over term dicts; ``parse`` builds the one MultiPoly."""
+
     def __init__(self, tokens, ctx, n, budget):
         self.toks = tokens
         self.pos = 0
@@ -345,10 +343,7 @@ class _Parser:
         self.depth = 0
 
     def check(self, cost):
-        if self.spent + cost > self.budget:
-            raise BudgetExceededError(
-                f"expansion costs {self.spent + cost} term products, budget is {self.budget}"
-            )
+        charge(self.spent + cost, self.budget, f"expansion costs {self.spent + cost} term products")
 
     def charge(self, cost):
         """Count each product of the whole expansion against the budget
@@ -384,7 +379,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
+            acc = _tadd(self.ctx, acc, rhs if op == "+" else _tneg(self.ctx, rhs))
         return acc
 
     def term(self):
@@ -395,9 +390,8 @@ class _Parser:
         acc = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            terms = _tmul(self.ctx, acc.terms, self.factor().terms, self.charge)
-            acc = MultiPoly(self.ctx, self.n, terms)
-        return -acc if negate else acc
+            acc = _tmul(self.ctx, acc, self.factor(), self.charge)
+        return _tneg(self.ctx, acc) if negate else acc
 
     def factor(self):
         base = self.atom()
@@ -414,10 +408,18 @@ class _Parser:
             if tok[1] < self.ctx.p:
                 # below p only colliding terms cancel: refuse at once a chain
                 # that passes the budget with none cancelling
-                self.check(_tpow_cost(base.terms, tok[1]))
-            terms = _tpow(self.ctx, base.terms, tok[1], self.n, self.charge)
-            return MultiPoly(self.ctx, self.n, terms)
+                self.check(_tpow_cost(base, tok[1]))
+            return _tpow(self.ctx, base, tok[1], self.n, self.charge)
         return base
+
+    def monomial(self, var, c=1):
+        """The terms of c t (var 0), c A_var, or the constant c (var None); {} for c = 0."""
+        if self.n < 0:
+            raise ValueError("parameter count must be >= 0")
+        e = [0] * (self.n + 1)
+        if var is not None:
+            e[var] = 1
+        return {tuple(e): c} if c else {}
 
     def atom(self):
         tok = self.advance()
@@ -426,7 +428,7 @@ class _Parser:
         if kind == "END":
             raise PolynomialSyntaxError("unexpected end of expression", pos)
         if kind == "INT":
-            return MultiPoly.constant(ctx, n, ctx.from_int(val))
+            return self.monomial(None, ctx.from_int(val))
         if kind == "[":
             coords = [self.expect("INT")[1]]
             while self.peek()[0] == ",":
@@ -437,14 +439,14 @@ class _Parser:
                 raise PolynomialSyntaxError(
                     f"coordinate vector needs {ctx.k} entries, got {len(coords)}", pos
                 )
-            return MultiPoly.constant(ctx, n, ctx.from_coords(coords))
+            return self.monomial(None, ctx.from_coords(coords))
         if kind == "NAME":
             if val == "t":
-                return MultiPoly.variable_t(ctx, n)
+                return self.monomial(0)
             if val[0] == "A" and val[1:].isdigit():
                 i = int(val[1:])
                 if 1 <= i <= n:
-                    return MultiPoly.parameter(ctx, n, i)
+                    return self.monomial(i)
                 raise UnknownVariableError(
                     f"parameter {val} outside A1..A{n}", pos
                 )
@@ -468,7 +470,7 @@ def parse(expr: str, n: int, ctx: FieldCtx, *, budget: int = DEFAULT_BUDGET) -> 
     which is checked against the budget before the product is built.  A
     power below the characteristic is refused at once when its chain of
     products would pass the budget with no term cancelling."""
-    return _Parser(_tokenize(expr), ctx, n, budget).parse()
+    return MultiPoly(ctx, n, _Parser(_tokenize(expr), ctx, n, budget).parse())
 
 
 def infer_parameter_count(expr: str) -> int:
@@ -576,10 +578,7 @@ def require_dense_budget(F: MultiPoly, budget: int, points: int = 1) -> None:
         return
     m = min(points, _spec_block(d, F.ctx)[1])
     work = m * (1 + d // 2) * d * d * k * k
-    if work > budget:
-        raise BudgetExceededError(
-            f"classifying {m} points of degree {d} in t stacks {work} rank entries, budget is {budget}"
-        )
+    charge(work, budget, f"classifying {m} points of degree {d} in t stacks {work} rank entries")
 
 
 def torus_weights(F: MultiPoly):
@@ -725,8 +724,7 @@ def admissibility(F: MultiPoly, budget: int = DEFAULT_BUDGET) -> AdmissibilityRe
         if f.degree == d and is_squarefree(f):
             return report(True, used)
     count = math.prod(sides)
-    if count > budget:
-        raise BudgetExceededError(f"deciding the discriminant walks a grid of {count} points, budget is {budget}")
+    charge(count, budget, f"deciding the discriminant walks a grid of {count} points")
     require_dense_budget(G, budget, count)
     skip = [np.ravel_multi_index(a, sides) for a in points]  # left out of the walk
     used, size = len(points), _spec_block(d, G.ctx)[1]

@@ -44,10 +44,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _gfp
-from .errors import ArityMismatchError, BudgetExceededError
+from .errors import DEFAULT_BUDGET, ArityMismatchError, BudgetExceededError, charge
 from .field import FieldCtx, _unity_roots, cyclotomic_invariants, cyclotomic_sums
-
-DEFAULT_BUDGET = 1 << 24
 
 # Phase entries (frequencies x points) and count slots (frequencies x p)
 # that the spectrum kernel holds at once.
@@ -79,8 +77,7 @@ class _Product:
 
     def codes(self, ctx, budget):
         size = self.size(ctx)
-        if size > budget:
-            raise BudgetExceededError(f"set has {size} points, budget is {budget}")
+        charge(size, budget, f"set has {size} points")
         q, wide = ctx.q, _gfp.gf_dtype(1, 1, ctx.q)  # where alpha*j is exact
         dtype = np.int64 if q < _gfp._INT64_LIMIT else object
         axes = [((np.arange(f.length, dtype=wide) * (f.alpha % q) + f.beta % q) % q).astype(dtype)
@@ -173,8 +170,7 @@ class ExplicitSet:
         return len(self.points)
 
     def codes(self, ctx, budget):
-        if len(self.points) > budget:
-            raise BudgetExceededError(f"set has {len(self.points)} points, budget is {budget}")
+        charge(len(self.points), budget, f"set has {len(self.points)} points")
         return ctx.encodings(self.points, self.n)[0]
 
 
@@ -192,10 +188,8 @@ class TraceZero:
         return ctx.q // ctx.p
 
     def codes(self, ctx, budget):
-        if ctx.q // ctx.p > budget:
-            raise BudgetExceededError(f"set has {ctx.q // ctx.p} points, budget is {budget}")
-        if ctx.q > budget:
-            raise BudgetExceededError(f"field has {ctx.q} elements, budget is {budget}")
+        charge(ctx.q // ctx.p, budget, f"set has {ctx.q // ctx.p} points")
+        charge(ctx.q, budget, f"field has {ctx.q} elements")
         # sums of k products below p^2 <= q: exact in int64 for any q within budget
         traces = ctx.decode(np.arange(ctx.q, dtype=np.int64)) @ ctx.trace_form[:, 0] % ctx.p
         return np.flatnonzero(traces == 0)[:, None]
@@ -257,8 +251,7 @@ class TorusOrbits:
     def __init__(self, weights, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
         n, q = len(weights), ctx.q
         for what, size in (("support-table entries", n << n), ("powers", q)):
-            if size > budget:
-                raise BudgetExceededError(f"orbits take {size} {what}, budget is {budget}")
+            charge(size, budget, f"orbits take {size} {what}")
         weights = [w % (q - 1) for w in weights]
         # count, without listing the supports: after each coordinate, the
         # representatives of the supports so far, summed by their shift s_j
@@ -270,8 +263,7 @@ class TorusOrbits:
                 grown[math.lcm(s, step)] += c * math.gcd(s * w, q - 1)
             shifts = grown
         self.count = sum(shifts.values())
-        if self.count > budget:
-            raise BudgetExceededError(f"{self.count} orbit representatives, budget is {budget}")
+        charge(self.count, budget, f"{self.count} orbit representatives")
         self.ctx = ctx
         self.weights = np.array(weights, np.int64)
         # one row per support, bit i of its index for coordinate i: the moduli
@@ -426,8 +418,7 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DE
     p, m, f = ctx.p, len(points), len(freqs)
     lines = (ctx.q**n - 1) // (p - 1) + 1
     work = f * m if m < p else min(f, lines) * m + f * p
-    if work > budget:
-        raise BudgetExceededError(f"spectrum costs {work} ({f} freqs, {m} points), budget {budget}")
+    charge(work, budget, f"spectrum costs {work} ({f} freqs, {m} points)")
     if m >= p:
         table, line, rot = _line_table(points, freqs, ctx, n, sign)
         arr, one, top = cyclotomic_invariants(table.astype(np.float64))  # one cast per line
@@ -531,8 +522,7 @@ def _irregularity(s, ctx, budget):
     if isinstance(s, _Product) and ctx.k == 1:
         lengths = [f.length for f in s.axes(ctx)]
         work = (ctx.p - 1) * len({H for H in lengths if 1 < H < ctx.p})
-        if work > budget:
-            raise BudgetExceededError(f"closed form sums {work} terms, budget is {budget}")
+        charge(work, budget, f"closed form sums {work} terms")
         values = _interval_irreg(ctx.p, tuple(sorted(set(lengths))))
         irreg = bound = 1.0
         for H in lengths:
@@ -542,8 +532,7 @@ def _irregularity(s, ctx, budget):
         return IrregularityReport(irreg, method, bound, size)
     n = s.n
     pts = s.codes(ctx, budget)
-    if ctx.q**n > budget:
-        raise BudgetExceededError(f"{ctx.q**n} frequencies exceed the budget {budget}")
+    charge(ctx.q**n, budget, f"{ctx.q**n} frequencies")
     # fsum is correctly rounded: the total does not depend on the blocks
     sums = phase_sums(pts, FullSpace(n).codes(ctx, budget), ctx, n, -1, budget)
     total = math.fsum(itertools.chain.from_iterable(mag.tolist() for _, _, mag in sums))

@@ -38,15 +38,16 @@ from . import _gfp
 from . import mpoly as _mp
 from . import sets as _sets
 from .errors import (
+    DEFAULT_BUDGET,
     ArityMismatchError,
-    BudgetExceededError,
     DegreeMismatchError,
     InvalidGroupError,
     PartitionMismatchError,
     ZeroFrequencyError,
+    charge,
 )
 from .mpoly import MultiPoly
-from .sets import DEFAULT_BUDGET, dimension
+from .sets import dimension
 
 # -- partitions and cycle types ---------------------------------------------------
 
@@ -510,8 +511,7 @@ def weil_sweep(
     if bs is not None:
         bs = [tuple(b) for b in bs]
         freqs = _frequencies(bs, ctx, n)
-    if ctx.q**n > budget:
-        raise BudgetExceededError(f"{ctx.q**n} points of the full space, budget is {budget}")
+    charge(ctx.q**n, budget, f"{ctx.q**n} points of the full space")
     full = _sets.FullSpace(n)
     _require_paired(F, full)
     codes, sizes, orbits = _sweep_points(F, full, budget)

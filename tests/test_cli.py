@@ -1,6 +1,9 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
+import logging
 import math
 import os
 import re
@@ -168,7 +171,7 @@ def test_charsum_sweep(capsys):
 
 @pytest.mark.parametrize("text", ["x", "2.5"])
 def test_charsum_type_with_a_part_that_is_no_integer_is_an_input_error(text):
-    # in a process of its own, whose stderr carries the logged message
+    # in a process of its own, whose stderr carries the error line
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     argv = ["charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", text, "--all-b"]
@@ -237,6 +240,25 @@ def test_budget_exceeded_exit_code(capsys):
         "--budget", "10",
     )
     assert code == 3
+
+
+def test_each_call_writes_its_error_line_to_its_own_stderr():
+    # two calls in one process, each under its own stderr; the root logger
+    # is left as it was found
+    root = logging.getLogger()
+    before = (list(root.handlers), root.level)
+    runs = [
+        (("irreg", "--p", "7", "--set", "tracezero"), 2),
+        (("dist", "--p", "13", "--poly", "t^3 + A1*t + A2 + A1^2", "--budget", "100"), 3),
+    ]
+    errs = []
+    for argv, code in runs:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(list(argv)) == code
+        errs.append(err.getvalue())
+    assert (list(root.handlers), root.level) == before
+    assert errs[0].startswith("input error: ") and errs[0].endswith("\n") and errs[0].count("\n") == 1
+    assert errs[1] == "budget error: set has 169 points, budget is 100\n"
 
 
 def test_huge_degree_in_t_is_budget_error(capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ffstats import _gfp, mpoly
 from ffstats.cli import main
 from ffstats.errors import (
+    DEFAULT_BUDGET,
     ArityMismatchError,
     BudgetExceededError,
     NegativeExponentError,
@@ -476,7 +477,7 @@ def test_the_grid_finds_a_witness_both_fixed_points_miss():
 def test_an_admissible_family_whose_fixed_points_miss_is_refused_past_the_budget(capsys):
     # its grid has 5^2 = 25 points: admissible, but deciding it needs the grid
     poly = "t^2 - (A1 - A2)^2*(A1 - A2 - 1)^2"
-    with pytest.raises(BudgetExceededError, match="grid of 25 points, budget is 24"):
+    with pytest.raises(BudgetExceededError, match="grid of 25 points, budget is 24$"):
         admissibility(parse(poly, 2, FieldCtx(13)), budget=24)
     # then the rank budget of a block of 25 points: 25 * 2 * 2^2
     assert admissibility(parse(poly, 2, FieldCtx(13)), budget=25 * 8).disc_nonzero
@@ -532,7 +533,7 @@ def test_a_grid_past_the_budget_is_refused_before_any_block_is_classified(capsys
         assert main(["dist", "--p", "10007", "--poly", poly, "--set", cube]) == 3
     blocks.assert_not_called()
     assert capsys.readouterr().out == ""
-    with pytest.raises(BudgetExceededError, match="grid of 48828125 points"):
+    with pytest.raises(BudgetExceededError, match=f"grid of 48828125 points, budget is {DEFAULT_BUDGET}$"):
         admissibility(parse(poly, 11, FieldCtx(10007)))
 
 
@@ -623,8 +624,29 @@ def test_parse_counts_the_whole_expansion_against_the_budget():
     # two products of 2 by 2 terms: each within 4, together 8
     expr = "(t + A1)*(t - A1) + (t + A2)*(t - A2)"
     assert parse(expr, 2, ctx, budget=8) == parse("2*t^2 - A1^2 - A2^2", 2, ctx)
-    with pytest.raises(BudgetExceededError, match="8 term products"):
+    with pytest.raises(BudgetExceededError, match="8 term products, budget is 7$"):
         parse(expr, 2, ctx, budget=7)
+
+
+def test_parse_builds_one_multipoly(monkeypatch):
+    # the parser works on term dicts; the polynomial is built once, at the end
+    calls = []
+    init = MultiPoly.__init__
+
+    def spy(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MultiPoly, "__init__", spy)
+    texts = {
+        "t^3 + A1*t + A2": "t^3 + t*A1 + A2",
+        "-(t - 2*A1)^2*A2 + 0": "-t^2*A2 - 3*t*A1*A2 + 3*A1^2*A2",
+        "0*t + 7": "0",  # a zero constant has no terms
+    }
+    for expr, text in texts.items():
+        calls.clear()
+        assert str(parse(expr, 2, _F7)) == text
+        assert len(calls) == 1
 
 
 def test_parse_refuses_a_power_below_p_before_expanding_it():
@@ -667,8 +689,8 @@ _POLY_ERRORS = [
     (lambda: MultiPoly(_F7, 1, {(1,): 1}), ArityMismatchError, None),
     (lambda: MultiPoly(_F7, 1, {(1, -1): 1}), ValueError, None),
     (lambda: MultiPoly.parameter(_F7, 1, 2), ValueError, None),
-    (lambda: MultiPoly.variable_t(_F7, 1) + MultiPoly.variable_t(_F7, 2), ValueError, None),
-    (lambda: MultiPoly.variable_t(_F7, 1) * MultiPoly.variable_t(FieldCtx(5), 1), ValueError, None),
+    (lambda: MultiPoly.parameter(_F7, 1, 1) + MultiPoly.parameter(_F7, 2, 1), ValueError, None),
+    (lambda: MultiPoly.parameter(_F7, 1, 1) * MultiPoly.parameter(FieldCtx(5), 1, 1), ValueError, None),
     (lambda: parse("[1,2", 1, FieldCtx(3, 2, modulus=[1, 0, 1])), PolynomialSyntaxError, "[1,2"),
     (lambda: parse("t^A1", 1, _F7), PolynomialSyntaxError, "t^A1"),
     (lambda: parse("t +", 1, _F7), PolynomialSyntaxError, "t +"),

@@ -232,12 +232,12 @@ def test_point_codes_refuse_past_the_budget_before_building_an_array():
     big = FieldCtx(2, 40, seed=1)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="set has"):
+        with pytest.raises(BudgetExceededError, match="set has .*, budget is 1000000000000$"):
             point_codes(FullSpace(4), gf, budget=10**12)  # 1009^4 > 10^12 points
-        with pytest.raises(BudgetExceededError, match="set has"):
+        with pytest.raises(BudgetExceededError, match="set has .*, budget is 1000000000000$"):
             point_codes(GridProduct([APSpec(1, 0, 1009)] * 4), gf, budget=10**12)
         # 2^39 trace-zero points fit this budget, the 2^40 traces do not
-        with pytest.raises(BudgetExceededError, match="field has"):
+        with pytest.raises(BudgetExceededError, match=f"field has .*, budget is {2**39}$"):
             point_codes(TraceZero(), big, budget=2**39)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -639,13 +639,13 @@ _LINE = ExplicitSet([(a,) for a in range(5)])
 )
 def test_spectra_pass_their_budget_to_the_kernel(spectrum):
     # 5 points and 5 frequencies fit a budget of 5; their spectrum does not
-    with pytest.raises(BudgetExceededError, match="spectrum"):
+    with pytest.raises(BudgetExceededError, match="spectrum .*, budget is 5$"):
         spectrum(5)
     spectrum(35)
 
 
 def test_exact_irregularity_names_the_frequencies_past_the_budget():
-    with pytest.raises(BudgetExceededError, match="25 frequencies exceed the budget 24"):
+    with pytest.raises(BudgetExceededError, match="^25 frequencies, budget is 24$"):
         irregularity(ExplicitSet([(0, 0), (1, 3)]), FieldCtx(5), budget=24)
 
 
@@ -707,7 +707,7 @@ def test_irreg_interval_respects_envelope():
 
 def test_interval_irreg_counts_p_minus_1_terms_against_the_budget():
     ctx = FieldCtx(101)
-    with pytest.raises(BudgetExceededError, match="100 terms"):
+    with pytest.raises(BudgetExceededError, match="100 terms, budget is 99$"):
         irregularity(GridProduct([APSpec(1, 0, 10)]), ctx, budget=99)
     # one sum per distinct length; H = 1 and H = p cost nothing
     grid = GridProduct([APSpec(1, 0, 10), APSpec(3, 5, 10), APSpec(1, 0, 1), APSpec(1, 0, 101)])
