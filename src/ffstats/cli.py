@@ -237,20 +237,18 @@ def _demo_trinomial(args, ctx, F):
 
 
 def _demo_morse(args, ctx, F):
-    """Shifted families f(t) + h_i + a: all-irreducible counts in an interval."""
-    f = mpoly.parse(args.f, 0, ctx, budget=args.budget)
-    fU = f.specialize(())
+    """Shifted families f(t) + h_i + a: all-irreducible counts in an interval.
+    F = prod_i (f + A1 + h_i) is parsed as one product, so its expansion is
+    charged against the budget like any --poly."""
+    fU = mpoly.parse(args.f, 0, ctx, budget=args.budget).specialize(())
     d = fU.degree
     if not unipoly.is_morse(fU):
         raise ValueError(f"{args.f} is not Morse over GF({ctx.q})")
     shifts = [int(s) for s in args.shifts.split(",")] if args.shifts else [0]
     if len(set(s % ctx.p for s in shifts)) != len(shifts):
         raise ValueError("shifts must be distinct")
-    base = mpoly.MultiPoly.from_unipoly(fU, 1)
-    A = mpoly.parse("A1", 1, ctx)
-    F = mpoly.MultiPoly.constant(ctx, 1, 1)
-    for h in shifts:
-        F = F * (base + A + mpoly.MultiPoly.constant(ctx, 1, ctx.from_int(h)))
+    product = " * ".join(f"({args.f} + A1 + {h % ctx.p})" for h in shifts)
+    F = mpoly.parse(product, 1, ctx, budget=args.budget)
     H, descriptor = _interval(args, ctx)
     rep = sets.irregularity(descriptor, ctx, budget=args.budget)
     dist = stats.empirical_distribution(F, descriptor, budget=args.budget)
@@ -427,7 +425,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     if sp := add("charsum", "restricted character sums"):
         sp.add_argument("--type", required=True, help="factorization type, e.g. '2,1'")
         one_or_all = sp.add_mutually_exclusive_group(required=True)
-        one_or_all.add_argument("--b", default="", help="frequency vector")
+        one_or_all.add_argument("--b", help="frequency vector")
         one_or_all.add_argument("--all-b", action="store_true", help="sweep every nonzero frequency")
         sp.set_defaults(handler=_cmd_charsum)
 

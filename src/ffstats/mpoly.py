@@ -98,9 +98,8 @@ def _tneg(ctx, a):
     return {e: ctx.neg(c) for e, c in a.items()}
 
 
-def _tmul(ctx, a, b, charge=None):
-    if charge is not None:
-        charge(len(a) * len(b))
+def _tmul(ctx, a, b, charge):
+    charge(len(a) * len(b))
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -113,7 +112,7 @@ def _tmul(ctx, a, b, charge=None):
     return out
 
 
-def _tpow(ctx, a, e, nvars, charge=None):
+def _tpow(ctx, a, e, nvars, charge):
     """a^e by square-and-multiply; the first factor is taken, not multiplied by 1."""
     if e == 0:
         return {(0,) * (nvars + 1): 1}
@@ -152,7 +151,9 @@ def _tpow_cost(a, e):
 
 
 class MultiPoly:
-    """Sparse polynomial in t and A1..An; immutable after construction."""
+    """Sparse polynomial in t and A1..An; immutable after construction.
+    Built by :func:`parse`, or from a term dict {(e_t, e_1, ..., e_n): c};
+    it has no arithmetic."""
 
     __slots__ = ("ctx", "n", "terms", "_spec")
 
@@ -172,29 +173,6 @@ class MultiPoly:
         self.terms = {tuple(e): c for e, c in zip(terms, codes) if c}
         self._spec = None
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def constant(cls, ctx, n, c):
-        return cls(ctx, n, {(0,) * (n + 1): c})
-
-    @classmethod
-    def parameter(cls, ctx, n, i):
-        if not 1 <= i <= n:
-            raise ValueError(f"parameter index {i} out of range 1..{n}")
-        e = [0] * (n + 1)
-        e[i] = 1
-        return cls(ctx, n, {tuple(e): 1})
-
-    @classmethod
-    def from_unipoly(cls, f: UniPoly, n: int):
-        """Lift a polynomial in t alone to one with n (unused) parameters."""
-        terms = {}
-        for i, c in enumerate(f.coeffs):
-            if c:
-                terms[(i,) + (0,) * n] = c
-        return cls(f.ctx, n, terms)
-
     # -- degrees ----------------------------------------------------------------
 
     @property
@@ -204,29 +182,6 @@ class MultiPoly:
     @property
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
-
-    # -- ring operations ---------------------------------------------------------
-
-    def _compatible(self, other):
-        if self.ctx != other.ctx or self.n != other.n:
-            raise ValueError("polynomials over different contexts or arities")
-
-    def __add__(self, other):
-        self._compatible(other)
-        return MultiPoly(self.ctx, self.n, _tadd(self.ctx, self.terms, other.terms))
-
-    def __sub__(self, other):
-        self._compatible(other)
-        return MultiPoly(
-            self.ctx, self.n, _tadd(self.ctx, self.terms, _tneg(self.ctx, other.terms))
-        )
-
-    def __neg__(self):
-        return MultiPoly(self.ctx, self.n, _tneg(self.ctx, self.terms))
-
-    def __mul__(self, other):
-        self._compatible(other)
-        return MultiPoly(self.ctx, self.n, _tmul(self.ctx, self.terms, other.terms))
 
     def __eq__(self, other):
         return (

@@ -22,7 +22,7 @@ from ffstats.field import FieldCtx
 from ffstats.mpoly import NON_SQUAREFREE, parse
 from ffstats.stats import cyclic_shift_group
 from oracles import write_group_file
-from scalar_splitting import classify_one
+from scalar_splitting import classify_one, spec_type
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +167,7 @@ def test_charsum_sweep(capsys):
     )
     assert len(report["result"]["rows"]) == 12
     assert report["result"]["max_ratio"] <= 1.0
+    assert report["config"]["b"] is None  # --b has no default
 
 
 @pytest.mark.parametrize("text", ["x", "2.5"])
@@ -218,6 +219,36 @@ def test_demo_morse(capsys):
 def test_demo_morse_rejects_non_morse(capsys):
     code, _ = run_cli(capsys, "demo", "morse", "--p", "31", "--f", "t^3")
     assert code == 2
+
+
+def test_morse_family_is_expanded_under_the_budget(capsys):
+    # the expansion of the product of 40 shifted cubics is charged term
+    # product by term product, so it is refused while it is parsed
+    shifts = ",".join(map(str, range(40)))
+    code = main(["demo", "morse", "--p", "101", "--shifts", shifts, "--budget", "100000"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("budget error: expansion costs ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "p, f, shifts", [(31, "t^3 - 3*t", "0,-1,5"), (101, "t^5 + 2*t^2 + t", "0,3,-7")], ids=["negative-shift", "quintic"]
+)
+def test_morse_family_counts_the_products_of_its_shifted_factors(capsys, p, f, shifts):
+    # each point's product of the factors f + A1 + h, specialized one by one
+    # and multiplied as polynomials in t, classified by the scalar oracle
+    res = run_json(capsys, "demo", "morse", "--p", str(p), "--f", f, "--shifts", shifts)["result"]
+    ctx = FieldCtx(p)
+    factors = [parse(f"{f} + A1 + {int(h) % p}", 1, ctx) for h in shifts.split(",")]
+    outcomes = []
+    for a in range(res["H"]):
+        g = factors[0].specialize((a,))
+        for factor in factors[1:]:
+            g = g * factor.specialize((a,))
+        outcomes.append(spec_type(list(g.coeffs), ctx))
+    counts = {",".join(map(str, o)).join("[]"): outcomes.count(o) for o in set(outcomes) if isinstance(o, tuple)}
+    assert res["distribution"]["counts"] == counts
+    assert res["distribution"]["non_squarefree"] == outcomes.count(NON_SQUAREFREE)
 
 
 def test_demo_trinomial_small(capsys):
@@ -848,12 +879,16 @@ def test_budget_and_interval_length_below_one_are_input_errors(capsys, argv):
     [
         ("charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", "3"),
         ("charsum", "--p", "11", "--poly", "t^3 + A1*t + A2", "--type", "3", "--b", "1,2", "--all-b"),
+        ("charsum", "--p", "5", "--poly", "t^2 - A1", "--type", "2", "--b", "", "--all-b"),
+        ("charsum", "--p", "5", "--poly", "t^2 - A1", "--type", "2", "--b", ""),
         ("demo", "morse", "--p", "31", "--shifts", "2,33"),
         ("compare", "--p", "7", "--poly", "A1 + 1"),
     ],
     ids=[
         "charsum-without-b",
         "charsum-b-with-all-b",
+        "charsum-empty-b-with-all-b",
+        "charsum-empty-b",
         "morse-shifts-equal-mod-p",
         "symmetric-group-on-no-letters",
     ],
