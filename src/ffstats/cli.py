@@ -110,7 +110,7 @@ def _config(args, ctx, F):
 
 
 def _cmd_factor_type(args, ctx, F):
-    point = sets.parse_point(args.point, ctx) if args.point else ()
+    point = sets.parse_point(args.point, ctx)
     mpoly.require_dense_budget(F, args.budget)
     outcome = mpoly.classify_specialization(F, point)
     f = F.specialize(point)
@@ -208,7 +208,7 @@ def _demo_power_residues(args, ctx, F):
     F = mpoly.parse(f"t^{m} - A1", 1, ctx)
     dist = stats.empirical_distribution(F, descriptor, budget=args.budget)
     with_root = dist.non_squarefree + sum(c for parts, c in dist.counts.items() if 1 in parts)
-    g = math.gcd(ctx.p - 1, k)
+    g = math.gcd(ctx.q - 1, k)  # the index of the k-th powers in GF(q)^*
     return {
         "power": k,
         "H": H,

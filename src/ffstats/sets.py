@@ -7,16 +7,19 @@ so the full space has irregularity exactly 1 and a singleton has q^n.
 
 Each set kind owns its reading: its dimension ``n``, ``check(ctx)``, which
 raises the set's error, ``size(ctx)`` and ``codes(ctx, budget)``, the (|S|, n)
-encodings of its points after a budget check.  Each public function passes
-the one protocol gate, then calls a method.  The full space and grids share
-one product reading of their axes, codes (alpha*j + beta) mod q, j < length:
-a grid's progressions, and (1, 0, q), every code 0..q-1, on each axis of the
-full space.  On a prime field the axis lengths give the closed form: each
-factor of a product reduces affinely to an initial interval {0..H-1}, whose
-magnitudes are |sin(pi*H*b/p)| / (p*|sin(pi*b/p)|).  One pass serves every
-length: it sums b <= (p-1)/2 only (b and p - b give the same term), takes
-each numerator from H*b mod p exactly in int64 (so p < 2^46), and looks
-every sine up in one table sin(pi*i/p) while (p-1)/2 < 2^17.
+encodings of its points after a budget check.  Each public function passes the
+one protocol gate, then calls a method.  The full space and grids share one
+product reading of their axes, one per power-basis coordinate c_0..c_(k-1) of
+each element, digits (alpha*j + beta) mod p, j < length: (1, 0, p) on every
+axis of the full space, a grid factor's progression on c_0 and the digit 0
+elsewhere.  As tr(a.b) = c(a).M.c(b), M the nondegenerate trace form, the
+irregularity over GF(q)^n is that of the coordinate box in F_p^(nk), on every
+field the product of its axes' closed forms: each axis reduces affinely to an
+initial interval {0..H-1}, whose magnitudes are |sin(pi*H*b/p)| /
+(p*|sin(pi*b/p)|).  One pass serves every length: it sums b <= (p-1)/2 only (b
+and p - b give the same term), takes each numerator from H*b mod p exactly in
+int64 (so p < 2^46), and looks every sine up in one table sin(pi*i/p) while
+(p-1)/2 < 2^17.
 
 Every spectrum comes from one block kernel, :func:`phase_sums`, on
 frequencies given as encodings (``point_codes(FullSpace(n))`` for all of
@@ -70,7 +73,7 @@ def _kind(s):
 
 class _Product:
     """A kind read as the product of its ``axes(ctx)``, each an :class:`APSpec`
-    (module docstring), the last coordinate fastest."""
+    (module docstring), c_(k-1) first in each element, the last axis fastest."""
 
     def size(self, ctx):
         return math.prod(f.length for f in self.axes(ctx))
@@ -78,11 +81,14 @@ class _Product:
     def codes(self, ctx, budget):
         size = self.size(ctx)
         charge(size, budget, f"set has {size} points")
-        q, wide = ctx.q, _gfp.gf_dtype(1, 1, ctx.q)  # where alpha*j is exact
-        dtype = np.int64 if q < _gfp._INT64_LIMIT else object
-        axes = [((np.arange(f.length, dtype=wide) * (f.alpha % q) + f.beta % q) % q).astype(dtype)
-                for f in self.axes(ctx)]
-        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(size, -1)
+        p, k, wide = ctx.p, ctx.k, _gfp.gf_dtype(1, 1, ctx.p)  # where alpha*j is exact
+        dtype = np.int64 if ctx.q < _gfp._INT64_LIMIT else object
+        digits = [((np.arange(f.length, dtype=wide) * (f.alpha % p) + f.beta % p) % p).astype(dtype)
+                  for f in self.axes(ctx)]
+        # each element's k digits, c_(k-1) first, joined into its encodings
+        elements = [functools.reduce(lambda c, a: (c[:, None] * p + a).ravel(), digits[lo : lo + k])
+                    for lo in range(0, len(digits), k)]
+        return np.stack(np.meshgrid(*elements, indexing="ij", copy=False), axis=-1).reshape(size, -1)
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class APSpec:
 
 @dataclass(frozen=True)
 class FullSpace(_Product):
-    """All of F_q^n: the product of n axes (1, 0, q), every code 0..q-1."""
+    """All of F_q^n: the product of n*k axes (1, 0, p), every digit 0..p-1."""
 
     n: int
 
@@ -105,12 +111,12 @@ class FullSpace(_Product):
             raise ValueError("dimension must be >= 1")
 
     def axes(self, ctx):
-        return [APSpec(1, 0, ctx.q)] * self.n
+        return [APSpec(1, 0, ctx.p)] * (self.n * ctx.k)
 
 
 @dataclass(frozen=True)
 class GridProduct(_Product):
-    """Cartesian product of 1-D progressions, its axes; prime fields only."""
+    """Cartesian product of 1-D progressions in the prime subfield, on c_0."""
 
     factors: tuple
 
@@ -122,8 +128,6 @@ class GridProduct(_Product):
         return len(self.factors)
 
     def check(self, ctx):
-        if ctx.k != 1:
-            raise ValueError("grid products are defined over prime fields only")
         if not self.factors:
             raise ValueError("grid product needs at least one factor")
         for f in self.factors:
@@ -133,7 +137,7 @@ class GridProduct(_Product):
                 raise ValueError(f"progression length out of range: {f}")
 
     def axes(self, ctx):
-        return self.factors
+        return [a for f in self.factors for a in [APSpec(1, 0, 1)] * (ctx.k - 1) + [f]]
 
 
 @dataclass(frozen=True)
@@ -502,9 +506,9 @@ def _interval_irreg(p: int, lengths: tuple) -> MappingProxyType:
 def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> IrregularityReport:
     """Exact irregularity with the method recorded.
 
-    The product kinds on a prime field (grids, and the full space as the
-    grid of its full lines) go through the per-coordinate closed form after
-    the affine reduction of each axis; every other set is a dense transform.
+    The product kinds on every field (grids, and the full space as the box
+    of its full axes) take the per-coordinate closed form after the affine
+    reduction of each axis; every other set is a dense transform.
     One pass of :func:`_interval_irreg` serves every distinct length: it
     folds b <-> p - b, reduces each sine argument exactly (p < 2^46, else
     a budget error) and, for (p-1)/2 < 2^17, looks every sine up in one
@@ -519,7 +523,7 @@ def irregularity(s, ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> Irregularity
 def _irregularity(s, ctx, budget):
     """:func:`irregularity` of a set already validated."""
     size = s.size(ctx)
-    if isinstance(s, _Product) and ctx.k == 1:
+    if isinstance(s, _Product):
         lengths = [f.length for f in s.axes(ctx)]
         work = (ctx.p - 1) * len({H for H in lengths if 1 < H < ctx.p})
         charge(work, budget, f"closed form sums {work} terms")
@@ -601,7 +605,8 @@ def parse_element_literal(text: str, ctx: FieldCtx) -> int:
 
 
 def parse_point(text: str, ctx: FieldCtx):
-    return tuple(parse_element_literal(c, ctx) for c in split_top_level(text))
+    """Comma-separated element literals; blank text is the empty point ()."""
+    return tuple(parse_element_literal(c, ctx) for c in split_top_level(text)) if text.strip() else ()
 
 
 def load_points_file(path: str, ctx: FieldCtx) -> ExplicitSet:

@@ -209,6 +209,20 @@ def test_demo_power_residues(capsys):
     assert res["gcd"] == 3
 
 
+@pytest.mark.parametrize("demo", ["pv", "power-residues", "morse"])
+def test_interval_demos_run_over_gf25(capsys, demo):
+    # the interval is a progression in the prime subfield F_5 of GF(25)
+    res = run_json(capsys, "demo", demo, "--p", "5", "--k", "2")["result"]
+    assert res["H"] == math.ceil(5**0.75)
+
+
+def test_power_residues_over_gf25_take_the_index_of_the_cubes_in_gf25(capsys):
+    # every element of F_5 is a cube in GF(25), whose cubes have index
+    # gcd(24, 3) = 3 in GF(25)^*
+    res = run_json(capsys, "demo", "power-residues", "--p", "5", "--k", "2", "--power", "3", "--H", "4")["result"]
+    assert (res["gcd"], res["target"], res["count_with_root"]) == (3, 4 / 3, 4)
+
+
 def test_demo_morse(capsys):
     report = run_json(capsys, "demo", "morse", "--p", "31", "--f", "t^3 - 3*t")
     res = report["result"]
@@ -414,9 +428,15 @@ def test_sweeps_start_no_thread(capsys, monkeypatch, argv):
     assert code == 0 and json.loads(out)["config"]["threads"] == 4
 
 
-def test_irreg_of_gf256_squared_is_budget_error_at_once(capsys):
+def test_irreg_of_gf256_squared_is_exact_and_a_dense_set_past_the_budget_exits_3_at_once(capsys, tmp_path):
+    # the full space is a box of coordinate axes; two points of GF(2^13)^2
+    # take the dense transform, whose 2^26 frequencies pass the budget
+    path = tmp_path / "P"
+    path.write_text("0,1\n1,1\n")  # plain integers are read mod p
     start = time.perf_counter()
-    code, out = run_cli(capsys, "irreg", "--p", "2", "--k", "8", "--set", "full", "--n", "2")
+    res = run_json(capsys, "irreg", "--p", "2", "--k", "8", "--set", "full", "--n", "2")["result"]
+    assert (res["irreg"], res["method"]) == (1.0, "product_1d")
+    code, out = run_cli(capsys, "irreg", "--p", "2", "--k", "13", "--set", f"file:{path}")
     assert code == 3 and out == ""
     assert time.perf_counter() - start < 1.0
 
@@ -858,6 +878,14 @@ def test_trinomial_demo_counts_over_the_box_from_beta(capsys):
 def test_charsum_type_of_another_degree_is_input_error(capsys):
     code, out = run_cli(capsys, "charsum", "--p", "11", "--poly", "t^2 - A1", "--type", "3", "--b", "1")
     assert code == 2 and out == ""
+
+
+def test_charsum_of_an_empty_b_names_the_arity(capsys):
+    # blank text is the empty point, refused as a frequency of the wrong length
+    code = main(["charsum", "--p", "5", "--poly", "t^2 - A1 - A2", "--type", "2", "--b", ""])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: frequency needs 2 coordinates, got 0\n"
 
 
 @pytest.mark.parametrize(

@@ -117,7 +117,7 @@ CLI_RUNS = [
     (("dist", "--p", "13", "--poly", CUBIC, "--set", "full"), "f303ef01d959b941d98b1535ed83871bd4ea7de6118bfe2134726e38e17693b3"),
     (("compare", "--p", "13", "--poly", CUBIC, "--set", "full"), "14238dad298fd7dffbc4a99b42745bca5fa9e942b93941957099b951d5b38ec9"),
     (("dist", "--p", "3", "--k", "2", "--poly", CUBIC, "--set", "full"), "b7546fdb9774107c1f134bb03b140479e4a9fa8bf524b7f9a1d66c5a712b60b8"),
-    (("compare", "--p", "3", "--k", "2", "--poly", CUBIC, "--set", "full"), "0b613c31399eba385323107b75b69202e17aa5f9b4f4d1ee4113b42dff0a6123"),
+    (("compare", "--p", "3", "--k", "2", "--poly", CUBIC, "--set", "full"), "9a47e188df84bbd6e6c3cdc50743d7311b7780337add1bf7446cf57880c69a12"),
     (("charsum", "--p", "11", "--poly", CUBIC, "--type", "2,1", "--all-b"), "be6cff5a471708ebd25171b44fe616a26da94162afa2e118ebf976635b9dd256"),
     (("irreg", "--p", "101", "--set", "grid:int(0,10),ap(3,5,20)"), "7e0d24c23269828442ca03bb749053385fbe8eadeeb5b93511248d111d927fdf"),
     (("irreg", "--p", "3", "--k", "3", "--set", "tracezero"), "3f38610bd45feb4985b81ef42bc5b6eac7290acc46c167e82e153bcc53f4a5d5"),

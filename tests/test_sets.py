@@ -129,10 +129,17 @@ def test_explicit_set_validation():
         cardinality(ExplicitSet([(0, 0), (2**88, 1), (2**88, 1)]), big)
 
 
-def test_grid_requires_prime_field():
+def test_a_grid_over_gf9_is_the_prime_subfield_box():
+    # a factor runs over c_0 of its coordinate, c_1 = 0: the codes are the
+    # prime-field ones, and the closed form is the dense transform of them
     ctx = FieldCtx(3, 2, modulus=[1, 0, 1])
-    with pytest.raises(ValueError):
-        cardinality(GridProduct([APSpec(1, 0, 2)]), ctx)
+    for s in (GridProduct([APSpec(1, 0, 2)]), GridProduct([APSpec(2, 1, 3), APSpec(1, 2, 2)])):
+        explicit = ExplicitSet(_listed(s, ctx))
+        assert point_codes(s, ctx).tolist() == point_codes(explicit, ctx).tolist()
+        closed, dense = irregularity(s, ctx), irregularity(explicit, ctx)
+        assert (closed.method, dense.method) == ("product_1d", "exact_dft")
+        assert math.isclose(closed.irreg, dense.irreg, rel_tol=1e-12)
+    assert enumerate_points(GridProduct([APSpec(1, 0, 2)]), ctx) == [(0,), (1,)]
 
 
 def test_tracezero_requires_extension():
@@ -649,12 +656,14 @@ def test_exact_irregularity_names_the_frequencies_past_the_budget():
         irregularity(ExplicitSet([(0, 0), (1, 3)]), FieldCtx(5), budget=24)
 
 
-def test_full_space_of_gf256_squared_fails_the_budget_at_once():
-    # 2^16 points x 2^16 frequencies: it used to pass the default budget and
-    # run for minutes
+def test_full_space_of_gf256_squared_is_exact_and_a_spectrum_past_the_budget_fails_at_once():
+    # the full space of GF(2^8)^2 is the box of its 16 coordinate axes; two
+    # points of GF(2^13)^2 still take the dense transform, 2^26 frequencies
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError):
-        irregularity(FullSpace(2), FieldCtx(2, 8))
+    rep = irregularity(FullSpace(2), FieldCtx(2, 8))
+    assert (rep.irreg, rep.method) == (1.0, "product_1d")
+    with pytest.raises(BudgetExceededError, match="67108864 frequencies"):
+        irregularity(ExplicitSet([(0, 1), (2, 3)]), FieldCtx(2, 13))
     assert time.perf_counter() - start < 1.0
 
 
@@ -667,7 +676,7 @@ def test_irreg_full_space_exact():
     assert irregularity(FullSpace(1), FieldCtx(101)).irreg == 1.0
     assert irregularity(FullSpace(2), FieldCtx(13)).irreg == 1.0
     rep = irregularity(FullSpace(1), FieldCtx(3, 3, seed=0))
-    assert rep.irreg == 1.0 and rep.method == "exact_dft"
+    assert rep.irreg == 1.0 and rep.method == "product_1d"
 
 
 def test_irreg_singleton_exact():
@@ -695,6 +704,42 @@ def test_irreg_interval_closed_form_vs_brute():
             brute = brute_irreg([(a,) for a in range(H)], ctx, 1)
             assert abs(rep.irreg - brute) < 1e-9, (p, H)
             assert rep.method == "closed_form_interval"
+
+
+# (field, n) with q^n <= 7^4, so the dense transform of a box stays small
+BOX_SPACES = [
+    (FieldCtx(p, k, seed=1), n)
+    for p in (2, 3, 5, 7, 13)
+    for k in (1, 2, 3)
+    for n in (1, 2)
+    if p ** (k * n) <= 7**4
+]
+
+
+@st.composite
+def _boxes(draw):
+    ctx, n = draw(st.sampled_from(BOX_SPACES), label="space")
+    if draw(st.booleans(), label="full"):
+        return ctx, FullSpace(n)
+    p = ctx.p
+    alpha = st.integers(-3 * p, 3 * p).filter(lambda a: a % p)
+    length = st.one_of(st.sampled_from([1, p]), st.integers(1, p))
+    factors = [APSpec(draw(alpha), draw(st.integers(-3 * p, 3 * p)), draw(length)) for _ in range(n)]
+    return ctx, GridProduct(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_boxes())
+def test_box_closed_form_is_the_dense_transform_on_every_field(case):
+    # tr(a.b) = c(a).M.c(b) with M nondegenerate: a box of prime-subfield
+    # progressions (or the full space) in GF(p^k)^n is a box in F_p^(nk)
+    ctx, s = case
+    codes = point_codes(s, ctx)
+    assert list(map(tuple, codes.tolist())) == _listed(s, ctx)
+    closed, dense = irregularity(s, ctx), irregularity(ExplicitSet(_listed(s, ctx)), ctx)
+    assert dense.method == "exact_dft" and closed.method in ("closed_form_interval", "product_1d")
+    assert math.isclose(closed.irreg, dense.irreg, rel_tol=1e-12), (closed, dense)
+    assert closed.cardinality == dense.cardinality == len(codes)
 
 
 def test_irreg_interval_respects_envelope():
