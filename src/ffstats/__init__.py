@@ -44,7 +44,6 @@ from .unipoly import (
     is_irreducible,
     is_morse,
     is_squarefree,
-    poly_gcd,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "is_squarefree",
     "parse",
     "parse_set",
-    "poly_gcd",
     "prediction_from_group",
     "restricted_charsum",
     "verify_plancherel_decomposition",

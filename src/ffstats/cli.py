@@ -174,9 +174,16 @@ def _interval(args, ctx):
     return H, sets.GridProduct([sets.APSpec(1, args.beta, H)])
 
 
+def _subfield_index(ctx, m):
+    """The index in F_p^* of the m-th powers of GF(q): a in F_p^* is one iff
+    a^e = 1, e = (q - 1)/gcd(q - 1, m).  On a prime field, gcd(p - 1, m)."""
+    return (ctx.p - 1) // math.gcd(ctx.p - 1, (ctx.q - 1) // math.gcd(ctx.q - 1, m))
+
+
 def _demo_pv(args, ctx, F):
-    """Quadratic residues in an interval: how often t^2 - a splits."""
+    """Quadratic residues in an interval of F_p: how often t^2 - a splits."""
     H, descriptor = _interval(args, ctx)
+    target = H / _subfield_index(ctx, 2)
     F = mpoly.parse("t^2 - A1", 1, ctx)
     # first, so that a closed form past the budget exits before classifying
     rep = sets.irregularity(descriptor, ctx, budget=args.budget)
@@ -186,8 +193,8 @@ def _demo_pv(args, ctx, F):
         "H": H,
         "beta": args.beta,
         "split_count": split,
-        "target": H / 2,
-        "deviation": split - H / 2,
+        "target": target,
+        "deviation": split - target,
         "classical_scale": math.sqrt(ctx.p) * math.log(ctx.p),
         "distribution": dist.to_json_dict(),
         "irreg": rep.to_json_dict(),
@@ -208,7 +215,7 @@ def _demo_power_residues(args, ctx, F):
     F = mpoly.parse(f"t^{m} - A1", 1, ctx)
     dist = stats.empirical_distribution(F, descriptor, budget=args.budget)
     with_root = dist.non_squarefree + sum(c for parts, c in dist.counts.items() if 1 in parts)
-    g = math.gcd(ctx.q - 1, k)  # the index of the k-th powers in GF(q)^*
+    g = _subfield_index(ctx, k)
     return {
         "power": k,
         "H": H,

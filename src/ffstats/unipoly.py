@@ -2,7 +2,7 @@
 
 A :class:`UniPoly` is an immutable coefficient vector (encoded field
 elements, index = degree, no trailing zeros) tied to a :class:`FieldCtx`.
-The module provides gcd, squarefreeness, the factor-degree multiset via
+The module provides squarefreeness, the factor-degree multiset via
 distinct-degree splitting, irreducibility, discriminants, and the Morse
 criterion (simple critical points with pairwise distinct critical values).
 
@@ -50,52 +50,9 @@ class UniPoly:
         """Coefficients given as plain integers, embedded via the prime subfield."""
         return cls.make(ctx, [ctx.from_int(c) for c in ints])
 
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, ())
-
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, (1,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        if not self.coeffs:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def _same_field(self, other):
-        if self.ctx != other.ctx:
-            raise ValueError("polynomials over different field contexts")
-
-    def _kernel(self, fn, *others):
-        """The ``_gfp`` kernel fn on the coefficient lists of self and others."""
-        for g in others:
-            self._same_field(g)
-        return fn(list(self.coeffs), *[list(g.coeffs) for g in others], self.ctx)
-
-    def __add__(self, other):
-        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_add, other)))
-
-    def __sub__(self, other):
-        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_sub, other)))
-
-    def __neg__(self):
-        return UniPoly(self.ctx, tuple(self.ctx.neg(c) for c in self.coeffs))
-
-    def __mul__(self, other):
-        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_mul, other)))
-
-    def monic(self) -> "UniPoly":
-        return UniPoly(self.ctx, tuple(self._kernel(_gfp.gf_monic)))
 
     def evaluate(self, a: int) -> int:
         ctx = self.ctx
@@ -111,13 +68,6 @@ class UniPoly:
 # -- public operations -------------------------------------------------------
 
 
-def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    if f.is_zero and g.is_zero:
-        raise ZeroPolynomialError("gcd(0, 0) is undefined")
-    return UniPoly(f.ctx, tuple(f._kernel(_gfp.gf_gcd, g)))
-
-
 def is_squarefree(f: UniPoly) -> bool:
     """True iff gcd(f, f') = 1; false in particular whenever f' = 0."""
     if f.degree < 1:
@@ -131,7 +81,7 @@ def factorization_type(f: UniPoly) -> FactorizationType:
     """Multiset of irreducible-factor degrees of a squarefree f, descending."""
     if f.degree < 1:
         raise ZeroPolynomialError("factorization type needs degree >= 1")
-    parts = _gfp.gf_key_type(f._kernel(_gfp.gf_spec_type), f.degree)
+    parts = _gfp.gf_key_type(_gfp.gf_spec_type(list(f.coeffs), f.ctx), f.degree)
     if parts == _gfp.NON_SQUAREFREE:
         raise NotSquarefreeError(f"{f} has a repeated factor")
     return parts
@@ -141,7 +91,7 @@ def is_irreducible(f: UniPoly) -> bool:
     """True iff f has degree d >= 1 and factor-degree multiset (d,); an
     inseparable f is reducible.  Constants count as reducible."""
     d = f.degree
-    return d >= 1 and f._kernel(_gfp.gf_spec_type) == _gfp.gf_type_key((d,), d)
+    return d >= 1 and _gfp.gf_spec_type(list(f.coeffs), f.ctx) == _gfp.gf_type_key((d,), d)
 
 
 def discriminant(f: UniPoly) -> int:

@@ -18,7 +18,7 @@ import pytest
 
 from ffstats import _gfp, cli, mpoly, sets, stats
 from ffstats.cli import main
-from ffstats.field import FieldCtx
+from ffstats.field import FieldCtx, is_prime
 from ffstats.mpoly import NON_SQUAREFREE, parse
 from ffstats.stats import cyclic_shift_group
 from oracles import write_group_file
@@ -217,10 +217,30 @@ def test_interval_demos_run_over_gf25(capsys, demo):
 
 
 def test_power_residues_over_gf25_take_the_index_of_the_cubes_in_gf25(capsys):
-    # every element of F_5 is a cube in GF(25), whose cubes have index
-    # gcd(24, 3) = 3 in GF(25)^*
+    # the interval lies in F_5, every element of which is a cube in GF(25):
+    # the index of those cubes in F_5^* is 1, not gcd(24, 3) = 3
     res = run_json(capsys, "demo", "power-residues", "--p", "5", "--k", "2", "--power", "3", "--H", "4")["result"]
-    assert (res["gcd"], res["target"], res["count_with_root"]) == (3, 4 / 3, 4)
+    assert (res["gcd"], res["target"], res["count_with_root"]) == (1, 4.0, 4)
+
+
+@pytest.mark.parametrize("p, k", [(5, 2), (5, 3), (7, 2)], ids=["GF25", "GF125", "GF49"])
+def test_interval_demo_targets_count_the_whole_prime_subfield(capsys, p, k):
+    # across all of F_p the a with a root of t^m - a are 0 and the m-th
+    # powers of GF(p^k) in F_p^*, which have index gcd there
+    field = ("--p", str(p), "--k", str(k), "--beta", "0", "--H", str(p))
+    for m in (2, 3, p):
+        res = run_json(capsys, "demo", "power-residues", *field, "--power", str(m))["result"]
+        assert res["count_with_root"] == 1 + (p - 1) // res["gcd"], m
+    # the split count of t^2 - a over F_p^* is its target exactly
+    pv = ("--p", str(p), "--k", str(k), "--beta", "1", "--H", str(p - 1))
+    res = run_json(capsys, "demo", "pv", *pv)["result"]
+    assert res["split_count"] == res["target"] and res["deviation"] == 0.0
+
+
+def test_interval_demo_index_on_a_prime_field_is_the_gcd_with_p_minus_1():
+    for p in filter(is_prime, range(2, 200)):
+        for m in range(1, 31):
+            assert cli._subfield_index(FieldCtx(p), m) == math.gcd(p - 1, m), (p, m)
 
 
 def test_demo_morse(capsys):
@@ -256,10 +276,10 @@ def test_morse_family_counts_the_products_of_its_shifted_factors(capsys, p, f, s
     factors = [parse(f"{f} + A1 + {int(h) % p}", 1, ctx) for h in shifts.split(",")]
     outcomes = []
     for a in range(res["H"]):
-        g = factors[0].specialize((a,))
+        g = list(factors[0].specialize((a,)).coeffs)
         for factor in factors[1:]:
-            g = g * factor.specialize((a,))
-        outcomes.append(spec_type(list(g.coeffs), ctx))
+            g = _gfp.gf_mul(g, list(factor.specialize((a,)).coeffs), ctx)
+        outcomes.append(spec_type(g, ctx))
     counts = {",".join(map(str, o)).join("[]"): outcomes.count(o) for o in set(outcomes) if isinstance(o, tuple)}
     assert res["distribution"]["counts"] == counts
     assert res["distribution"]["non_squarefree"] == outcomes.count(NON_SQUAREFREE)
