@@ -135,15 +135,15 @@ def _cmd_dist(args, ctx, F):
     return dist.to_json_dict()
 
 
-def _load_group(spec_text, d):
+def _load_group(spec_text, d, budget):
     if spec_text == "symmetric":
         return stats.GroupSpec.symmetric(d)
-    return stats.GroupSpec.from_file(spec_text)
+    return stats.GroupSpec.from_file(spec_text, budget)
 
 
 def _cmd_compare(args, ctx, F):
     descriptor = sets.parse_set(args.set, ctx, n=F.n)
-    group = _load_group(args.group, F.deg_t)
+    group = _load_group(args.group, F.deg_t, args.budget)
     report = stats.compare(F, descriptor, group, budget=args.budget)
     return report.to_json_dict()
 
@@ -246,7 +246,8 @@ def _demo_trinomial(args, ctx, F):
 def _demo_morse(args, ctx, F):
     """Shifted families f(t) + h_i + a: all-irreducible counts in an interval.
     F = prod_i (f + A1 + h_i) is parsed as one product, so its expansion is
-    charged against the budget like any --poly."""
+    charged against the budget like any --poly.  Target H/d^m, but 0 for an f over F_p
+    when gcd(d, k) > 1: a degree-d irreducible over F_p splits into gcd(d, k) factors."""
     fU = mpoly.parse(args.f, 0, ctx, budget=args.budget).specialize(())
     d = fU.degree
     if not unipoly.is_morse(fU):
@@ -261,7 +262,7 @@ def _demo_morse(args, ctx, F):
     dist = stats.empirical_distribution(F, descriptor, budget=args.budget)
     m = len(shifts)
     all_irreducible = dist.counts.get((d,) * m, 0)
-    target = H / d**m
+    target = 0.0 if max(fU.coeffs) < ctx.p and math.gcd(d, ctx.k) > 1 else H / d**m
     return {
         "f": str(fU),
         "is_morse": True,
@@ -282,7 +283,7 @@ def _demo_artin_schreier(args, ctx, F):
     p = ctx.p
     F = mpoly.parse(f"t^{p} - t - A1", 1, ctx)
     descriptor = sets.TraceZero()
-    group = stats.cyclic_shift_group(p)
+    group = stats.cyclic_shift_group(p, args.budget)
     comparison = stats.compare(F, descriptor, group, budget=args.budget)
     dist = comparison.distribution
     split_all = dist.counts.get((1,) * p, 0)

@@ -292,13 +292,13 @@ class TorusOrbits:
         exps = _ranks(self.counts)[:, None] // place % moduli
         return np.where(self.inside[support], power[exps], 0), self.sizes[support]
 
-    def labels(self, codes, sizes):
+    def labels(self):
         """For every point of GF(q)^n, in the order of ``point_codes`` of the
-        full space, the index of the row of codes whose orbit holds it, where
-        codes and sizes are :meth:`representatives` (every orbit): one
-        scatter of each orbit's points, (e_i + k w_i) for k below its size,
-        not a sort, whose SIMD code adds to the RSS."""
+        full space, the index of the row of :meth:`representatives` (rebuilt,
+        O(count)) whose orbit holds it: one scatter of each orbit's points,
+        (e_i + k w_i) for k below its size, not a sort (its SIMD code adds to the RSS)."""
         q, n = self.ctx.q, len(self.weights)
+        codes, sizes = self.representatives()
         power, log = _log_table(self.ctx.p, self.ctx.tail)
         reps = np.repeat(codes, sizes, axis=0)
         moved = np.where(reps != 0, power[(log[reps] + _ranks(sizes)[:, None] * self.weights) % (q - 1)], 0)
@@ -315,13 +315,14 @@ def _ranks(counts):
 # -- spectra -------------------------------------------------------------------
 
 
-def _functionals(points, freqs, ctx, n, sign):
+def _functionals(points, freqs, ctx):
     """Power-basis coordinates pts of the points and functionals w of the
-    frequencies with sign*tr(a.b) = pts[a] . w[b] mod p, by the trace form:
-    integer products below n*k*p^2, exact in int64 for any feasible p."""
+    (f, n) frequencies with -tr(a.b) = pts[a] . w[b] mod p, by the trace
+    form: integer products below n*k*p^2, exact in int64 for any feasible p."""
+    n = freqs.shape[1]
     pts, coords = (ctx.decode(np.asarray(r, np.int64).reshape(-1, n)) for r in (points, freqs))
     form = np.kron(np.eye(n, dtype=np.int64), ctx.trace_form)
-    return pts.reshape(-1, n * ctx.k), ctx.vec.reduce(sign * (coords.reshape(-1, n * ctx.k) @ form))
+    return pts.reshape(-1, n * ctx.k), ctx.vec.reduce(-(coords.reshape(-1, n * ctx.k) @ form))
 
 
 def _bin(w, pts, p):
@@ -360,7 +361,7 @@ def _log_table(p, tail):
     return power[:q], log
 
 
-def _line_table(points, freqs, ctx, n, sign):
+def _line_table(points, freqs, ctx):
     """The (lines, p) slot counts of one rep per F_p-line of frequencies, and
     each frequency's ``line`` and ``rot``.  As tr(a.(l*b)) = l*tr(a.b), each
     w = l*rep (l in F_p^* its first nonzero entry) has counts_w[m] =
@@ -368,7 +369,7 @@ def _line_table(points, freqs, ctx, n, sign):
     :func:`_log_table`: its line's row permuted.  The reps are found by
     ``np.unique`` of their base-p digits, and only they are binned."""
     p = ctx.p
-    pts, w = _functionals(points, freqs, ctx, n, sign)
+    pts, w = _functionals(points, freqs, ctx)
     power, log = _log_table(p, (0,))
     lead = w[np.arange(len(w)), (w != 0).argmax(axis=1)]
     rot = p - 1 - log[lead]  # the zero functional (lead 0) is its own line, inv = g^(p-1) = 1
@@ -380,11 +381,12 @@ def _line_table(points, freqs, ctx, n, sign):
     return np.concatenate([np.empty((0, p), np.int64), *bins]), line, rot
 
 
-def _gathers(table, line, rot, p):
+def _gathers(table, line, rot):
     """Per block of frequencies, their lines and rows table[line, (inv*m) mod p],
-    m = 0..p-1, inv = g^rot.  A ring row holds the table row in log order
-    twice, then slot 0: inv*g^d sits at rot + d, so a block is one gather of
-    windows at rot and one of columns at log[m], with no index per slot."""
+    m = 0..p-1 for p the table's width, inv = g^rot.  A ring row holds the
+    table row in log order twice, then slot 0: inv*g^d sits at rot + d, so a
+    block is one gather of windows at rot and one of columns at log[m]."""
+    p = table.shape[1]
     power, log = _log_table(p, (0,))
     ring = np.take(table, np.concatenate([power[:-1], power[:-1], [0]]), axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(ring[:, :-1], p - 1, axis=1)
@@ -397,9 +399,9 @@ def _gathers(table, line, rot, p):
         yield rows, block
 
 
-def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DEFAULT_BUDGET):
-    """Yield, for each block of frequencies b in order, the real parts,
-    imaginary parts and magnitudes of sum_{a in points} psi(sign * a.b).
+def phase_sums(points, freqs, ctx: FieldCtx, budget: int = DEFAULT_BUDGET):
+    """Yield, for each block of the (f, n) frequencies b in order, the real
+    parts, imaginary parts and magnitudes of sum_{a in points} psi(-a.b).
 
     With |S| >= p, :func:`field.cyclotomic_invariants` of the rows of
     :func:`_line_table` are taken once, and :func:`field.cyclotomic_sums`
@@ -419,18 +421,18 @@ def phase_sums(points, freqs, ctx: FieldCtx, n: int, sign: int, budget: int = DE
     |S| phases for each F_p-line binned (at most min(f, (q^n-1)/(p-1) + 1))
     plus p count slots per frequency.
     """
-    p, m, f = ctx.p, len(points), len(freqs)
+    p, m, (f, n) = ctx.p, len(points), freqs.shape
     lines = (ctx.q**n - 1) // (p - 1) + 1
     work = f * m if m < p else min(f, lines) * m + f * p
     charge(work, budget, f"spectrum costs {work} ({f} freqs, {m} points)")
     if m >= p:
-        table, line, rot = _line_table(points, freqs, ctx, n, sign)
+        table, line, rot = _line_table(points, freqs, ctx)
         arr, one, top = cyclotomic_invariants(table.astype(np.float64))  # one cast per line
         del table  # exact in float64; the counts are not read again
-        for rows, block in _gathers(arr, line, rot, p):
+        for rows, block in _gathers(arr, line, rot):
             yield cyclotomic_sums(block, one[rows], top[rows], p)
         return
-    pts, w = _functionals(points, freqs, ctx, n, sign)
+    pts, w = _functionals(points, freqs, ctx)
     cos, sin = _unity_roots(p)
     step = max(1, _PHASE_BLOCK // max(m, 1))
     for lo in range(0, len(w), step):
@@ -538,7 +540,7 @@ def _irregularity(s, ctx, budget):
     pts = s.codes(ctx, budget)
     charge(ctx.q**n, budget, f"{ctx.q**n} frequencies")
     # fsum is correctly rounded: the total does not depend on the blocks
-    sums = phase_sums(pts, FullSpace(n).codes(ctx, budget), ctx, n, -1, budget)
+    sums = phase_sums(pts, FullSpace(n).codes(ctx, budget), ctx, budget)
     total = math.fsum(itertools.chain.from_iterable(mag.tolist() for _, _, mag in sums))
     return IrregularityReport(total / size, "exact_dft", None, size)
 
@@ -555,10 +557,10 @@ def verify_plancherel_decomposition(
 
     Both sides work on codes, D (a list, repeats counted) read by
     ``ctx.encodings``: the left side counts the codes of D in S, the right
-    side pairs the ``phase_sums`` of S (minus sign, over q^n) with those of
-    D (plus sign, which makes the b-sum collapse onto the intersection)
-    over the nonzero rows of ``point_codes(FullSpace(n))``.  Anything above
-    ~1e-12 per point indicates a normalization bug.
+    side pairs the ``phase_sums`` of S (over q^n) with the conjugates of
+    those of D, sum_{a in D} psi(a.b), which collapse the b-sum onto the
+    intersection, over the nonzero rows of ``point_codes(FullSpace(n))``.
+    Anything above ~1e-12 per point indicates a normalization bug.
     """
     n = dimension(s)
     d_codes, error = ctx.encodings(list(d_points), n)
@@ -569,22 +571,22 @@ def verify_plancherel_decomposition(
     in_s = set(map(tuple, s_codes.tolist()))
     lhs = sum(tuple(a) in in_s for a in d_codes.tolist())
     s_sums, d_sums = (
-        np.concatenate([re + 1j * im for re, im, _ in phase_sums(pts, nonzero, ctx, n, sign, budget)])
-        for pts, sign in ((s_codes, -1), (d_codes, +1))
+        np.concatenate([re + 1j * im for re, im, _ in phase_sums(pts, nonzero, ctx, budget)])
+        for pts in (s_codes, d_codes)
     )
-    rhs = (len(s_codes) * len(d_codes) + (s_sums * d_sums).sum()) / ctx.q**n
+    rhs = (len(s_codes) * len(d_codes) + (s_sums * d_sums.conj()).sum()) / ctx.q**n
     return abs(lhs - rhs)
 
 
 # -- text formats --------------------------------------------------------------------
 
 
-def split_top_level(text: str, sep: str = ","):
-    """Split on separators not nested inside () or []."""
+def split_top_level(text: str):
+    """Split on commas not nested inside () or []."""
     out, depth, cur = [], 0, []
     for ch in text:
         depth += (ch in "([") - (ch in ")]")
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             out.append("".join(cur))
             cur = []
         else:
@@ -594,12 +596,12 @@ def split_top_level(text: str, sep: str = ","):
 
 
 def parse_element_literal(text: str, ctx: FieldCtx) -> int:
-    """An element literal: an integer, or bracketed coordinates [c0,c1,...]."""
+    """An element literal: an integer, or bracketed coordinates [c0,c1,...] ([] for none)."""
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"unterminated coordinate vector: {text!r}")
-        coords = [int(c) for c in text[1:-1].split(",")]
+        coords = [int(c) for c in text[1:-1].split(",")] if text[1:-1].strip() else []
         return ctx.from_coords(coords)
     return ctx.from_int(int(text))
 

@@ -126,8 +126,8 @@ class GroupSpec:
     permutations each carrying a residue label modulo nu.
 
     Explicit lists are validated to be subgroups with the labelling a
-    surjective homomorphism onto Z/nu and the identity labelled 0.
-    """
+    surjective homomorphism onto Z/nu and the identity labelled 0, a check
+    of |G|^2 d entries charged before it runs."""
 
     d: int
     mode: str  # "symmetric" | "explicit"
@@ -141,10 +141,12 @@ class GroupSpec:
         return cls(d, "symmetric")
 
     @classmethod
-    def explicit(cls, d: int, nu: int, elements) -> "GroupSpec":
+    def explicit(cls, d: int, nu: int, elements, budget: int = DEFAULT_BUDGET) -> "GroupSpec":
         if d < 1 or nu < 1:
             raise InvalidGroupError("degree and nu must be >= 1")
         elems = tuple((tuple(perm), int(label) % nu) for perm, label in elements)
+        work = len(elems) ** 2 * d
+        charge(work, budget, f"group check composes {work} entries ({len(elems)} elements of degree {d})")
         cls._validate(d, nu, elems)
         return cls(d, "explicit", nu, elems)
 
@@ -175,7 +177,7 @@ class GroupSpec:
             raise InvalidGroupError("labels do not cover Z/nu")
 
     @classmethod
-    def from_file(cls, path: str) -> "GroupSpec":
+    def from_file(cls, path: str, budget: int = DEFAULT_BUDGET) -> "GroupSpec":
         """Header ``d=<int> nu=<int>``, then one line per element: the images
         of 1..d in one-line notation, a ``|``, and the label.  Lines whose
         first non-blank character is ``#`` are comments."""
@@ -203,15 +205,17 @@ class GroupSpec:
             if sorted(images) != list(range(1, d + 1)):
                 raise InvalidGroupError(f"not a permutation of 1..{d}: {ln!r}")
             elements.append((tuple(x - 1 for x in images), label))
-        return cls.explicit(d, nu, elements)
+        return cls.explicit(d, nu, elements, budget)
 
 
-def cyclic_shift_group(d: int) -> GroupSpec:
-    """The order-d group generated by the d-cycle, labels all zero (nu=1)."""
-    elems = []
-    for s in range(d):
-        elems.append((tuple((i + s) % d for i in range(d)), 0))
-    return GroupSpec.explicit(d, 1, elems)
+def cyclic_shift_group(d: int, budget: int = DEFAULT_BUDGET) -> GroupSpec:
+    """The order-d group generated by the d-cycle, labels all zero (nu=1):
+    its d^2 entries are charged before they are listed, and the shifts of
+    Z/d are a group by construction, so nothing is composed."""
+    if d < 1:
+        raise InvalidGroupError("degree and nu must be >= 1")
+    charge(d * d, budget, f"cyclic group lists {d * d} entries")
+    return GroupSpec(d, "explicit", 1, tuple((tuple((i + s) % d for i in range(d)), 0) for s in range(d)))
 
 
 def prediction_from_group(group: GroupSpec) -> dict:
@@ -514,19 +518,19 @@ def weil_sweep(
     charge(ctx.q**n, budget, f"{ctx.q**n} points of the full space")
     full = _sets.FullSpace(n)
     _require_paired(F, full)
-    codes, sizes, orbits = _sweep_points(F, full, budget)
+    codes, _, orbits = _sweep_points(F, full, budget)
     if sum(parts) != F.deg_t or min(parts) < 1:  # after the budget checks, as exit 3 wins
         raise PartitionMismatchError(f"{parts} is not a partition of deg_t = {F.deg_t}")
     keys = np.concatenate(list(_mp.spec_keys(F, codes)))
     points = codes
     if orbits is not None:  # each point takes its representative's key
-        labels = orbits.labels(codes, sizes)
+        labels = orbits.labels()
         keys, points = keys[labels], full.codes(ctx, budget)
     matches = points[keys == _gfp.gf_type_key(parts, F.deg_t)]
     dual = bs is None and orbits is not None and len(matches) >= ctx.p
     if bs is None:  # the frequencies of F_q^n are its points; representatives stand for their orbits
         freqs = (codes if dual else points)[1:]
-    sums = _sets.phase_sums(matches, freqs, ctx, n, -1, budget)
+    sums = _sets.phase_sums(matches, freqs, ctx, budget)
     mags = np.concatenate([np.empty(0), *(mag for _, _, mag in sums)])
     if dual:  # the zero point is the zero representative's orbit, row 0 of both
         mags = mags[labels[1:] - 1]

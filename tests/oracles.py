@@ -19,11 +19,11 @@ def trace_raw(ctx, a):
     return s
 
 
-def phase_counts(points, freqs, ctx, n, sign):
-    """Yield, for each block of frequencies b in order, the (B, p) slot counts
-    of sum_{a in points} psi(sign * a.b), read from ``sets._line_table``."""
-    table, line, rot = sets._line_table(points, freqs, ctx, n, sign)
-    yield from (block for _, block in sets._gathers(table, line, rot, ctx.p))
+def phase_counts(points, freqs, ctx):
+    """Yield, for each block of the (f, n) frequencies b in order, the (B, p)
+    slot counts of sum_{a in points} psi(-a.b), read from ``sets._line_table``."""
+    table, line, rot = sets._line_table(points, freqs, ctx)
+    yield from (block for _, block in sets._gathers(table, line, rot))
 
 
 def indicator_spectrum(s, ctx):
@@ -32,7 +32,7 @@ def indicator_spectrum(s, ctx):
     n = sets.dimension(s)
     qn = ctx.q**n
     freqs = sets.point_codes(sets.FullSpace(n), ctx)
-    sums = sets.phase_sums(sets.point_codes(s, ctx), freqs, ctx, n, -1)
+    sums = sets.phase_sums(sets.point_codes(s, ctx), freqs, ctx)
     pairs = itertools.chain.from_iterable(zip(re.tolist(), im.tolist()) for re, im, _ in sums)
     return {b: complex(re, im) / qn for b, (re, im) in zip(map(tuple, freqs.tolist()), pairs)}
 

@@ -143,6 +143,18 @@ def test_compare_group_file_of_wrong_degree_is_input_error(capsys, tmp_path):
     assert out == ""
 
 
+def test_group_file_past_the_budget_exits_3_before_validation(capsys, tmp_path):
+    # two elements of degree 3, not closed under composition: the check
+    # composes 2^2 pairs of 3 letters, charged before it runs
+    path = tmp_path / "open.txt"
+    path.write_text("d=3 nu=1\n1 2 3 | 0\n2 3 1 | 0\n")
+    argv = ["compare", "--p", "7", "--poly", "t^3 + A1*t + A2", "--set", "full", "--group", str(path)]
+    assert main([*argv, "--budget", "11"]) == 3
+    assert capsys.readouterr().err == "budget error: group check composes 12 entries (2 elements of degree 3), budget is 11\n"
+    assert main([*argv, "--budget", "12"]) == 2
+    assert capsys.readouterr().err == "input error: element list is not closed under composition\n"
+
+
 def test_charsum_golden(capsys):
     report = run_json(
         capsys,
@@ -190,6 +202,17 @@ def test_demo_artin_schreier(capsys):
     assert res["split_completely"] == 9
     assert res["irreg"]["irreg"] == 3.0
     assert res["comparison_vs_cyclic"]["per_type"]["[1,1,1]"]["frequency"] == 1.0
+
+
+@pytest.mark.parametrize("p", [1009, 10007])
+def test_artin_schreier_demo_past_the_budget_exits_at_once(capsys, p):
+    # the cyclic group's p^2 entries are charged before they are listed, and
+    # the group is built without composing its p^2 pairs
+    start = time.perf_counter()
+    code = main(["demo", "artin-schreier", "--p", str(p), "--k", "2"])
+    elapsed = time.perf_counter() - start
+    assert code == 3 and capsys.readouterr().err.startswith("budget error: ")
+    assert elapsed < 2
 
 
 def test_demo_pv(capsys):
@@ -283,6 +306,29 @@ def test_morse_family_counts_the_products_of_its_shifted_factors(capsys, p, f, s
     counts = {",".join(map(str, o)).join("[]"): outcomes.count(o) for o in set(outcomes) if isinstance(o, tuple)}
     assert res["distribution"]["counts"] == counts
     assert res["distribution"]["non_squarefree"] == outcomes.count(NON_SQUAREFREE)
+
+
+@pytest.mark.parametrize(
+    "argv, counts",
+    [(("--p", "7", "--k", "3"), {"[2,1]": 3, "[1,1,1]": 1}), (("--p", "5", "--k", "2", "--f", "t^2"), {"[1,1]": 3})],
+    ids=["cubic-GF343", "square-GF25"],
+)
+def test_morse_target_is_0_when_irreducibles_over_f_p_split(capsys, argv, counts):
+    # each f + a + h lies over F_p, where an irreducible of degree d splits
+    # into gcd(d, k) > 1 factors over GF(p^k): none stays irreducible
+    res = run_json(capsys, "demo", "morse", *argv)["result"]
+    assert res["distribution"]["counts"] == counts
+    assert (res["all_irreducible_count"], res["target"], res["deviation"]) == (0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(("--p", "7", "--k", "2"), 5 / 3), (("--p", "5", "--k", "2", "--f", "t^2 + [0,1]*t"), 2.0)],
+    ids=["gcd-1", "f-off-F_p"],
+)
+def test_morse_target_is_h_over_d_to_the_m_otherwise(capsys, argv, target):
+    res = run_json(capsys, "demo", "morse", *argv)["result"]
+    assert res["target"] == target == res["H"] / res["degree"] ** len(res["shifts"])
 
 
 def test_demo_trinomial_small(capsys):
@@ -906,6 +952,13 @@ def test_charsum_of_an_empty_b_names_the_arity(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "input error: frequency needs 2 coordinates, got 0\n"
+
+
+def test_an_empty_coordinate_vector_names_the_coordinate_count(capsys):
+    code = main(["factor-type", "--p", "7", "--k", "2", "--poly", "t^2 + A1", "--point", "[]"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: expected 2 coordinates, got 0\n"
 
 
 @pytest.mark.parametrize(

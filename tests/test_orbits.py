@@ -165,7 +165,7 @@ def test_orbit_sizes_sum_to_the_space_and_expand_to_it(ctx, weights):
         assert size == (ctx.q - 1) // math.gcd(ctx.q - 1, *support)
     # the orbits of the representatives cover the space once, in point_codes order
     points = point_codes(FullSpace(n), ctx)
-    assert np.array_equal(points[(sizes > 0)[orbits.labels(codes, sizes)]], points)
+    assert np.array_equal(points[(sizes > 0)[orbits.labels()]], points)
 
 
 def _expand(orbits, codes, sizes):
@@ -199,7 +199,7 @@ def test_labels_name_the_orbit_of_each_point(case):
     orbits, hit = case
     ctx, weights = orbits.ctx, orbits.weights.tolist()
     codes, sizes = orbits.representatives()
-    labels = orbits.labels(codes, sizes)
+    labels = orbits.labels()
     assert len(labels) == ctx.q ** len(weights)
     assert np.array_equal(np.bincount(labels, minlength=orbits.count), sizes)
     # each point is c.rep for some c != 0, by scalar field arithmetic

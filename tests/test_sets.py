@@ -414,8 +414,14 @@ def test_phase_counts_matches_scalar_loop(case):
     ctx, n, points, freqs, sign, block = case
     # small blocks put block boundaries inside the frequency list
     with mock.patch.object(sets, "_PHASE_BLOCK", block):
-        got = [row.tolist() for blk in phase_counts(points, freqs, ctx, n, sign) for row in blk]
+        got = [row.tolist() for blk in phase_counts(points, _at(freqs, ctx, n, sign), ctx) for row in blk]
     assert got == _scalar_counts(points, freqs, ctx, sign)
+
+
+def _at(freqs, ctx, n, sign=-1):
+    """The (f, n) int64 frequencies at which the kernel's psi(-a.b) is
+    psi(sign * a.b) at each b of freqs: b itself for sign -1, -b for +1."""
+    return np.array([[bi if sign < 0 else ctx.neg(bi) for bi in b] for b in freqs], np.int64).reshape(-1, n)
 
 
 def _scalar_counts(points, freqs, ctx, sign):
@@ -454,16 +460,16 @@ def test_line_reused_counts_match_direct_binning(ctx, n, size):
     points = _sample(ctx, n, size, seed=size)
     freqs = list(itertools.product(range(ctx.q), repeat=n))
     with mock.patch.object(sets, "_bin", wraps=sets._bin) as spy:
-        got = [row.tolist() for blk in phase_counts(points, freqs, ctx, n, -1) for row in blk]
+        got = [row.tolist() for blk in phase_counts(points, _at(freqs, ctx, n), ctx) for row in blk]
     assert got == _scalar_counts(points, freqs, ctx, -1)
     # one histogram per F_p-line: the zero frequency, and (q^n - 1)/(p - 1)
     binned = sum(len(call.args[0]) for call in spy.call_args_list)
     assert binned == 1 + (len(freqs) - 1) // (ctx.p - 1)
 
 
-def _histogram_sums(points, freqs, ctx, n, sign):
+def _histogram_sums(points, freqs, ctx):
     """The histogram path of phase_sums, forced whatever the set's size."""
-    return [cyclotomic_rows(c, ctx.p) for c in phase_counts(points, freqs, ctx, n, sign)]
+    return [cyclotomic_rows(c, ctx.p) for c in phase_counts(points, freqs, ctx)]
 
 
 def _joined(blocks):
@@ -482,9 +488,10 @@ def test_sparse_path_matches_forced_histogram_path(ctx, n, data):
     freqs = data.draw(st.lists(point, min_size=1, max_size=30)) + [(0,) * n]
     sign = data.draw(st.sampled_from((-1, 1)))
     assert len(points) < ctx.p  # so phase_sums takes the sparse path
-    sparse = _joined(phase_sums(points, freqs, ctx, n, sign))
-    dense = _joined(_histogram_sums(points, freqs, ctx, n, sign))
-    one = np.count_nonzero(np.concatenate(list(phase_counts(points, freqs, ctx, n, sign))), axis=1) <= 1
+    at = _at(freqs, ctx, n, sign)
+    sparse = _joined(phase_sums(points, at, ctx))
+    dense = _joined(_histogram_sums(points, at, ctx))
+    one = np.count_nonzero(np.concatenate(list(phase_counts(points, at, ctx))), axis=1) <= 1
     assert one[-1]  # the zero frequency sits on one root
     for got, want in zip(sparse, dense):
         assert np.all(np.abs(got - want) <= 1e-12 * max(len(points), 1))
@@ -528,16 +535,17 @@ def histogram_cases(draw):
 def test_histogram_path_gives_cyclotomic_rows_of_phase_counts_bits(case):
     ctx, n, points, freqs, sign, block = case
     assert len(points) >= ctx.p  # so phase_sums takes the histogram path
+    at = _at(freqs, ctx, n, sign)
     with mock.patch.object(sets, "_PHASE_BLOCK", block):
-        got = _joined(phase_sums(points, freqs, ctx, n, sign))
-        counts = np.concatenate(list(phase_counts(points, freqs, ctx, n, sign)))
+        got = _joined(phase_sums(points, at, ctx))
+        counts = np.concatenate(list(phase_counts(points, at, ctx)))
     want = cyclotomic_rows(counts, ctx.p)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-def _leads(points, freqs, ctx, n, sign):
+def _leads(points, freqs, ctx):
     """The first nonzero entry of each frequency's functional (1 for zero)."""
-    _, w = sets._functionals(points, freqs, ctx, n, sign)
+    _, w = sets._functionals(points, freqs, ctx)
     return [next((c for c in row if c), 1) for row in w.tolist()]
 
 
@@ -561,19 +569,22 @@ def test_gathered_rows_match_rows_built_per_frequency(ctx, n, sign):
     space = list(itertools.product(range(ctx.q), repeat=n))
     points = rng.sample(space, max(p, len(space) // 3))
     rank = rng.sample(range(1, p), p - 1)
-    keyed = sorted((rank.index(lead), rng.random(), b) for lead, b in zip(_leads(points, space, ctx, n, sign), space))
+    keyed = sorted(
+        (rank.index(lead), rng.random(), b) for lead, b in zip(_leads(points, _at(space, ctx, n, sign), ctx), space)
+    )
     freqs = [b for _, _, b in keyed]
-    leads = _leads(points, freqs, ctx, n, sign)
+    at = _at(freqs, ctx, n, sign)
+    leads = _leads(points, at, ctx)
     if ctx.q**n > p:  # runs longer than one frequency: some block edge cuts one
         assert any(leads[i - 1] == leads[i] for i in range(3, len(freqs), 3))
-    table, line, _ = sets._line_table(points, freqs, ctx, n, sign)
+    table, line, _ = sets._line_table(points, at, ctx)
     want = np.array(
         [[table[line[i], pow(lead, p - 2, p) * m % p] for m in range(p)] for i, lead in enumerate(leads)], np.int64
     )
     assert want.tolist() == _scalar_counts(points, freqs, ctx, sign)
     with mock.patch.object(sets, "_PHASE_BLOCK", 3 * p):
-        blocks = list(phase_counts(points, freqs, ctx, n, sign))
-        sums = _joined(phase_sums(points, freqs, ctx, n, sign))
+        blocks = list(phase_counts(points, at, ctx))
+        sums = _joined(phase_sums(points, at, ctx))
     assert {len(b) for b in blocks[:-1]} == {3}
     assert np.concatenate(blocks).tobytes() == want.tobytes()
     assert [a.tobytes() for a in sums] == [a.tobytes() for a in cyclotomic_rows(want, p)]
@@ -595,11 +606,11 @@ def test_spectra_on_the_full_space_never_build_frequency_tuples():
 )
 def test_phase_sums_bytes_do_not_depend_on_blocks(ctx, n, size, blk):
     points = _sample(ctx, n, size, seed=blk)
-    freqs = list(itertools.product(range(ctx.q), repeat=n))
-    want = [a.tobytes() for a in _joined(phase_sums(points, freqs, ctx, n, -1))]
+    freqs = _at(itertools.product(range(ctx.q), repeat=n), ctx, n)
+    want = [a.tobytes() for a in _joined(phase_sums(points, freqs, ctx))]
     # blocks of blk frequencies on either path
     with mock.patch.object(sets, "_PHASE_BLOCK", blk * min(size, ctx.p)):
-        blocks = list(phase_sums(points, freqs, ctx, n, -1))
+        blocks = list(phase_sums(points, freqs, ctx))
         rep = irregularity(ExplicitSet(points), ctx).irreg
     assert max(len(b[0]) for b in blocks) <= blk
     assert [a.tobytes() for a in _joined(blocks)] == want
@@ -619,15 +630,15 @@ def test_phase_sums_bytes_do_not_depend_on_blocks(ctx, n, size, blk):
 )
 def test_phase_sums_budget_counts_the_work(ctx, points, work, monkeypatch):
     n = len(points[0])
-    freqs = list(itertools.product(range(ctx.q), repeat=n))
-    assert len(list(phase_sums(points, freqs, ctx, n, -1, budget=work))) >= 1
+    freqs = _at(itertools.product(range(ctx.q), repeat=n), ctx, n)
+    assert len(list(phase_sums(points, freqs, ctx, budget=work))) >= 1
 
     def refuse(*args):
         raise AssertionError("phases built before the budget check")
 
     monkeypatch.setattr(sets, "_functionals", refuse)
     with pytest.raises(BudgetExceededError):
-        next(phase_sums(points, freqs, ctx, n, -1, budget=work - 1))
+        next(phase_sums(points, freqs, ctx, budget=work - 1))
 
 
 _LINE = ExplicitSet([(a,) for a in range(5)])

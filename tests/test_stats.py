@@ -156,6 +156,18 @@ def test_group_validation_requires_identity_label_zero():
         GroupSpec.explicit(2, 1, [((1, 0), 0)])
 
 
+def test_group_listings_and_checks_are_charged_before_they_run():
+    with pytest.raises(BudgetExceededError, match="^cyclic group lists 9 entries, budget is 8$"):
+        cyclic_shift_group(3, budget=8)
+    # built without the closure check, the cyclic group passes it
+    elems = cyclic_shift_group(3, budget=9).elements
+    assert GroupSpec.explicit(3, 1, elems, budget=27) == cyclic_shift_group(3)
+    with pytest.raises(BudgetExceededError, match=r"^group check composes 27 entries \(3 elements of degree 3\), budget is 26$"):
+        GroupSpec.explicit(3, 1, elems, budget=26)
+    with pytest.raises(InvalidGroupError):
+        cyclic_shift_group(0)
+
+
 def test_group_file_roundtrip(tmp_path):
     group = cyclic_shift_group(3)
     path = tmp_path / "group.txt"
